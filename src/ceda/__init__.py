@@ -28,7 +28,7 @@ from .dataset import (
 )
 from .discretize import Binning, build_histogram, categorize, categorize_many
 from .errors import CedaError, ComputationError, ConfigError, DataError
-from .hclust import Dendrogram, agglomerate, categorize_by_clustering, cut
+from .hclust import Dendrogram, agglomerate, cut
 from .label_tree import (
     DominanceMatrix,
     LabelTree,
@@ -38,12 +38,12 @@ from .label_tree import (
     tree_from_training,
 )
 from .predictive_map import (
+    Category,
+    CategoryTable,
     CompetitionConfig,
     PredictedLabelSet,
-    PredictiveMap,
-    branch_competition,
-    descend_predict,
     predictive_map,
+    tabulate_predictions,
 )
 from .rma import (
     ErrorReport,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hclust
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, csv_text
 from .discretize import categorize_many
 from .errors import DataError
 
@@ -135,10 +135,9 @@ class MceMatrix:
         return hclust.cut(self.dendro, k).resolve(self.dendro.leaf_names)
 
     def to_csv_text(self, fmt="%.10g"):
-        lines = ["feature," + ",".join(self.features)]
-        for name, row in zip(self.features, self.values):
-            lines.append(name + "," + ",".join(fmt % v for v in row))
-        return "\n".join(lines) + "\n"
+        rows = [["feature"] + list(self.features)]
+        rows += [[name] + [fmt % v for v in row] for name, row in zip(self.features, self.values)]
+        return csv_text(rows)
 
 
 def mce_matrix(table, binnings=None, features=None, linkage="average"):

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ZStats, feature_matrix
+from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError
 from .label_tree import tree_from_training
-from .predictive_map import CompetitionConfig, TreeClassifier, set_name
+from .predictive_map import CompetitionConfig, TreeClassifier, tabulate_predictions
 
 log = logging.getLogger(__name__)
 
@@ -40,10 +40,7 @@ CASES = (
 class ChainLink:
     name: str
     features: tuple
-    cfg: CompetitionConfig = None
-
-    def config(self):
-        return self.cfg or CompetitionConfig()
+    cfg: CompetitionConfig = None  # None: the default thresholds
 
 
 @dataclass
@@ -57,75 +54,10 @@ class FeatureChain:
         if len(set(names)) != len(names):
             raise ConfigError("duplicate chain link names")
 
-    def __len__(self):
-        return len(self.links)
-
-
-@dataclass
-class CompositeCategory:
-    path_sets: tuple       # one sorted label tuple per link, deepest last
-    name: str              # joined display name, no star
-    certain: bool
-    counts: np.ndarray     # per true label
-    member_rows: np.ndarray
-
-    @property
-    def display_name(self):
-        return self.name if self.certain else "*" + self.name
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-    @property
-    def deepest_set(self):
-        return self.path_sets[-1]
-
-
-@dataclass
-class OrderedCategoryTable:
-    depth: int
-    link_names: tuple
-    true_labels: list
-    categories: list
-
-    def total(self):
-        return int(sum(cat.total for cat in self.categories))
-
-    def certain_fraction(self):
-        total = self.total()
-        if total == 0:
-            return 0.0
-        return sum(cat.total for cat in self.categories if cat.certain) / total
-
-    def to_csv_text(self):
-        lines = ["category," + ",".join(str(l) for l in self.true_labels)]
-        for cat in self.categories:
-            lines.append(cat.display_name + "," + ",".join(str(int(c)) for c in cat.counts))
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self):
-        return {
-            "depth": self.depth,
-            "links": list(self.link_names),
-            "true_labels": [str(l) for l in self.true_labels],
-            "categories": [
-                {
-                    "name": cat.display_name,
-                    "path": [list(s) for s in cat.path_sets],
-                    "certain": cat.certain,
-                    "counts": {str(l): int(c) for l, c in zip(self.true_labels, cat.counts)},
-                    "rows": [int(r) for r in cat.member_rows],
-                }
-                for cat in self.categories
-            ],
-        }
-
 
 @dataclass
 class ChainResult:
     chain: FeatureChain
-    true_labels: list
     tables: list
     final_category_per_row: list = field(default_factory=list)
     true_value_per_row: list = field(default_factory=list)
@@ -133,17 +65,12 @@ class ChainResult:
 
     def verify_conservation(self):
         """Each refined parent's count must equal the sum of its children."""
-        for d in range(1, len(self.tables)):
-            parents = {c.path_sets: c for c in self.tables[d - 1].categories if not c.certain}
-            child_totals = {}
-            for child in self.tables[d].categories:
-                child_totals.setdefault(child.path_sets[:-1], 0)
-                child_totals[child.path_sets[:-1]] += child.total
-            for key, parent in parents.items():
-                if child_totals.get(key, 0) != parent.total:
-                    return False
-            extra = set(child_totals) - set(parents)
-            if extra:
+        for parent_table, child_table in zip(self.tables, self.tables[1:]):
+            parents = {c.key: c.total for c in parent_table.categories if not c.certain}
+            children = {}
+            for child in child_table.categories:
+                children[child.key[:-1]] = children.get(child.key[:-1], 0) + child.total
+            if children != parents:
                 return False
         return True
 
@@ -152,32 +79,7 @@ def _seed_for_link(seed, idx):
     return int(np.random.SeedSequence([int(seed), int(idx)]).generate_state(1)[0])
 
 
-def _sort_key(path_sets):
-    return tuple((len(s) == 0, len(s), s) for s in path_sets)
-
-
-def _tabulate(depth, link_names, keys_per_row, rows, true_values, true_labels, universe):
-    label_pos = {lab: i for i, lab in enumerate(true_labels)}
-    buckets = {}
-    for row in rows:
-        key = keys_per_row[row]
-        bucket = buckets.setdefault(key, {"counts": np.zeros(len(true_labels), dtype=int), "rows": []})
-        bucket["counts"][label_pos[true_values[row]]] += 1
-        bucket["rows"].append(row)
-    categories = []
-    for key in sorted(buckets, key=_sort_key):
-        counts = buckets[key]["counts"]
-        categories.append(CompositeCategory(
-            path_sets=key,
-            name="-".join(set_name(s, universe) for s in key),
-            certain=int(np.count_nonzero(counts)) == 1,
-            counts=counts,
-            member_rows=np.asarray(buckets[key]["rows"], dtype=int),
-        ))
-    return OrderedCategoryTable(depth=depth, link_names=link_names, true_labels=list(true_labels), categories=categories)
-
-
-def chain_categories(test, train, chain, samples_per_triplet=200, seed=0, threads=1):
+def chain_categories(test, train, chain, samples_per_triplet=200, seed=0):
     """Run the refinement chain over a test set.
 
     Label trees are rebuilt per link on the full training data with seeds
@@ -192,7 +94,6 @@ def chain_categories(test, train, chain, samples_per_triplet=200, seed=0, thread
     trees = {}
     final = [None] * n
     active_rows = list(range(n))
-    test_X_cache = {}
     for depth, link in enumerate(chain.links, start=1):
         tree = tree_from_training(
             train, list(link.features),
@@ -200,26 +101,22 @@ def chain_categories(test, train, chain, samples_per_triplet=200, seed=0, thread
             seed=_seed_for_link(seed, depth - 1),
         )
         trees[link.name] = tree
-        clf = TreeClassifier(tree, train, list(link.features), link.config())
+        clf = TreeClassifier(tree, train, list(link.features), link.cfg)
         X = feature_matrix(test.table, list(link.features))
-        preds = [clf.classify(X[row]) for row in active_rows]
-        for row, pred in zip(active_rows, preds):
-            keys[row] = keys[row] + (tuple(sorted(pred.labels)),)
-        table = _tabulate(
-            depth, tuple(l.name for l in chain.links[:depth]),
-            keys, active_rows, true_values, list(test.labels), universe,
-        )
+        for row in active_rows:
+            keys[row] += (clf.classify(X[row]).labels,)
+        table = tabulate_predictions(keys, active_rows, true_values, list(test.labels), universe)
         tables.append(table)
         next_rows = []
         for cat in table.categories:
-            for row in cat.member_rows:
+            for row in cat.rows:
                 final[row] = cat
             if not cat.certain:
-                next_rows.extend(cat.member_rows.tolist())
+                next_rows.extend(cat.rows.tolist())
         active_rows = sorted(next_rows)
         if not active_rows:
             break
-    return ChainResult(chain=chain, true_labels=list(test.labels), tables=tables,
+    return ChainResult(chain=chain, tables=tables,
                        final_category_per_row=final,
                        true_value_per_row=[str(v) for v in true_values], trees=trees)
 
@@ -242,12 +139,8 @@ class DissectionReport:
         return sum(1 for r in sel if r["case"].startswith("uncertainty")) / len(sel)
 
     def to_csv_text(self):
-        lines = ["row,true,external,category,depth,case"]
-        for r in self.records:
-            lines.append("%d,%s,%s,%s,%d,%s" % (
-                r["row"], r["true"], r["external"], r["category"], r["depth"], r["case"],
-            ))
-        return "\n".join(lines) + "\n"
+        fields = ["row", "true", "external", "category", "depth", "case"]
+        return csv_text([fields] + [[r[f] for f in fields] for r in self.records])
 
     def to_json_dict(self):
         return {"totals": {c: int(self.totals.get(c, 0)) for c in CASES}, "points": self.records}
@@ -257,7 +150,8 @@ def dissect_external(external, result):
     """Partition externally-predicted points by chain certainty and coherence.
 
     ``external`` maps test row position to a singleton predicted label.  Every
-    test row must be covered and every key must be a valid row.
+    test row must be covered, every key must be a valid row and every label
+    must belong to the training universe.
     """
     n = len(result.final_category_per_row)
     external = {int(k): str(v) for k, v in external.items()}
@@ -268,24 +162,30 @@ def dissect_external(external, result):
     unknown = sorted(set(external) - set(range(n)))
     if unknown:
         raise DataError("external predictions for unknown rows: %s" % unknown[:10])
-    depth_of = {}
-    for d, table in enumerate(result.tables, start=1):
-        for cat in table.categories:
-            depth_of[cat.path_sets] = d
+    # the training labels: every link's tree spans all of them
+    universe = set(result.trees[result.chain.links[0].name].labels)
+    stray = {}
+    for row in range(n):
+        if external[row] not in universe:
+            stray.setdefault(external[row], []).append(row)
+    if stray:
+        raise DataError("external predictions name labels outside the training labels: %s" % "; ".join(
+            "'%s' (rows %s%s)" % (lab, ", ".join(str(r) for r in rows[:5]), "..." if len(rows) > 5 else "")
+            for lab, rows in sorted(stray.items())))
     records = []
     totals = {c: 0 for c in CASES}
     for row in range(n):
         cat = result.final_category_per_row[row]
         ext = external[row]
         case = "%s-%s" % ("certainty" if cat.certain else "uncertainty",
-                          "coherent" if ext in cat.deepest_set else "incoherent")
+                          "coherent" if ext in cat.labels else "incoherent")
         totals[case] += 1
         records.append({
             "row": row,
             "true": result.true_value_per_row[row],
             "external": ext,
             "category": cat.display_name,
-            "depth": depth_of[cat.path_sets],
+            "depth": len(cat.key),
             "case": case,
         })
     return DissectionReport(records=records, totals=totals)

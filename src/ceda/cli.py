@@ -13,8 +13,9 @@ Usage examples:
 
 The config file is JSON.  Typical keys: dataset, label_column, schema,
 split.train_fraction, binning.target_bins, feature_sets, chain, competition,
-let.samples_per_triplet, dissect.external or dissect.baseline, rma.*, seed,
-out_dir.  Command line --seed/--out/--threads override the config.
+let.samples_per_triplet, dissect.external or dissect.knn_k, rma.*, seed,
+out_dir (CONFIG_KEYS lists them all; unknown keys draw a warning).  Command
+line --seed/--out override the config; --threads is accepted and ignored.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 computation
 error.
@@ -28,6 +29,7 @@ STAGE_OFFSETS below.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -47,7 +49,7 @@ from .chain import (
     knn_baseline_predict,
     load_external_predictions,
 )
-from .dataset import SplitSpec, load_csv, split_train_test, synth_generate, write_csv
+from .dataset import SplitSpec, csv_text, load_csv, split_train_test, synth_generate, write_csv
 from .discretize import build_histogram
 from .errors import CedaError, ConfigError, DataError
 from .label_tree import dominance_to_distance, sample_triplet_orderings, tree_from_training
@@ -66,6 +68,22 @@ from .rma import (
 log = logging.getLogger("ceda")
 
 STAGE_OFFSETS = {"synth": 0, "split": 1, "let": 2, "pmap": 3, "chain": 4, "dissect": 5, "rma": 6}
+
+# known keys of the config's top level (None) and of its sections
+CONFIG_KEYS = {
+    None: ("binning", "chain", "competition", "dataset", "dissect", "feature_sets", "features",
+           "label_column", "let", "mce", "out_dir", "pmap", "rma", "schema", "seed", "split", "synth"),
+    "split": ("stratified", "train_fraction"),
+    "binning": ("per_feature", "target_bins"),
+    "competition": tuple(f.name for f in dataclasses.fields(CompetitionConfig)),
+    "let": ("feature_set", "samples_per_triplet"),
+    "pmap": ("feature_set",),
+    "mce": ("k_groups",),
+    "dissect": ("external", "knn_k"),
+    "rma": ("bin_subset", "bins_per_major", "k_star", "major_candidates", "majors", "minors",
+            "ols", "responses", "threshold"),
+    "synth": ("kind", "params"),
+}
 
 
 def stage_seed(seed, stage):
@@ -88,7 +106,8 @@ def build_parser():
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="global seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored: every command is single-threaded")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     common(p)
@@ -123,6 +142,7 @@ def _load_config(args):
             raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
         if not isinstance(cfg, dict):
             raise ConfigError("config %s: top level must be an object" % path)
+        _warn_unknown_keys(cfg)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "out", None):
@@ -130,6 +150,18 @@ def _load_config(args):
     cfg.setdefault("seed", 0)
     cfg.setdefault("out_dir", "ceda_out")
     return cfg
+
+
+def _warn_unknown_keys(cfg):
+    for section, known in CONFIG_KEYS.items():
+        entries = cfg if section is None else cfg.get(section)
+        if not isinstance(entries, dict):
+            continue
+        unknown = sorted(set(entries) - set(known))
+        if unknown:
+            log.warning("config %s: unknown key(s) %s; known keys: %s",
+                        "top level" if section is None else "section '%s'" % section,
+                        ", ".join(unknown), ", ".join(known))
 
 
 def _require(cfg, key, command):
@@ -179,13 +211,13 @@ def _competition_config(cfg, override=None):
     comp = dict(cfg.get("competition", {}))
     comp.update(override or {})
     kwargs = {}
-    for key in ("k_star", "pl_lower", "pl_upper", "dominant_fraction", "outlier_quantile"):
+    for key in CONFIG_KEYS["competition"]:
         if key in comp:
             kwargs[key] = comp[key]
     return CompetitionConfig(**kwargs)
 
 
-def _feature_sets(cfg, ds, command):
+def _feature_sets(cfg, ds):
     sets = cfg.get("feature_sets")
     if not sets:
         numeric = [n for n in ds.feature_names() if ds.table.kind(n) != "categorical"]
@@ -199,7 +231,7 @@ def _feature_sets(cfg, ds, command):
     return {k: list(v) for k, v in sets.items()}
 
 
-def _pick_set(cfg, sets, key, command):
+def _pick_set(cfg, sets, key):
     section = cfg.get(key, {})
     chosen = section.get("feature_set") if isinstance(section, dict) else None
     if chosen is None:
@@ -293,12 +325,12 @@ def cmd_mce(args):
     run.write_json("mce_groups.json", {
         "k": k, "order": matrix.features, "groups": groups.groups,
     })
-    lines = ["feature,label_to_feature,feature_to_label"]
+    rows = [["feature", "label_to_feature", "feature_to_label"]]
     fwd = dict(rank_features_by_label_association(ds, binnings, "label_to_feature"))
     bwd = dict(rank_features_by_label_association(ds, binnings, "feature_to_label"))
     for name, value in sorted(fwd.items(), key=lambda kv: (kv[1], kv[0])):
-        lines.append("%s,%.10g,%.10g" % (name, value, bwd[name]))
-    run.write_text("feature_rank.csv", "\n".join(lines) + "\n")
+        rows.append([name, "%.10g" % value, "%.10g" % bwd[name]])
+    run.write_text("feature_rank.csv", csv_text(rows))
     run.finish()
     i, j = np.unravel_index(
         np.argmin(matrix.values + np.eye(len(matrix.features))), matrix.values.shape)
@@ -307,24 +339,32 @@ def cmd_mce(args):
     return 0
 
 
+def _samples_per_triplet(cfg):
+    return int(cfg.get("let", {}).get("samples_per_triplet", 200))
+
+
+def _split_with_feature_set(cfg, command):
+    """Load and split the dataset and pick the command's feature set."""
+    ds = _load_dataset(cfg, command)
+    train, test = _split(ds, cfg)
+    sets = _feature_sets(cfg, ds)
+    set_name_ = _pick_set(cfg, sets, command)
+    return train, test, set_name_, sets[set_name_]
+
+
 def cmd_let(args):
     cfg = _load_config(args)
-    ds = _load_dataset(cfg, "let")
-    train, _ = _split(ds, cfg)
-    sets = _feature_sets(cfg, ds, "let")
-    set_name_ = _pick_set(cfg, sets, "let", "let")
-    features = sets[set_name_]
-    T = int(cfg.get("let", {}).get("samples_per_triplet", 200))
+    train, _, set_name_, features = _split_with_feature_set(cfg, "let")
+    T = _samples_per_triplet(cfg)
     seed = stage_seed(cfg["seed"], "let")
     run = Run("let", cfg)
     if len(train.labels) >= 3:
         dm = sample_triplet_orderings(train, features, samples_per_triplet=T, seed=seed)
         run.write_text("dominance.csv", dm.to_csv_text())
         distance = dominance_to_distance(dm)
-        lines = ["label," + ",".join(train.labels)]
-        for lab, row in zip(train.labels, distance):
-            lines.append(lab + "," + ",".join("%.10g" % v for v in row))
-        run.write_text("label_distance.csv", "\n".join(lines) + "\n")
+        rows = [["label"] + list(train.labels)]
+        rows += [[lab] + ["%.10g" % v for v in row] for lab, row in zip(train.labels, distance)]
+        run.write_text("label_distance.csv", csv_text(rows))
     tree = tree_from_training(train, features, samples_per_triplet=T, seed=seed)
     run.write_text("tree.newick", tree.to_newick() + "\n")
     run.write_json("tree.json", tree.to_json_dict())
@@ -335,30 +375,32 @@ def cmd_let(args):
 
 def cmd_pmap(args):
     cfg = _load_config(args)
-    ds = _load_dataset(cfg, "pmap")
-    train, test = _split(ds, cfg)
-    sets = _feature_sets(cfg, ds, "pmap")
-    set_name_ = _pick_set(cfg, sets, "pmap", "pmap")
-    features = sets[set_name_]
-    T = int(cfg.get("let", {}).get("samples_per_triplet", 200))
-    tree = tree_from_training(train, features, samples_per_triplet=T,
+    train, test, set_name_, features = _split_with_feature_set(cfg, "pmap")
+    tree = tree_from_training(train, features, samples_per_triplet=_samples_per_triplet(cfg),
                               seed=stage_seed(cfg["seed"], "let"))
     comp = _competition_config(cfg)
-    pmap = predictive_map(test, tree, train, features, cfg=comp,
-                          threads=args.threads, feature_set_id=set_name_)
+    table, preds = predictive_map(test, tree, train, features, cfg=comp)
+    doc = table.to_json_dict()
+    for entry, cat in zip(doc["categories"], table.categories):
+        entry["labels"] = list(cat.labels)
+    doc.update(feature_set=set_name_, config=dataclasses.asdict(comp), points=[
+        {"row": row, "true": str(true), "predicted": [str(l) for l in pred.labels],
+         "stop_node": int(pred.stop_node), "path": [[int(n), dec] for n, dec in pred.path]}
+        for row, (pred, true) in enumerate(zip(preds, test.label_values))
+    ])
     run = Run("pmap", cfg)
     write_csv(test.table, run.path_for("split_test.csv"))
-    run.write_text("pmap_%s.csv" % set_name_, pmap.to_csv_text())
-    run.write_json("pmap_%s.json" % set_name_, pmap.to_json_dict())
-    run.write_json("pies.json", pmap.per_label_proportions())
+    run.write_text("pmap_%s.csv" % set_name_, table.to_csv_text())
+    run.write_json("pmap_%s.json" % set_name_, doc)
+    run.write_json("pies.json", table.per_label_proportions())
     run.finish()
     print("pmap: %d test points, %.1f%% singleton, %d categories"
-          % (test.n_rows, 100 * pmap.singleton_fraction(), len(pmap.categories)))
+          % (test.n_rows, 100 * table.singleton_fraction(), len(table.categories)))
     return 0
 
 
-def _chain_from_config(cfg, ds, command):
-    sets = _feature_sets(cfg, ds, command)
+def _chain_from_config(cfg, ds):
+    sets = _feature_sets(cfg, ds)
     spec = cfg.get("chain")
     if not spec:
         spec = list(sets)
@@ -377,24 +419,27 @@ def _chain_from_config(cfg, ds, command):
     return FeatureChain(links)
 
 
-def _run_chain(cfg, args, command):
+def _run_chain(cfg, command):
     ds = _load_dataset(cfg, command)
     train, test = _split(ds, cfg)
-    chain = _chain_from_config(cfg, ds, command)
-    T = int(cfg.get("let", {}).get("samples_per_triplet", 200))
-    result = chain_categories(test, train, chain, samples_per_triplet=T,
-                              seed=stage_seed(cfg["seed"], "chain"), threads=args.threads)
-    return ds, train, test, result
+    chain = _chain_from_config(cfg, ds)
+    result = chain_categories(test, train, chain, samples_per_triplet=_samples_per_triplet(cfg),
+                              seed=stage_seed(cfg["seed"], "chain"))
+    return train, test, result
 
 
 def cmd_chain(args):
     cfg = _load_config(args)
-    _, _, test, result = _run_chain(cfg, args, "chain")
+    _, test, result = _run_chain(cfg, "chain")
     run = Run("chain", cfg)
     write_csv(test.table, run.path_for("split_test.csv"))
-    for table in result.tables:
-        run.write_text("chain_depth%d.csv" % table.depth, table.to_csv_text())
-        run.write_json("chain_depth%d.json" % table.depth, table.to_json_dict())
+    for depth, table in enumerate(result.tables, start=1):
+        doc = table.to_json_dict()
+        for entry, cat in zip(doc["categories"], table.categories):
+            entry.update(path=[list(s) for s in cat.key], rows=[int(r) for r in cat.rows])
+        doc.update(depth=depth, links=[l.name for l in result.chain.links[:depth]])
+        run.write_text("chain_depth%d.csv" % depth, table.to_csv_text())
+        run.write_json("chain_depth%d.json" % depth, doc)
     run.write_json("chain_summary.json", {
         "depths": len(result.tables),
         "links": [l.name for l in result.chain.links],
@@ -410,7 +455,7 @@ def cmd_chain(args):
 
 def cmd_dissect(args):
     cfg = _load_config(args)
-    ds, train, test, result = _run_chain(cfg, args, "dissect")
+    train, test, result = _run_chain(cfg, "dissect")
     dis_cfg = cfg.get("dissect", {})
     run = Run("dissect", cfg)
     write_csv(test.table, run.path_for("split_test.csv"))
@@ -423,8 +468,8 @@ def cmd_dissect(args):
         preds = knn_baseline_predict(train, test, list(chain0.features), k=k)
         external = dict(enumerate(preds))
         source = "builtin-knn(k=%d)" % k
-        lines = ["row_id,predicted_label"] + ["%d,%s" % (i, p) for i, p in enumerate(preds)]
-        run.write_text("baseline_predictions.csv", "\n".join(lines) + "\n")
+        run.write_text("baseline_predictions.csv",
+                       csv_text([["row_id", "predicted_label"]] + [[i, p] for i, p in enumerate(preds)]))
     report = dissect_external(external, result)
     run.write_text("dissection.csv", report.to_csv_text())
     run.write_json("dissection.json", {"source": source, **report.to_json_dict()})
@@ -461,10 +506,9 @@ def cmd_rma(args):
     for cand in candidates:
         scores.append(score_major_candidate(train.table, spec, cand, binnings, threshold))
     if scores:
-        lines = ["feature,score,threshold,is_major"]
-        for s in scores:
-            lines.append("%s,%.10g,%.10g,%d" % (s.feature, s.score, s.threshold, int(s.is_major)))
-        run.write_text("rma_scores.csv", "\n".join(lines) + "\n")
+        rows = [["feature", "score", "threshold", "is_major"]]
+        rows += [[s.feature, "%.10g" % s.score, "%.10g" % s.threshold, int(s.is_major)] for s in scores]
+        run.write_text("rma_scores.csv", csv_text(rows))
         run.write_json("rma_dispersion.json", {
             s.feature: s.per_bin_dispersion for s in scores})
     if not majors:
@@ -497,14 +541,11 @@ def cmd_rma(args):
                                        k_star=k_star, minor_binnings=binnings))
     report = error_metrics(predictions, truths, lattice, train.table)
     run.write_text("rma_errors.csv", report.to_csv_text())
-    lines = ["row,patch,flags," + ",".join("pred_%s" % r for r in responses)
-             + "," + ",".join("true_%s" % r for r in responses)]
+    rows = [["row", "patch", "flags"] + ["pred_%s" % r for r in responses] + ["true_%s" % r for r in responses]]
     for i, p in enumerate(predictions):
-        lines.append("%d,%s,%s,%s,%s" % (
-            i, lattice.cell_name(p.cell), "|".join(sorted(p.flags)),
-            ",".join("%.10g" % v for v in p.values),
-            ",".join("%.10g" % v for v in truths[i])))
-    run.write_text("rma_plotdata.csv", "\n".join(lines) + "\n")
+        rows.append([i, lattice.cell_name(p.cell), "|".join(sorted(p.flags))]
+                    + ["%.10g" % v for v in p.values] + ["%.10g" % v for v in truths[i]])
+    run.write_text("rma_plotdata.csv", csv_text(rows))
     ols_cfg = rcfg.get("ols")
     if ols_cfg:
         _check_features(ds, [ols_cfg["response"]] + list(ols_cfg["covariates"]), "rma.ols")

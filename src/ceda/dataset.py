@@ -14,7 +14,7 @@ is always categorical.
 """
 
 import csv
-import hashlib
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -89,11 +89,6 @@ class DataTable:
     def subset(self, rows):
         rows = np.asarray(rows, dtype=int)
         return DataTable([Column(c.name, c.kind, c.values[rows]) for c in self.columns])
-
-    @property
-    def schema_id(self):
-        text = ";".join("%s:%s" % (c.name, c.kind) for c in self.columns)
-        return hashlib.md5(text.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -274,6 +269,13 @@ def write_csv(table, path):
                 cols.append([repr(float(v)) for v in c.values])
         for i in range(table.n_rows):
             writer.writerow([col[i] for col in cols])
+
+
+def csv_text(rows):
+    """Report rows as CSV text: cells quoted where needed, "\\n" line ends."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledDataset, ZStats, feature_matrix
 from .errors import DataError
 
 LINKAGES = ("average", "complete", "single")
-
-# exact agglomeration above this row count is replaced by a seeded subsample
-# plus nearest-centroid assignment
-EXACT_ROW_CAP = 512
 
 
 @dataclass
@@ -39,9 +34,6 @@ class Dendrogram:
         if self.n_leaves == 1:
             return [0]
         return self.members(2 * self.n_leaves - 2)
-
-    def node_heights(self):
-        return [h for _, _, h in self.merges]
 
     def to_newick(self):
         """Newick-style text; internal nodes annotated with merge height."""
@@ -155,40 +147,3 @@ def cut(dendro, k):
         buckets.setdefault(find(leaf), []).append(leaf)
     groups = sorted(buckets.values(), key=lambda g: g[0])
     return FeatureGroups(k=k, groups=groups)
-
-
-def pairwise_euclidean(X):
-    X = np.asarray(X, dtype=float)
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
-def categorize_by_clustering(table, features, k, linkage="average", seed=0, cap=EXACT_ROW_CAP):
-    """Cluster rows in z-scored feature space and return a cluster-id column.
-
-    Rows beyond ``cap`` are handled by clustering a seeded subsample and
-    assigning the remainder to the nearest cluster centroid.
-    """
-    if isinstance(table, LabeledDataset):
-        table = table.table
-    X = feature_matrix(table, features)
-    n = X.shape[0]
-    if not 1 <= k <= n:
-        raise DataError("k must lie in [1, %d], got %d" % (n, k))
-    Z = ZStats.fit(X).transform(X)
-    if n <= cap:
-        groups = cut(agglomerate(pairwise_euclidean(Z), linkage), k).groups
-        out = np.empty(n, dtype=int)
-        for gid, g in enumerate(groups):
-            out[g] = gid
-        return out
-    rng = np.random.default_rng(seed)
-    sample = np.sort(rng.choice(n, size=cap, replace=False))
-    groups = cut(agglomerate(pairwise_euclidean(Z[sample]), linkage), k).groups
-    centroids = np.vstack([Z[sample[g]].mean(axis=0) for g in groups])
-    d2 = ((Z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)

@@ -12,13 +12,12 @@ resulting label-by-label matrix yields the tree.
 """
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ZStats, feature_matrix
+from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ComputationError, DataError
 from .hclust import Dendrogram, agglomerate
 
@@ -45,13 +44,12 @@ class DominanceMatrix:
 
     def to_csv_text(self):
         names = ["|".join(p) for p in self.pairs]
-        lines = ["dominated\\dominator," + ",".join(names)]
-        for name, row in zip(names, self.counts):
-            lines.append(name + "," + ",".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        rows = [["dominated\\dominator"] + names]
+        rows += [[name] + [int(v) for v in row] for name, row in zip(names, self.counts)]
+        return csv_text(rows)
 
 
-def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0, zscore=True):
+def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     """Build the pairwise dominance matrix from sampled point triples.
 
     Exact distance ties discard the sample and redraw (bounded rounds); a
@@ -69,8 +67,7 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0, z
         if len(rows[lab]) == 0:
             raise DataError("label '%s' has zero training rows" % lab)
     X = feature_matrix(train.table, features)
-    if zscore:
-        X = ZStats.fit(X).transform(X)
+    X = ZStats.fit(X).transform(X)
 
     pairs = list(itertools.combinations(range(len(labels)), 2))
     pair_id = {p: k for k, p in enumerate(pairs)}
@@ -184,9 +181,6 @@ class LabelTree:
             })
         return {"labels": list(self.labels), "merges": nodes}
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def build_label_tree(distance, labels, linkage="average"):
     """Average-linkage tree over a label-by-label relative distance matrix."""
@@ -199,7 +193,7 @@ def build_label_tree(distance, labels, linkage="average"):
     return LabelTree(labels=labels, dendro=dendro)
 
 
-def tree_from_training(train, features, samples_per_triplet=200, seed=0, zscore=True):
+def tree_from_training(train, features, samples_per_triplet=200, seed=0):
     """Convenience route from training data to a LabelTree.
 
     One or two labels skip dominance sampling: the tree is then trivially a
@@ -213,7 +207,5 @@ def tree_from_training(train, features, samples_per_triplet=200, seed=0, zscore=
         return LabelTree(labels=labels, dendro=Dendrogram(n_leaves=1, merges=[], leaf_names=labels))
     if len(labels) == 2:
         return build_label_tree(np.array([[0.0, 1.0], [1.0, 0.0]]), labels)
-    dm = sample_triplet_orderings(
-        train, features, samples_per_triplet=samples_per_triplet, seed=seed, zscore=zscore
-    )
+    dm = sample_triplet_orderings(train, features, samples_per_triplet=samples_per_triplet, seed=seed)
     return build_label_tree(dominance_to_distance(dm), labels)

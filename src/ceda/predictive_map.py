@@ -22,13 +22,12 @@ against true labels gives the predictive map."""
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .dataset import ZStats, feature_matrix
+from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
@@ -61,14 +60,6 @@ class PredictedLabelSet:
     labels: tuple          # sorted label names; empty tuple means outlier
     stop_node: int
     path: tuple            # (node_id, decision) pairs from the root down
-
-    @property
-    def is_empty(self):
-        return len(self.labels) == 0
-
-    @property
-    def is_singleton(self):
-        return len(self.labels) == 1
 
 
 def silverman_bandwidth(sample):
@@ -190,19 +181,14 @@ class TreeClassifier:
             node = left if decision == "left" else right
         return PredictedLabelSet(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
 
-    def classify_rows(self, table, threads=1):
-        X = feature_matrix(table, self.features)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(self.classify, X))
-        return [self.classify(x) for x in X]
+    def classify_rows(self, table):
+        return [self.classify(x) for x in feature_matrix(table, self.features)]
 
 
 def _nearest_neighbor_distances(Z):
-    """Distance from each row to its nearest other row, block-wise."""
+    """Distance from each row to its nearest other row, block-wise.  Called
+    for internal nodes only, which hold rows of at least two labels."""
     n = len(Z)
-    if n < 2:
-        return np.zeros(1)
     sq = np.sum(Z * Z, axis=1)
     out = np.empty(n)
     step = 512
@@ -214,16 +200,6 @@ def _nearest_neighbor_distances(Z):
             d2[i, s + i] = np.inf
         out[s:s + step] = np.sqrt(d2.min(axis=1))
     return out
-
-
-def branch_competition(x, node, tree, train, features, cfg=None):
-    """One-off competition at a node (convenience wrapper over TreeClassifier)."""
-    return TreeClassifier(tree, train, features, cfg).competition(x, node)
-
-
-def descend_predict(x, tree, train, features, cfg=None):
-    """One-off full descent for a single point."""
-    return TreeClassifier(tree, train, features, cfg).classify(x)
 
 
 def set_name(labels, universe):
@@ -242,11 +218,17 @@ def set_name(labels, universe):
 
 
 @dataclass
-class MapCategory:
-    labels: tuple
-    name: str
+class Category:
+    key: tuple          # one sorted predicted label tuple per chain link, deepest last
+    name: str           # link set names joined with "-", no star
     certain: bool
     counts: np.ndarray  # per true label
+    rows: np.ndarray    # member row ids
+
+    @property
+    def labels(self):
+        """The deepest link's predicted label set."""
+        return self.key[-1]
 
     @property
     def display_name(self):
@@ -258,28 +240,24 @@ class MapCategory:
 
 
 @dataclass
-class PredictiveMap:
-    feature_set_id: str
+class CategoryTable:
+    """Predicted categories tabulated against true labels: a predictive map,
+    or one depth of a feature chain."""
+
     true_labels: list
     categories: list
-    cfg: CompetitionConfig
-    records: list = field(default_factory=list)  # per-point dicts for JSON output
 
-    def category_for(self, labels):
-        key = tuple(sorted(labels))
-        for cat in self.categories:
-            if cat.labels == key:
-                return cat
-        return None
+    def total(self):
+        return int(sum(cat.total for cat in self.categories))
 
-    def column_totals(self):
-        return {
-            lab: int(sum(cat.counts[i] for cat in self.categories))
-            for i, lab in enumerate(self.true_labels)
-        }
+    def certain_fraction(self):
+        total = self.total()
+        if total == 0:
+            return 0.0
+        return sum(cat.total for cat in self.categories if cat.certain) / total
 
     def singleton_fraction(self):
-        total = sum(cat.total for cat in self.categories)
+        total = self.total()
         ones = sum(cat.total for cat in self.categories if len(cat.labels) == 1)
         return ones / total if total else 0.0
 
@@ -295,78 +273,63 @@ class PredictiveMap:
         return out
 
     def to_csv_text(self):
-        lines = ["category," + ",".join(str(l) for l in self.true_labels)]
-        for cat in self.categories:
-            lines.append(cat.display_name + "," + ",".join(str(int(c)) for c in cat.counts))
-        return "\n".join(lines) + "\n"
+        rows = [["category"] + [str(l) for l in self.true_labels]]
+        rows += [[cat.display_name] + [int(c) for c in cat.counts] for cat in self.categories]
+        return csv_text(rows)
 
     def to_json_dict(self):
         return {
-            "feature_set": self.feature_set_id,
-            "true_labels": list(self.true_labels),
-            "config": {
-                "k_star": self.cfg.k_star,
-                "pl_lower": self.cfg.pl_lower,
-                "pl_upper": self.cfg.pl_upper,
-                "dominant_fraction": self.cfg.dominant_fraction,
-                "outlier_quantile": self.cfg.outlier_quantile,
-            },
+            "true_labels": [str(l) for l in self.true_labels],
             "categories": [
                 {
                     "name": cat.display_name,
-                    "labels": list(cat.labels),
                     "certain": cat.certain,
                     "counts": {str(l): int(c) for l, c in zip(self.true_labels, cat.counts)},
                 }
                 for cat in self.categories
             ],
-            "points": self.records,
         }
 
 
-def _category_sort_key(labels):
-    # singletons first, then growing set size, empty (outlier) last
-    return (len(labels) == 0, len(labels), labels)
+def _category_sort_key(key):
+    # per link: singletons first, then growing set size, empty (outlier) last
+    return tuple((len(labels) == 0, len(labels), labels) for labels in key)
 
 
-def tabulate_predictions(predictions, true_values, true_labels, universe=None, feature_set_id="", cfg=None, row_ids=None):
-    """Group PredictedLabelSet results into map categories against true labels."""
-    universe = list(universe) if universe is not None else list(true_labels)
+def tabulate_predictions(keys_per_row, rows, true_values, true_labels, universe):
+    """Group rows by category key and count them against true labels.
+
+    ``keys_per_row[row]`` holds one sorted predicted label tuple per chain
+    link; a predictive map is the one-link case.  A category whose members
+    carry a single true label is certain; categories mixing true labels are
+    uncertain and displayed with a '*' prefix."""
     label_pos = {lab: i for i, lab in enumerate(true_labels)}
     buckets = {}
-    records = []
-    for idx, (pred, true) in enumerate(zip(predictions, true_values)):
-        key = tuple(sorted(pred.labels))
-        buckets.setdefault(key, np.zeros(len(true_labels), dtype=int))[label_pos[true]] += 1
-        records.append({
-            "row": int(row_ids[idx]) if row_ids is not None else idx,
-            "true": str(true),
-            "predicted": [str(l) for l in pred.labels],
-            "stop_node": int(pred.stop_node),
-            "path": [[int(n), dec] for n, dec in pred.path],
-        })
+    for row in rows:
+        counts, members = buckets.setdefault(keys_per_row[row], (np.zeros(len(true_labels), dtype=int), []))
+        counts[label_pos[true_values[row]]] += 1
+        members.append(row)
     categories = []
     for key in sorted(buckets, key=_category_sort_key):
-        counts = buckets[key]
-        certain = int(np.count_nonzero(counts)) == 1
-        categories.append(MapCategory(
-            labels=key, name=set_name(key, universe), certain=certain, counts=counts,
+        counts, members = buckets[key]
+        categories.append(Category(
+            key=key,
+            name="-".join(set_name(labels, universe) for labels in key),
+            certain=int(np.count_nonzero(counts)) == 1,
+            counts=counts,
+            rows=np.asarray(members, dtype=int),
         ))
-    return PredictiveMap(
-        feature_set_id=feature_set_id, true_labels=list(true_labels),
-        categories=categories, cfg=cfg or CompetitionConfig(), records=records,
-    )
+    return CategoryTable(true_labels=list(true_labels), categories=categories)
 
 
-def predictive_map(test, tree, train, features, cfg=None, threads=1, feature_set_id=None):
+def predictive_map(test, tree, train, features, cfg=None):
     """Classify every test row and tabulate predicted sets against true labels.
 
-    A category whose members carry a single true label is certain; categories
-    mixing true labels are uncertain and displayed with a '*' prefix."""
-    cfg = cfg or CompetitionConfig()
+    Returns the one-link CategoryTable and the per-row PredictedLabelSets."""
     clf = TreeClassifier(tree, train, features, cfg)
-    preds = clf.classify_rows(test.table, threads=threads)
-    return tabulate_predictions(
-        preds, test.label_values, list(test.labels), universe=tree.labels,
-        feature_set_id=feature_set_id or "+".join(features), cfg=cfg,
+    preds = clf.classify_rows(test.table)
+    table = tabulate_predictions(
+        [(pred.labels,) for pred in preds], range(len(preds)),
+        test.label_values, list(test.labels), tree.labels,
     )
+    return table, preds

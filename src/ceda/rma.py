@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .association import ContingencyTable, category_codes, directed_conditional_entropy
-from .dataset import LabeledDataset, ZStats, feature_matrix
+from .dataset import LabeledDataset, ZStats, csv_text, feature_matrix
 from .discretize import categorize_many
 from .errors import ConfigError, DataError
 
@@ -246,11 +246,10 @@ class MinorFeatureReport:
     entropies: np.ndarray  # cells x candidates; nan where skipped
 
     def to_csv_text(self):
-        lines = ["patch," + ",".join(self.candidates)]
+        rows = [["patch"] + list(self.candidates)]
         for name, row in zip(self.cells, self.entropies):
-            cells = ["%.6g" % v if np.isfinite(v) else "" for v in row]
-            lines.append(name + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+            rows.append([name] + ["%.6g" % v if np.isfinite(v) else "" for v in row])
+        return csv_text(rows)
 
 
 def minor_feature_entropy(lattice, table, candidates, binnings=None):
@@ -411,7 +410,7 @@ class ErrorReport:
     def to_csv_text(self):
         heads = ["patch", "n"] + ["mse_%s" % r for r in self.responses] + [
             "mahal_global", "mahal_patch", "ridged_global", "ridged_patch"]
-        lines = [",".join(heads)]
+        rows = [heads]
         for p in self.patches:
             row = [p.name, str(p.n)]
             row += ["%.10g" % p.mse[r] for r in self.responses]
@@ -419,8 +418,8 @@ class ErrorReport:
             row.append("" if p.mahal_patch is None else "%.10g" % p.mahal_patch)
             row.append(str(int(p.ridged_global)))
             row.append(str(int(p.ridged_patch)))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            rows.append(row)
+        return csv_text(rows)
 
 
 def error_metrics(predictions, truths, lattice, table, global_cov=None, ridge_scale=RIDGE_SCALE):
@@ -560,8 +559,6 @@ def ols_report_text(fits, covariates, fmt="%.6g"):
     """CSV table in the per-label report layout: intercept and slope columns
     starred when significant, then residual standard error and df."""
     columns = ["intercept"] + list(covariates)
-    lines = ["label," + ",".join(columns) + ",residual_std_error,df"]
-    for f in fits:
-        cells = f.row_cells(columns, fmt)
-        lines.append(",".join([f.label] + cells + [fmt % f.resid_se, str(f.df)]))
-    return "\n".join(lines) + "\n"
+    rows = [["label"] + columns + ["residual_std_error", "df"]]
+    rows += [[f.label] + f.row_cells(columns, fmt) + [fmt % f.resid_se, f.df] for f in fits]
+    return csv_text(rows)

@@ -6,6 +6,7 @@ import pytest
 from ceda.chain import (
     CASES,
     ChainLink,
+    ChainResult,
     DissectionReport,
     FeatureChain,
     chain_categories,
@@ -15,7 +16,7 @@ from ceda.chain import (
 )
 from ceda.dataset import Column, DataTable, LabeledDataset, SplitSpec, split_train_test, synth_generate
 from ceda.errors import ConfigError, DataError
-from ceda.predictive_map import CompetitionConfig
+from ceda.predictive_map import CompetitionConfig, tabulate_predictions
 
 NO_SCREEN = CompetitionConfig(outlier_quantile=None)
 
@@ -53,9 +54,10 @@ def test_refinement_splits_the_mixed_category():
     assert depth1.certain_fraction() < 1.0
     # the back view finishes the job
     assert depth2.certain_fraction() == 1.0
-    # every composite name joins link sets with "-"
+    # every composite name joins link sets with "-", one key entry per link
     assert all("-" in c.name for c in depth2.categories)
-    assert depth2.link_names == ("front", "back")
+    assert all(len(c.key) == 2 for c in depth2.categories)
+    assert all(len(c.key) == 1 for c in depth1.categories)
 
 
 def test_conservation_is_exact():
@@ -69,14 +71,30 @@ def test_conservation_is_exact():
     assert depth1.total() == test.n_rows
 
 
+def test_conservation_detects_lost_and_stray_rows():
+    true, labels = ["a", "b", "c"], ["a", "b", "c"]
+    depth1 = tabulate_predictions({0: (("a", "b"),), 1: (("a", "b"),), 2: (("c",),)},
+                                  [0, 1, 2], true, labels, labels)
+    keys = {0: (("a", "b"), ("a",)), 1: (("a", "b"), ("b",)), 2: (("c",), ("c",))}
+    chain = ortho_chain()
+
+    def conserved(rows):
+        depth2 = tabulate_predictions(keys, rows, true, labels, labels)
+        return ChainResult(chain=chain, tables=[depth1, depth2]).verify_conservation()
+
+    assert conserved([0, 1])
+    assert not conserved([0])        # a refined row went missing
+    assert not conserved([0, 1, 2])  # a certain row was refined
+
+
 def test_certain_rows_are_never_refined():
     train, test = ortho_sets()
     result = chain_categories(test, train, ortho_chain(), seed=7)
-    depth2_rows = {int(r) for c in result.tables[1].categories for r in c.member_rows}
+    depth2_rows = {int(r) for c in result.tables[1].categories for r in c.rows}
     for cat in result.tables[0].categories:
         if cat.certain:
-            assert not depth2_rows & {int(r) for r in cat.member_rows}
-            for row in cat.member_rows:
+            assert not depth2_rows & {int(r) for r in cat.rows}
+            for row in cat.rows:
                 assert result.final_category_per_row[row] is cat
 
 
@@ -141,6 +159,17 @@ def test_dissect_requires_full_coverage():
     external = {i: "a" for i in range(test.n_rows)}
     external[test.n_rows + 5] = "a"
     with pytest.raises(DataError, match="unknown rows"):
+        dissect_external(external, result)
+
+
+def test_dissect_rejects_labels_outside_the_universe():
+    train, test = ortho_sets()
+    result = chain_categories(test, train, ortho_chain(), seed=2)
+    external = {i: str(v) for i, v in enumerate(test.label_values)}
+    for row in (1, 4, 9):
+        external[row] = "zz"
+    external[6] = "A"
+    with pytest.raises(DataError, match=r"'A' \(rows 6\); 'zz' \(rows 1, 4, 9\)"):
         dissect_external(external, result)
 
 

@@ -250,6 +250,48 @@ def test_dissect_external_file(tmp_path, ortho_csv):
     assert not (tmp_path / "disext" / "baseline_predictions.csv").exists()
 
 
+def test_dissect_unknown_external_label_is_data_error(tmp_path, ortho_csv, capsys):
+    chain_cfg = ortho_cfg(tmp_path, ortho_csv, "chainsplit")
+    assert run_cli("chain", "--config", chain_cfg) == 0
+    with open(tmp_path / "chainsplit" / "split_test.csv") as fh:
+        labels = [row["label"] for row in csv.DictReader(fh)]
+    labels[3] = "zz"
+    ext = tmp_path / "ext.csv"
+    ext.write_text("row_id,predicted_label\n"
+                   + "".join("%d,%s\n" % (i, l) for i, l in enumerate(labels)))
+    cfg = ortho_cfg(tmp_path, ortho_csv, "disbad", dissect={"external": str(ext)})
+    assert run_cli("dissect", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "'zz'" in err and "rows 3" in err
+    assert not (tmp_path / "disbad" / "dissection.csv").exists()
+
+
+def test_report_csvs_quote_labels_with_commas(tmp_path):
+    data = tmp_path / "data"
+    params = {"labels": ["a,b", "c"], "centers": [[0, 0], [0.5, 0.5]], "n_per_label": 40, "sd": 0.4}
+    assert run_cli("synth", "--kind", "gauss-clouds", "--params", json.dumps(params),
+                   "--seed", 3, "--out", data) == 0
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(data / "dataset.csv"), label_column="label",
+                    seed=1, out_dir=str(tmp_path / "out"), feature_sets={"s": ["f0", "f1"]},
+                    dissect={"knn_k": 5})
+    assert run_cli("dissect", "--config", cfg) == 0
+    assert run_cli("pmap", "--config", cfg) == 0
+
+    def rows(name):
+        with open(tmp_path / "out" / name, newline="") as fh:
+            return list(csv.reader(fh))
+
+    pmap = rows("pmap_s.csv")
+    assert pmap[0] == ["category", "a,b", "c"]
+    assert all(len(r) == 3 for r in pmap)
+    baseline = rows("baseline_predictions.csv")
+    assert {r[1] for r in baseline[1:]} <= {"a,b", "c"}
+    dissection = rows("dissection.csv")
+    assert all(len(r) == 6 for r in dissection)
+    assert {r[1] for r in dissection[1:]} == {"a,b", "c"}
+    assert [r[2] for r in dissection[1:]] == [r[1] for r in baseline[1:]]
+
+
 @pytest.fixture()
 def magnus_csv(tmp_path):
     out = tmp_path / "magnus"
@@ -366,9 +408,31 @@ def test_threads_never_change_results(tmp_path, clouds_csv):
     cfg4 = write_cfg(tmp_path / "c4.json", out_dir=str(tmp_path / "t4"), **base)
     assert run_cli("pmap", "--config", cfg1, "--threads", 1) == 0
     assert run_cli("pmap", "--config", cfg4, "--threads", 4) == 0
-    a = (tmp_path / "t1" / "pmap_s1.csv").read_bytes()
-    b = (tmp_path / "t4" / "pmap_s1.csv").read_bytes()
-    assert a == b
+    for name in ("pmap_s1.csv", "pmap_s1.json", "pies.json"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
+
+
+def test_unknown_config_keys_warn(tmp_path, clouds_csv, caplog):
+    base = dict(dataset=str(clouds_csv), label_column="label", seed=2,
+                feature_sets={"s1": ["f0", "f1"]})
+    clean = write_cfg(tmp_path / "clean.json", out_dir=str(tmp_path / "a"), **base)
+    with caplog.at_level("WARNING", logger="ceda"):
+        assert run_cli("let", "--config", clean) == 0
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+    typos = write_cfg(tmp_path / "typos.json", out_dir=str(tmp_path / "b"), feature_set="s1",
+                      split={"train_frac": 0.5}, competition={"kstar": 3}, rma={"respones": []},
+                      **base)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="ceda"):
+        assert run_cli("let", "--config", typos) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 4
+    top, split, competition, rma = warnings
+    assert "top level" in top and "feature_set" in top and "feature_sets" in top
+    assert "section 'split'" in split and "train_frac" in split
+    assert "known keys: stratified, train_fraction" in split
+    assert "kstar" in competition and "k_star" in competition
+    assert "respones" in rma and "responses" in rma
 
 
 # --- stage seeds ----------------------------------------------------------

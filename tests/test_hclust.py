@@ -1,19 +1,12 @@
-"""Agglomeration against a brute-force oracle, cuts, and row clustering."""
+"""Agglomeration against a brute-force oracle and cuts."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from ceda.dataset import synth_generate
 from ceda.errors import DataError
-from ceda.hclust import (
-    Dendrogram,
-    agglomerate,
-    categorize_by_clustering,
-    cut,
-    pairwise_euclidean,
-)
+from ceda.hclust import Dendrogram, agglomerate, cut
 
 
 # --- oracle -------------------------------------------------------------
@@ -164,47 +157,6 @@ def test_cut_resolves_names():
     d = np.array([[0.0, 1.0, 8.0], [1.0, 0.0, 8.0], [8.0, 8.0, 0.0]])
     groups = cut(agglomerate(d), 2).resolve(["x", "y", "z"])
     assert groups.groups == [["x", "y"], ["z"]]
-
-
-def test_pairwise_euclidean_matches_direct_loops():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(12, 3))
-    d = pairwise_euclidean(X)
-    for i in range(12):
-        for j in range(12):
-            want = float(np.sqrt(((X[i] - X[j]) ** 2).sum()))
-            assert d[i, j] == pytest.approx(want, abs=1e-10)
-
-
-def test_categorize_by_clustering_recovers_clouds():
-    ds = synth_generate(
-        "gauss-clouds",
-        {"centers": [[0, 0], [8, 0], [0, 8]], "sd": 0.2, "n_per_label": 30},
-        seed=21,
-    )
-    ids = categorize_by_clustering(ds.table, ["f0", "f1"], k=3)
-    truth = ds.label_values
-    # cluster ids must refine the true clouds exactly, up to renaming
-    mapping = {}
-    for cid, lab in zip(ids, truth):
-        mapping.setdefault(lab, set()).add(cid)
-    assert all(len(v) == 1 for v in mapping.values())
-    assert len({next(iter(v)) for v in mapping.values()}) == 3
-
-
-def test_categorize_by_clustering_subsample_path():
-    ds = synth_generate(
-        "gauss-clouds",
-        {"centers": [[0, 0], [9, 0], [0, 9]], "sd": 0.3, "n_per_label": 250},
-        seed=2,
-    )
-    ids = categorize_by_clustering(ds.table, ["f0", "f1"], k=3, cap=200, seed=4)
-    again = categorize_by_clustering(ds.table, ["f0", "f1"], k=3, cap=200, seed=4)
-    assert np.array_equal(ids, again)
-    mapping = {}
-    for cid, lab in zip(ids, ds.label_values):
-        mapping.setdefault(lab, set()).add(cid)
-    assert all(len(v) == 1 for v in mapping.values())
 
 
 def test_dendrogram_members():

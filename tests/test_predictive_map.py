@@ -11,9 +11,7 @@ from ceda.errors import ConfigError
 from ceda.label_tree import tree_from_training
 from ceda.predictive_map import (
     CompetitionConfig,
-    PredictedLabelSet,
     TreeClassifier,
-    branch_competition,
     log_gaussian_kde,
     predictive_map,
     set_name,
@@ -89,9 +87,10 @@ def test_config_validation():
 def test_dominant_neighborhood_decides_without_kde():
     ds = two_clouds()
     tree = tree_from_training(ds, ["f0", "f1"])
+    clf = TreeClassifier(tree, ds, ["f0", "f1"])
     # children of the two-label root are leaves 0='a', 1='b'
-    assert branch_competition([0.0, 0.0], 2, tree, ds, ["f0", "f1"]) == "left"
-    assert branch_competition([4.0, 4.0], 2, tree, ds, ["f0", "f1"]) == "right"
+    assert clf.competition([0.0, 0.0], 2) == "left"
+    assert clf.competition([4.0, 4.0], 2) == "right"
 
 
 def test_overlapping_clouds_stop_at_the_shared_node():
@@ -109,10 +108,9 @@ def test_outlier_screen_empties_the_prediction():
     tree = tree_from_training(ds, ["f0", "f1"])
     clf = TreeClassifier(tree, ds, ["f0", "f1"])
     pred = clf.classify([100.0, 100.0])
-    assert pred.is_empty
     assert pred.labels == ()
     no_screen = TreeClassifier(tree, ds, ["f0", "f1"], CompetitionConfig(outlier_quantile=None))
-    assert not no_screen.classify([100.0, 100.0]).is_empty
+    assert no_screen.classify([100.0, 100.0]).labels != ()
 
 
 def test_degenerate_band_forces_singletons():
@@ -121,16 +119,7 @@ def test_degenerate_band_forces_singletons():
     cfg = CompetitionConfig(pl_lower=1.0, pl_upper=1.0, outlier_quantile=None)
     clf = TreeClassifier(tree, ds, ["f0", "f1"], cfg)
     preds = clf.classify_rows(ds.table)
-    assert all(p.is_singleton for p in preds)
-
-
-def test_classify_rows_thread_count_does_not_change_results():
-    ds = two_clouds(n=30, seed=7)
-    tree = tree_from_training(ds, ["f0", "f1"])
-    clf = TreeClassifier(tree, ds, ["f0", "f1"])
-    one = clf.classify_rows(ds.table, threads=1)
-    four = clf.classify_rows(ds.table, threads=4)
-    assert [p.labels for p in one] == [p.labels for p in four]
+    assert all(len(p.labels) == 1 for p in preds)
 
 
 def test_separable_clouds_classify_correctly():
@@ -153,41 +142,55 @@ def test_set_name_rules():
     assert set_name(("c", "a"), ["a", "b", "c"]) == "ac"  # sorted
 
 
+def one_link_table(predicted, true_values, true_labels):
+    keys = [(tuple(labs),) for labs in predicted]
+    return tabulate_predictions(keys, range(len(keys)), true_values, true_labels, true_labels)
+
+
 def test_tabulate_hand_example():
-    mk = lambda labs: PredictedLabelSet(labels=labs, stop_node=0, path=())
-    preds = [mk(("a",)), mk(("a", "b")), mk(()), mk(("a",))]
-    pm = tabulate_predictions(preds, ["a", "b", "a", "b"], ["a", "b"])
-    names = [c.display_name for c in pm.categories]
+    table = one_link_table([("a",), ("a", "b"), (), ("a",)], ["a", "b", "a", "b"], ["a", "b"])
+    names = [c.display_name for c in table.categories]
     assert names == ["*a", "all", "none"]
-    by_name = {c.display_name: c for c in pm.categories}
+    by_name = {c.display_name: c for c in table.categories}
     assert by_name["*a"].counts.tolist() == [1, 1]
+    assert by_name["*a"].rows.tolist() == [0, 3]
     assert not by_name["*a"].certain
     assert by_name["all"].counts.tolist() == [0, 1]
     assert by_name["all"].certain
     assert by_name["none"].counts.tolist() == [1, 0]
-    assert pm.column_totals() == {"a": 2, "b": 2}
-    assert pm.singleton_fraction() == 0.5
+    assert by_name["none"].labels == ()
+    assert sum(c.counts for c in table.categories).tolist() == [2, 2]
+    assert table.total() == 4
+    assert table.singleton_fraction() == 0.5
 
 
 def test_tabulate_proportions_and_csv():
-    mk = lambda labs: PredictedLabelSet(labels=labs, stop_node=0, path=())
-    preds = [mk(("a",)), mk(("a",)), mk(("b",))]
-    pm = tabulate_predictions(preds, ["a", "a", "b"], ["a", "b"])
-    props = pm.per_label_proportions()
+    table = one_link_table([("a",), ("a",), ("b",)], ["a", "a", "b"], ["a", "b"])
+    props = table.per_label_proportions()
     assert props["a"] == {"a": 1.0}
     assert props["b"] == {"b": 1.0}
-    text = pm.to_csv_text()
+    text = table.to_csv_text()
     assert text.splitlines()[0] == "category,a,b"
-    assert pm.singleton_fraction() == 1.0
+    assert table.singleton_fraction() == 1.0
+    assert table.certain_fraction() == 1.0
+
+
+def test_tabulate_composite_keys_sort_per_link():
+    # two-link keys: ordered link by link, names joined with "-"
+    keys = {0: (("a", "b"), ("b",)), 1: (("a",), ()), 2: (("a", "b"), ("a",)), 3: (("a",), ("a",))}
+    table = tabulate_predictions(keys, [3, 2, 1, 0], ["a", "b", "a", "b"], ["a", "b"], ["a", "b", "c"])
+    assert [c.name for c in table.categories] == ["a-a", "a-none", "ab-a", "ab-b"]
+    assert [c.labels for c in table.categories] == [("a",), (), ("a",), ("b",)]
+    assert [c.rows.tolist() for c in table.categories] == [[3], [1], [2], [0]]
 
 
 def test_predictive_map_end_to_end_records():
     ds = two_clouds(n=25, seed=13)
     tree = tree_from_training(ds, ["f0", "f1"])
-    pm = predictive_map(ds, tree, ds, ["f0", "f1"],
-                        cfg=CompetitionConfig(outlier_quantile=None))
-    assert sum(c.total for c in pm.categories) == ds.n_rows
-    js = pm.to_json_dict()
-    assert js["config"]["k_star"] == 20
-    assert len(js["points"]) == ds.n_rows
-    assert {p["true"] for p in js["points"]} == {"a", "b"}
+    table, preds = predictive_map(ds, tree, ds, ["f0", "f1"],
+                                  cfg=CompetitionConfig(outlier_quantile=None))
+    assert table.total() == ds.n_rows
+    assert len(preds) == ds.n_rows
+    assert table.true_labels == ["a", "b"]
+    for cat in table.categories:
+        assert all(preds[row].labels == cat.labels for row in cat.rows)
