@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError
 from .label_tree import tree_from_training
-from .predictive_map import CompetitionConfig, TreeClassifier, tabulate_predictions
+from .predictive_map import CompetitionConfig, TreeClassifier, k_nearest, row_blocks, tabulate_predictions
 
 log = logging.getLogger(__name__)
 
@@ -103,8 +103,8 @@ def chain_categories(test, train, chain, samples_per_triplet=200, seed=0):
         trees[link.name] = tree
         clf = TreeClassifier(tree, train, list(link.features), link.cfg)
         X = feature_matrix(test.table, list(link.features))
-        for row in active_rows:
-            keys[row] += (clf.classify(X[row]).labels,)
+        for row, pred in zip(active_rows, clf.classify(X[active_rows])):
+            keys[row] += (pred.labels,)
         table = tabulate_predictions(keys, active_rows, true_values, list(test.labels), universe)
         tables.append(table)
         next_rows = []
@@ -226,14 +226,12 @@ def knn_baseline_predict(train, test, features, k=20):
     Zte = zs.transform(feature_matrix(test.table, features))
     y = train.label_values
     labels = sorted(set(y.tolist()))
-    pos = {lab: i for i, lab in enumerate(labels)}
-    codes = np.array([pos[v] for v in y])
-    out = []
+    onehot = (y[:, None] == np.array(labels, dtype=object)).astype(np.int64)
     kk = min(k, len(Ztr))
-    row_idx = np.arange(len(Ztr))
-    for x in Zte:
-        d = np.linalg.norm(Ztr - x, axis=1)
-        order = np.lexsort((row_idx, d))[:kk]
-        votes = np.bincount(codes[order], minlength=len(labels))
-        out.append(labels[int(np.argmax(votes))])  # argmax takes first max: alphabetical tie-break
+    out = []
+    for block in row_blocks(len(Zte), len(Ztr), Ztr.shape[1]):
+        _, nearest = k_nearest(Zte[block], Ztr, kk)
+        votes = nearest.astype(np.int64) @ onehot
+        # argmax takes the first maximum: alphabetical tie-break
+        out.extend(labels[i] for i in np.argmax(votes, axis=1).tolist())
     return out

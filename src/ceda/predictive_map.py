@@ -18,7 +18,11 @@ compete for it:
 
 The stop node's label set is the prediction: a singleton at a leaf, several
 labels at an internal stop, empty for outliers.  Tabulating predicted sets
-against true labels gives the predictive map."""
+against true labels gives the predictive map.
+
+Points descend together, one tree level at a time: each node decides all
+the points that reached it in row blocks of bounded size (``row_blocks``,
+``k_nearest``), with the same decisions a point-at-a-time descent makes."""
 
 import logging
 import math
@@ -62,25 +66,69 @@ class PredictedLabelSet:
     path: tuple            # (node_id, decision) pairs from the root down
 
 
-def silverman_bandwidth(sample):
-    """Rule-of-thumb bandwidth 1.06 * sd * n^(-1/5) with a degeneracy floor."""
-    sample = np.asarray(sample, dtype=float)
-    n = len(sample)
-    sd = float(sample.std(ddof=1)) if n > 1 else 0.0
+def silverman_bandwidth(samples):
+    """Rule-of-thumb bandwidth 1.06 * sd * n^(-1/5) of each sample (the last
+    axis) with a degeneracy floor."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-1]
+    sd = samples.std(axis=-1, ddof=1) if n > 1 else np.zeros(samples.shape[:-1])
     h = 1.06 * sd * n ** (-0.2)
-    if h <= 0.0:
+    flat = h <= 0.0
+    if np.any(flat):
         # single point or zero spread: fall back to a tiny positive width
-        h = max(1e-9, 1e-3 * abs(float(np.median(sample))))
+        floor = np.maximum(1e-9, 1e-3 * np.abs(np.median(samples, axis=-1)))
+        h = np.where(flat, floor, h)
     return h
 
 
-def log_gaussian_kde(sample, x):
-    """Log density at x of a Gaussian KDE over the sample (log-space, so the
-    ratio of two branch densities stays finite even far from both samples)."""
-    sample = np.asarray(sample, dtype=float)
-    h = silverman_bandwidth(sample)
-    u = (x - sample) / h
-    return float(logsumexp(-0.5 * u * u) - math.log(len(sample) * h * math.sqrt(2.0 * math.pi)))
+# math.log, not np.log: numpy's vectorised log may round differently, and a
+# last-bit change can flip a threshold decision
+_log = np.vectorize(math.log, otypes=[float])
+
+
+def log_gaussian_kde(samples, x):
+    """Log density at x of a Gaussian KDE over each sample (the last axis of
+    samples, one x per sample).  Log-space keeps the ratio of two branch
+    densities finite even far from both samples."""
+    samples = np.asarray(samples, dtype=float)
+    x = np.asarray(x, dtype=float)
+    h = silverman_bandwidth(samples)
+    u = (x[..., None] - samples) / h[..., None]
+    return logsumexp(-0.5 * u * u, axis=-1) - _log(samples.shape[-1] * h * math.sqrt(2.0 * math.pi))
+
+
+# Bytes of float temporaries one block of query rows may hold: its
+# (rows, reference rows, features) difference array.  Larger blocks amortise
+# per-call overhead, smaller ones bound memory.
+BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def row_blocks(n_rows, n_ref, n_features):
+    """Slices cutting n_rows query rows into blocks within BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // (8 * n_ref * n_features))
+    return [slice(s, s + step) for s in range(0, n_rows, step)]
+
+
+def k_nearest(Q, R, k):
+    """Distances from each query row to every reference row, and a mask of
+    each query's k nearest reference rows.
+
+    dist[i, j] is ||R[j] - Q[i]||, reduced over features exactly as
+    ``np.linalg.norm(R - Q[i], axis=1)``.  Nearest means by distance, then
+    by reference row, as the first k of ``np.lexsort((arange(len(R)), dist[i]))``:
+    every distance below the k-th smallest, then the lowest rows at it."""
+    diff = R[None, :, :] - Q[:, None, :]
+    np.multiply(diff, diff, out=diff)
+    dist = np.sqrt(np.add.reduce(diff, axis=-1))
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    below = dist < kth
+    tied = dist == kth
+    nearest = below | tied
+    if np.any(np.count_nonzero(nearest, axis=1) > k):
+        # more rows tie at the k-th distance than there is room for
+        room = k - np.count_nonzero(below, axis=1)
+        nearest = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return dist, nearest
 
 
 class TreeClassifier:
@@ -132,57 +180,73 @@ class TreeClassifier:
             self._outlier_thr[node] = float(np.quantile(nn, self.cfg.outlier_quantile))
         return self._outlier_thr[node]
 
-    def competition(self, x_raw, node):
-        """Decide one internal-node competition: left / right / stop / outlier."""
+    def competition(self, Z, node):
+        """Decide one internal-node competition for each z-scored row of Z.
+
+        Returns an object array of decisions: left / right / stop / outlier."""
         tree, cfg = self.tree, self.cfg
         if tree.is_leaf(node):
             raise DataError("node %d is a leaf, nothing to compete" % node)
-        xz = self.zstats.transform(np.asarray(x_raw, dtype=float).reshape(1, -1))[0]
         rows = self.node_rows(node)
-        d = np.linalg.norm(self.X[rows] - xz, axis=1)
-        if cfg.outlier_quantile is not None and float(d.min()) > self._outlier_threshold(node):
-            return "outlier"
-        is_left = self._left_mask(node)
         k = min(cfg.k_star, len(rows))
         if k < cfg.k_star and not self._warned_small_k:
             log.warning("only %d training rows at node %d, k* reduced from %d", len(rows), node, cfg.k_star)
             self._warned_small_k = True
-        order = np.lexsort((rows, d))  # distance, then row index: deterministic
-        left_count = int(is_left[order[:k]].sum())
+        d, nearest = k_nearest(Z, self.X[rows], k)
+        is_left = self._left_mask(node)
+        left_count = np.count_nonzero(nearest & is_left, axis=1)
         need = cfg.dominant_fraction * k - 1e-9
-        if left_count >= need:
-            return "left"
-        if (k - left_count) >= need:
-            return "right"
-        m = float(np.median(d))
-        log_ratio = log_gaussian_kde(d[is_left], m) - log_gaussian_kde(d[~is_left], m)
-        if cfg.pl_lower == cfg.pl_upper:
-            # degenerate band: force a winner at every node
-            return "left" if log_ratio >= math.log(cfg.pl_upper) else "right"
-        if log_ratio > math.log(cfg.pl_upper):
-            return "left"
-        if log_ratio < math.log(cfg.pl_lower):
-            return "right"
-        return "stop"
+        decision = np.full(len(Z), "stop", dtype=object)
+        decision[k - left_count >= need] = "right"
+        decision[left_count >= need] = "left"
+        if cfg.outlier_quantile is not None:
+            decision[d.min(axis=1) > self._outlier_threshold(node)] = "outlier"
+        open_ = decision == "stop"
+        if np.any(open_):
+            d = d[open_]
+            m = np.median(d, axis=1)
+            log_ratio = log_gaussian_kde(d[:, is_left], m) - log_gaussian_kde(d[:, ~is_left], m)
+            if cfg.pl_lower == cfg.pl_upper:
+                # degenerate band: force a winner at every node
+                decision[open_] = np.where(log_ratio >= math.log(cfg.pl_upper), "left", "right")
+            else:
+                decision[open_] = np.where(log_ratio > math.log(cfg.pl_upper), "left",
+                                           np.where(log_ratio < math.log(cfg.pl_lower), "right", "stop"))
+        return decision
 
-    def classify(self, x_raw):
-        """Descend from the root; return the PredictedLabelSet where descent stops."""
+    def classify(self, X_raw):
+        """Descend from the root with every row of X_raw, one tree level at a
+        time; return one PredictedLabelSet per row, where its descent stops."""
         tree = self.tree
-        node = tree.root
-        path = []
-        while not tree.is_leaf(node):
-            decision = self.competition(x_raw, node)
-            path.append((node, decision))
-            if decision == "outlier":
-                return PredictedLabelSet(labels=(), stop_node=node, path=tuple(path))
-            if decision == "stop":
-                return PredictedLabelSet(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
-            left, right = tree.children(node)
-            node = left if decision == "left" else right
-        return PredictedLabelSet(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
+        Z = self.zstats.transform(X_raw)
+        paths = [[] for _ in range(len(Z))]
+        preds = [None] * len(Z)
+        level = [(tree.root, np.arange(len(Z)))]
+        while level:
+            next_level = []
+            for node, idx in level:
+                labels = tree.node_labels(node)
+                if tree.is_leaf(node):
+                    for row in idx.tolist():
+                        preds[row] = PredictedLabelSet(labels, node, tuple(paths[row]))
+                    continue
+                n_ref = len(self.node_rows(node))
+                decision = np.concatenate([
+                    self.competition(Z[idx[block]], node) for block in row_blocks(len(idx), n_ref, Z.shape[1])
+                ])
+                for row, dec in zip(idx.tolist(), decision.tolist()):
+                    paths[row].append((node, dec))
+                    if dec in ("outlier", "stop"):
+                        preds[row] = PredictedLabelSet(() if dec == "outlier" else labels, node, tuple(paths[row]))
+                for child, side in zip(tree.children(node), ("left", "right")):
+                    chosen = decision == side
+                    if np.any(chosen):
+                        next_level.append((child, idx[chosen]))
+            level = next_level
+        return preds
 
     def classify_rows(self, table):
-        return [self.classify(x) for x in feature_matrix(table, self.features)]
+        return self.classify(feature_matrix(table, self.features))
 
 
 def _nearest_neighbor_distances(Z):
@@ -196,8 +260,7 @@ def _nearest_neighbor_distances(Z):
         block = Z[s:s + step]
         d2 = sq[s:s + step, None] + sq[None, :] - 2.0 * (block @ Z.T)
         np.maximum(d2, 0.0, out=d2)
-        for i in range(len(block)):
-            d2[i, s + i] = np.inf
+        d2[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
         out[s:s + step] = np.sqrt(d2.min(axis=1))
     return out
 

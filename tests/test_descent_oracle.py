@@ -1,0 +1,240 @@
+"""Batched descent and k-NN vote against per-point reference implementations.
+
+The reference code below decides one point at a time with a full
+``lexsort`` of the node distances, a scalar median and two scalar KDEs, as
+the package did before the descent was batched.  The batched code must
+return exactly the same predictions on any input, including distance ties
+(from duplicated rows), k* above the node size, the degenerate threshold
+band and a disabled outlier screen.
+"""
+
+import importlib
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
+
+from ceda.chain import knn_baseline_predict
+from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matrix
+from ceda.label_tree import build_label_tree, tree_from_training
+from ceda.predictive_map import (
+    CompetitionConfig,
+    PredictedLabelSet,
+    TreeClassifier,
+    k_nearest,
+)
+
+# the package exports a function of the same name
+predictive_map = importlib.import_module("ceda.predictive_map")
+
+# --- per-point reference ---------------------------------------------------
+
+
+def ref_bandwidth(sample):
+    n = len(sample)
+    sd = float(sample.std(ddof=1)) if n > 1 else 0.0
+    h = 1.06 * sd * n ** (-0.2)
+    if h <= 0.0:
+        h = max(1e-9, 1e-3 * abs(float(np.median(sample))))
+    return h
+
+
+def ref_log_kde(sample, x):
+    h = ref_bandwidth(sample)
+    u = (x - sample) / h
+    return float(logsumexp(-0.5 * u * u) - math.log(len(sample) * h * math.sqrt(2.0 * math.pi)))
+
+
+def ref_nearest_neighbor_distances(Z):
+    n = len(Z)
+    sq = np.sum(Z * Z, axis=1)
+    out = np.empty(n)
+    step = 512
+    for s in range(0, n, step):
+        block = Z[s:s + step]
+        d2 = sq[s:s + step, None] + sq[None, :] - 2.0 * (block @ Z.T)
+        np.maximum(d2, 0.0, out=d2)
+        for i in range(len(block)):
+            d2[i, s + i] = np.inf
+        out[s:s + step] = np.sqrt(d2.min(axis=1))
+    return out
+
+
+class ReferenceClassifier:
+    """One competition per point per node."""
+
+    def __init__(self, tree, train, features, cfg):
+        self.tree, self.cfg = tree, cfg
+        clf = TreeClassifier(tree, train, features, cfg)
+        self.zstats, self.X = clf.zstats, clf.X
+        self.y = train.label_values
+
+    def node_rows(self, node):
+        return np.flatnonzero(np.isin(self.y, self.tree.node_labels(node)))
+
+    def competition(self, x_raw, node):
+        tree, cfg = self.tree, self.cfg
+        xz = self.zstats.transform(np.asarray(x_raw, dtype=float).reshape(1, -1))[0]
+        rows = self.node_rows(node)
+        d = np.linalg.norm(self.X[rows] - xz, axis=1)
+        if cfg.outlier_quantile is not None:
+            thr = float(np.quantile(ref_nearest_neighbor_distances(self.X[rows]), cfg.outlier_quantile))
+            if float(d.min()) > thr:
+                return "outlier"
+        is_left = np.isin(self.y[rows], tree.node_labels(tree.children(node)[0]))
+        k = min(cfg.k_star, len(rows))
+        order = np.lexsort((rows, d))
+        left_count = int(is_left[order[:k]].sum())
+        need = cfg.dominant_fraction * k - 1e-9
+        if left_count >= need:
+            return "left"
+        if (k - left_count) >= need:
+            return "right"
+        m = float(np.median(d))
+        log_ratio = ref_log_kde(d[is_left], m) - ref_log_kde(d[~is_left], m)
+        if cfg.pl_lower == cfg.pl_upper:
+            return "left" if log_ratio >= math.log(cfg.pl_upper) else "right"
+        if log_ratio > math.log(cfg.pl_upper):
+            return "left"
+        if log_ratio < math.log(cfg.pl_lower):
+            return "right"
+        return "stop"
+
+    def classify(self, x_raw):
+        tree = self.tree
+        node = tree.root
+        path = []
+        while not tree.is_leaf(node):
+            decision = self.competition(x_raw, node)
+            path.append((node, decision))
+            if decision == "outlier":
+                return PredictedLabelSet(labels=(), stop_node=node, path=tuple(path))
+            if decision == "stop":
+                return PredictedLabelSet(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
+            left, right = tree.children(node)
+            node = left if decision == "left" else right
+        return PredictedLabelSet(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
+
+
+def ref_knn(train, test, features, k):
+    Xtr = feature_matrix(train.table, features)
+    zs = ZStats.fit(Xtr)
+    Ztr = zs.transform(Xtr)
+    Zte = zs.transform(feature_matrix(test.table, features))
+    labels = sorted(set(train.label_values.tolist()))
+    codes = np.array([labels.index(v) for v in train.label_values])
+    row_idx = np.arange(len(Ztr))
+    out = []
+    for x in Zte:
+        order = np.lexsort((row_idx, np.linalg.norm(Ztr - x, axis=1)))[:min(k, len(Ztr))]
+        out.append(labels[int(np.argmax(np.bincount(codes[order], minlength=len(labels))))])
+    return out
+
+
+# --- random problems -------------------------------------------------------
+
+
+def dataset(X, y):
+    cols = [Column("f%d" % j, "continuous", X[:, j]) for j in range(X.shape[1])]
+    return LabeledDataset(DataTable(cols + [Column("label", "categorical", np.array(y, dtype=object))]), "label")
+
+
+@st.composite
+def clouds(draw):
+    """Small Gaussian clouds with duplicated training rows (some relabelled)
+    and test rows that repeat training rows, so that distances tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_labels = draw(st.integers(1, 5))
+    dim = draw(st.sampled_from([1, 2, 3, 9]))
+    n_per = draw(st.integers(1, 12))
+    labels = list("abcde"[:n_labels])
+    centers = rng.normal(0.0, 1.5, (n_labels, dim))
+    y = np.repeat(labels, n_per)
+    sd = draw(st.sampled_from([0.2, 1.0]))
+    X = centers[np.repeat(np.arange(n_labels), n_per)] + sd * rng.normal(size=(len(y), dim))
+    dup = rng.integers(0, len(y), draw(st.integers(0, 12)))
+    X = np.vstack([X, X[dup]])
+    y = np.concatenate([y, rng.choice(labels, len(dup))])
+    Xte = np.vstack([
+        X[rng.integers(0, len(y), 6)],
+        centers[rng.integers(0, n_labels, 10)] + rng.normal(size=(10, dim)),
+        np.full((1, dim), 25.0),
+    ])
+    train = dataset(X, y)
+    test = dataset(Xte, rng.choice(labels, len(Xte)))
+    if n_labels < 3:
+        tree = tree_from_training(train, train.feature_names())
+    else:
+        dist = rng.uniform(0.1, 1.0, (n_labels, n_labels))
+        dist = dist + dist.T
+        np.fill_diagonal(dist, 0.0)
+        tree = build_label_tree(dist, labels)
+    return train, test, tree
+
+
+bands = st.sampled_from([(0.65, 100.0 / 65.0), (1.0, 1.0), (0.2, 1.0), (0.9, 3.0)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=clouds(), k_star=st.integers(1, 40), band=bands,
+       outlier_quantile=st.sampled_from([None, 0.5, 0.9, 0.99]),
+       dominant_fraction=st.sampled_from([0.6, 0.9, 1.0]),
+       block_bytes=st.sampled_from([1, 200, predictive_map.BLOCK_BYTES]))
+def test_batched_classify_matches_per_point_reference(problem, k_star, band, outlier_quantile,
+                                                      dominant_fraction, block_bytes):
+    train, test, tree = problem
+    cfg = CompetitionConfig(k_star=k_star, pl_lower=band[0], pl_upper=band[1],
+                            dominant_fraction=dominant_fraction, outlier_quantile=outlier_quantile)
+    features = train.feature_names()
+    ref = ReferenceClassifier(tree, train, features, cfg)
+    want = [ref.classify(x) for x in feature_matrix(test.table, features)]
+    with mock.patch.object(predictive_map, "BLOCK_BYTES", block_bytes):
+        got = TreeClassifier(tree, train, features, cfg).classify_rows(test.table)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=clouds(), k=st.integers(1, 40), block_bytes=st.sampled_from([1, 200, predictive_map.BLOCK_BYTES]))
+def test_batched_knn_matches_per_point_vote(problem, k, block_bytes):
+    train, test, _ = problem
+    features = train.feature_names()
+    with mock.patch.object(predictive_map, "BLOCK_BYTES", block_bytes):
+        got = knn_baseline_predict(train, test, features, k=k)
+    assert got == ref_knn(train, test, features, k)
+
+
+def test_outlier_precompute_matches_per_row_diagonal():
+    # more rows than one 512-row block, with duplicates at distance zero
+    rng = np.random.default_rng(4)
+    Z = rng.normal(size=(1300, 3))
+    Z[rng.integers(0, 1300, 200)] = Z[rng.integers(0, 1300, 200)]
+    np.testing.assert_array_equal(predictive_map._nearest_neighbor_distances(Z),
+                                  ref_nearest_neighbor_distances(Z))
+
+
+# --- hand-made ties --------------------------------------------------------
+
+
+def test_ties_at_the_kth_distance_keep_the_lowest_rows():
+    # query at x=0: row 2 (x=1) is nearest; rows 0, 1, 3, 4 (x=2) tie at the
+    # 3rd distance; k=3 keeps rows 0 and 1, so 'a' holds 2 of the 3 nearest
+    xs = [2.0, 2.0, 1.0, 2.0, 2.0, 10.0, -10.0]
+    ys = ["a", "a", "b", "b", "b", "b", "a"]
+    train = dataset(np.array(xs)[:, None], ys)
+    test = dataset(np.array([[0.0]]), ["a"])
+    tree = tree_from_training(train, ["f0"])
+    cfg = CompetitionConfig(k_star=3, dominant_fraction=0.6, outlier_quantile=None)
+    clf = TreeClassifier(tree, train, ["f0"], cfg)
+    Z = clf.zstats.transform([[0.0]])
+    _, nearest = k_nearest(Z, clf.X[clf.node_rows(tree.root)], 3)
+    assert np.flatnonzero(nearest[0]).tolist() == [0, 1, 2]
+    assert clf.competition(Z, tree.root).tolist() == ["left"]  # left leaf is 'a'
+    assert knn_baseline_predict(train, test, ["f0"], k=3) == ["a"]
+    # the same rows in reverse order: the lowest tied rows now carry 'b'
+    flipped = dataset(np.array(xs[::-1])[:, None], ys[::-1])
+    clf = TreeClassifier(tree_from_training(flipped, ["f0"]), flipped, ["f0"], cfg)
+    assert clf.competition(clf.zstats.transform([[0.0]]), tree.root).tolist() == ["right"]
+    assert knn_baseline_predict(flipped, test, ["f0"], k=3) == ["b"]

@@ -1,5 +1,7 @@
 """Branch competitions, KDE pieces and the predictive map tabulation."""
 
+import importlib
+import logging
 import math
 import statistics
 
@@ -89,15 +91,16 @@ def test_dominant_neighborhood_decides_without_kde():
     tree = tree_from_training(ds, ["f0", "f1"])
     clf = TreeClassifier(tree, ds, ["f0", "f1"])
     # children of the two-label root are leaves 0='a', 1='b'
-    assert clf.competition([0.0, 0.0], 2) == "left"
-    assert clf.competition([4.0, 4.0], 2) == "right"
+    left, right = clf.competition(clf.zstats.transform([[0.0, 0.0], [4.0, 4.0]]), 2)
+    assert left == "left"
+    assert right == "right"
 
 
 def test_overlapping_clouds_stop_at_the_shared_node():
     ds = two_clouds(sd=0.5, spacing=0.0, n=80, seed=3)
     tree = tree_from_training(ds, ["f0", "f1"])
     clf = TreeClassifier(tree, ds, ["f0", "f1"], CompetitionConfig(outlier_quantile=None))
-    pred = clf.classify([0.0, 0.0])
+    [pred] = clf.classify([[0.0, 0.0]])
     assert pred.labels == ("a", "b")
     assert pred.stop_node == tree.root
     assert pred.path[-1] == (tree.root, "stop")
@@ -107,10 +110,10 @@ def test_outlier_screen_empties_the_prediction():
     ds = two_clouds()
     tree = tree_from_training(ds, ["f0", "f1"])
     clf = TreeClassifier(tree, ds, ["f0", "f1"])
-    pred = clf.classify([100.0, 100.0])
+    [pred] = clf.classify([[100.0, 100.0]])
     assert pred.labels == ()
     no_screen = TreeClassifier(tree, ds, ["f0", "f1"], CompetitionConfig(outlier_quantile=None))
-    assert no_screen.classify([100.0, 100.0]).labels != ()
+    assert no_screen.classify([[100.0, 100.0]])[0].labels != ()
 
 
 def test_degenerate_band_forces_singletons():
@@ -120,6 +123,20 @@ def test_degenerate_band_forces_singletons():
     clf = TreeClassifier(tree, ds, ["f0", "f1"], cfg)
     preds = clf.classify_rows(ds.table)
     assert all(len(p.labels) == 1 for p in preds)
+
+
+def test_small_node_warns_once_per_classifier(caplog, monkeypatch):
+    # every internal node holds fewer than k* rows; one-row blocks and two
+    # classify calls run many competitions at each
+    monkeypatch.setattr(importlib.import_module("ceda.predictive_map"), "BLOCK_BYTES", 1)
+    ds = synth_generate("gauss-clouds", {"centers": [[0, 0], [4, 4], [8, 0]], "sd": 0.5, "n_per_label": 6}, seed=2)
+    tree = tree_from_training(ds, ["f0", "f1"])
+    clf = TreeClassifier(tree, ds, ["f0", "f1"], CompetitionConfig(k_star=50, outlier_quantile=None))
+    with caplog.at_level(logging.WARNING, logger="ceda.predictive_map"):
+        clf.classify_rows(ds.table)
+        clf.classify_rows(ds.table)
+    warnings = [r.getMessage() for r in caplog.records if "k* reduced" in r.getMessage()]
+    assert warnings == ["only 18 training rows at node %d, k* reduced from 50" % tree.root]
 
 
 def test_separable_clouds_classify_correctly():
