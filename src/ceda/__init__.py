@@ -54,5 +54,6 @@ from .rma import (
     minor_feature_entropy,
     ols_fit,
     rma_predict,
+    rma_predict_rows,
     score_major_candidate,
 )

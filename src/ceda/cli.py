@@ -61,7 +61,8 @@ from .rma import (
     minor_feature_entropy,
     ols_fit,
     ols_report_text,
-    rma_predict,
+    rma_predict,  # noqa: F401  (bench/spans.py wraps ceda.cli.rma_predict by name)
+    rma_predict_rows,
     score_major_candidate,
 )
 
@@ -534,11 +535,8 @@ def cmd_rma(args):
     k_star = int(rcfg.get("k_star", 20))
     Xte = np.column_stack([np.asarray(test.table.values(m), dtype=float) for m in majors])
     truths = np.column_stack([np.asarray(test.table.values(r), dtype=float) for r in responses])
-    predictions = []
-    for i in range(test.n_rows):
-        z = {m: test.table.values(m)[i] for m in minors}
-        predictions.append(rma_predict(Xte[i], z, lattice, train.table,
-                                       k_star=k_star, minor_binnings=binnings))
+    predictions = rma_predict_rows(Xte, {m: test.table.values(m) for m in minors}, lattice,
+                                   train.table, k_star=k_star, minor_binnings=binnings)
     report = error_metrics(predictions, truths, lattice, train.table)
     run.write_text("rma_errors.csv", report.to_csv_text())
     rows = [["row", "patch", "flags"] + ["pred_%s" % r for r in responses] + ["true_%s" % r for r in responses]]

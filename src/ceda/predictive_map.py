@@ -117,9 +117,15 @@ def k_nearest(Q, R, k):
     ``np.linalg.norm(R - Q[i], axis=1)``.  Nearest means by distance, then
     by reference row, as the first k of ``np.lexsort((arange(len(R)), dist[i]))``:
     every distance below the k-th smallest, then the lowest rows at it."""
-    diff = R[None, :, :] - Q[:, None, :]
-    np.multiply(diff, diff, out=diff)
-    dist = np.sqrt(np.add.reduce(diff, axis=-1))
+    if Q.shape[1] <= 2:
+        # a sum of one or two non-negative squares has the same bits in any
+        # order, so the columns are added without the 3-d difference array
+        sq = [np.square(R[:, j] - Q[:, j, None]) for j in range(Q.shape[1])]
+        dist = np.sqrt(sum(sq[1:], sq[0]))
+    else:
+        diff = R[None, :, :] - Q[:, None, :]
+        np.multiply(diff, diff, out=diff)
+        dist = np.sqrt(np.add.reduce(diff, axis=-1))
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
     below = dist < kth
     tied = dist == kth
@@ -258,10 +264,14 @@ def _nearest_neighbor_distances(Z):
     step = 512
     for s in range(0, n, step):
         block = Z[s:s + step]
-        d2 = sq[s:s + step, None] + sq[None, :] - 2.0 * (block @ Z.T)
-        np.maximum(d2, 0.0, out=d2)
+        # (sq_i + sq_j) - 2 G with one temporary beside d2; doubling is exact
+        d2 = sq[s:s + step, None] + sq[None, :]
+        gram = block @ Z.T
+        gram *= 2.0
+        d2 -= gram
         d2[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
-        out[s:s + step] = np.sqrt(d2.min(axis=1))
+        # clamping the row minimum equals the minimum of the clamped row
+        out[s:s + step] = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
     return out
 
 

@@ -11,20 +11,27 @@ keeps, per occupied rectangle, the training rows inside it.  Prediction for
 a new covariate point finds its rectangle, takes the k* nearest training
 rows inside it (z-scored major coordinates), optionally sieves them by minor
 feature equality, and returns the mean response vector of the focal rows.
+
+Queries are predicted together (``rma_predict_rows``): every row is located
+in one pass, and the rows that share a rectangle get their k* nearest
+training rows from the blocked kernel of the predictive map
+(``predictive_map.k_nearest`` over ``row_blocks``), with the same focal rows
+and means as one query at a time.
 """
 
 import logging
 import string
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
 from .association import ContingencyTable, category_codes, directed_conditional_entropy
 from .dataset import LabeledDataset, ZStats, csv_text, feature_matrix
 from .discretize import categorize_many
 from .errors import ConfigError, DataError
+from .predictive_map import k_nearest, row_blocks
 
 log = logging.getLogger(__name__)
 
@@ -123,21 +130,34 @@ class LocalityLattice:
 
     def locate(self, x_values):
         """Map raw major values to a cell code tuple plus out-of-range flag."""
-        codes, oor = [], False
-        for value, major in zip(x_values, self.majors):
+        codes, oor = self.locate_rows(np.asarray(x_values, dtype=float).reshape(1, -1))
+        return tuple(int(c) for c in codes[0]), bool(oor[0])
+
+    def locate_rows(self, X):
+        """Cell codes (n, majors) and out-of-range flags (n,) of the rows of
+        raw major values X.  A continuous major clamps into its end bins; a
+        discrete major snaps to the nearest training value (the lower one
+        on a tie).  Either way a clamped or snapped row is out of range."""
+        X = np.asarray(X, dtype=float)
+        codes = np.empty(X.shape, dtype=int)
+        oor = np.zeros(len(X), dtype=bool)
+        for j, major in enumerate(self.majors):
+            x = X[:, j]
+            bad = np.flatnonzero(~np.isfinite(x))
+            if len(bad):
+                raise DataError("major '%s' has a non-finite value in query row %d" % (major, bad[0]))
             if major in self.binnings:
-                b = self.binnings[major]
-                ids, flags = categorize_many(b, np.asarray([value], dtype=float))
-                codes.append(int(ids[0]))
-                oor = oor or bool(flags[0])
+                codes[:, j], flags = categorize_many(self.binnings[major], x)
             else:
                 vals = self.discrete_values[major]
-                j = int(np.searchsorted(vals, value))
-                if j == len(vals) or (j > 0 and abs(vals[j - 1] - value) <= abs(vals[j] - value)):
-                    j = j - 1 if j > 0 else 0
-                codes.append(j)
-                oor = oor or (vals[j] != value)
-        return tuple(codes), oor
+                above = np.searchsorted(vals, x)
+                below = np.maximum(above - 1, 0)
+                nearer_below = (above == len(vals)) | (
+                    (above > 0) & (np.abs(vals[below] - x) <= np.abs(vals[np.minimum(above, len(vals) - 1)] - x)))
+                codes[:, j] = np.where(nearer_below, below, above)
+                flags = vals[codes[:, j]] != x
+            oor |= flags
+        return codes, oor
 
     def adjacent_cells(self, cell):
         """Occupied cells within one bin step in every major (Chebyshev 1)."""
@@ -302,72 +322,130 @@ class RmaPrediction:
 
 
 def rma_predict(x, z, lattice, table, k_star=20, minor_binnings=None):
-    """Predict the response vector at covariate point x with minor values z.
+    """Predict the response vector at one covariate point: the one-row case
+    of rma_predict_rows.
 
     x: mapping major -> value (or a sequence in lattice major order).
     z: mapping minor feature -> value; may be empty.
+    """
+    if hasattr(x, "keys"):
+        missing = [m for m in lattice.majors if m not in x]
+        if missing:
+            raise DataError("missing major values: %s" % missing)
+        x = [float(x[m]) for m in lattice.majors]
+    return rma_predict_rows(np.asarray(x, dtype=float).reshape(1, -1),
+                            {minor: [value] for minor, value in (z or {}).items()},
+                            lattice, table, k_star, minor_binnings)[0]
+
+
+def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
+    """Predict the response vector of every row of X, one RmaPrediction per row.
+
+    X: (n, majors) raw major values in lattice major order.
+    minors: mapping minor feature -> its n query values; may be empty.
     Fallbacks are flagged, never silent: out-of-range majors clamp, an empty
     rectangle borrows its occupied neighbors, an empty sieve reverts to the
-    unsieved neighbors.
+    unsieved neighbors.  The focal rows of a query are its k* nearest
+    training rows in the rectangle, by distance and then row id, in that
+    order.
     """
     if isinstance(table, LabeledDataset):
         table = table.table
     if k_star < 1:
         raise ConfigError("k_star must be >= 1")
-    if hasattr(x, "keys"):
-        missing = [m for m in lattice.majors if m not in x]
-        if missing:
-            raise DataError("missing major values: %s" % missing)
-        xvals = np.array([float(x[m]) for m in lattice.majors])
-    else:
-        xvals = np.asarray(x, dtype=float)
-        if len(xvals) != len(lattice.majors):
-            raise DataError("expected %d major values, got %d" % (len(lattice.majors), len(xvals)))
-    flags = set()
-    cell, oor = lattice.locate(xvals)
-    if oor:
-        flags.add("out_of_range")
-    members = lattice.cells.get(cell)
-    if members is None or len(members) == 0:
-        neighbors = lattice.adjacent_cells(cell)
-        if not neighbors:
-            raise DataError(
-                "uncovered covariate region: rectangle %s and all adjacent rectangles are empty"
-                % (cell,))
-        members = np.sort(np.concatenate([lattice.cells[c] for c in neighbors]))
-        flags.add("adjacent_fallback")
-    Xm = lattice.zstats.transform(feature_matrix(table, lattice.majors)[members])
-    xz = lattice.zstats.transform(xvals.reshape(1, -1))[0]
-    d = np.linalg.norm(Xm - xz, axis=1)
-    k = min(int(k_star), len(members))
-    if k < k_star:
-        flags.add("underfilled")
-    order = np.lexsort((members, d))[:k]
-    focal = members[order]
-    if z:
-        mask = np.ones(len(focal), dtype=bool)
-        for minor, value in z.items():
-            col = table.column(minor)
-            if col.kind == "categorical":
-                mask &= (col.values[focal].astype(str) == str(value))
-            elif col.kind == "discrete":
-                mask &= (np.asarray(col.values, dtype=float)[focal] == float(value))
-            else:
-                mb = (minor_binnings or {}).get(minor)
-                if mb is None:
-                    raise DataError("continuous minor '%s' needs a binning" % minor)
-                want, _ = categorize_many(mb, np.asarray([float(value)]))
-                got, _ = categorize_many(mb, np.asarray(col.values, dtype=float)[focal])
-                mask &= (got == want[0])
-        if mask.any():
-            focal = focal[mask]
-        else:
-            flags.add("sieve_fallback")
-    resp = feature_matrix(table, lattice.responses)[focal]
-    return RmaPrediction(
-        values=resp.mean(axis=0), cell=cell, flags=frozenset(flags),
-        focal_rows=tuple(int(r) for r in focal), k_used=int(len(focal)),
-    )
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DataError("expected a 2-d array of major values, got %d dimensions" % X.ndim)
+    if X.shape[1] != len(lattice.majors):
+        raise DataError("expected %d major values, got %d" % (len(lattice.majors), X.shape[1]))
+    for minor, values in minors.items():
+        if len(values) != len(X):
+            raise DataError("minor '%s' has %d values for %d query rows" % (minor, len(values), len(X)))
+    if len(X) == 0:
+        return []
+    codes, oor = lattice.locate_rows(X)
+    # cells in order of their first query row, so that an uncovered region
+    # is reported for the first row that falls in one
+    rows_by_cell = {}
+    for row, cell in enumerate(map(tuple, codes.tolist())):
+        rows_by_cell.setdefault(cell, []).append(row)
+    plan = []
+    for cell, rows in rows_by_cell.items():
+        members = lattice.cells.get(cell)
+        fallback = members is None or len(members) == 0
+        if fallback:
+            neighbors = lattice.adjacent_cells(cell)
+            if not neighbors:
+                raise DataError(
+                    "uncovered covariate region: rectangle %s and all adjacent rectangles are empty"
+                    % (cell,))
+            members = np.sort(np.concatenate([lattice.cells[n] for n in neighbors]))
+        plan.append((cell, np.asarray(rows), members, fallback))
+    # training rows any query can draw on, in row order: the arrays below
+    # hold only these, so a call with few queries does not transform the
+    # whole table, and a position into them orders like a row id
+    used = np.unique(np.concatenate([members for _, _, members, _ in plan]))
+    sieve = [_sieve_keys(table, minor, values, used, minor_binnings) for minor, values in minors.items()]
+    Z = lattice.zstats.transform(feature_matrix(table, lattice.majors)[used])
+    Zq = lattice.zstats.transform(X)
+    resp = feature_matrix(table, lattice.responses)[used]
+    out = [None] * len(X)
+    for cell, rows, members, fallback in plan:
+        k = min(int(k_star), len(members))
+        cell_flags = {"adjacent_fallback"} if fallback else set()
+        if k < k_star:
+            cell_flags.add("underfilled")
+        members = np.searchsorted(used, members)
+        R = Z[members]
+        for block in row_blocks(len(rows), len(members), R.shape[1]):
+            block_rows = rows[block]
+            dist, nearest = k_nearest(Zq[block_rows], R, k)
+            # each row holds exactly k nearest, in member order
+            cols = np.nonzero(nearest)[1].reshape(len(block_rows), k)
+            order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
+            focal = members[np.take_along_axis(cols, order, axis=1)]
+            keep = np.ones(focal.shape, dtype=bool)
+            for table_key, query_key in sieve:
+                keep &= table_key[focal] == query_key[block_rows, None]
+            sieved = keep.any(axis=1)
+            keep[~sieved] = True  # an empty sieve keeps every focal row
+            n_kept = np.count_nonzero(keep, axis=1)
+            values = np.empty((len(block_rows), resp.shape[1]))
+            for c in np.unique(n_kept):
+                same = n_kept == c
+                # a mean over axis 1 adds each row's focal responses in the
+                # order, and to the bits, of a one-query mean over axis 0
+                values[same] = resp[focal[same][keep[same]].reshape(-1, c)].mean(axis=1)
+            focal_rows, kept = used[focal].tolist(), keep.tolist()
+            for i, row in enumerate(block_rows.tolist()):
+                flags = set(cell_flags)
+                if oor[row]:
+                    flags.add("out_of_range")
+                if not sieved[i]:
+                    flags.add("sieve_fallback")
+                out[row] = RmaPrediction(
+                    values=values[i], cell=cell, flags=frozenset(flags),
+                    focal_rows=tuple(compress(focal_rows[i], kept[i])), k_used=int(n_kept[i]),
+                )
+    return out
+
+
+def _sieve_keys(table, minor, values, rows, minor_binnings):
+    """Keys of one minor feature over the training rows ``rows`` and over
+    the query values, equal where a training row passes the query's sieve:
+    the string of a categorical value, the float of a discrete one, the bin
+    id of a continuous one."""
+    col = table.column(minor)
+    if col.kind == "categorical":
+        return col.values[rows].astype(str), np.array([str(v) for v in values])
+    if col.kind == "discrete":
+        return np.asarray(col.values, dtype=float)[rows], np.array([float(v) for v in values])
+    mb = (minor_binnings or {}).get(minor)
+    if mb is None:
+        raise DataError("continuous minor '%s' needs a binning" % minor)
+    want, _ = categorize_many(mb, np.array([float(v) for v in values]))
+    got, _ = categorize_many(mb, np.asarray(col.values, dtype=float)[rows])
+    return got, want
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +611,8 @@ def ols_fit(ds, response, covariates, per_label=True, alpha=0.05):
         se = np.sqrt(np.maximum(s2 * np.diag(xtx_inv), 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             tvals = np.where(se > 0, beta / se, np.where(beta != 0, np.inf, 0.0))
-        pvals = 2.0 * scipy_stats.t.sf(np.abs(tvals), df)
+        # stdtr(df, -|t|) is the upper tail t.sf(|t|, df) evaluates
+        pvals = 2.0 * stdtr(df, -np.abs(tvals))
         fits.append(OlsFit(
             label=str(label),
             coef=dict(zip(design_names, (float(b) for b in beta))),

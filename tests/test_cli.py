@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ceda
 from ceda.cli import STAGE_OFFSETS, main, stage_seed
 
 
@@ -449,3 +454,12 @@ def test_stage_seed_derivation():
     seeds = {stage_seed(3, s) for s in STAGE_OFFSETS}
     assert len(seeds) == len(STAGE_OFFSETS)
     assert stage_seed(3, "let") != stage_seed(4, "let")
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time of ceda.cli, and no command needs it
+    src = str(Path(ceda.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ceda.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

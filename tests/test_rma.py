@@ -22,6 +22,7 @@ from ceda.rma import (
     ols_fit,
     ols_report_text,
     rma_predict,
+    rma_predict_rows,
     score_major_candidate,
 )
 
@@ -453,6 +454,71 @@ def test_predict_input_validation():
         rma_predict([1.0, 2.0], {}, lat, table)
 
 
+def test_predict_rows_matches_one_row_calls():
+    table, _, _, lat = line_fixture()
+    mb = {"c": build_histogram(np.arange(40, dtype=float), target_bins=20, feature="c")}
+    X = np.array([[5.2], [2.0], [-5.0], [100.0], [2.0]])
+    minors = {"g": ["p", "q", "zzz", "p", "q"], "c": [3.0, 1.0, 0.0, 39.0, 30.0]}
+    got = rma_predict_rows(X, minors, lat, table, k_star=5, minor_binnings=mb)
+    for i, p in enumerate(got):
+        one = rma_predict(X[i], {m: v[i] for m, v in minors.items()}, lat, table, k_star=5, minor_binnings=mb)
+        assert (p.values.tobytes(), p.cell, p.flags, p.focal_rows, p.k_used) == \
+            (one.values.tobytes(), one.cell, one.flags, one.focal_rows, one.k_used)
+    assert rma_predict_rows(np.empty((0, 1)), {}, lat, table) == []
+
+
+def non_finite_fixture():
+    table = num_table(du=("discrete", [1, 1, 2, 2, 4, 4]),
+                      u=("continuous", [0, 1, 2, 3, 4, 5]),
+                      y=("continuous", [0, 1, 2, 3, 4, 5]))
+    binnings = {"u": build_histogram(np.arange(6, dtype=float), target_bins=2, feature="u")}
+    return table, build_locality_lattice(table, ResponseSpec(("y",), ("du", "u")), ["du", "u"], binnings)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_major_values(bad):
+    table, lat = non_finite_fixture()
+    # a discrete major used to snap NaN to its last value, flagged only as out of range
+    with pytest.raises(DataError, match="major 'du' has a non-finite value in query row 0"):
+        rma_predict({"du": bad, "u": 1.0}, {}, lat, table)
+    with pytest.raises(DataError, match="major 'u' has a non-finite value in query row 0"):
+        rma_predict([2.0, bad], {}, lat, table)
+    with pytest.raises(DataError, match="major 'du' has a non-finite value in query row 2"):
+        rma_predict_rows(np.array([[1.0, 1.0], [2.0, 2.0], [bad, 3.0], [bad, 4.0]]), {}, lat, table)
+    with pytest.raises(DataError, match="major 'u'"):
+        rma_predict_rows(np.array([[1.0, 1.0], [2.0, bad]]), {}, lat, table)
+    with pytest.raises(DataError, match="major 'du'"):
+        lat.locate([bad, 1.0])
+
+
+def test_predict_rows_uncovered_region_names_the_first_row():
+    table, spec, _, _ = line_fixture()
+    fine = {"u": build_histogram(np.arange(40, dtype=float), target_bins=8, feature="u")}
+    lat = build_locality_lattice(table, spec, ["u"], fine, bin_subset={"u": [0, 7]})
+    # 6.0 borrows bin 0; 22.0 (bin 4) and 17.0 (bin 3) have no occupied neighbor
+    message = "uncovered covariate region: rectangle (4,) and all adjacent rectangles are empty"
+    with pytest.raises(DataError) as info:
+        rma_predict_rows(np.array([[6.0], [22.0], [17.0]]), {}, lat, table)
+    assert str(info.value) == message
+    with pytest.raises(DataError) as info:
+        rma_predict({"u": 22.0}, {}, lat, table)
+    assert str(info.value) == message
+    with pytest.raises(DataError, match=r"rectangle \(3,\)"):
+        rma_predict_rows(np.array([[17.0], [22.0]]), {}, lat, table)
+
+
+def test_predict_rows_input_validation():
+    table, _, _, lat = line_fixture()
+    with pytest.raises(ConfigError, match="k_star"):
+        rma_predict_rows(np.array([[2.0]]), {}, lat, table, k_star=0)
+    with pytest.raises(DataError, match="expected 1 major values, got 2"):
+        rma_predict_rows(np.array([[1.0, 2.0]]), {}, lat, table)
+    with pytest.raises(DataError, match="2-d"):
+        rma_predict_rows(np.array([1.0, 2.0]), {}, lat, table)
+    with pytest.raises(DataError, match="minor 'g' has 1 values for 2 query rows"):
+        rma_predict_rows(np.array([[1.0], [2.0]]), {"g": ["p"]}, lat, table)
+
+
 # --- error metrics -------------------------------------------------------
 
 
@@ -579,6 +645,8 @@ def test_ols_matches_normal_equations():
             assert fit.coef[nm] == pytest.approx(b[i], rel=1e-9, abs=1e-12)
             assert fit.se[nm] == pytest.approx(se[i], rel=1e-9, abs=1e-12)
             assert fit.pvalue[nm] == pytest.approx(pv[i], rel=1e-6, abs=1e-12)
+            # the p-value is exactly the two-sided tail of the t distribution
+            assert fit.pvalue[nm] == 2.0 * scipy_stats.t.sf(abs(fit.coef[nm] / fit.se[nm]), df)
         assert fit.resid_se == pytest.approx(rse, rel=1e-9)
         assert fit.df == df
         assert fit.label == "ALL"
