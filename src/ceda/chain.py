@@ -24,7 +24,9 @@ import numpy as np
 from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError
 from .label_tree import tree_from_training
-from .predictive_map import CompetitionConfig, TreeClassifier, k_nearest, row_blocks, tabulate_predictions
+from .predictive_map import (
+    CompetitionConfig, TreeClassifier, k_nearest, row_blocks, tabulate_predictions, work_size,
+)
 
 log = logging.getLogger(__name__)
 
@@ -229,8 +231,9 @@ def knn_baseline_predict(train, test, features, k=20):
     onehot = (y[:, None] == np.array(labels, dtype=object)).astype(np.int64)
     kk = min(k, len(Ztr))
     out = []
+    work = np.empty(work_size(len(Zte), len(Ztr), Ztr.shape[1]))
     for block in row_blocks(len(Zte), len(Ztr), Ztr.shape[1]):
-        _, nearest = k_nearest(Zte[block], Ztr, kk)
+        _, nearest = k_nearest(Zte[block], Ztr, kk, work)
         votes = nearest.astype(np.int64) @ onehot
         # argmax takes the first maximum: alphabetical tie-break
         out.extend(labels[i] for i in np.argmax(votes, axis=1).tolist())

@@ -22,7 +22,11 @@ against true labels gives the predictive map.
 
 Points descend together, one tree level at a time: each node decides all
 the points that reached it in row blocks of bounded size (``row_blocks``,
-``k_nearest``), with the same decisions a point-at-a-time descent makes."""
+``k_nearest``), with the same decisions a point-at-a-time descent makes.
+Each loop over blocks allocates one work buffer (``work_size``) that every
+block's distances reuse.  The outlier screen's nearest-neighbor distances
+are exact for one or two features (a KD tree) and take the Gram form for
+more."""
 
 import logging
 import math
@@ -103,30 +107,70 @@ def log_gaussian_kde(samples, x):
 BLOCK_BYTES = 2 * 1024 * 1024
 
 
+def _block_step(n_ref, n_features):
+    return max(1, BLOCK_BYTES // (8 * n_ref * n_features))
+
+
 def row_blocks(n_rows, n_ref, n_features):
     """Slices cutting n_rows query rows into blocks within BLOCK_BYTES."""
-    step = max(1, BLOCK_BYTES // (8 * n_ref * n_features))
+    step = _block_step(n_ref, n_features)
     return [slice(s, s + step) for s in range(0, n_rows, step)]
 
 
-def k_nearest(Q, R, k):
+def _work_cells(n_rows, n_ref, n_features):
+    # the (rows, ref) distances, beside the second column's squares for one
+    # or two features or the (rows, ref, features) differences for more; the
+    # partition copy reuses that second space
+    return n_rows * n_ref * (n_features + 1 if n_features > 2 else 2)
+
+
+def work_size(n_rows, n_ref, n_features):
+    """Float64 elements of a work buffer that serves ``k_nearest`` on every
+    block ``row_blocks(n_rows, n_ref, n_features)`` cuts."""
+    return _work_cells(min(n_rows, _block_step(n_ref, n_features)), n_ref, n_features)
+
+
+def k_nearest(Q, R, k, work=None):
     """Distances from each query row to every reference row, and a mask of
     each query's k nearest reference rows.
 
     dist[i, j] is ||R[j] - Q[i]||, reduced over features exactly as
     ``np.linalg.norm(R - Q[i], axis=1)``.  Nearest means by distance, then
     by reference row, as the first k of ``np.lexsort((arange(len(R)), dist[i]))``:
-    every distance below the k-th smallest, then the lowest rows at it."""
-    if Q.shape[1] <= 2:
+    every distance below the k-th smallest, then the lowest rows at it.
+
+    ``work`` is a flat float64 buffer that a caller looping over blocks
+    allocates once (``work_size``); dist and the partition copy are views
+    into it, so the returned dist holds until the next call on the buffer.
+    Without it each call allocates its own."""
+    m, n, n_features = len(Q), len(R), Q.shape[1]
+    cells, need = m * n, _work_cells(m, n, n_features)
+    if work is None:
+        work = np.empty(need)
+    elif len(work) < need:
+        raise ValueError("work buffer holds %d elements, k_nearest needs %d" % (len(work), need))
+    if n_features <= 2:
         # a sum of one or two non-negative squares has the same bits in any
         # order, so the columns are added without the 3-d difference array
-        sq = [np.square(R[:, j] - Q[:, j, None]) for j in range(Q.shape[1])]
-        dist = np.sqrt(sum(sq[1:], sq[0]))
+        dist = work[:cells].reshape(m, n)
+        part = work[cells:2 * cells].reshape(m, n)
+        np.subtract(R[:, 0], Q[:, 0, None], out=dist)
+        np.square(dist, out=dist)
+        if n_features == 2:
+            np.subtract(R[:, 1], Q[:, 1, None], out=part)
+            np.square(part, out=part)
+            np.add(dist, part, out=dist)
     else:
-        diff = R[None, :, :] - Q[:, None, :]
+        diff = work[:cells * n_features].reshape(m, n, n_features)
+        dist = work[cells * n_features:cells * (n_features + 1)].reshape(m, n)
+        part = work[:cells].reshape(m, n)
+        np.subtract(R[None, :, :], Q[:, None, :], out=diff)
         np.multiply(diff, diff, out=diff)
-        dist = np.sqrt(np.add.reduce(diff, axis=-1))
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        np.add.reduce(diff, axis=-1, out=dist)
+    np.sqrt(dist, out=dist)
+    np.copyto(part, dist)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1:k]
     below = dist < kth
     tied = dist == kth
     nearest = below | tied
@@ -155,6 +199,7 @@ class TreeClassifier:
                 raise DataError("label '%s' has zero training rows" % lab)
             self._rows_by_label[lab] = idx
         self._node_rows = {}
+        self._node_X = {}
         self._node_is_left = {}
         self._outlier_thr = {}
         self._warned_small_k = False
@@ -165,6 +210,12 @@ class TreeClassifier:
             rows = np.sort(np.concatenate([self._rows_by_label[l] for l in labs]))
             self._node_rows[node] = rows
         return self._node_rows[node]
+
+    def node_X(self, node):
+        """The z-scored training rows of node_rows(node)."""
+        if node not in self._node_X:
+            self._node_X[node] = self.X[self.node_rows(node)]
+        return self._node_X[node]
 
     def _left_mask(self, node):
         """Boolean mask over node_rows(node): True where the row's label sits
@@ -180,16 +231,15 @@ class TreeClassifier:
 
     def _outlier_threshold(self, node):
         if node not in self._outlier_thr:
-            rows = self.node_rows(node)
-            Z = self.X[rows]
-            nn = _nearest_neighbor_distances(Z)
+            nn = _nearest_neighbor_distances(self.node_X(node))
             self._outlier_thr[node] = float(np.quantile(nn, self.cfg.outlier_quantile))
         return self._outlier_thr[node]
 
-    def competition(self, Z, node):
+    def competition(self, Z, node, work=None):
         """Decide one internal-node competition for each z-scored row of Z.
 
-        Returns an object array of decisions: left / right / stop / outlier."""
+        Returns an object array of decisions: left / right / stop / outlier.
+        ``work`` is passed on to ``k_nearest``."""
         tree, cfg = self.tree, self.cfg
         if tree.is_leaf(node):
             raise DataError("node %d is a leaf, nothing to compete" % node)
@@ -198,7 +248,7 @@ class TreeClassifier:
         if k < cfg.k_star and not self._warned_small_k:
             log.warning("only %d training rows at node %d, k* reduced from %d", len(rows), node, cfg.k_star)
             self._warned_small_k = True
-        d, nearest = k_nearest(Z, self.X[rows], k)
+        d, nearest = k_nearest(Z, self.node_X(node), k, work)
         is_left = self._left_mask(node)
         left_count = np.count_nonzero(nearest & is_left, axis=1)
         need = cfg.dominant_fraction * k - 1e-9
@@ -237,8 +287,10 @@ class TreeClassifier:
                         preds[row] = PredictedLabelSet(labels, node, tuple(paths[row]))
                     continue
                 n_ref = len(self.node_rows(node))
+                work = np.empty(work_size(len(idx), n_ref, Z.shape[1]))
                 decision = np.concatenate([
-                    self.competition(Z[idx[block]], node) for block in row_blocks(len(idx), n_ref, Z.shape[1])
+                    self.competition(Z[idx[block]], node, work)
+                    for block in row_blocks(len(idx), n_ref, Z.shape[1])
                 ])
                 for row, dec in zip(idx.tolist(), decision.tolist()):
                     paths[row].append((node, dec))
@@ -256,8 +308,18 @@ class TreeClassifier:
 
 
 def _nearest_neighbor_distances(Z):
-    """Distance from each row to its nearest other row, block-wise.  Called
-    for internal nodes only, which hold rows of at least two labels."""
+    """Distance from each row to its nearest other row.  Called for internal
+    nodes only, which hold rows of at least two labels.
+
+    With one or two features a KD tree gives each distance as one rounded
+    sum of at most two squares, the bits ``k_nearest`` computes (a duplicate
+    row is at exactly 0).  With more, a block-wise Gram form, which is faster
+    there but may differ from the exact distance in the last bits."""
+    if Z.shape[1] <= 2:
+        # imported here: scipy.spatial adds about 0.16 s to importing the CLI
+        from scipy.spatial import cKDTree
+
+        return cKDTree(Z).query(Z, k=2)[0][:, 1]
     n = len(Z)
     sq = np.sum(Z * Z, axis=1)
     out = np.empty(n)

@@ -31,7 +31,7 @@ from .association import ContingencyTable, category_codes, directed_conditional_
 from .dataset import LabeledDataset, ZStats, csv_text, feature_matrix
 from .discretize import categorize_many
 from .errors import ConfigError, DataError
-from .predictive_map import k_nearest, row_blocks
+from .predictive_map import k_nearest, row_blocks, work_size
 
 log = logging.getLogger(__name__)
 
@@ -390,6 +390,7 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
     Zq = lattice.zstats.transform(X)
     resp = feature_matrix(table, lattice.responses)[used]
     out = [None] * len(X)
+    work = np.empty(max(work_size(len(rows), len(members), Z.shape[1]) for _, rows, members, _ in plan))
     for cell, rows, members, fallback in plan:
         k = min(int(k_star), len(members))
         cell_flags = {"adjacent_fallback"} if fallback else set()
@@ -399,7 +400,7 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
         R = Z[members]
         for block in row_blocks(len(rows), len(members), R.shape[1]):
             block_rows = rows[block]
-            dist, nearest = k_nearest(Zq[block_rows], R, k)
+            dist, nearest = k_nearest(Zq[block_rows], R, k, work)
             # each row holds exactly k nearest, in member order
             cols = np.nonzero(nearest)[1].reshape(len(block_rows), k)
             order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")

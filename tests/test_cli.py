@@ -456,10 +456,22 @@ def test_stage_seed_derivation():
     assert stage_seed(3, "let") != stage_seed(4, "let")
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time of ceda.cli, and no command needs it
+def modules_loaded_by_cli_import(prefix):
+    """Names starting with prefix in sys.modules of a fresh interpreter after
+    ``import ceda.cli``."""
     src = str(Path(ceda.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ceda.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = "import sys, ceda.cli; print(sorted(m for m in sys.modules if m.startswith(%r)))" % prefix
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time of ceda.cli, and no command needs it
+    assert modules_loaded_by_cli_import("scipy.stats") == "[]"
+
+
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # only the outlier screen of a one- or two-feature node needs the KD tree,
+    # and importing scipy.spatial costs about 0.16 s
+    assert modules_loaded_by_cli_import("scipy.spatial") == "[]"

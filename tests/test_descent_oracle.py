@@ -6,6 +6,10 @@ the package did before the descent was batched.  The batched code must
 return exactly the same predictions on any input, including distance ties
 (from duplicated rows), k* above the node size, the degenerate threshold
 band and a disabled outlier screen.
+
+The outlier thresholds of a node with one or two features come from the
+exact distance of each row to every other row; with more features, from the
+Gram form ||x||^2 + ||y||^2 - 2 x.y, which may differ in the last bits.
 """
 
 import importlib
@@ -13,6 +17,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -25,6 +30,7 @@ from ceda.predictive_map import (
     PredictedLabelSet,
     TreeClassifier,
     k_nearest,
+    work_size,
 )
 
 # the package exports a function of the same name
@@ -46,6 +52,10 @@ def ref_log_kde(sample, x):
     h = ref_bandwidth(sample)
     u = (x - sample) / h
     return float(logsumexp(-0.5 * u * u) - math.log(len(sample) * h * math.sqrt(2.0 * math.pi)))
+
+
+def ref_exact_nearest_neighbor_distances(Z):
+    return np.array([np.delete(np.linalg.norm(Z - Z[i], axis=1), i).min() for i in range(len(Z))])
 
 
 def ref_nearest_neighbor_distances(Z):
@@ -81,7 +91,8 @@ class ReferenceClassifier:
         rows = self.node_rows(node)
         d = np.linalg.norm(self.X[rows] - xz, axis=1)
         if cfg.outlier_quantile is not None:
-            thr = float(np.quantile(ref_nearest_neighbor_distances(self.X[rows]), cfg.outlier_quantile))
+            nn = ref_exact_nearest_neighbor_distances if self.X.shape[1] <= 2 else ref_nearest_neighbor_distances
+            thr = float(np.quantile(nn(self.X[rows]), cfg.outlier_quantile))
             if float(d.min()) > thr:
                 return "outlier"
         is_left = np.isin(self.y[rows], tree.node_labels(tree.children(node)[0]))
@@ -206,6 +217,22 @@ def test_batched_knn_matches_per_point_vote(problem, k, block_bytes):
     assert got == ref_knn(train, test, features, k)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 600), dim=st.sampled_from([1, 2]),
+       n_dup=st.integers(0, 40), grid=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_outlier_precompute_is_exact_for_one_or_two_features(seed, n, dim, n_dup, grid, scale):
+    rng = np.random.default_rng(seed)
+    Z = scale * rng.normal(size=(n, dim))
+    if grid:
+        Z = np.round(Z / scale, 1) * scale  # equal distances between many pairs
+    Z[rng.integers(0, n, n_dup)] = Z[rng.integers(0, n, n_dup)]
+    got = predictive_map._nearest_neighbor_distances(Z)
+    assert got.tobytes() == ref_exact_nearest_neighbor_distances(Z).tobytes()
+    _, inverse, counts = np.unique(Z, axis=0, return_inverse=True, return_counts=True)
+    duplicated = counts[inverse.ravel()] > 1
+    assert np.all(got[duplicated] == 0.0) and np.all(got[~duplicated] > 0.0)
+
+
 def test_outlier_precompute_matches_per_row_diagonal():
     # more rows than one 512-row block, with duplicates at distance zero
     rng = np.random.default_rng(4)
@@ -213,6 +240,54 @@ def test_outlier_precompute_matches_per_row_diagonal():
     Z[rng.integers(0, 1300, 200)] = Z[rng.integers(0, 1300, 200)]
     np.testing.assert_array_equal(predictive_map._nearest_neighbor_distances(Z),
                                   ref_nearest_neighbor_distances(Z))
+
+
+# --- the k-nearest kernel and its work buffer ------------------------------
+
+
+def ref_k_nearest(Q, R, k):
+    dist = np.array([np.linalg.norm(R - q, axis=1) for q in Q]).reshape(len(Q), len(R))
+    nearest = np.zeros(dist.shape, dtype=bool)
+    for i, row in enumerate(dist):
+        nearest[i, np.lexsort((np.arange(len(R)), row))[:k]] = True
+    return dist, nearest
+
+
+@st.composite
+def kernel_calls(draw):
+    """Two k_nearest problems of different shapes with the same feature count,
+    on a coarse grid so that distances tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.sampled_from([1, 2, 3, 9]))
+    calls = []
+    for _ in range(2):
+        m, n = draw(st.integers(1, 30)), draw(st.integers(1, 60))
+        calls.append((np.round(rng.normal(size=(m, dim)), 1), np.round(rng.normal(size=(n, dim)), 1),
+                      draw(st.integers(1, n))))
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(calls=kernel_calls())
+def test_k_nearest_on_one_work_buffer_matches_fresh_calls(calls):
+    work = np.empty(max(work_size(len(Q), len(R), Q.shape[1]) for Q, R, _ in calls))
+    for Q, R, k in calls:
+        dist, nearest = k_nearest(Q, R, k, work)
+        assert np.shares_memory(dist, work)
+        fresh_dist, fresh_nearest = k_nearest(Q, R, k)
+        assert not np.shares_memory(fresh_dist, work)
+        assert dist.tobytes() == fresh_dist.tobytes()
+        assert np.array_equal(nearest, fresh_nearest)
+        want_dist, want_nearest = ref_k_nearest(Q, R, k)
+        assert dist.tobytes() == want_dist.tobytes()
+        assert np.array_equal(nearest, want_nearest)
+
+
+def test_k_nearest_rejects_a_short_work_buffer():
+    Q, R = np.zeros((4, 3)), np.ones((5, 3))
+    k_nearest(Q, R, 2, np.empty(work_size(4, 5, 3)))
+    with pytest.raises(ValueError, match="work buffer"):
+        k_nearest(Q, R, 2, np.empty(work_size(4, 5, 3) - 1))
 
 
 # --- hand-made ties --------------------------------------------------------
