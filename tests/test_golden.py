@@ -1,9 +1,10 @@
 """Golden-artifact gate: the README walkthrough on a small fixed config must
 write byte-identical reports across code versions.
 
-Each command writes into its own out_dir, and every artifact except
-manifest.json (which carries a timestamp and a hash of the absolute config
-paths) is compared by SHA-256 against the digests recorded below.  A change
+Each command writes into its own out_dir (pmap and dissect also run a
+second time, on feature sets of three and five features), and every
+artifact except manifest.json (which carries a timestamp and a hash of the
+absolute config paths) is compared by SHA-256 against the digests recorded below.  A change
 that moves any of these digests must say in CHANGES.md which artifact moved
 and why, and record the new digest here.
 """
@@ -46,6 +47,20 @@ RUN = {
 
 COMMANDS = ("mce", "let", "pmap", "chain", "dissect", "rma")
 
+# pmap and dissect again on feature sets of three and five features, where
+# the descent and the k-NN baseline take the many-feature kernel path; each
+# writes into its own out_dir
+WIDE_RUN = {
+    **RUN,
+    "feature_sets": {
+        "all": ["spin_dir", "spin_rate", "pfx_x", "pfx_z", "noise"],
+        "kin3": ["spin_dir", "spin_rate", "noise"],
+    },
+    "chain": ["all", "kin3"],
+}
+
+WIDE_COMMANDS = ("pmap", "dissect")
+
 GOLDEN = {
     "chain/chain_depth1.csv": "24ebbb7995195e0531bcd5687e907ad5e3e0f2a15f266a2f74cd06ffc6740eb9",
     "chain/chain_depth1.json": "67e2b10b66c900dff3e8902fc2aef88e47ba776e01c82782bc856e3c72f41d9a",
@@ -57,6 +72,10 @@ GOLDEN = {
     "dissect/dissection.csv": "16893d15d34244e84c2c772a98ad8e8ead15b09b58c160d7cbd7bd963de717af",
     "dissect/dissection.json": "a6416eb1f06179f3fbfbf56c96ef3aaf3ed8eab8f8322f13694e7ed1cbe486ca",
     "dissect/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
+    "dissect_wide/baseline_predictions.csv": "0deaa8094dc9ed4b4f0295afae71b0e46bb51abb25f9dd270f3cf35e0abb3c7e",
+    "dissect_wide/dissection.csv": "24cf2cf35a268bf0b1c0d6ac1e1aaa89ac2ae44f583f430c1018c56a044491b4",
+    "dissect_wide/dissection.json": "43496bff450a24db79e0d77cfafdb9170dca448d8c2dea4dead85d56c6c1a9ab",
+    "dissect_wide/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
     "let/dominance.csv": "68a2cd563c9770844d650fe37cd74f205244fa94277bbaefb7e5b4a6d1d3803a",
     "let/label_distance.csv": "12232aa284127372c6360ac3097fe5bc06cd2b7aed52c55fcdbb220f5f52c152",
     "let/tree.json": "c15e2b3302f5444fd5adebe99d33cd36065212d5e45a05f2b4d0fe17669662e5",
@@ -69,6 +88,10 @@ GOLDEN = {
     "pmap/pmap_kin.csv": "24ebbb7995195e0531bcd5687e907ad5e3e0f2a15f266a2f74cd06ffc6740eb9",
     "pmap/pmap_kin.json": "d35b4b7dc13e46ff3b7aa2f9fdf614319c245cb03b9ee8257aff1f9cb35c8a53",
     "pmap/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
+    "pmap_wide/pies.json": "1a0e45c17c5c8d76b9172c4a58855636d53ac00a92f00712fc262a76ba1bf73a",
+    "pmap_wide/pmap_all.csv": "b5e65ae36a615abd4190b0adfa1fa45b8f965df791e04fdb52a41269029ca5a8",
+    "pmap_wide/pmap_all.json": "547d2b839ac1d7bb4f3ad2c2bd264183e58a3fa5d5919f35015dd59e01fe89fb",
+    "pmap_wide/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
     "rma/rma_binnings.json": "16ffb9c6d5814f79c9f47bb04665d8fb9b740a9832a56ac92d8ba01f3f5fccf9",
     "rma/rma_dispersion.json": "3747fc99a49f8d358b8129e9cc61967bc263792d7926df307bb04558e82dc59c",
     "rma/rma_errors.csv": "7683b24776625697cb9834a86b75e7d5b19fe2033bc697f818d9076a078872ae",
@@ -97,10 +120,14 @@ def walkthrough(tmp_path_factory):
     assert main(["synth", "--config", str(synth_cfg)]) == 0
     run_cfg = root / "run.json"
     run_cfg.write_text(json.dumps({**RUN, "dataset": str(root / "synth" / "dataset.csv")}))
+    wide_cfg = root / "wide.json"
+    wide_cfg.write_text(json.dumps({**WIDE_RUN, "dataset": str(root / "synth" / "dataset.csv")}))
     digests = _digests(root / "synth")
-    for command in COMMANDS:
-        out = root / command
-        assert main([command, "--config", str(run_cfg), "--out", str(out)]) == 0
+    runs = [(command, command, run_cfg) for command in COMMANDS]
+    runs += [(command, command + "_wide", wide_cfg) for command in WIDE_COMMANDS]
+    for command, out_name, cfg in runs:
+        out = root / out_name
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         digests.update(_digests(out))
     return digests
 
