@@ -25,7 +25,7 @@ from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError
 from .label_tree import tree_from_training
 from .predictive_map import (
-    CompetitionConfig, TreeClassifier, k_nearest, row_blocks, tabulate_predictions, work_size,
+    CompetitionConfig, TreeClassifier, k_nearest, kd_tree, row_blocks, tabulate_predictions, work_size,
 )
 
 log = logging.getLogger(__name__)
@@ -229,12 +229,12 @@ def knn_baseline_predict(train, test, features, k=20):
     y = train.label_values
     labels = sorted(set(y.tolist()))
     onehot = (y[:, None] == np.array(labels, dtype=object)).astype(np.int64)
-    kk = min(k, len(Ztr))
     out = []
     work = np.empty(work_size(len(Zte), len(Ztr), Ztr.shape[1]))
-    for block in row_blocks(len(Zte), len(Ztr), Ztr.shape[1]):
-        _, nearest = k_nearest(Zte[block], Ztr, kk, work)
-        votes = nearest.astype(np.int64) @ onehot
+    tree = kd_tree(Ztr)
+    for block in row_blocks(len(Zte), len(Ztr)):
+        _, nearest = k_nearest(Zte[block], Ztr, k, work, tree)
+        votes = onehot[nearest].sum(axis=1)
         # argmax takes the first maximum: alphabetical tie-break
         out.extend(labels[i] for i in np.argmax(votes, axis=1).tolist())
     return out

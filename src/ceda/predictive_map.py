@@ -21,12 +21,16 @@ labels at an internal stop, empty for outliers.  Tabulating predicted sets
 against true labels gives the predictive map.
 
 Points descend together, one tree level at a time: each node decides all
-the points that reached it in row blocks of bounded size (``row_blocks``,
-``k_nearest``), with the same decisions a point-at-a-time descent makes.
-Each loop over blocks allocates one work buffer (``work_size``) that every
-block's distances reuse.  The outlier screen's nearest-neighbor distances
-are exact for one or two features (a KD tree) and take the Gram form for
-more."""
+the points that reached it in row blocks of bounded size (``row_blocks``),
+with the same decisions a point-at-a-time descent makes.  Rules 1 and 2 need
+only each point's k* nearest rows and its nearest distance, which a screen
+finds (``k_nearest``): the node's KD tree for one or two features, a Gram
+form with a proven rounding margin for more, both exact to the bit.  Only
+the points rule 3 decides get their distances to every node member
+(``distance_rows``).  Each loop over blocks allocates one work buffer
+(``work_size``) that every block reuses.  The outlier screen's
+nearest-neighbor distances are exact for one or two features (the same KD
+tree) and take the Gram form for more."""
 
 import logging
 import math
@@ -101,84 +105,236 @@ def log_gaussian_kde(samples, x):
     return logsumexp(-0.5 * u * u, axis=-1) - _log(samples.shape[-1] * h * math.sqrt(2.0 * math.pi))
 
 
-# Bytes of float temporaries one block of query rows may hold: its
-# (rows, reference rows, features) difference array.  Larger blocks amortise
-# per-call overhead, smaller ones bound memory.
+# Bytes of float temporaries one block of query rows may hold.  A block is
+# cut by the screen of ``k_nearest``: two float64 cells per (query row,
+# reference row) pair, not per feature.  The full distance rows of the rows
+# a block leaves open are computed in sub-blocks cut by their own
+# (rows, reference rows, features) size (``row_cells``).  Larger blocks
+# amortise per-call overhead, smaller ones bound memory.
 BLOCK_BYTES = 2 * 1024 * 1024
 
+# float64 cells per (query, reference) pair that ``k_nearest`` holds: the
+# Gram screen's values and their partition copy, or with one or two
+# features the full distance rows and their partition copy
+SCREEN_CELLS = 2
 
-def _block_step(n_ref, n_features):
-    return max(1, BLOCK_BYTES // (8 * n_ref * n_features))
+
+def _block_step(n_ref, cells):
+    return max(1, BLOCK_BYTES // (8 * n_ref * cells))
 
 
-def row_blocks(n_rows, n_ref, n_features):
-    """Slices cutting n_rows query rows into blocks within BLOCK_BYTES."""
-    step = _block_step(n_ref, n_features)
+def row_blocks(n_rows, n_ref, cells=SCREEN_CELLS):
+    """Slices cutting n_rows query rows into blocks whose (rows, n_ref,
+    cells) float64 temporaries fit in BLOCK_BYTES, at least one row each."""
+    step = _block_step(n_ref, cells)
     return [slice(s, s + step) for s in range(0, n_rows, step)]
 
 
-def _work_cells(n_rows, n_ref, n_features):
-    # the (rows, ref) distances, beside the second column's squares for one
-    # or two features or the (rows, ref, features) differences for more; the
-    # partition copy reuses that second space
-    return n_rows * n_ref * (n_features + 1 if n_features > 2 else 2)
+def row_cells(n_features):
+    """Float64 cells per (query, reference) pair that ``distance_rows``
+    holds: the distance beside the second column's square for one or two
+    features, or beside the (rows, reference, features) differences."""
+    return n_features + 1 if n_features > 2 else 2
 
 
 def work_size(n_rows, n_ref, n_features):
     """Float64 elements of a work buffer that serves ``k_nearest`` on every
-    block ``row_blocks(n_rows, n_ref, n_features)`` cuts."""
-    return _work_cells(min(n_rows, _block_step(n_ref, n_features)), n_ref, n_features)
+    block ``row_blocks(n_rows, n_ref)`` cuts, and ``distance_rows`` on every
+    block ``row_blocks(n_rows, n_ref, row_cells(n_features))`` cuts."""
+    cells = row_cells(n_features)
+    screen = min(n_rows, _block_step(n_ref, SCREEN_CELLS)) * n_ref * SCREEN_CELLS
+    rows = min(n_rows, _block_step(n_ref, cells)) * n_ref * cells
+    return max(screen, rows, n_features)
 
 
-def k_nearest(Q, R, k, work=None):
-    """Distances from each query row to every reference row, and a mask of
-    each query's k nearest reference rows.
+def _work_buffer(work, need, kernel):
+    if work is None:
+        return np.empty(need)
+    if len(work) < need:
+        raise ValueError("work buffer holds %d elements, %s needs %d" % (len(work), kernel, need))
+    return work
+
+
+def distance_rows(Q, R, work=None):
+    """Distances from each query row to every reference row.
 
     dist[i, j] is ||R[j] - Q[i]||, reduced over features exactly as
-    ``np.linalg.norm(R - Q[i], axis=1)``.  Nearest means by distance, then
-    by reference row, as the first k of ``np.lexsort((arange(len(R)), dist[i]))``:
-    every distance below the k-th smallest, then the lowest rows at it.
-
-    ``work`` is a flat float64 buffer that a caller looping over blocks
-    allocates once (``work_size``); dist and the partition copy are views
-    into it, so the returned dist holds until the next call on the buffer.
-    Without it each call allocates its own."""
+    ``np.linalg.norm(R - Q[i], axis=1)``.  ``work`` is a flat float64 buffer
+    that a caller looping over blocks allocates once (``work_size``); dist
+    is its first rows * len(R) elements and holds until the next call on the
+    buffer, and the same number after it are free scratch.  Without it each
+    call allocates its own."""
     m, n, n_features = len(Q), len(R), Q.shape[1]
-    cells, need = m * n, _work_cells(m, n, n_features)
-    if work is None:
-        work = np.empty(need)
-    elif len(work) < need:
-        raise ValueError("work buffer holds %d elements, k_nearest needs %d" % (len(work), need))
+    cells = m * n
+    work = _work_buffer(work, cells * row_cells(n_features), "distance_rows")
+    dist = work[:cells].reshape(m, n)
     if n_features <= 2:
         # a sum of one or two non-negative squares has the same bits in any
         # order, so the columns are added without the 3-d difference array
-        dist = work[:cells].reshape(m, n)
-        part = work[cells:2 * cells].reshape(m, n)
         np.subtract(R[:, 0], Q[:, 0, None], out=dist)
         np.square(dist, out=dist)
         if n_features == 2:
+            part = work[cells:2 * cells].reshape(m, n)
             np.subtract(R[:, 1], Q[:, 1, None], out=part)
             np.square(part, out=part)
             np.add(dist, part, out=dist)
     else:
-        diff = work[:cells * n_features].reshape(m, n, n_features)
-        dist = work[cells * n_features:cells * (n_features + 1)].reshape(m, n)
-        part = work[:cells].reshape(m, n)
+        diff = work[cells:cells * (n_features + 1)].reshape(m, n, n_features)
         np.subtract(R[None, :, :], Q[:, None, :], out=diff)
         np.multiply(diff, diff, out=diff)
         np.add.reduce(diff, axis=-1, out=dist)
     np.sqrt(dist, out=dist)
+    return dist
+
+
+def kd_tree(X):
+    """A ``scipy.spatial.cKDTree`` over the rows of X for ``k_nearest`` when
+    X has one or two features; None with more, where it takes the Gram
+    screen."""
+    if X.shape[1] > 2:
+        return None
+    # imported here: scipy.spatial adds about 0.16 s to importing the CLI
+    from scipy.spatial import cKDTree
+
+    return cKDTree(X)
+
+
+def _first_k(dist, k, work):
+    """The first k of each full distance row by (distance, column), from
+    dist as ``distance_rows`` leaves it in work; the partition copy takes
+    the free scratch after it."""
+    m, n = dist.shape
+    part = work[m * n:2 * m * n].reshape(m, n)
     np.copyto(part, dist)
     part.partition(k - 1, axis=1)
     kth = part[:, k - 1:k]
     below = dist < kth
     tied = dist == kth
     nearest = below | tied
-    if np.any(np.count_nonzero(nearest, axis=1) > k):
-        # more rows tie at the k-th distance than there is room for
+    # each row holds at least k; more when rows tie at the k-th distance
+    # beyond the room left below it
+    if np.count_nonzero(nearest) > m * k:
         room = k - np.count_nonzero(below, axis=1)
         nearest = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return dist, nearest
+    # exactly k per row, in column order (a flat index is several times
+    # faster than a 2-d np.nonzero)
+    cols = (nearest.ravel().nonzero()[0] % n).reshape(m, k)
+    near = np.take_along_axis(dist, cols, axis=1)
+    order = np.argsort(near, axis=1, kind="stable")
+    return np.sort(near, axis=1), np.take_along_axis(cols, order, axis=1)
+
+
+def _pair_distances(Q, R, qi, rj, work):
+    """||R[rj[p]] - Q[qi[p]]|| for each index pair p, with the bits of
+    ``distance_rows``: the same subtraction and squares, and the same
+    ``np.add.reduce`` over a contiguous feature axis.  Pairs go through the
+    work buffer in chunks."""
+    n_features = Q.shape[1]
+    out = np.empty(len(qi))
+    step = max(1, len(work) // n_features)
+    for s in range(0, len(qi), step):
+        q, r = qi[s:s + step], rj[s:s + step]
+        diff = work[:len(q) * n_features].reshape(len(q), n_features)
+        np.take(R, r, axis=0, out=diff)
+        np.subtract(diff, Q[q], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=out[s:s + step])
+    return np.sqrt(out, out=out)
+
+
+# Rounding margin of the Gram screen, per feature count d: with u = 2^-53
+# and gamma_n = n*u / (1 - n*u), for any summation order the BLAS uses
+# (each product of Q @ R.T a sum of d rounded products, as in every
+# conventional gemm; a Strassen-type gemm is not covered):
+#  - the screen s = fl(fl(qq + rr) - 2*fl(q.r)), with qq and rr rounded sums
+#    of squares, errs from the true D = ||q - r||^2 by at most
+#    alpha*N, N = ||q||^2 + ||r||^2, alpha = 2*gamma_d + 3u + O(u^2): each
+#    of qq, rr and q.r errs by gamma_d*N at most (|q_k r_k| <= (q_k^2 +
+#    r_k^2) / 2), the addition by u*N, and the subtraction by u*|s| <= 2u*N;
+#  - the exact distance e = sqrt(sum of fl(fl(r_k - q_k)^2)) sums d
+#    non-negative terms, so its square errs from D relatively by at most
+#    gamma_{d+2} before the correctly rounded square root.
+# Let t be a row's k-th smallest screen value and j one of its k nearest by
+# (e, row).  If s_j > t, some row l among the k smallest screen values is
+# not among the k nearest, so e_l >= e_j, hence D_j <= (1 + eta) D_l with
+# eta = 2*gamma_{d+2} + 4u + O(u^2) (the square root may round D_j and D_l
+# to one e), and
+#     s_j <= D_j + alpha*N_j <= (1 + eta)(t + alpha*N_l) + alpha*N_j
+#         <= t + eta*|t| + (2 + eta)*alpha*(||q||^2 + max_r ||r||^2),
+# to first order t + (4d + 8)*u*(|t| + qq + max rr).  The constant below is
+# twice that, which also covers the second-order terms, the rounding of qq
+# and rr against the true norms, and the few roundings of the margin and
+# of t + margin themselves.
+def _gram_margin(n_features):
+    return 8 * (n_features + 2) * (np.finfo(float).eps / 2)
+
+
+def _gram_screen(Q, R, k, work):
+    """The k nearest by a Gram screen qq + rr - 2 Q @ R.T: every reference
+    row whose screen value lies within the rounding margin of the row's k-th
+    smallest is a candidate, and the candidates' exact distances pick the
+    first k by (distance, row)."""
+    m, n = len(Q), len(R)
+    screen = work[:m * n].reshape(m, n)
+    part = work[m * n:2 * m * n].reshape(m, n)
+    qq = np.einsum("ij,ij->i", Q, Q)
+    rr = np.einsum("ij,ij->i", R, R)
+    np.matmul(Q, R.T, out=part)
+    np.add(qq[:, None], rr, out=screen)
+    part *= 2.0
+    screen -= part
+    np.copyto(part, screen)
+    part.partition(k - 1, axis=1)
+    kth = part[:, k - 1]
+    bound = kth + _gram_margin(Q.shape[1]) * (np.abs(kth) + qq + rr.max())
+    # row-major: qi ascends, and every row has at least its k smallest
+    # (a flat index is several times faster than a 2-d np.nonzero)
+    qi, rj = np.divmod((screen <= bound[:, None]).ravel().nonzero()[0], n)
+    dist = _pair_distances(Q, R, qi, rj, work)
+    order = np.lexsort((rj, dist, qi))
+    counts = np.bincount(qi, minlength=m)
+    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return dist[take], rj[take]
+
+
+def _kd_screen(Q, R, k, tree, work):
+    """The k nearest from a KD tree query for k + 1 neighbours.  A row whose
+    k-th and (k+1)-th distances tie takes its full distance row instead."""
+    dist, cols = tree.query(Q, k=k + 1)
+    tie = dist[:, k - 1] == dist[:, k]
+    dist, cols = dist[:, :k], cols[:, :k]
+    # equal distances may come in any row order
+    order = np.lexsort((cols, dist), axis=1)
+    dist, cols = np.take_along_axis(dist, order, axis=1), np.take_along_axis(cols, order, axis=1)
+    if np.any(tie):
+        dist[tie], cols[tie] = _first_k(distance_rows(Q[tie], R, work), k, work)
+    return dist, cols
+
+
+def k_nearest(Q, R, k, work=None, tree=None):
+    """Each query row's k nearest reference rows and their distances, as two
+    (rows, k) arrays ordered by (distance, reference row).
+
+    Distances have the bits of ``distance_rows``, and nearest means the
+    first k of ``np.lexsort((arange(len(R)), dist[i]))``: every distance
+    below the k-th smallest, then the lowest rows at it.  k above len(R)
+    takes every row.  With three or more features a Gram screen picks the
+    rows whose exact distances are computed.  With one or two, ``tree`` (a
+    ``kd_tree`` over R) answers the query, and full distance rows are
+    computed only for a tie at the k-th distance, or for every row without
+    a tree or when R holds no more than k rows.
+
+    ``work`` is a flat float64 buffer that a caller looping over blocks
+    allocates once (``work_size``).  Without it each call allocates its
+    own."""
+    m, n, n_features = len(Q), len(R), Q.shape[1]
+    k = min(k, n)
+    work = _work_buffer(work, max(SCREEN_CELLS * m * n, n_features), "k_nearest")
+    if n_features > 2:
+        return _gram_screen(Q, R, k, work)
+    if tree is None or k == n:
+        return _first_k(distance_rows(Q, R, work), k, work)
+    return _kd_screen(Q, R, k, tree, work)
 
 
 class TreeClassifier:
@@ -200,6 +356,7 @@ class TreeClassifier:
             self._rows_by_label[lab] = idx
         self._node_rows = {}
         self._node_X = {}
+        self._node_tree = {}
         self._node_is_left = {}
         self._outlier_thr = {}
         self._warned_small_k = False
@@ -217,6 +374,13 @@ class TreeClassifier:
             self._node_X[node] = self.X[self.node_rows(node)]
         return self._node_X[node]
 
+    def node_tree(self, node):
+        """``kd_tree(node_X(node))``: the node's KD tree, None with more than
+        two features."""
+        if node not in self._node_tree:
+            self._node_tree[node] = kd_tree(self.node_X(node))
+        return self._node_tree[node]
+
     def _left_mask(self, node):
         """Boolean mask over node_rows(node): True where the row's label sits
         in the left branch."""
@@ -231,7 +395,7 @@ class TreeClassifier:
 
     def _outlier_threshold(self, node):
         if node not in self._outlier_thr:
-            nn = _nearest_neighbor_distances(self.node_X(node))
+            nn = _nearest_neighbor_distances(self.node_X(node), self.node_tree(node))
             self._outlier_thr[node] = float(np.quantile(nn, self.cfg.outlier_quantile))
         return self._outlier_thr[node]
 
@@ -239,35 +403,38 @@ class TreeClassifier:
         """Decide one internal-node competition for each z-scored row of Z.
 
         Returns an object array of decisions: left / right / stop / outlier.
-        ``work`` is passed on to ``k_nearest``."""
+        The k-nearest screen decides the outlier and dominance rules; only
+        the rows still open get full distance rows, for the median and the
+        two branch KDEs.  ``work`` is passed on to the kernels."""
         tree, cfg = self.tree, self.cfg
         if tree.is_leaf(node):
             raise DataError("node %d is a leaf, nothing to compete" % node)
-        rows = self.node_rows(node)
-        k = min(cfg.k_star, len(rows))
+        R = self.node_X(node)
+        k = min(cfg.k_star, len(R))
         if k < cfg.k_star and not self._warned_small_k:
-            log.warning("only %d training rows at node %d, k* reduced from %d", len(rows), node, cfg.k_star)
+            log.warning("only %d training rows at node %d, k* reduced from %d", len(R), node, cfg.k_star)
             self._warned_small_k = True
-        d, nearest = k_nearest(Z, self.node_X(node), k, work)
+        dist, nearest = k_nearest(Z, R, k, work, self.node_tree(node))
         is_left = self._left_mask(node)
-        left_count = np.count_nonzero(nearest & is_left, axis=1)
+        left_count = np.count_nonzero(is_left[nearest], axis=1)
         need = cfg.dominant_fraction * k - 1e-9
         decision = np.full(len(Z), "stop", dtype=object)
         decision[k - left_count >= need] = "right"
         decision[left_count >= need] = "left"
         if cfg.outlier_quantile is not None:
-            decision[d.min(axis=1) > self._outlier_threshold(node)] = "outlier"
-        open_ = decision == "stop"
-        if np.any(open_):
-            d = d[open_]
+            decision[dist[:, 0] > self._outlier_threshold(node)] = "outlier"
+        open_ = np.flatnonzero(decision == "stop")
+        for block in row_blocks(len(open_), len(R), row_cells(R.shape[1])):
+            rows = open_[block]
+            d = distance_rows(Z[rows], R, work)
             m = np.median(d, axis=1)
             log_ratio = log_gaussian_kde(d[:, is_left], m) - log_gaussian_kde(d[:, ~is_left], m)
             if cfg.pl_lower == cfg.pl_upper:
                 # degenerate band: force a winner at every node
-                decision[open_] = np.where(log_ratio >= math.log(cfg.pl_upper), "left", "right")
+                decision[rows] = np.where(log_ratio >= math.log(cfg.pl_upper), "left", "right")
             else:
-                decision[open_] = np.where(log_ratio > math.log(cfg.pl_upper), "left",
-                                           np.where(log_ratio < math.log(cfg.pl_lower), "right", "stop"))
+                decision[rows] = np.where(log_ratio > math.log(cfg.pl_upper), "left",
+                                          np.where(log_ratio < math.log(cfg.pl_lower), "right", "stop"))
         return decision
 
     def classify(self, X_raw):
@@ -290,7 +457,7 @@ class TreeClassifier:
                 work = np.empty(work_size(len(idx), n_ref, Z.shape[1]))
                 decision = np.concatenate([
                     self.competition(Z[idx[block]], node, work)
-                    for block in row_blocks(len(idx), n_ref, Z.shape[1])
+                    for block in row_blocks(len(idx), n_ref)
                 ])
                 for row, dec in zip(idx.tolist(), decision.tolist()):
                     paths[row].append((node, dec))
@@ -307,19 +474,17 @@ class TreeClassifier:
         return self.classify(feature_matrix(table, self.features))
 
 
-def _nearest_neighbor_distances(Z):
+def _nearest_neighbor_distances(Z, tree=None):
     """Distance from each row to its nearest other row.  Called for internal
     nodes only, which hold rows of at least two labels.
 
-    With one or two features a KD tree gives each distance as one rounded
-    sum of at most two squares, the bits ``k_nearest`` computes (a duplicate
-    row is at exactly 0).  With more, a block-wise Gram form, which is faster
-    there but may differ from the exact distance in the last bits."""
+    With one or two features a KD tree (``tree`` if given, built over Z)
+    gives each distance as one rounded sum of at most two squares, the bits
+    ``distance_rows`` computes (a duplicate row is at exactly 0).  With
+    more, a block-wise Gram form, which is faster there but may differ from
+    the exact distance in the last bits."""
     if Z.shape[1] <= 2:
-        # imported here: scipy.spatial adds about 0.16 s to importing the CLI
-        from scipy.spatial import cKDTree
-
-        return cKDTree(Z).query(Z, k=2)[0][:, 1]
+        return (kd_tree(Z) if tree is None else tree).query(Z, k=2)[0][:, 1]
     n = len(Z)
     sq = np.sum(Z * Z, axis=1)
     out = np.empty(n)

@@ -398,13 +398,10 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
             cell_flags.add("underfilled")
         members = np.searchsorted(used, members)
         R = Z[members]
-        for block in row_blocks(len(rows), len(members), R.shape[1]):
+        for block in row_blocks(len(rows), len(members)):
             block_rows = rows[block]
-            dist, nearest = k_nearest(Zq[block_rows], R, k, work)
-            # each row holds exactly k nearest, in member order
-            cols = np.nonzero(nearest)[1].reshape(len(block_rows), k)
-            order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
-            focal = members[np.take_along_axis(cols, order, axis=1)]
+            # members ascend, so (distance, member) order is (distance, row)
+            focal = members[k_nearest(Zq[block_rows], R, k, work)[1]]
             keep = np.ones(focal.shape, dtype=bool)
             for table_key, query_key in sieve:
                 keep &= table_key[focal] == query_key[block_rows, None]

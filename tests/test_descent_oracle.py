@@ -22,14 +22,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from ceda.chain import knn_baseline_predict
+from ceda.chain import ChainLink, FeatureChain, chain_categories, knn_baseline_predict
 from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matrix
 from ceda.label_tree import build_label_tree, tree_from_training
 from ceda.predictive_map import (
     CompetitionConfig,
     PredictedLabelSet,
     TreeClassifier,
+    distance_rows,
     k_nearest,
+    kd_tree,
     work_size,
 )
 
@@ -242,20 +244,104 @@ def test_outlier_precompute_matches_per_row_diagonal():
                                   ref_nearest_neighbor_distances(Z))
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), n_labels=st.integers(1, 5),
+       dims=st.lists(st.sampled_from([1, 2, 3, 9]), min_size=1, max_size=3),
+       k_star=st.integers(1, 30), outlier_quantile=st.sampled_from([None, 0.9]))
+def test_counts_conserve_down_a_random_chain(seed, n_labels, dims, k_star, outlier_quantile):
+    # one link per drawn feature count, so both screen forms run end to end
+    rng = np.random.default_rng(seed)
+    labels = list("abcde"[:n_labels])
+    centers = rng.normal(0.0, 1.0, (n_labels, 9))
+
+    def clouds_of(n_per):
+        y = np.repeat(labels, n_per)
+        return dataset(centers[np.repeat(np.arange(n_labels), n_per)] + rng.normal(size=(len(y), 9)), y)
+
+    train, test = clouds_of(int(rng.integers(3, 15))), clouds_of(int(rng.integers(1, 10)))
+    cfg = CompetitionConfig(k_star=k_star, outlier_quantile=outlier_quantile)
+    chain = FeatureChain([
+        ChainLink("l%d" % i, tuple("f%d" % j for j in sorted(rng.choice(9, dim, replace=False))), cfg)
+        for i, dim in enumerate(dims)
+    ])
+    result = chain_categories(test, train, chain, samples_per_triplet=10, seed=seed)
+    assert result.verify_conservation()
+    want = [int(np.count_nonzero(test.label_values == lab)) for lab in test.labels]
+    settled = np.zeros(len(want), dtype=int)
+    for table in result.tables:
+        # this depth's columns plus the rows certain at a shallower depth
+        columns = sum((cat.counts for cat in table.categories), np.zeros(len(want), dtype=int))
+        assert (columns + settled).tolist() == want
+        settled += sum((cat.counts for cat in table.categories if cat.certain), np.zeros(len(want), dtype=int))
+    assert settled.tolist() == want or len(result.tables) == len(chain.links)
+
+
 # --- the k-nearest kernel and its work buffer ------------------------------
 
 
+def ref_distance_rows(Q, R):
+    return np.array([np.linalg.norm(R - q, axis=1) for q in Q]).reshape(len(Q), len(R))
+
+
 def ref_k_nearest(Q, R, k):
-    dist = np.array([np.linalg.norm(R - q, axis=1) for q in Q]).reshape(len(Q), len(R))
-    nearest = np.zeros(dist.shape, dtype=bool)
-    for i, row in enumerate(dist):
-        nearest[i, np.lexsort((np.arange(len(R)), row))[:k]] = True
-    return dist, nearest
+    """Per row: the first k reference rows by (distance, row) and their
+    distances."""
+    dist = ref_distance_rows(Q, R)
+    idx = np.array([np.lexsort((np.arange(len(R)), row))[:k] for row in dist]).reshape(len(Q), -1)
+    return np.take_along_axis(dist, idx, axis=1), idx
+
+
+def screens(R):
+    """Keyword arguments of k_nearest for each screen form that serves R:
+    the Gram screen always, the KD tree for one or two features."""
+    tree = kd_tree(R)
+    return [{}] + ([] if tree is None else [{"tree": tree}])
+
+
+def assert_k_nearest(got, want):
+    (dist, idx), (want_dist, want_idx) = got, want
+    assert np.array_equal(idx, want_idx)
+    assert dist.tobytes() == want_dist.tobytes()
+
+
+@st.composite
+def kernel_problems(draw):
+    """Query and reference rows that stress the screens: grid values with
+    heavy ties (the coarsest holds only -1, 0 and 1), duplicated rows,
+    queries that repeat reference rows, and a large constant offset that
+    cancels most digits of the Gram form."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.sampled_from([1, 2, 3, 9, 32]))
+    m, n = draw(st.integers(1, 25)), draw(st.integers(1, 60))
+    Q, R = rng.normal(size=(m, dim)), rng.normal(size=(n, dim))
+    grid = draw(st.sampled_from([None, 10.0, 1.0]))
+    if grid is not None:
+        Q, R = np.round(Q * grid), np.round(R * grid)
+    n_dup = draw(st.integers(0, n))
+    R[rng.integers(0, n, n_dup)] = R[rng.integers(0, n, n_dup)]
+    n_rep = draw(st.integers(0, m))
+    Q[:n_rep] = R[rng.integers(0, n, n_rep)]
+    offset, scale = draw(st.sampled_from([(0.0, 1.0), (0.0, 1e-3), (1e3, 1.0), (1e6, 1e-3)]))
+    return offset + scale * Q, offset + scale * R, draw(st.integers(1, n + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=kernel_problems())
+def test_k_nearest_screens_match_per_row_reference(problem):
+    Q, R, k = problem
+    want = ref_k_nearest(Q, R, k)
+    assert want[0][:, 0].tobytes() == ref_distance_rows(Q, R).min(axis=1).tobytes()
+    work = np.empty(work_size(len(Q), len(R), Q.shape[1]))
+    for screen in screens(R):
+        assert_k_nearest(k_nearest(Q, R, k, **screen), want)
+        # one row per block, on one work buffer
+        rows = [k_nearest(Q[i:i + 1], R, k, work, **screen) for i in range(len(Q))]
+        assert_k_nearest(tuple(np.vstack(part) for part in zip(*rows)), want)
 
 
 @st.composite
 def kernel_calls(draw):
-    """Two k_nearest problems of different shapes with the same feature count,
+    """Two kernel problems of different shapes with the same feature count,
     on a coarse grid so that distances tie."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = draw(st.sampled_from([1, 2, 3, 9]))
@@ -272,22 +358,54 @@ def kernel_calls(draw):
 def test_k_nearest_on_one_work_buffer_matches_fresh_calls(calls):
     work = np.empty(max(work_size(len(Q), len(R), Q.shape[1]) for Q, R, _ in calls))
     for Q, R, k in calls:
-        dist, nearest = k_nearest(Q, R, k, work)
+        dist = distance_rows(Q, R, work)
         assert np.shares_memory(dist, work)
-        fresh_dist, fresh_nearest = k_nearest(Q, R, k)
-        assert not np.shares_memory(fresh_dist, work)
-        assert dist.tobytes() == fresh_dist.tobytes()
-        assert np.array_equal(nearest, fresh_nearest)
-        want_dist, want_nearest = ref_k_nearest(Q, R, k)
-        assert dist.tobytes() == want_dist.tobytes()
-        assert np.array_equal(nearest, want_nearest)
+        fresh = distance_rows(Q, R)
+        assert not np.shares_memory(fresh, work)
+        assert dist.tobytes() == fresh.tobytes() == ref_distance_rows(Q, R).tobytes()
+        for screen in screens(R):
+            got = k_nearest(Q, R, k, work, **screen)
+            assert not any(np.shares_memory(a, work) for a in got)
+            assert_k_nearest(got, k_nearest(Q, R, k, **screen))
+            assert_k_nearest(got, ref_k_nearest(Q, R, k))
 
 
 def test_k_nearest_rejects_a_short_work_buffer():
     Q, R = np.zeros((4, 3)), np.ones((5, 3))
-    k_nearest(Q, R, 2, np.empty(work_size(4, 5, 3)))
+    assert work_size(4, 5, 3) == 4 * 5 * 4
+    distance_rows(Q, R, np.empty(4 * 5 * 4))
     with pytest.raises(ValueError, match="work buffer"):
-        k_nearest(Q, R, 2, np.empty(work_size(4, 5, 3) - 1))
+        distance_rows(Q, R, np.empty(4 * 5 * 4 - 1))
+    k_nearest(Q, R, 2, np.empty(2 * 4 * 5))
+    with pytest.raises(ValueError, match="work buffer"):
+        k_nearest(Q, R, 2, np.empty(2 * 4 * 5 - 1))
+
+
+def test_kd_screen_takes_full_rows_only_on_a_tie_at_the_kth_distance():
+    # from x=0 the sorted distances are 1, 2, 2, 2, 2, 10, 10: the 3rd and
+    # 4th tie, so k=3 needs the full row to keep the lowest rows 0 and 1;
+    # from x=1 they are 0, 1, 1, 1, 1, 9, 11, and k=1 has no tie
+    R = np.array([2.0, 2.0, 1.0, 2.0, 2.0, 10.0, -10.0])[:, None]
+    tree = kd_tree(R)
+    with mock.patch.object(predictive_map, "distance_rows", wraps=predictive_map.distance_rows) as rows:
+        dist, idx = k_nearest(np.array([[1.0]]), R, 1, tree=tree)
+        assert rows.call_count == 0
+        assert idx.tolist() == [[2]] and dist.tolist() == [[0.0]]
+        dist, idx = k_nearest(np.array([[0.0], [1.0]]), R, 3, tree=tree)
+        assert rows.call_count == 1
+        assert idx.tolist() == [[2, 0, 1], [2, 0, 1]] and dist.tolist() == [[1.0, 2.0, 2.0], [0.0, 1.0, 1.0]]
+        # no more reference rows than k: every query takes its full row
+        dist, idx = k_nearest(np.array([[0.0]]), R, 9, tree=tree)
+        assert rows.call_count == 2
+        assert idx.tolist() == [[2, 0, 1, 3, 4, 5, 6]]
+
+
+def test_gram_screen_keeps_every_row_at_the_kth_value():
+    # every row at the origin: all screen values and the margin are 0, so
+    # only rows equal to the k-th value are candidates
+    Q, R = np.zeros((2, 3)), np.zeros((5, 3))
+    dist, idx = k_nearest(Q, R, 2)
+    assert idx.tolist() == [[0, 1], [0, 1]] and dist.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 # --- hand-made ties --------------------------------------------------------
@@ -304,8 +422,9 @@ def test_ties_at_the_kth_distance_keep_the_lowest_rows():
     cfg = CompetitionConfig(k_star=3, dominant_fraction=0.6, outlier_quantile=None)
     clf = TreeClassifier(tree, train, ["f0"], cfg)
     Z = clf.zstats.transform([[0.0]])
-    _, nearest = k_nearest(Z, clf.X[clf.node_rows(tree.root)], 3)
-    assert np.flatnonzero(nearest[0]).tolist() == [0, 1, 2]
+    R = clf.X[clf.node_rows(tree.root)]
+    for screen in screens(R):
+        assert k_nearest(Z, R, 3, **screen)[1].tolist() == [[2, 0, 1]]
     assert clf.competition(Z, tree.root).tolist() == ["left"]  # left leaf is 'a'
     assert knn_baseline_predict(train, test, ["f0"], k=3) == ["a"]
     # the same rows in reverse order: the lowest tied rows now carry 'b'
