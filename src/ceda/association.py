@@ -9,9 +9,16 @@ rescaled by the unconditional Shannon entropy of the column variable:
 Entropies are in nats and empty cells contribute nothing (0 * log 0 = 0).
 Averaging the two directed values gives a symmetric association measure in
 [0, 1]: 0 means fully associated, values near 1 mean independent.
+
+There is one entropy code path, ``row_entropies``, which scores every row
+of a count array at once with the bits of scoring each row alone.
+``mce_matrix`` codes each feature once, counts each pair's table with one
+``bincount``, and scores all tables of one shape as a single stack.
 """
 
+import itertools
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +72,12 @@ def category_codes(table, name, binnings=None):
     return ids, ["bin%d" % i for i in range(b.n_bins)]
 
 
+def cross_counts(row_codes, n_row, col_codes, n_col):
+    """(n_row, n_col) integer table counting each (row code, column code) pair."""
+    flat = np.bincount(row_codes * n_col + col_codes, minlength=n_row * n_col)
+    return flat.reshape(n_row, n_col)
+
+
 def contingency_table(table, row_var, col_var, binnings=None):
     """Cross-tabulate two variables of a DataTable.
 
@@ -80,20 +93,54 @@ def contingency_table(table, row_var, col_var, binnings=None):
     if len(row_cats) < 2 or len(col_cats) < 2:
         few = row_var if len(row_cats) < 2 else col_var
         raise DataError("variable '%s' has a single category after binning" % few)
-    counts = np.zeros((len(row_cats), len(col_cats)), dtype=int)
-    np.add.at(counts, (row_codes, col_codes), 1)
+    counts = cross_counts(row_codes, len(row_cats), col_codes, len(col_cats))
     return ContingencyTable(row_var, col_var, row_cats, col_cats, counts)
+
+
+def row_entropies(C):
+    """Entropy in nats of each row of a 2-D count or probability array.
+
+    Each value has the bits of summing that row's own ``p log p`` terms: the
+    nonzero terms are computed elementwise for the whole array, and the rows
+    with m nonzero cells are summed together as one C-ordered (rows, m)
+    matrix, which runs the same contiguous length-m reduction as the row
+    alone.  A row with no positive total is 0.0; 0 log 0 is 0.
+    """
+    C = np.asarray(C, dtype=float, order="C")
+    h = np.zeros(len(C))
+    total = np.add.reduce(C, axis=1)
+    live = np.flatnonzero(total > 0)
+    P = C[live] / total[live, None]
+    nz = P > 0
+    p = P[nz]
+    terms = p * np.log(p)  # the nonzero terms of each live row, rows in order
+    m = np.count_nonzero(nz, axis=1)
+    start = np.cumsum(m) - m
+    for width in np.unique(m):
+        rows = np.flatnonzero(m == width)
+        h[live[rows]] = -np.add.reduce(terms[start[rows, None] + np.arange(width)], axis=1)
+    return h
 
 
 def shannon_entropy(p):
     """Entropy in nats of a count or probability vector; 0 log 0 is 0."""
-    p = np.asarray(p, dtype=float)
-    total = p.sum()
-    if total <= 0:
-        return 0.0
-    p = p / total
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+    return float(row_entropies(np.asarray(p, dtype=float)[None, :])[0])
+
+
+def directed_values(stack):
+    """dce(row -> col) of each table in an (n_tables, rows, cols) count stack.
+
+    NaN where the column variable has zero entropy.  Each table's weighted
+    sum runs in row order from 0.0, as a loop over its rows would; an empty
+    row adds 0.0, which leaves that sum unchanged.
+    """
+    n_tables, _, n_cols = stack.shape
+    h_target = row_entropies(stack.sum(axis=1))
+    h = row_entropies(stack.reshape(-1, n_cols)).reshape(n_tables, -1)
+    totals = stack.sum(axis=2)
+    weighted = totals / totals.sum(axis=1, keepdims=True) * h
+    acc = np.add.accumulate(np.column_stack([np.zeros(n_tables), weighted]), axis=1)[:, -1]
+    return np.divide(acc, h_target, out=np.full(n_tables, np.nan), where=h_target != 0)
 
 
 def directed_conditional_entropy(t, direction="row_to_col"):
@@ -104,18 +151,11 @@ def directed_conditional_entropy(t, direction="row_to_col"):
     if direction not in DIRECTIONS:
         raise DataError("unknown direction '%s'" % direction)
     counts = t.counts if direction == "row_to_col" else t.counts.T
-    n = counts.sum()
-    h_target = shannon_entropy(counts.sum(axis=0))
-    if h_target == 0.0:
+    value = directed_values(counts[None])[0]
+    if np.isnan(value):
         name = t.col_var if direction == "row_to_col" else t.row_var
         raise DataError("degenerate target '%s': zero entropy" % name)
-    acc = 0.0
-    for row in counts:
-        total = row.sum()
-        if total == 0:
-            continue
-        acc += (total / n) * shannon_entropy(row)
-    return acc / h_target
+    return value
 
 
 def mutual_conditional_entropy(t):
@@ -153,9 +193,8 @@ def mce_matrix(table, binnings=None, features=None, linkage="average"):
         table = table.table
     if features is None:
         features = table.names
-    usable = []
+    usable, coded = [], []
     for name in features:
-        codes, cats = None, None
         try:
             codes, cats = category_codes(table, name, binnings)
         except DataError as exc:
@@ -165,14 +204,24 @@ def mce_matrix(table, binnings=None, features=None, linkage="average"):
             log.warning("skipping degenerate feature '%s'", name)
             continue
         usable.append(name)
+        coded.append((codes, len(cats)))
     if len(usable) < 2:
         raise DataError("need at least 2 usable features, have %d" % len(usable))
+    twice = next((name for i, name in enumerate(usable) if name in usable[i + 1:]), None)
+    if twice is not None:
+        raise DataError("row and column variable are the same ('%s')" % twice)
     k = len(usable)
+    # pairs whose tables share a shape are scored as one stack; every usable
+    # feature has two observed categories, so no target is degenerate
+    by_shape = defaultdict(list)
+    for i, j in itertools.combinations(range(k), 2):
+        by_shape[coded[i][1], coded[j][1]].append((i, j))
     values = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            t = contingency_table(table, usable[i], usable[j], binnings)
-            values[i, j] = values[j, i] = mutual_conditional_entropy(t)
+    for pairs in by_shape.values():
+        stack = np.stack([cross_counts(*coded[i], *coded[j]) for i, j in pairs])
+        mce = 0.5 * (directed_values(stack) + directed_values(stack.transpose(0, 2, 1)))
+        for (i, j), v in zip(pairs, mce):
+            values[i, j] = values[j, i] = v
     dendro = hclust.agglomerate(values, linkage=linkage)
     order = dendro.leaf_order()
     ordered = [usable[i] for i in order]

@@ -52,7 +52,12 @@ from .chain import (
 from .dataset import SplitSpec, csv_text, load_csv, split_train_test, synth_generate, write_csv
 from .discretize import build_histogram
 from .errors import CedaError, ConfigError, DataError
-from .label_tree import dominance_to_distance, sample_triplet_orderings, tree_from_training
+from .label_tree import (
+    build_label_tree,
+    dominance_to_distance,
+    sample_triplet_orderings,
+    tree_from_training,
+)
 from .predictive_map import CompetitionConfig, predictive_map
 from .rma import (
     ResponseSpec,
@@ -366,7 +371,9 @@ def cmd_let(args):
         rows = [["label"] + list(train.labels)]
         rows += [[lab] + ["%.10g" % v for v in row] for lab, row in zip(train.labels, distance)]
         run.write_text("label_distance.csv", csv_text(rows))
-    tree = tree_from_training(train, features, samples_per_triplet=T, seed=seed)
+        tree = build_label_tree(distance, train.labels)
+    else:
+        tree = tree_from_training(train, features, samples_per_triplet=T, seed=seed)
     run.write_text("tree.newick", tree.to_newick() + "\n")
     run.write_json("tree.json", tree.to_json_dict())
     run.finish()

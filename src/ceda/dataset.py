@@ -169,6 +169,30 @@ class ZStats:
 # CSV input / output
 
 
+def _parse_floats(cells):
+    """Float values of one column's cell texts, NaN where a cell does not parse,
+    and a mask of the cells that do not parse (None when all do).
+
+    A cell parses as ``float(cell.strip())`` does.  ``float`` strips only some
+    of the whitespace ``str.strip`` removes, so a cell it accepts as it stands
+    has that same value; the rest are parsed again stripped, once per distinct
+    text.
+    """
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), None
+    except ValueError:
+        pass
+    values, failed = {}, set()
+    for cell in set(cells):
+        try:
+            values[cell] = float(cell.strip())
+        except ValueError:
+            values[cell] = math.nan
+            failed.add(cell)
+    floats = np.fromiter(map(values.__getitem__, cells), dtype=float, count=len(cells))
+    return floats, np.fromiter(map(failed.__contains__, cells), dtype=bool, count=len(cells))
+
+
 def load_csv(path, label_column, schema=None, discrete_max_distinct=DISCRETE_MAX_DISTINCT):
     """Load a CSV file into a LabeledDataset.
 
@@ -207,49 +231,56 @@ def load_csv(path, label_column, schema=None, discrete_max_distinct=DISCRETE_MAX
         if len(row) != width:
             raise DataError("row %d has %d cells, expected %d" % (i, len(row), width))
 
-    def is_missing(cell):
-        return cell.strip().lower() in MISSING_MARKERS
+    kinds = ["categorical" if name == label_column else schema.get(name) for name in header]
+    cols = list(zip(*rows))
+    del rows  # the column tuples hold the same cell texts
+    n = len(cols[0])
 
     # drop rows with missing cells anywhere, keeping original indices for the log
-    keep, dropped = [], []
-    for i, row in enumerate(rows):
-        (dropped if any(is_missing(c) for c in row) else keep).append(i)
+    parsed, missing = [], np.zeros(n, dtype=bool)
+    for kind, cells in zip(kinds, cols):
+        if kind == "categorical":
+            floats = unparsed = None
+            suspects = set(cells)
+        else:
+            floats, unparsed = _parse_floats(cells)
+            # only a cell that fails to parse (NaN here) or parses to NaN can be a marker
+            suspects = {cells[i] for i in np.flatnonzero(np.isnan(floats))}
+        markers = {c for c in suspects if c.strip().lower() in MISSING_MARKERS}
+        if markers:
+            missing |= np.fromiter(map(markers.__contains__, cells), dtype=bool, count=n)
+        parsed.append((floats, unparsed))
+    dropped = np.flatnonzero(missing).tolist()
     if dropped:
         shown = ", ".join(str(i) for i in dropped[:10])
         more = "" if len(dropped) <= 10 else ", ..."
         log.info("dropped %d rows with missing values (rows %s%s)", len(dropped), shown, more)
-    if not keep:
+    keep = np.flatnonzero(~missing)
+    if not len(keep):
         raise DataError("empty table: all rows of %s had missing values" % path)
-    rows = [rows[i] for i in keep]
 
     columns = []
-    for j, name in enumerate(header):
-        cells = [r[j].strip() for r in rows]
-        kind = "categorical" if name == label_column else schema.get(name)
-        if kind in ("continuous", "discrete"):
-            vals = np.empty(len(cells))
-            for i, cell in enumerate(cells):
-                try:
-                    vals[i] = float(cell)
-                except ValueError:
+    for name, kind, cells, (floats, unparsed) in zip(header, kinds, cols, parsed):
+        if dropped:
+            cells = [cells[i] for i in keep]
+        if kind != "categorical":
+            vals = floats[keep]
+            bad = np.flatnonzero(unparsed[keep]) if unparsed is not None else ()
+            if kind in ("continuous", "discrete"):
+                if len(bad):
                     raise DataError(
                         "column '%s', row %d: cannot parse '%s' as a number"
-                        % (name, keep[i], cell)
+                        % (name, keep[bad[0]], cells[bad[0]].strip())
                     )
-            columns.append(Column(name, kind, vals))
-            continue
-        if kind == "categorical":
-            columns.append(Column(name, kind, np.array(cells, dtype=object)))
-            continue
-        # infer
-        try:
-            vals = np.array([float(c) for c in cells])
-        except ValueError:
-            columns.append(Column(name, "categorical", np.array(cells, dtype=object)))
-            continue
-        n_distinct = len(np.unique(vals))
-        inferred = "discrete" if n_distinct <= discrete_max_distinct else "continuous"
-        columns.append(Column(name, inferred, vals))
+                columns.append(Column(name, kind, vals))
+                continue
+            if not len(bad):
+                n_distinct = len(np.unique(vals))
+                inferred = "discrete" if n_distinct <= discrete_max_distinct else "continuous"
+                columns.append(Column(name, inferred, vals))
+                continue
+        cells = np.array([c.strip() for c in cells], dtype=object)
+        columns.append(Column(name, "categorical", cells))
 
     return LabeledDataset(DataTable(columns), label_column)
 

@@ -9,6 +9,10 @@ triples gives each label pair a relative distance: the fraction of its
 exposures in which it dominated some other pair.  Labels whose pair is
 rarely a dominator sit close together.  Average-linkage clustering of the
 resulting label-by-label matrix yields the tree.
+
+Sampling is the costly step, and it is seeded, so it runs once per tree: the
+``let`` command builds its tree from the dominance matrix it writes, and
+``tree_from_training`` is the route for callers that need only the tree.
 """
 
 import itertools

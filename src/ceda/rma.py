@@ -27,7 +27,13 @@ from itertools import compress, product
 import numpy as np
 from scipy.special import stdtr
 
-from .association import ContingencyTable, category_codes, directed_conditional_entropy
+from .association import (
+    ContingencyTable,
+    category_codes,
+    cross_counts,
+    directed_conditional_entropy,
+    shannon_entropy,
+)
 from .dataset import LabeledDataset, ZStats, csv_text, feature_matrix
 from .discretize import categorize_many
 from .errors import ConfigError, DataError
@@ -91,8 +97,7 @@ def score_major_candidate(table, spec, candidate, binnings, threshold=MAJOR_SCOR
     cand_codes, cand_cats = category_codes(table, candidate, binnings)
     if len(cell_names) < 2:
         raise DataError("joint response categorization is degenerate (one cell)")
-    counts = np.zeros((len(cand_cats), len(cell_names)), dtype=int)
-    np.add.at(counts, (cand_codes, joint), 1)
+    counts = cross_counts(cand_codes, len(cand_cats), joint, len(cell_names))
     t = ContingencyTable(candidate, "joint-response", list(cand_cats), cell_names, counts)
     score = 1.0 - directed_conditional_entropy(t, "row_to_col")
     dispersion = {}
@@ -299,9 +304,7 @@ def minor_feature_entropy(lattice, table, candidates, binnings=None):
             continue
         for j, cand in enumerate(candidates):
             counts = np.bincount(cand_codes[cand][rows], minlength=cand_n_cats[cand])
-            p = counts[counts > 0] / counts.sum()
-            h = float(-np.sum(p * np.log(p)))
-            out[i, j] = h / np.log(cand_n_cats[cand])
+            out[i, j] = shannon_entropy(counts) / np.log(cand_n_cats[cand])
     return MinorFeatureReport(
         cells=[lattice.cell_name(c) for c in cell_keys],
         candidates=list(candidates), entropies=out,

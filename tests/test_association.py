@@ -1,13 +1,16 @@
 """Entropy association measures checked against independent hand formulas.
 
 The oracles below use plain Python floats and math.log so they share no code
-with the package implementation.
+with the package implementation.  The batched entropies are also held bit
+for bit to the one-row-at-a-time numpy computation they replace.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceda.association import (
     ContingencyTable,
@@ -17,6 +20,7 @@ from ceda.association import (
     mce_matrix,
     mutual_conditional_entropy,
     rank_features_by_label_association,
+    row_entropies,
     shannon_entropy,
 )
 from ceda.dataset import Column, DataTable, LabeledDataset, synth_generate
@@ -52,6 +56,33 @@ def dce_oracle(counts, row_to_col=True):
         if t > 0:
             acc += (t / n) * entropy_oracle(r)
     return acc / h_col
+
+
+def loop_entropy(p):
+    """One row at a time, as the entropies were computed before batching."""
+    p = np.asarray(p, dtype=float)
+    total = p.sum()
+    if total <= 0:
+        return 0.0
+    p = p / total
+    nz = p > 0
+    return float(-np.sum(p[nz] * np.log(p[nz])))
+
+
+def loop_directed(counts):
+    """The per-row weighted loop of dce(row -> col) over loop_entropy."""
+    n = counts.sum()
+    acc = 0.0
+    for row in counts:
+        total = row.sum()
+        if total == 0:
+            continue
+        acc += (total / n) * loop_entropy(row)
+    return acc / loop_entropy(counts.sum(axis=0))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def random_table(rng):
@@ -119,6 +150,51 @@ def test_mce_bounds_hold():
         assert 0.0 <= v <= 1.0 + 1e-12
 
 
+# rows with exactly m nonzero cells: empty rows, single cells, and the widths
+# around numpy's 8-wide unrolled sum and its pairwise blocks
+NONZERO_COUNTS = [0, 1, 2, 7, 8, 9, 16, 17, 33]
+
+
+@st.composite
+def entropy_rows(draw):
+    width = draw(st.integers(1, 40))
+    counts = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        m = min(width, draw(st.sampled_from(NONZERO_COUNTS)))
+        cells = draw(st.lists(st.integers(0, width - 1), min_size=m, max_size=m, unique=True))
+        if counts:
+            values = draw(st.lists(st.integers(1, 10 ** 6), min_size=m, max_size=m))
+        else:
+            values = draw(st.lists(st.floats(1e-12, 1e3), min_size=m, max_size=m))
+        row = np.zeros(width, dtype=int if counts else float)
+        row[cells] = values
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(C=entropy_rows())
+def test_row_entropies_match_the_row_loop_bit_for_bit(C):
+    want = [loop_entropy(r) for r in C]
+    assert bits(row_entropies(C)) == bits(want)
+    assert bits([shannon_entropy(r) for r in C]) == bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(2, 9), st.integers(2, 9)), seed=st.integers(0, 2 ** 32 - 1),
+       sparsity=st.floats(0.0, 0.8))
+def test_directed_matches_the_row_loop_bit_for_bit(shape, seed, sparsity):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 50, size=shape) * (rng.uniform(size=shape) >= sparsity)
+    counts[0, 0] += 1
+    counts[-1, -1] += 1
+    t = ContingencyTable("r", "c", ["r%d" % i for i in range(shape[0])],
+                         ["c%d" % j for j in range(shape[1])], counts)
+    assert bits([directed_conditional_entropy(t, "row_to_col")]) == bits([loop_directed(counts)])
+    assert bits([directed_conditional_entropy(t, "col_to_row")]) == bits([loop_directed(counts.T)])
+
+
 # --- contingency construction --------------------------------------------
 
 
@@ -175,6 +251,69 @@ def categorical_test_table(n=400, seed=0):
         Column("w", "categorical", np.array(["w%d" % i for i in w], dtype=object)),
         Column("q", "categorical", np.array(["q%d" % i for i in q], dtype=object)),
     ])
+
+
+@st.composite
+def coded_tables(draw):
+    """Three to six discrete or categorical columns over a shared row count;
+    category counts differ between columns, so tables of several shapes occur."""
+    n = draw(st.integers(4, 60))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 4, n)
+    columns = []
+    for j in range(draw(st.integers(3, 6))):
+        n_cats = draw(st.integers(1, 6))
+        codes = np.where(rng.uniform(size=n) < draw(st.floats(0.0, 1.0)), base % n_cats,
+                         rng.integers(0, n_cats, n))
+        if draw(st.booleans()):
+            columns.append(Column("d%d" % j, "discrete", codes.astype(float)))
+        else:
+            columns.append(Column("c%d" % j, "categorical",
+                                  np.array(["k%d" % c for c in codes], dtype=object)))
+    return DataTable(columns)
+
+
+def usable_feature_count(table):
+    return sum(len(np.unique(category_codes(table, name)[0])) >= 2 for name in table.names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=coded_tables())
+def test_mce_matrix_matches_per_pair_contingency_tables(table):
+    if usable_feature_count(table) < 2:
+        with pytest.raises(DataError, match="at least 2"):
+            mce_matrix(table)
+        return
+    m = mce_matrix(table)
+    for i, a in enumerate(m.features):
+        for j, b in enumerate(m.features):
+            if i == j:
+                continue
+            counts = contingency_table(table, a, b).counts
+            want = 0.5 * (loop_directed(counts) + loop_directed(counts.T))
+            assert bits([m.values[i, j]]) == bits([want])
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=coded_tables(), seed=st.integers(0, 2 ** 32 - 1))
+def test_mce_matrix_properties(table, seed):
+    if usable_feature_count(table) < 2:
+        return
+    m = mce_matrix(table)
+    assert np.all((m.values >= 0.0) & (m.values <= 1.0))
+    assert np.array_equal(m.values, m.values.T)
+    assert np.all(np.diag(m.values) == 0.0)
+    # the rows of the data table in another order give the same matrix
+    shuffled = table.subset(np.random.default_rng(seed).permutation(table.n_rows))
+    again = mce_matrix(shuffled)
+    assert again.features == m.features
+    assert bits(again.values.ravel()) == bits(m.values.ravel())
+
+
+def test_mce_matrix_rejects_a_feature_named_twice():
+    with pytest.raises(DataError, match="same"):
+        mce_matrix(categorical_test_table(), features=["u", "v", "u"])
 
 
 def test_mce_matrix_symmetric_zero_diagonal():

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import ceda
+import ceda.cli
+import ceda.label_tree
 from ceda.cli import STAGE_OFFSETS, main, stage_seed
+from ceda.label_tree import tree_from_training
 
 
 def run_cli(*argv):
@@ -168,6 +171,29 @@ def test_let_artifacts(tmp_path, clouds_csv):
     assert dist_lines[0] == "label,a,b,c"
     tree = read_json(out / "tree.json")
     assert sorted(tree["labels"]) == ["a", "b", "c"]
+
+
+def test_let_samples_once(tmp_path, clouds_csv, monkeypatch):
+    calls = []
+    original = ceda.label_tree.sample_triplet_orderings
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ceda.cli, "sample_triplet_orderings", counting)
+    monkeypatch.setattr(ceda.label_tree, "sample_triplet_orderings", counting)
+    out = tmp_path / "let"
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(clouds_csv), label_column="label",
+                    out_dir=str(out), seed=2, **{"let": {"samples_per_triplet": 40}})
+    assert run_cli("let", "--config", cfg) == 0
+    assert len(calls) == 1
+    (train, features), kwargs = calls[0]
+    assert kwargs == {"samples_per_triplet": 40, "seed": stage_seed(2, "let")}
+    monkeypatch.undo()
+    tree = tree_from_training(train, features, **kwargs)
+    assert read_json(out / "tree.json") == json.loads(json.dumps(tree.to_json_dict()))
+    assert (out / "tree.newick").read_text() == tree.to_newick() + "\n"
 
 
 def test_let_two_labels_skips_dominance(tmp_path):

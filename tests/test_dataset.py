@@ -1,11 +1,20 @@
 """Tables, CSV round trips, splits and the synthetic generators."""
 
+import csv
+import logging
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceda.dataset import (
+    DISCRETE_MAX_DISTINCT,
+    KINDS,
+    MISSING_MARKERS,
     Column,
     DataTable,
     LabeledDataset,
@@ -137,6 +146,162 @@ class TestCsvRoundTrip:
         path.write_text("x,label\n1,a\n2\n")
         with pytest.raises(DataError, match="row 1"):
             load_csv(path, "label")
+
+
+def row_loader(path, label_column, schema=None, discrete_max_distinct=DISCRETE_MAX_DISTINCT):
+    """The row-at-a-time loader that load_csv must match: a missing-marker
+    check on every cell, then one float() per kept cell."""
+    log = logging.getLogger("ceda.dataset")
+    schema = dict(schema or {})
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty table: %s has no header" % path)
+        rows = list(reader)
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DataError("duplicate column names: %s" % ", ".join(dupes))
+    if label_column not in header:
+        raise DataError("label column '%s' absent from %s" % (label_column, path))
+    for name, kind in schema.items():
+        if name not in header:
+            raise ConfigError("schema override for unknown column '%s'" % name)
+        if kind not in KINDS:
+            raise ConfigError("schema override for '%s': unknown kind '%s'" % (name, kind))
+    if not rows:
+        raise DataError("empty table: %s has no data rows" % path)
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError("row %d has %d cells, expected %d" % (i, len(row), width))
+
+    def is_missing(cell):
+        return cell.strip().lower() in MISSING_MARKERS
+
+    keep, dropped = [], []
+    for i, row in enumerate(rows):
+        (dropped if any(is_missing(c) for c in row) else keep).append(i)
+    if dropped:
+        shown = ", ".join(str(i) for i in dropped[:10])
+        more = "" if len(dropped) <= 10 else ", ..."
+        log.info("dropped %d rows with missing values (rows %s%s)", len(dropped), shown, more)
+    if not keep:
+        raise DataError("empty table: all rows of %s had missing values" % path)
+    rows = [rows[i] for i in keep]
+
+    columns = []
+    for j, name in enumerate(header):
+        cells = [r[j].strip() for r in rows]
+        kind = "categorical" if name == label_column else schema.get(name)
+        if kind in ("continuous", "discrete"):
+            vals = np.empty(len(cells))
+            for i, cell in enumerate(cells):
+                try:
+                    vals[i] = float(cell)
+                except ValueError:
+                    raise DataError(
+                        "column '%s', row %d: cannot parse '%s' as a number"
+                        % (name, keep[i], cell)
+                    )
+            columns.append(Column(name, kind, vals))
+            continue
+        if kind == "categorical":
+            columns.append(Column(name, kind, np.array(cells, dtype=object)))
+            continue
+        try:
+            vals = np.array([float(c) for c in cells])
+        except ValueError:
+            columns.append(Column(name, "categorical", np.array(cells, dtype=object)))
+            continue
+        n_distinct = len(np.unique(vals))
+        inferred = "discrete" if n_distinct <= discrete_max_distinct else "continuous"
+        columns.append(Column(name, inferred, vals))
+    return LabeledDataset(DataTable(columns), label_column)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelno, record.getMessage()))
+
+
+def load_outcome(loader, path, schema, max_distinct):
+    """Columns (name, kind, values as bits or text), the error, and the log
+    records of one load."""
+    records = _Records()
+    logger = logging.getLogger("ceda.dataset")
+    level = logger.level
+    logger.addHandler(records)
+    logger.setLevel(logging.DEBUG)
+    try:
+        ds = loader(path, "label", schema=schema, discrete_max_distinct=max_distinct)
+        result = [(c.name, c.kind, c.values.tolist() if c.kind == "categorical"
+                   else np.asarray(c.values, dtype=float).view(np.int64).tolist())
+                  for c in ds.table.columns]
+    except (DataError, ConfigError) as exc:
+        result = (type(exc).__name__, str(exc))
+    finally:
+        logger.removeHandler(records)
+        logger.setLevel(level)
+    return result, records.messages
+
+
+PADDING = st.sampled_from(["", "", " ", "\t", "\u00a0", "\u2003", "\x1c", "\x85"])
+CELLS = {
+    "number": st.one_of(
+        st.integers(-3, 3).map(str),
+        st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+        st.sampled_from(["1e3", "-0.0", "1_0", "0x1", "1.5e-320", "١٢"]),
+    ),
+    "marker": st.sampled_from(["", "na", "NA", "Na", "nan", "NaN", "NAN", "null", "NULL", "Null"]),
+    "nan-like": st.sampled_from(["+nan", "-nan", "+NaN", "inf", "-inf", "Infinity", "n/a"]),
+    "text": st.sampled_from(["a", "b", "oops", "1.2.3", "x1", "1,5"]),
+}
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with numeric, marker, NaN-like and text cells, padded with
+    whitespace, plus the schema overrides for its columns."""
+    n_cols = draw(st.integers(1, 4))
+    names = ["c%d" % j for j in range(n_cols)] + ["label"]
+    # each column mostly draws one kind of cell, so whole-number columns occur
+    mixes = [draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3))
+             for _ in range(n_cols)]
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        row = []
+        for mix in mixes:
+            kind = draw(st.sampled_from(["number"] * 4 + mix))
+            row.append(draw(PADDING) + draw(CELLS[kind]) + draw(PADDING))
+        row.append(draw(st.sampled_from(["a", "b", " b ", "a", "b", "NA", ""])))
+        if draw(st.sampled_from([False] * 30 + [True])):
+            row = row[:draw(st.integers(0, len(row) - 1))]  # a short or empty row
+        rows.append(row)
+    schema = draw(st.dictionaries(st.sampled_from(names[:-1]), st.sampled_from(KINDS),
+                                  max_size=n_cols))
+    return names, rows, schema
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=csv_files(), max_distinct=st.sampled_from([1, 3, DISCRETE_MAX_DISTINCT]))
+def test_load_csv_matches_the_row_loader(data, max_distinct):
+    names, rows, schema = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            writer.writerows(rows)
+        want = load_outcome(row_loader, path, schema, max_distinct)
+        got = load_outcome(load_csv, path, schema, max_distinct)
+    assert got == want
 
 
 class TestSplit:
