@@ -12,8 +12,9 @@ Averaging the two directed values gives a symmetric association measure in
 
 There is one entropy code path, ``row_entropies``, which scores every row
 of a count array at once with the bits of scoring each row alone.
-``mce_matrix`` codes each feature once, counts each pair's table with one
-``bincount``, and scores all tables of one shape as a single stack.
+``mce_matrix`` and ``rank_features_by_label_association`` code each
+variable once, count each pair's table with one ``bincount``, and score all
+tables of one shape as a single stack.
 """
 
 import itertools
@@ -241,21 +242,45 @@ def rank_features_by_label_association(ds, binnings=None, direction="label_to_fe
 
     ``label_to_feature`` conditions on the label (lower = the label tells
     more about the feature).  Returns (feature, value) pairs sorted
-    ascending, ties broken by name.
+    ascending, ties broken by name.  As in ``mce_matrix``, the label and
+    each feature are coded once and the tables of one shape are scored as
+    one stack; unusable features are skipped with a warning.
     """
     if direction not in ("label_to_feature", "feature_to_label"):
         raise DataError("unknown direction '%s'" % direction)
-    out = []
-    for name in ds.feature_names():
+    label, names = ds.label_column, ds.feature_names()
+    label_codes, label_cats = category_codes(ds.table, label)
+    coded, skipped = {}, {}
+    for name in names:
         try:
-            t = contingency_table(ds.table, ds.label_column, name, binnings)
-            dce = directed_conditional_entropy(
-                t, "row_to_col" if direction == "label_to_feature" else "col_to_row"
-            )
+            codes, cats = category_codes(ds.table, name, binnings)
         except DataError as exc:
-            log.warning("skipping feature '%s': %s", name, exc)
+            skipped[name] = str(exc)
             continue
-        out.append((name, dce))
+        if len(label_cats) < 2 or len(cats) < 2:
+            skipped[name] = "variable '%s' has a single category after binning" % (
+                label if len(label_cats) < 2 else name)
+            continue
+        coded[name] = codes, len(cats)
+    # (label, feature) tables that share a shape are scored as one stack
+    by_shape = defaultdict(list)
+    for name, (_, n_cats) in coded.items():
+        by_shape[n_cats].append(name)
+    value = {}
+    for group in by_shape.values():
+        stack = np.stack([cross_counts(label_codes, len(label_cats), *coded[name]) for name in group])
+        if direction == "feature_to_label":
+            stack = stack.transpose(0, 2, 1)
+        value.update(zip(group, directed_values(stack)))
+    out = []
+    for name in names:
+        if name in skipped:
+            log.warning("skipping feature '%s': %s", name, skipped[name])
+        elif np.isnan(value[name]):
+            target = name if direction == "label_to_feature" else label
+            log.warning("skipping feature '%s': degenerate target '%s': zero entropy", name, target)
+        else:
+            out.append((name, value[name]))
     if not out:
         raise DataError("no usable features to rank")
     return sorted(out, key=lambda kv: (kv[1], kv[0]))

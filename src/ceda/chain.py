@@ -24,9 +24,7 @@ import numpy as np
 from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError
 from .label_tree import tree_from_training
-from .predictive_map import (
-    CompetitionConfig, TreeClassifier, k_nearest, kd_tree, row_blocks, tabulate_predictions, work_size,
-)
+from .predictive_map import CompetitionConfig, TreeClassifier, k_nearest, kd_tree, tabulate_predictions
 
 log = logging.getLogger(__name__)
 
@@ -227,14 +225,10 @@ def knn_baseline_predict(train, test, features, k=20):
     Ztr = zs.transform(Xtr)
     Zte = zs.transform(feature_matrix(test.table, features))
     y = train.label_values
-    labels = sorted(set(y.tolist()))
-    onehot = (y[:, None] == np.array(labels, dtype=object)).astype(np.int64)
-    out = []
-    work = np.empty(work_size(len(Zte), len(Ztr), Ztr.shape[1]))
-    tree = kd_tree(Ztr)
-    for block in row_blocks(len(Zte), len(Ztr)):
-        _, nearest = k_nearest(Zte[block], Ztr, k, work, tree)
-        votes = onehot[nearest].sum(axis=1)
-        # argmax takes the first maximum: alphabetical tie-break
-        out.extend(labels[i] for i in np.argmax(votes, axis=1).tolist())
-    return out
+    labels, codes = np.unique(y, return_inverse=True)
+    _, nearest = k_nearest(Zte, Ztr, k, kd_tree(Ztr))
+    # one vote count per (test row, label): a flat bincount over row * L + label
+    votes = np.bincount((np.arange(len(Zte))[:, None] * len(labels) + codes[nearest]).ravel(),
+                        minlength=len(Zte) * len(labels)).reshape(len(Zte), len(labels))
+    # argmax takes the first maximum: alphabetical tie-break
+    return labels[np.argmax(votes, axis=1)].tolist()

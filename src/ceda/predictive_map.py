@@ -21,16 +21,16 @@ labels at an internal stop, empty for outliers.  Tabulating predicted sets
 against true labels gives the predictive map.
 
 Points descend together, one tree level at a time: each node decides all
-the points that reached it in row blocks of bounded size (``row_blocks``),
-with the same decisions a point-at-a-time descent makes.  Rules 1 and 2 need
-only each point's k* nearest rows and its nearest distance, which a screen
-finds (``k_nearest``): the node's KD tree for one or two features, a Gram
-form with a proven rounding margin for more, both exact to the bit.  Only
-the points rule 3 decides get their distances to every node member
-(``distance_rows``).  Each loop over blocks allocates one work buffer
-(``work_size``) that every block reuses.  The outlier screen's
-nearest-neighbor distances are exact for one or two features (the same KD
-tree) and take the Gram form for more."""
+the points that reached it in one competition, with the same decisions a
+point-at-a-time descent makes.  Rules 1 and 2 need only each point's k*
+nearest rows and its nearest distance, which ``k_nearest`` finds: the
+node's KD tree for one or two features, a Gram screen with a proven
+rounding margin for more, both exact to the bit.  Only the points rule 3
+decides get their distances to every node member (``distance_rows``).  The
+kernels cut their query rows into blocks of bounded size (``row_blocks``)
+that reuse one work buffer, so callers hand over all their rows at once.
+The outlier screen's nearest-neighbor distances come from the same exact
+kernel."""
 
 import logging
 import math
@@ -105,11 +105,10 @@ def log_gaussian_kde(samples, x):
     return logsumexp(-0.5 * u * u, axis=-1) - _log(samples.shape[-1] * h * math.sqrt(2.0 * math.pi))
 
 
-# Bytes of float temporaries one block of query rows may hold.  A block is
-# cut by the screen of ``k_nearest``: two float64 cells per (query row,
-# reference row) pair, not per feature.  The full distance rows of the rows
-# a block leaves open are computed in sub-blocks cut by their own
-# (rows, reference rows, features) size (``row_cells``).  Larger blocks
+# Bytes of float temporaries one block of query rows may hold.  ``k_nearest``
+# cuts its queries into blocks by its screen's two float64 cells per (query
+# row, reference row) pair, not per feature; ``distance_rows`` is cut by its
+# own (rows, reference rows, cells) size (``row_cells``).  Larger blocks
 # amortise per-call overhead, smaller ones bound memory.
 BLOCK_BYTES = 2 * 1024 * 1024
 
@@ -119,15 +118,12 @@ BLOCK_BYTES = 2 * 1024 * 1024
 SCREEN_CELLS = 2
 
 
-def _block_step(n_ref, cells):
-    return max(1, BLOCK_BYTES // (8 * n_ref * cells))
-
-
-def row_blocks(n_rows, n_ref, cells=SCREEN_CELLS):
+def row_blocks(n_rows, n_ref, cells):
     """Slices cutting n_rows query rows into blocks whose (rows, n_ref,
-    cells) float64 temporaries fit in BLOCK_BYTES, at least one row each."""
-    step = _block_step(n_ref, cells)
-    return [slice(s, s + step) for s in range(0, n_rows, step)]
+    cells) float64 temporaries fit in BLOCK_BYTES, at least one row each,
+    and the float64 elements of one work buffer that serves every block."""
+    step = max(1, BLOCK_BYTES // (8 * n_ref * cells))
+    return [slice(s, s + step) for s in range(0, n_rows, step)], min(n_rows, step) * n_ref * cells
 
 
 def row_cells(n_features):
@@ -137,36 +133,17 @@ def row_cells(n_features):
     return n_features + 1 if n_features > 2 else 2
 
 
-def work_size(n_rows, n_ref, n_features):
-    """Float64 elements of a work buffer that serves ``k_nearest`` on every
-    block ``row_blocks(n_rows, n_ref)`` cuts, and ``distance_rows`` on every
-    block ``row_blocks(n_rows, n_ref, row_cells(n_features))`` cuts."""
-    cells = row_cells(n_features)
-    screen = min(n_rows, _block_step(n_ref, SCREEN_CELLS)) * n_ref * SCREEN_CELLS
-    rows = min(n_rows, _block_step(n_ref, cells)) * n_ref * cells
-    return max(screen, rows, n_features)
-
-
-def _work_buffer(work, need, kernel):
-    if work is None:
-        return np.empty(need)
-    if len(work) < need:
-        raise ValueError("work buffer holds %d elements, %s needs %d" % (len(work), kernel, need))
-    return work
-
-
-def distance_rows(Q, R, work=None):
+def distance_rows(Q, R, work):
     """Distances from each query row to every reference row.
 
     dist[i, j] is ||R[j] - Q[i]||, reduced over features exactly as
     ``np.linalg.norm(R - Q[i], axis=1)``.  ``work`` is a flat float64 buffer
-    that a caller looping over blocks allocates once (``work_size``); dist
-    is its first rows * len(R) elements and holds until the next call on the
-    buffer, and the same number after it are free scratch.  Without it each
-    call allocates its own."""
+    of at least len(Q) * len(R) * row_cells(features) elements, which a
+    loop over ``row_blocks`` allocates once; dist is its first len(Q) *
+    len(R) elements and holds until the next call on the buffer, and the
+    same number after it are free scratch."""
     m, n, n_features = len(Q), len(R), Q.shape[1]
     cells = m * n
-    work = _work_buffer(work, cells * row_cells(n_features), "distance_rows")
     dist = work[:cells].reshape(m, n)
     if n_features <= 2:
         # a sum of one or two non-negative squares has the same bits in any
@@ -199,10 +176,11 @@ def kd_tree(X):
     return cKDTree(X)
 
 
-def _first_k(dist, k, work):
-    """The first k of each full distance row by (distance, column), from
-    dist as ``distance_rows`` leaves it in work; the partition copy takes
-    the free scratch after it."""
+def _full_rows(Q, R, k, work):
+    """The first k of each row by (distance, column) from full distance
+    rows (one or two features); the partition copy takes the scratch
+    ``distance_rows`` leaves after them."""
+    dist = distance_rows(Q, R, work)
     m, n = dist.shape
     part = work[m * n:2 * m * n].reshape(m, n)
     np.copyto(part, dist)
@@ -297,9 +275,9 @@ def _gram_screen(Q, R, k, work):
     return dist[take], rj[take]
 
 
-def _kd_screen(Q, R, k, tree, work):
-    """The k nearest from a KD tree query for k + 1 neighbours.  A row whose
-    k-th and (k+1)-th distances tie takes its full distance row instead."""
+def _kd_screen(Q, R, k, tree):
+    """The k nearest from a KD tree query for k + 1 neighbours.  The rows
+    whose k-th and (k+1)-th distances tie take full distance rows instead."""
     dist, cols = tree.query(Q, k=k + 1)
     tie = dist[:, k - 1] == dist[:, k]
     dist, cols = dist[:, :k], cols[:, :k]
@@ -307,11 +285,11 @@ def _kd_screen(Q, R, k, tree, work):
     order = np.lexsort((cols, dist), axis=1)
     dist, cols = np.take_along_axis(dist, order, axis=1), np.take_along_axis(cols, order, axis=1)
     if np.any(tie):
-        dist[tie], cols[tie] = _first_k(distance_rows(Q[tie], R, work), k, work)
+        dist[tie], cols[tie] = k_nearest(Q[tie], R, k)
     return dist, cols
 
 
-def k_nearest(Q, R, k, work=None, tree=None):
+def k_nearest(Q, R, k, tree=None):
     """Each query row's k nearest reference rows and their distances, as two
     (rows, k) arrays ordered by (distance, reference row).
 
@@ -324,17 +302,20 @@ def k_nearest(Q, R, k, work=None, tree=None):
     computed only for a tie at the k-th distance, or for every row without
     a tree or when R holds no more than k rows.
 
-    ``work`` is a flat float64 buffer that a caller looping over blocks
-    allocates once (``work_size``).  Without it each call allocates its
-    own."""
+    The queries are screened in ``row_blocks`` that all reuse one work
+    buffer, so any number of rows may be asked at once."""
     m, n, n_features = len(Q), len(R), Q.shape[1]
     k = min(k, n)
-    work = _work_buffer(work, max(SCREEN_CELLS * m * n, n_features), "k_nearest")
-    if n_features > 2:
-        return _gram_screen(Q, R, k, work)
-    if tree is None or k == n:
-        return _first_k(distance_rows(Q, R, work), k, work)
-    return _kd_screen(Q, R, k, tree, work)
+    if n_features <= 2 and tree is not None and k < n:
+        return _kd_screen(Q, R, k, tree)
+    screen = _gram_screen if n_features > 2 else _full_rows
+    blocks, size = row_blocks(m, n, SCREEN_CELLS)
+    # the Gram screen's exact distances need room for one row of features
+    work = np.empty(max(size, n_features))
+    dist, cols = np.empty((m, k)), np.empty((m, k), dtype=np.intp)
+    for block in blocks:
+        dist[block], cols[block] = screen(Q[block], R, k, work)
+    return dist, cols
 
 
 class TreeClassifier:
@@ -399,13 +380,13 @@ class TreeClassifier:
             self._outlier_thr[node] = float(np.quantile(nn, self.cfg.outlier_quantile))
         return self._outlier_thr[node]
 
-    def competition(self, Z, node, work=None):
+    def competition(self, Z, node):
         """Decide one internal-node competition for each z-scored row of Z.
 
         Returns an object array of decisions: left / right / stop / outlier.
         The k-nearest screen decides the outlier and dominance rules; only
         the rows still open get full distance rows, for the median and the
-        two branch KDEs.  ``work`` is passed on to the kernels."""
+        two branch KDEs, in row blocks that share one work buffer."""
         tree, cfg = self.tree, self.cfg
         if tree.is_leaf(node):
             raise DataError("node %d is a leaf, nothing to compete" % node)
@@ -414,7 +395,7 @@ class TreeClassifier:
         if k < cfg.k_star and not self._warned_small_k:
             log.warning("only %d training rows at node %d, k* reduced from %d", len(R), node, cfg.k_star)
             self._warned_small_k = True
-        dist, nearest = k_nearest(Z, R, k, work, self.node_tree(node))
+        dist, nearest = k_nearest(Z, R, k, self.node_tree(node))
         is_left = self._left_mask(node)
         left_count = np.count_nonzero(is_left[nearest], axis=1)
         need = cfg.dominant_fraction * k - 1e-9
@@ -424,7 +405,9 @@ class TreeClassifier:
         if cfg.outlier_quantile is not None:
             decision[dist[:, 0] > self._outlier_threshold(node)] = "outlier"
         open_ = np.flatnonzero(decision == "stop")
-        for block in row_blocks(len(open_), len(R), row_cells(R.shape[1])):
+        blocks, size = row_blocks(len(open_), len(R), row_cells(R.shape[1]))
+        work = np.empty(size)
+        for block in blocks:
             rows = open_[block]
             d = distance_rows(Z[rows], R, work)
             m = np.median(d, axis=1)
@@ -453,12 +436,7 @@ class TreeClassifier:
                     for row in idx.tolist():
                         preds[row] = PredictedLabelSet(labels, node, tuple(paths[row]))
                     continue
-                n_ref = len(self.node_rows(node))
-                work = np.empty(work_size(len(idx), n_ref, Z.shape[1]))
-                decision = np.concatenate([
-                    self.competition(Z[idx[block]], node, work)
-                    for block in row_blocks(len(idx), n_ref)
-                ])
+                decision = self.competition(Z[idx], node)
                 for row, dec in zip(idx.tolist(), decision.tolist()):
                     paths[row].append((node, dec))
                     if dec in ("outlier", "stop"):
@@ -475,31 +453,14 @@ class TreeClassifier:
 
 
 def _nearest_neighbor_distances(Z, tree=None):
-    """Distance from each row to its nearest other row.  Called for internal
-    nodes only, which hold rows of at least two labels.
-
-    With one or two features a KD tree (``tree`` if given, built over Z)
-    gives each distance as one rounded sum of at most two squares, the bits
-    ``distance_rows`` computes (a duplicate row is at exactly 0).  With
-    more, a block-wise Gram form, which is faster there but may differ from
-    the exact distance in the last bits."""
-    if Z.shape[1] <= 2:
-        return (kd_tree(Z) if tree is None else tree).query(Z, k=2)[0][:, 1]
-    n = len(Z)
-    sq = np.sum(Z * Z, axis=1)
-    out = np.empty(n)
-    step = 512
-    for s in range(0, n, step):
-        block = Z[s:s + step]
-        # (sq_i + sq_j) - 2 G with one temporary beside d2; doubling is exact
-        d2 = sq[s:s + step, None] + sq[None, :]
-        gram = block @ Z.T
-        gram *= 2.0
-        d2 -= gram
-        d2[np.arange(len(block)), np.arange(s, s + len(block))] = np.inf
-        # clamping the row minimum equals the minimum of the clamped row
-        out[s:s + step] = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-    return out
+    """Distance from each row to its nearest other row, with the bits of
+    ``distance_rows``.  Called for internal nodes only, which hold rows of
+    at least two labels.  Each row is its own nearest at exactly 0, so the
+    second of its two nearest is the nearest other row (0 for a duplicate);
+    ``tree``, a ``kd_tree`` over Z, answers that query when given."""
+    if tree is not None:
+        return tree.query(Z, k=2)[0][:, 1]
+    return k_nearest(Z, Z, 2)[0][:, 1]
 
 
 def set_name(labels, universe):

@@ -14,9 +14,9 @@ feature equality, and returns the mean response vector of the focal rows.
 
 Queries are predicted together (``rma_predict_rows``): every row is located
 in one pass, and the rows that share a rectangle get their k* nearest
-training rows from the blocked kernel of the predictive map
-(``predictive_map.k_nearest`` over ``row_blocks``), with the same focal rows
-and means as one query at a time.
+training rows from one call to the blocked kernel of the predictive map
+(``predictive_map.k_nearest``), with the same focal rows and means as one
+query at a time.
 """
 
 import logging
@@ -37,7 +37,7 @@ from .association import (
 from .dataset import LabeledDataset, ZStats, csv_text, feature_matrix
 from .discretize import categorize_many
 from .errors import ConfigError, DataError
-from .predictive_map import k_nearest, row_blocks, work_size
+from .predictive_map import k_nearest
 
 log = logging.getLogger(__name__)
 
@@ -204,6 +204,8 @@ def build_locality_lattice(table, spec, majors, binnings, bin_subset=None):
     ``bin_subset`` optionally restricts each major to an explicit list of bin
     ids (rows outside any kept bin are excluded), which also covers coarse
     strip views when callers pass binnings built with a small target_bins.
+    A key that is not a major, or a bin id outside its major's bins, raises
+    ConfigError.
     """
     if isinstance(table, LabeledDataset):
         table = table.table
@@ -215,11 +217,18 @@ def build_locality_lattice(table, spec, majors, binnings, bin_subset=None):
             raise DataError("major '%s' is not a declared covariate" % m)
         if table.kind(m) == "categorical":
             raise DataError("major '%s' is categorical; majors must be numeric" % m)
-    bin_subset = {k: set(v) for k, v in (bin_subset or {}).items()}
+    bin_subset = bin_subset or {}
+    for key in bin_subset:
+        if key not in majors:
+            raise ConfigError("bin_subset key '%s' is not a major (majors: %s)" % (key, ", ".join(majors)))
     codes_per_major, cats_per_major = [], []
     used_binnings, discrete_values = {}, {}
     for m in majors:
         codes, cats = category_codes(table, m, binnings)
+        for b in bin_subset.get(m, ()):
+            if b not in range(len(cats)):
+                raise ConfigError("bin_subset['%s'] holds bin id %r; '%s' has bins 0..%d"
+                                  % (m, b, m, len(cats) - 1))
         codes_per_major.append(codes)
         cats_per_major.append(cats)
         if table.kind(m) == "continuous":
@@ -249,7 +258,7 @@ def build_locality_lattice(table, spec, majors, binnings, bin_subset=None):
         log.warning("every occupied rectangle holds a single row; binning looks too fine")
     grid_sizes = []
     for m, cats in zip(majors, cats_per_major):
-        ids = range(len(cats)) if m not in bin_subset else sorted(bin_subset[m])
+        ids = range(len(cats)) if m not in bin_subset else sorted(set(bin_subset[m]))
         grid_sizes.append(list(ids))
     empty = None
     total = np.prod([len(g) for g in grid_sizes])
@@ -393,41 +402,37 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
     Zq = lattice.zstats.transform(X)
     resp = feature_matrix(table, lattice.responses)[used]
     out = [None] * len(X)
-    work = np.empty(max(work_size(len(rows), len(members), Z.shape[1]) for _, rows, members, _ in plan))
     for cell, rows, members, fallback in plan:
         k = min(int(k_star), len(members))
         cell_flags = {"adjacent_fallback"} if fallback else set()
         if k < k_star:
             cell_flags.add("underfilled")
         members = np.searchsorted(used, members)
-        R = Z[members]
-        for block in row_blocks(len(rows), len(members)):
-            block_rows = rows[block]
-            # members ascend, so (distance, member) order is (distance, row)
-            focal = members[k_nearest(Zq[block_rows], R, k, work)[1]]
-            keep = np.ones(focal.shape, dtype=bool)
-            for table_key, query_key in sieve:
-                keep &= table_key[focal] == query_key[block_rows, None]
-            sieved = keep.any(axis=1)
-            keep[~sieved] = True  # an empty sieve keeps every focal row
-            n_kept = np.count_nonzero(keep, axis=1)
-            values = np.empty((len(block_rows), resp.shape[1]))
-            for c in np.unique(n_kept):
-                same = n_kept == c
-                # a mean over axis 1 adds each row's focal responses in the
-                # order, and to the bits, of a one-query mean over axis 0
-                values[same] = resp[focal[same][keep[same]].reshape(-1, c)].mean(axis=1)
-            focal_rows, kept = used[focal].tolist(), keep.tolist()
-            for i, row in enumerate(block_rows.tolist()):
-                flags = set(cell_flags)
-                if oor[row]:
-                    flags.add("out_of_range")
-                if not sieved[i]:
-                    flags.add("sieve_fallback")
-                out[row] = RmaPrediction(
-                    values=values[i], cell=cell, flags=frozenset(flags),
-                    focal_rows=tuple(compress(focal_rows[i], kept[i])), k_used=int(n_kept[i]),
-                )
+        # members ascend, so (distance, member) order is (distance, row)
+        focal = members[k_nearest(Zq[rows], Z[members], k)[1]]
+        keep = np.ones(focal.shape, dtype=bool)
+        for table_key, query_key in sieve:
+            keep &= table_key[focal] == query_key[rows, None]
+        sieved = keep.any(axis=1)
+        keep[~sieved] = True  # an empty sieve keeps every focal row
+        n_kept = np.count_nonzero(keep, axis=1)
+        values = np.empty((len(rows), resp.shape[1]))
+        for c in np.unique(n_kept):
+            same = n_kept == c
+            # a mean over axis 1 adds each row's focal responses in the
+            # order, and to the bits, of a one-query mean over axis 0
+            values[same] = resp[focal[same][keep[same]].reshape(-1, c)].mean(axis=1)
+        focal_rows, kept = used[focal].tolist(), keep.tolist()
+        for i, row in enumerate(rows.tolist()):
+            flags = set(cell_flags)
+            if oor[row]:
+                flags.add("out_of_range")
+            if not sieved[i]:
+                flags.add("sieve_fallback")
+            out[row] = RmaPrediction(
+                values=values[i], cell=cell, flags=frozenset(flags),
+                focal_rows=tuple(compress(focal_rows[i], kept[i])), k_used=int(n_kept[i]),
+            )
     return out
 
 

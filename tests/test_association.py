@@ -24,7 +24,7 @@ from ceda.association import (
     shannon_entropy,
 )
 from ceda.dataset import Column, DataTable, LabeledDataset, synth_generate
-from ceda.discretize import default_binnings
+from ceda.discretize import build_histogram, default_binnings
 from ceda.errors import DataError
 
 
@@ -392,6 +392,65 @@ def test_rank_features_prefers_informative_feature():
     ranked = rank_features_by_label_association(ds, binnings)
     assert ranked[0][0] == "f0"
     assert ranked[0][1] < ranked[1][1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), direction=st.sampled_from(["label_to_feature", "feature_to_label"]))
+def test_rank_features_match_per_feature_contingency_tables(seed, direction):
+    # discrete features of few shapes, so that stacks hold several tables
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 60))
+    label = rng.choice(list("abcd")[:int(rng.integers(2, 5))], n)
+    label[:2] = ["a", "b"]
+    cols = [Column("label", "categorical", label.astype(object))]
+    for j in range(int(rng.integers(1, 8))):
+        values = rng.integers(0, int(rng.integers(2, 4)), n).astype(float)
+        values[:2] = [0.0, 1.0]
+        cols.append(Column("f%d" % j, "discrete", values))
+    ds = LabeledDataset(DataTable(cols), "label")
+    ranked = rank_features_by_label_association(ds, direction=direction)
+    want = sorted(
+        ((name, directed_conditional_entropy(contingency_table(ds.table, "label", name),
+                                             "row_to_col" if direction == "label_to_feature" else "col_to_row"))
+         for name in ds.feature_names()),
+        key=lambda kv: (kv[1], kv[0]))
+    assert [name for name, _ in ranked] == [name for name, _ in want]
+    assert bits([v for _, v in ranked]) == bits([v for _, v in want])
+
+
+def test_rank_features_warns_for_each_skipped_feature(caplog):
+    n = 12
+    label = np.array(list("ab") * (n // 2), dtype=object)
+    ds = LabeledDataset(DataTable([
+        Column("label", "categorical", label),
+        Column("one", "categorical", np.array(["x"] * n, dtype=object)),
+        Column("unbinned", "continuous", np.linspace(0.0, 1.0, n)),
+        Column("flat", "continuous", np.zeros(n)),
+        Column("good", "discrete", np.arange(n) % 3.0),
+    ]), "label")
+    binnings = {"flat": build_histogram(np.arange(10.0), feature="flat")}
+    assert binnings["flat"].n_bins >= 2
+    with caplog.at_level("WARNING", logger="ceda"):
+        forward = rank_features_by_label_association(ds, binnings, "label_to_feature")
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping feature 'one': variable 'one' has a single category after binning",
+        "skipping feature 'unbinned': continuous variable 'unbinned' needs a binning",
+        "skipping feature 'flat': degenerate target 'flat': zero entropy",
+    ]
+    assert [name for name, _ in forward] == ["good"]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="ceda"):
+        backward = rank_features_by_label_association(ds, binnings, "feature_to_label")
+    # the label is the target now: a feature in one bin tells nothing about it
+    assert len(caplog.records) == 2
+    assert dict(backward) == {"good": pytest.approx(1.0), "flat": 1.0}
+    one_label = LabeledDataset(DataTable([Column("label", "categorical", np.array(["a"] * n, dtype=object)),
+                                          Column("good", "discrete", np.arange(n) % 3.0)]), "label")
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="ceda"), pytest.raises(DataError, match="no usable features"):
+        rank_features_by_label_association(one_label)
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping feature 'good': variable 'label' has a single category after binning"]
 
 
 def test_rank_features_bad_direction():

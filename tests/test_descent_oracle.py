@@ -7,9 +7,8 @@ return exactly the same predictions on any input, including distance ties
 (from duplicated rows), k* above the node size, the degenerate threshold
 band and a disabled outlier screen.
 
-The outlier thresholds of a node with one or two features come from the
-exact distance of each row to every other row; with more features, from the
-Gram form ||x||^2 + ||y||^2 - 2 x.y, which may differ in the last bits.
+The outlier thresholds of a node come from the exact distance of each row
+to every other row, whatever the feature count.
 """
 
 import importlib
@@ -17,7 +16,6 @@ import math
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -32,7 +30,6 @@ from ceda.predictive_map import (
     distance_rows,
     k_nearest,
     kd_tree,
-    work_size,
 )
 
 # the package exports a function of the same name
@@ -60,21 +57,6 @@ def ref_exact_nearest_neighbor_distances(Z):
     return np.array([np.delete(np.linalg.norm(Z - Z[i], axis=1), i).min() for i in range(len(Z))])
 
 
-def ref_nearest_neighbor_distances(Z):
-    n = len(Z)
-    sq = np.sum(Z * Z, axis=1)
-    out = np.empty(n)
-    step = 512
-    for s in range(0, n, step):
-        block = Z[s:s + step]
-        d2 = sq[s:s + step, None] + sq[None, :] - 2.0 * (block @ Z.T)
-        np.maximum(d2, 0.0, out=d2)
-        for i in range(len(block)):
-            d2[i, s + i] = np.inf
-        out[s:s + step] = np.sqrt(d2.min(axis=1))
-    return out
-
-
 class ReferenceClassifier:
     """One competition per point per node."""
 
@@ -93,8 +75,7 @@ class ReferenceClassifier:
         rows = self.node_rows(node)
         d = np.linalg.norm(self.X[rows] - xz, axis=1)
         if cfg.outlier_quantile is not None:
-            nn = ref_exact_nearest_neighbor_distances if self.X.shape[1] <= 2 else ref_nearest_neighbor_distances
-            thr = float(np.quantile(nn(self.X[rows]), cfg.outlier_quantile))
+            thr = float(np.quantile(ref_exact_nearest_neighbor_distances(self.X[rows]), cfg.outlier_quantile))
             if float(d.min()) > thr:
                 return "outlier"
         is_left = np.isin(self.y[rows], tree.node_labels(tree.children(node)[0]))
@@ -210,6 +191,27 @@ def test_batched_classify_matches_per_point_reference(problem, k_star, band, out
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=clouds(), k_star=st.integers(1, 40),
+       block_bytes=st.sampled_from([1, 200, predictive_map.BLOCK_BYTES]))
+def test_classify_runs_one_competition_per_internal_node_visited(problem, k_star, block_bytes):
+    train, test, tree = problem
+    features = train.feature_names()
+    clf = TreeClassifier(tree, train, features, CompetitionConfig(k_star=k_star))
+    nodes = []
+    competition = clf.competition
+
+    def count(Z, node):
+        nodes.append(node)
+        return competition(Z, node)
+
+    with mock.patch.object(predictive_map, "BLOCK_BYTES", block_bytes), \
+            mock.patch.object(clf, "competition", side_effect=count):
+        preds = clf.classify_rows(test.table)
+    visited = {node for pred in preds for node, _ in pred.path}
+    assert sorted(nodes) == sorted(visited)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(problem=clouds(), k=st.integers(1, 40), block_bytes=st.sampled_from([1, 200, predictive_map.BLOCK_BYTES]))
 def test_batched_knn_matches_per_point_vote(problem, k, block_bytes):
     train, test, _ = problem
@@ -220,28 +222,23 @@ def test_batched_knn_matches_per_point_vote(problem, k, block_bytes):
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 600), dim=st.sampled_from([1, 2]),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 600), dim=st.sampled_from([1, 2, 3, 9, 32]),
        n_dup=st.integers(0, 40), grid=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]))
 def test_outlier_precompute_is_exact_for_one_or_two_features(seed, n, dim, n_dup, grid, scale):
+    # every feature count, with the node's KD tree (one or two features:
+    # kd_tree gives None for more) and without one
     rng = np.random.default_rng(seed)
     Z = scale * rng.normal(size=(n, dim))
     if grid:
         Z = np.round(Z / scale, 1) * scale  # equal distances between many pairs
     Z[rng.integers(0, n, n_dup)] = Z[rng.integers(0, n, n_dup)]
-    got = predictive_map._nearest_neighbor_distances(Z)
-    assert got.tobytes() == ref_exact_nearest_neighbor_distances(Z).tobytes()
+    want = ref_exact_nearest_neighbor_distances(Z)
     _, inverse, counts = np.unique(Z, axis=0, return_inverse=True, return_counts=True)
     duplicated = counts[inverse.ravel()] > 1
-    assert np.all(got[duplicated] == 0.0) and np.all(got[~duplicated] > 0.0)
-
-
-def test_outlier_precompute_matches_per_row_diagonal():
-    # more rows than one 512-row block, with duplicates at distance zero
-    rng = np.random.default_rng(4)
-    Z = rng.normal(size=(1300, 3))
-    Z[rng.integers(0, 1300, 200)] = Z[rng.integers(0, 1300, 200)]
-    np.testing.assert_array_equal(predictive_map._nearest_neighbor_distances(Z),
-                                  ref_nearest_neighbor_distances(Z))
+    for tree in (None, kd_tree(Z)):
+        got = predictive_map._nearest_neighbor_distances(Z, tree)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[duplicated] == 0.0) and np.all(got[~duplicated] > 0.0)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -276,7 +273,7 @@ def test_counts_conserve_down_a_random_chain(seed, n_labels, dims, k_star, outli
     assert settled.tolist() == want or len(result.tables) == len(chain.links)
 
 
-# --- the k-nearest kernel and its work buffer ------------------------------
+# --- the k-nearest kernel and its blocks -----------------------------------
 
 
 def ref_distance_rows(Q, R):
@@ -331,12 +328,11 @@ def test_k_nearest_screens_match_per_row_reference(problem):
     Q, R, k = problem
     want = ref_k_nearest(Q, R, k)
     assert want[0][:, 0].tobytes() == ref_distance_rows(Q, R).min(axis=1).tobytes()
-    work = np.empty(work_size(len(Q), len(R), Q.shape[1]))
     for screen in screens(R):
         assert_k_nearest(k_nearest(Q, R, k, **screen), want)
-        # one row per block, on one work buffer
-        rows = [k_nearest(Q[i:i + 1], R, k, work, **screen) for i in range(len(Q))]
-        assert_k_nearest(tuple(np.vstack(part) for part in zip(*rows)), want)
+        # one row per block, every block on the call's one work buffer
+        with mock.patch.object(predictive_map, "BLOCK_BYTES", 1):
+            assert_k_nearest(k_nearest(Q, R, k, **screen), want)
 
 
 @st.composite
@@ -354,31 +350,18 @@ def kernel_calls(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(calls=kernel_calls())
-def test_k_nearest_on_one_work_buffer_matches_fresh_calls(calls):
-    work = np.empty(max(work_size(len(Q), len(R), Q.shape[1]) for Q, R, _ in calls))
+@given(calls=kernel_calls(), block_bytes=st.sampled_from([1, 200, predictive_map.BLOCK_BYTES]))
+def test_k_nearest_on_one_work_buffer_matches_fresh_calls(calls, block_bytes):
+    # distance_rows on one buffer sized for the larger call, and k_nearest
+    # with its blocks on its own buffer, match fresh per-row references
+    work = np.empty(max(len(Q) * len(R) * predictive_map.row_cells(Q.shape[1]) for Q, R, _ in calls))
     for Q, R, k in calls:
         dist = distance_rows(Q, R, work)
         assert np.shares_memory(dist, work)
-        fresh = distance_rows(Q, R)
-        assert not np.shares_memory(fresh, work)
-        assert dist.tobytes() == fresh.tobytes() == ref_distance_rows(Q, R).tobytes()
+        assert dist.tobytes() == ref_distance_rows(Q, R).tobytes()
         for screen in screens(R):
-            got = k_nearest(Q, R, k, work, **screen)
-            assert not any(np.shares_memory(a, work) for a in got)
-            assert_k_nearest(got, k_nearest(Q, R, k, **screen))
-            assert_k_nearest(got, ref_k_nearest(Q, R, k))
-
-
-def test_k_nearest_rejects_a_short_work_buffer():
-    Q, R = np.zeros((4, 3)), np.ones((5, 3))
-    assert work_size(4, 5, 3) == 4 * 5 * 4
-    distance_rows(Q, R, np.empty(4 * 5 * 4))
-    with pytest.raises(ValueError, match="work buffer"):
-        distance_rows(Q, R, np.empty(4 * 5 * 4 - 1))
-    k_nearest(Q, R, 2, np.empty(2 * 4 * 5))
-    with pytest.raises(ValueError, match="work buffer"):
-        k_nearest(Q, R, 2, np.empty(2 * 4 * 5 - 1))
+            with mock.patch.object(predictive_map, "BLOCK_BYTES", block_bytes):
+                assert_k_nearest(k_nearest(Q, R, k, **screen), ref_k_nearest(Q, R, k))
 
 
 def test_kd_screen_takes_full_rows_only_on_a_tie_at_the_kth_distance():

@@ -249,6 +249,20 @@ def test_bin_subset_restricts_rows():
     assert lat.empty_cells == []
 
 
+def test_bin_subset_rejects_unknown_keys_and_bin_ids():
+    table, spec, binnings = uniform_fixture()
+    n_bins = binnings["u"].n_bins
+    # a covariate that is not a major, and a name that is neither
+    for key in ("v", "w"):
+        with pytest.raises(ConfigError, match="bin_subset key '%s' is not a major" % key):
+            build_locality_lattice(table, spec, ["u"], binnings, bin_subset={"u": [0], key: [0]})
+    for bad in (n_bins, 99, -1, "0"):
+        with pytest.raises(ConfigError, match=r"bin_subset\['u'\] holds bin id %s" % repr(bad)):
+            build_locality_lattice(table, spec, ["u", "v"], binnings, bin_subset={"u": [0, 1, bad], "v": [0]})
+    lat = build_locality_lattice(table, spec, ["u", "v"], binnings, bin_subset={"u": [n_bins - 1], "v": [0]})
+    assert list(lat.cells) == [(n_bins - 1, 0)] and lat.empty_cells == []
+
+
 def test_lattice_build_validation():
     table, spec, binnings = uniform_fixture()
     with pytest.raises(DataError, match="at least one major"):
