@@ -175,13 +175,13 @@ class MceMatrix:
     def groups(self, k):
         return hclust.cut(self.dendro, k).resolve(self.dendro.leaf_names)
 
-    def to_csv_text(self, fmt="%.10g"):
+    def to_csv_text(self):
         rows = [["feature"] + list(self.features)]
-        rows += [[name] + [fmt % v for v in row] for name, row in zip(self.features, self.values)]
+        rows += [[name] + ["%.10g" % v for v in row] for name, row in zip(self.features, self.values)]
         return csv_text(rows)
 
 
-def mce_matrix(table, binnings=None, features=None, linkage="average"):
+def mce_matrix(table, binnings=None, features=None):
     """Pairwise mutual conditional entropy over usable features.
 
     Degenerate features (a single category after binning) are skipped with a
@@ -223,7 +223,7 @@ def mce_matrix(table, binnings=None, features=None, linkage="average"):
         mce = 0.5 * (directed_values(stack) + directed_values(stack.transpose(0, 2, 1)))
         for (i, j), v in zip(pairs, mce):
             values[i, j] = values[j, i] = v
-    dendro = hclust.agglomerate(values, linkage=linkage)
+    dendro = hclust.agglomerate(values)
     order = dendro.leaf_order()
     ordered = [usable[i] for i in order]
     reindexed = values[np.ix_(order, order)]

@@ -148,6 +148,9 @@ def _load_config(args):
             raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
         if not isinstance(cfg, dict):
             raise ConfigError("config %s: top level must be an object" % path)
+        for section in CONFIG_KEYS:
+            if section in cfg and not isinstance(cfg[section], dict):
+                raise ConfigError("config %s: section '%s' must be an object" % (path, section))
         _warn_unknown_keys(cfg)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -159,15 +162,18 @@ def _load_config(args):
 
 
 def _warn_unknown_keys(cfg):
-    for section, known in CONFIG_KEYS.items():
-        entries = cfg if section is None else cfg.get(section)
-        if not isinstance(entries, dict):
-            continue
-        unknown = sorted(set(entries) - set(known))
+    checks = [(cfg if section is None else cfg.get(section), known,
+               "top level" if section is None else "section '%s'" % section)
+              for section, known in CONFIG_KEYS.items()]
+    chain = cfg.get("chain")
+    for i, entry in enumerate(chain if isinstance(chain, list) else ()):
+        if isinstance(entry, dict):
+            checks.append((entry, ("competition", "set"), "chain[%d]" % i))
+            checks.append((entry.get("competition"), CONFIG_KEYS["competition"], "chain[%d].competition" % i))
+    for entries, known, where in checks:
+        unknown = sorted(set(entries) - set(known)) if isinstance(entries, dict) else None
         if unknown:
-            log.warning("config %s: unknown key(s) %s; known keys: %s",
-                        "top level" if section is None else "section '%s'" % section,
-                        ", ".join(unknown), ", ".join(known))
+            log.warning("config %s: unknown key(s) %s; known keys: %s", where, ", ".join(unknown), ", ".join(known))
 
 
 def _require(cfg, key, command):
@@ -384,9 +390,9 @@ def cmd_let(args):
 def cmd_pmap(args):
     cfg = _load_config(args)
     train, test, set_name_, features = _split_with_feature_set(cfg, "pmap")
+    comp = _competition_config(cfg)
     tree = tree_from_training(train, features, samples_per_triplet=_samples_per_triplet(cfg),
                               seed=stage_seed(cfg["seed"], "let"))
-    comp = _competition_config(cfg)
     table, preds = predictive_map(test, tree, train, features, cfg=comp)
     doc = table.to_json_dict()
     for entry, cat in zip(doc["categories"], table.categories):
@@ -418,6 +424,8 @@ def _chain_from_config(cfg, ds):
             name, override = entry, None
         elif isinstance(entry, dict):
             name, override = entry.get("set"), entry.get("competition")
+            if override is not None and not isinstance(override, dict):
+                raise ConfigError("chain[%d].competition: expected an object" % i)
         else:
             raise ConfigError("chain[%d]: expected a set name or object" % i)
         if name not in sets:
@@ -553,10 +561,13 @@ def cmd_rma(args):
     run.write_text("rma_plotdata.csv", csv_text(rows))
     ols_cfg = rcfg.get("ols")
     if ols_cfg:
-        _check_features(ds, [ols_cfg["response"]] + list(ols_cfg["covariates"]), "rma.ols")
-        fits = ols_fit(train, ols_cfg["response"], list(ols_cfg["covariates"]),
-                       per_label=bool(ols_cfg.get("per_label", True)))
-        run.write_text("rma_ols.csv", ols_report_text(fits, list(ols_cfg["covariates"])))
+        if not isinstance(ols_cfg, dict):
+            raise ConfigError("rma.ols: expected an object")
+        ols_response = _require(ols_cfg, "response", "rma.ols")
+        ols_covariates = list(_require(ols_cfg, "covariates", "rma.ols"))
+        _check_features(ds, [ols_response] + ols_covariates, "rma.ols")
+        fits = ols_fit(train, ols_response, ols_covariates, per_label=bool(ols_cfg.get("per_label", True)))
+        run.write_text("rma_ols.csv", ols_report_text(fits, ols_covariates))
     run.finish()
     pooled = report.patches[-1]
     print("rma: majors %s, %d patches, pooled mse %s" % (

@@ -186,13 +186,13 @@ class LabelTree:
         return {"labels": list(self.labels), "merges": nodes}
 
 
-def build_label_tree(distance, labels, linkage="average"):
+def build_label_tree(distance, labels):
     """Average-linkage tree over a label-by-label relative distance matrix."""
     labels = list(labels)
     distance = np.asarray(distance, dtype=float)
     if distance.shape != (len(labels), len(labels)):
         raise DataError("distance matrix shape does not match labels")
-    dendro = agglomerate(distance, linkage=linkage)
+    dendro = agglomerate(distance)
     dendro.leaf_names = list(labels)
     return LabelTree(labels=labels, dendro=dendro)
 

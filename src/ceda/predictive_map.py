@@ -22,19 +22,20 @@ against true labels gives the predictive map.
 
 Points descend together, one tree level at a time: each node decides all
 the points that reached it in one competition, with the same decisions a
-point-at-a-time descent makes.  Rules 1 and 2 need only each point's k*
-nearest rows and its nearest distance, which ``k_nearest`` finds: the
-node's KD tree for one or two features, a Gram screen with a proven
-rounding margin for more, both exact to the bit.  Only the points rule 3
-decides get their distances to every node member (``distance_rows``).  The
-kernels cut their query rows into blocks of bounded size (``row_blocks``)
-that reuse one work buffer, so callers hand over all their rows at once.
-The outlier screen's nearest-neighbor distances come from the same exact
-kernel."""
+point-at-a-time descent makes, and builds the node's rows, left branch and
+KD tree as it runs.  Rules 1 and 2 need only each point's k* nearest rows
+and its nearest distance, which ``k_nearest`` finds: the node's KD tree for
+one or two features, a Gram screen with a proven rounding margin for more,
+both exact to the bit, as are the outlier screen's distances.  Only the
+points rule 3 decides get their distances to every node member
+(``distance_rows``).  The kernels cut their query rows into blocks of
+bounded size (``row_blocks``) that reuse one work buffer, so callers hand
+over all their rows at once."""
 
 import logging
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import logsumexp
@@ -54,6 +55,13 @@ class CompetitionConfig:
     outlier_quantile: float = 0.99  # None disables the outlier screen
 
     def __post_init__(self):
+        # a config file may give any JSON value, and a bool is an int
+        for f in fields(self):
+            value, kind = getattr(self, f.name), numbers.Integral if f.type is int else numbers.Real
+            if (isinstance(value, bool) or not isinstance(value, kind)) and not (
+                    value is None and f.name == "outlier_quantile"):
+                raise ConfigError("competition.%s must be %s, got %r"
+                                  % (f.name, "an integer" if f.type is int else "a number", value))
         if self.k_star < 1:
             raise ConfigError("k_star must be >= 1")
         if not 0.0 < self.pl_lower <= 1.0 <= self.pl_upper:
@@ -296,17 +304,16 @@ def k_nearest(Q, R, k, tree=None):
     Distances have the bits of ``distance_rows``, and nearest means the
     first k of ``np.lexsort((arange(len(R)), dist[i]))``: every distance
     below the k-th smallest, then the lowest rows at it.  k above len(R)
-    takes every row.  With three or more features a Gram screen picks the
-    rows whose exact distances are computed.  With one or two, ``tree`` (a
-    ``kd_tree`` over R) answers the query, and full distance rows are
-    computed only for a tie at the k-th distance, or for every row without
-    a tree or when R holds no more than k rows.
+    takes every row.  ``tree`` (a ``kd_tree`` over R, so one or two
+    features) answers the query, with full distance rows only for a tie at
+    the k-th distance or when R holds no more than k rows.  Without a tree,
+    three or more features take a Gram screen and one or two full rows.
 
     The queries are screened in ``row_blocks`` that all reuse one work
     buffer, so any number of rows may be asked at once."""
     m, n, n_features = len(Q), len(R), Q.shape[1]
     k = min(k, n)
-    if n_features <= 2 and tree is not None and k < n:
+    if tree is not None and k < n:
         return _kd_screen(Q, R, k, tree)
     screen = _gram_screen if n_features > 2 else _full_rows
     blocks, size = row_blocks(m, n, SCREEN_CELLS)
@@ -329,56 +336,20 @@ class TreeClassifier:
         self.zstats = ZStats.fit(X)
         self.X = self.zstats.transform(X)
         y = train.label_values
-        self._rows_by_label = {}
-        for lab in tree.labels:
-            idx = np.flatnonzero(y == lab)
-            if len(idx) == 0:
+        self.leaf = np.full(len(y), -1)  # each training row's leaf; -1 outside the tree
+        for leaf, lab in enumerate(tree.labels):
+            of_label = y == lab
+            if not np.any(of_label):
                 raise DataError("label '%s' has zero training rows" % lab)
-            self._rows_by_label[lab] = idx
-        self._node_rows = {}
-        self._node_X = {}
-        self._node_tree = {}
-        self._node_is_left = {}
-        self._outlier_thr = {}
+            self.leaf[of_label] = leaf
         self._warned_small_k = False
 
-    def node_rows(self, node):
-        if node not in self._node_rows:
-            labs = self.tree.node_labels(node)
-            rows = np.sort(np.concatenate([self._rows_by_label[l] for l in labs]))
-            self._node_rows[node] = rows
-        return self._node_rows[node]
-
-    def node_X(self, node):
-        """The z-scored training rows of node_rows(node)."""
-        if node not in self._node_X:
-            self._node_X[node] = self.X[self.node_rows(node)]
-        return self._node_X[node]
-
-    def node_tree(self, node):
-        """``kd_tree(node_X(node))``: the node's KD tree, None with more than
-        two features."""
-        if node not in self._node_tree:
-            self._node_tree[node] = kd_tree(self.node_X(node))
-        return self._node_tree[node]
-
-    def _left_mask(self, node):
-        """Boolean mask over node_rows(node): True where the row's label sits
-        in the left branch."""
-        if node not in self._node_is_left:
-            rows = self.node_rows(node)
-            left, _ = self.tree.children(node)
-            left_rows = np.concatenate([
-                self._rows_by_label[l] for l in self.tree.node_labels(left)
-            ])
-            self._node_is_left[node] = np.isin(rows, left_rows)
-        return self._node_is_left[node]
-
-    def _outlier_threshold(self, node):
-        if node not in self._outlier_thr:
-            nn = _nearest_neighbor_distances(self.node_X(node), self.node_tree(node))
-            self._outlier_thr[node] = float(np.quantile(nn, self.cfg.outlier_quantile))
-        return self._outlier_thr[node]
+    def _outlier_threshold(self, R, kd):
+        """The outlier_quantile of the distances, with the bits of
+        ``distance_rows``, from each node row R to its nearest other row: the
+        second of its two nearest, as it is its own nearest at exactly 0."""
+        nn = kd.query(R, k=2)[0] if kd is not None else k_nearest(R, R, 2)[0]
+        return float(np.quantile(nn[:, 1], self.cfg.outlier_quantile))
 
     def competition(self, Z, node):
         """Decide one internal-node competition for each z-scored row of Z.
@@ -390,20 +361,23 @@ class TreeClassifier:
         tree, cfg = self.tree, self.cfg
         if tree.is_leaf(node):
             raise DataError("node %d is a leaf, nothing to compete" % node)
-        R = self.node_X(node)
+        members = tree.dendro.members
+        in_node = np.isin(self.leaf, members(node))
+        R = self.X[in_node]
+        is_left = np.isin(self.leaf[in_node], members(tree.children(node)[0]))
+        kd = kd_tree(R)
         k = min(cfg.k_star, len(R))
         if k < cfg.k_star and not self._warned_small_k:
             log.warning("only %d training rows at node %d, k* reduced from %d", len(R), node, cfg.k_star)
             self._warned_small_k = True
-        dist, nearest = k_nearest(Z, R, k, self.node_tree(node))
-        is_left = self._left_mask(node)
+        dist, nearest = k_nearest(Z, R, k, kd)
         left_count = np.count_nonzero(is_left[nearest], axis=1)
         need = cfg.dominant_fraction * k - 1e-9
         decision = np.full(len(Z), "stop", dtype=object)
         decision[k - left_count >= need] = "right"
         decision[left_count >= need] = "left"
         if cfg.outlier_quantile is not None:
-            decision[dist[:, 0] > self._outlier_threshold(node)] = "outlier"
+            decision[dist[:, 0] > self._outlier_threshold(R, kd)] = "outlier"
         open_ = np.flatnonzero(decision == "stop")
         blocks, size = row_blocks(len(open_), len(R), row_cells(R.shape[1]))
         work = np.empty(size)
@@ -450,17 +424,6 @@ class TreeClassifier:
 
     def classify_rows(self, table):
         return self.classify(feature_matrix(table, self.features))
-
-
-def _nearest_neighbor_distances(Z, tree=None):
-    """Distance from each row to its nearest other row, with the bits of
-    ``distance_rows``.  Called for internal nodes only, which hold rows of
-    at least two labels.  Each row is its own nearest at exactly 0, so the
-    second of its two nearest is the nearest other row (0 for a duplicate);
-    ``tree``, a ``kd_tree`` over Z, answers that query when given."""
-    if tree is not None:
-        return tree.query(Z, k=2)[0][:, 1]
-    return k_nearest(Z, Z, 2)[0][:, 1]
 
 
 def set_name(labels, universe):

@@ -14,9 +14,9 @@ feature equality, and returns the mean response vector of the focal rows.
 
 Queries are predicted together (``rma_predict_rows``): every row is located
 in one pass, and the rows that share a rectangle get their k* nearest
-training rows from one call to the blocked kernel of the predictive map
-(``predictive_map.k_nearest``), with the same focal rows and means as one
-query at a time.
+training rows, z-scored as the rectangle is predicted, from one call to the
+blocked kernel of the predictive map (``predictive_map.k_nearest``), with
+the same focal rows and means as one query at a time.
 """
 
 import logging
@@ -376,40 +376,32 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
     if len(X) == 0:
         return []
     codes, oor = lattice.locate_rows(X)
+    sieve = [_sieve_keys(table, minor, values, minor_binnings) for minor, values in minors.items()]
+    Xtr = feature_matrix(table, lattice.majors)
+    Zq = lattice.zstats.transform(X)
+    resp = feature_matrix(table, lattice.responses)
     # cells in order of their first query row, so that an uncovered region
     # is reported for the first row that falls in one
     rows_by_cell = {}
     for row, cell in enumerate(map(tuple, codes.tolist())):
         rows_by_cell.setdefault(cell, []).append(row)
-    plan = []
+    out = [None] * len(X)
     for cell, rows in rows_by_cell.items():
-        members = lattice.cells.get(cell)
-        fallback = members is None or len(members) == 0
-        if fallback:
+        rows, members = np.asarray(rows), lattice.cells.get(cell)
+        cell_flags = set()
+        if members is None or len(members) == 0:
             neighbors = lattice.adjacent_cells(cell)
             if not neighbors:
                 raise DataError(
                     "uncovered covariate region: rectangle %s and all adjacent rectangles are empty"
                     % (cell,))
             members = np.sort(np.concatenate([lattice.cells[n] for n in neighbors]))
-        plan.append((cell, np.asarray(rows), members, fallback))
-    # training rows any query can draw on, in row order: the arrays below
-    # hold only these, so a call with few queries does not transform the
-    # whole table, and a position into them orders like a row id
-    used = np.unique(np.concatenate([members for _, _, members, _ in plan]))
-    sieve = [_sieve_keys(table, minor, values, used, minor_binnings) for minor, values in minors.items()]
-    Z = lattice.zstats.transform(feature_matrix(table, lattice.majors)[used])
-    Zq = lattice.zstats.transform(X)
-    resp = feature_matrix(table, lattice.responses)[used]
-    out = [None] * len(X)
-    for cell, rows, members, fallback in plan:
+            cell_flags.add("adjacent_fallback")
         k = min(int(k_star), len(members))
-        cell_flags = {"adjacent_fallback"} if fallback else set()
         if k < k_star:
             cell_flags.add("underfilled")
-        members = np.searchsorted(used, members)
         # members ascend, so (distance, member) order is (distance, row)
-        focal = members[k_nearest(Zq[rows], Z[members], k)[1]]
+        focal = members[k_nearest(Zq[rows], lattice.zstats.transform(Xtr[members]), k)[1]]
         keep = np.ones(focal.shape, dtype=bool)
         for table_key, query_key in sieve:
             keep &= table_key[focal] == query_key[rows, None]
@@ -422,7 +414,7 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
             # a mean over axis 1 adds each row's focal responses in the
             # order, and to the bits, of a one-query mean over axis 0
             values[same] = resp[focal[same][keep[same]].reshape(-1, c)].mean(axis=1)
-        focal_rows, kept = used[focal].tolist(), keep.tolist()
+        focal_rows, kept = focal.tolist(), keep.tolist()
         for i, row in enumerate(rows.tolist()):
             flags = set(cell_flags)
             if oor[row]:
@@ -436,21 +428,21 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
     return out
 
 
-def _sieve_keys(table, minor, values, rows, minor_binnings):
-    """Keys of one minor feature over the training rows ``rows`` and over
-    the query values, equal where a training row passes the query's sieve:
-    the string of a categorical value, the float of a discrete one, the bin
-    id of a continuous one."""
+def _sieve_keys(table, minor, values, minor_binnings):
+    """Keys of one minor feature over the training rows and over the query
+    values, equal where a training row passes the query's sieve: the string
+    of a categorical value, the float of a discrete one, the bin id of a
+    continuous one."""
     col = table.column(minor)
     if col.kind == "categorical":
-        return col.values[rows].astype(str), np.array([str(v) for v in values])
+        return col.values.astype(str), np.array([str(v) for v in values])
     if col.kind == "discrete":
-        return np.asarray(col.values, dtype=float)[rows], np.array([float(v) for v in values])
+        return np.asarray(col.values, dtype=float), np.array([float(v) for v in values])
     mb = (minor_binnings or {}).get(minor)
     if mb is None:
         raise DataError("continuous minor '%s' needs a binning" % minor)
     want, _ = categorize_many(mb, np.array([float(v) for v in values]))
-    got, _ = categorize_many(mb, np.asarray(col.values, dtype=float)[rows])
+    got, _ = categorize_many(mb, np.asarray(col.values, dtype=float))
     return got, want
 
 
@@ -458,7 +450,7 @@ def _sieve_keys(table, minor, values, rows, minor_binnings):
 # Error metrics
 
 
-def _quadratic_form_rows(sigma, E, ridge_scale=RIDGE_SCALE):
+def _quadratic_form_rows(sigma, E):
     """Rows of E through e' inv(sigma) e; near-singular sigma gets a ridge.
 
     Returns (values, ridged flag)."""
@@ -467,9 +459,9 @@ def _quadratic_form_rows(sigma, E, ridge_scale=RIDGE_SCALE):
     w = np.linalg.eigvalsh(sigma)
     ridged = bool(w.min() <= 1e-12 * max(float(w.max()), 1e-30))
     if ridged:
-        eps = ridge_scale * np.trace(sigma) / m
+        eps = RIDGE_SCALE * np.trace(sigma) / m
         if eps <= 0:
-            eps = ridge_scale
+            eps = RIDGE_SCALE
         sigma = sigma + eps * np.eye(m)
     sol = np.linalg.solve(sigma, E.T)
     return np.einsum("ij,ji->i", E, sol), ridged
@@ -506,14 +498,14 @@ class ErrorReport:
         return csv_text(rows)
 
 
-def error_metrics(predictions, truths, lattice, table, global_cov=None, ridge_scale=RIDGE_SCALE):
+def error_metrics(predictions, truths, lattice, table, global_cov=None):
     """Per-patch and pooled prediction error summaries.
 
     Three kinds: per-response mean squared error; mean error quadratic form
     under the global training response covariance; the same under each
     patch's own covariance (omitted below 3 members).  Sample covariances
     use the n-1 denominator; near-singular matrices get a flagged ridge of
-    ridge_scale * trace / m instead of aborting.
+    RIDGE_SCALE * trace / m instead of aborting.
     """
     if isinstance(table, LabeledDataset):
         table = table.table
@@ -534,12 +526,12 @@ def error_metrics(predictions, truths, lattice, table, global_cov=None, ridge_sc
     for cell in sorted(by_patch):
         idx = np.asarray(by_patch[cell])
         Ep = E[idx]
-        mg, rg = _quadratic_form_rows(global_cov, Ep, ridge_scale)
+        mg, rg = _quadratic_form_rows(global_cov, Ep)
         members = lattice.cells.get(cell, np.empty(0, dtype=int))
         mp, rp = None, False
         if len(members) >= 3:
             local_cov = np.cov(resp_all[members], rowvar=False, ddof=1)
-            vals, rp = _quadratic_form_rows(np.atleast_2d(local_cov), Ep, ridge_scale)
+            vals, rp = _quadratic_form_rows(np.atleast_2d(local_cov), Ep)
             mp = float(vals.mean())
         patches.append(PatchErrors(
             name=lattice.cell_name(cell), n=len(idx),
@@ -547,7 +539,7 @@ def error_metrics(predictions, truths, lattice, table, global_cov=None, ridge_sc
             mahal_global=float(mg.mean()), mahal_patch=mp,
             ridged_global=rg, ridged_patch=rp,
         ))
-    mg_all, rg_all = _quadratic_form_rows(global_cov, E, ridge_scale)
+    mg_all, rg_all = _quadratic_form_rows(global_cov, E)
     patches.append(PatchErrors(
         name="ALL", n=len(E),
         mse={r: float(np.mean(E[:, j] ** 2)) for j, r in enumerate(lattice.responses)},
@@ -571,19 +563,19 @@ class OlsFit:
     resid_se: float
     df: int
 
-    def row_cells(self, columns, fmt="%.6g"):
+    def row_cells(self, columns):
         cells = []
         for c in columns:
-            v = fmt % self.coef[c]
+            v = "%.6g" % self.coef[c]
             if self.significant[c]:
                 v += "*"
             cells.append(v)
         return cells
 
 
-def ols_fit(ds, response, covariates, per_label=True, alpha=0.05):
+def ols_fit(ds, response, covariates, per_label=True):
     """Least squares with intercept, per label: estimates, residual standard
-    error with df = n - p - 1, and two-sided t-test stars at the alpha level."""
+    error with df = n - p - 1, and two-sided t-test stars at the 0.05 level."""
     covariates = list(covariates)
     if not covariates:
         raise ConfigError("at least one covariate is required")
@@ -624,7 +616,7 @@ def ols_fit(ds, response, covariates, per_label=True, alpha=0.05):
             coef=dict(zip(design_names, (float(b) for b in beta))),
             se=dict(zip(design_names, (float(v) for v in se))),
             pvalue=dict(zip(design_names, (float(v) for v in pvals))),
-            significant=dict(zip(design_names, (bool(v < alpha) for v in pvals))),
+            significant=dict(zip(design_names, (bool(v < 0.05) for v in pvals))),
             resid_se=float(np.sqrt(s2)),
             df=int(df),
         ))
@@ -640,10 +632,10 @@ def _collinear_columns(X, names):
     return sorted(names[piv[i]] for i in range(len(diag)) if diag[i] <= tol)
 
 
-def ols_report_text(fits, covariates, fmt="%.6g"):
+def ols_report_text(fits, covariates):
     """CSV table in the per-label report layout: intercept and slope columns
     starred when significant, then residual standard error and df."""
     columns = ["intercept"] + list(covariates)
     rows = [["label"] + columns + ["residual_std_error", "df"]]
-    rows += [[f.label] + f.row_cells(columns, fmt) + [fmt % f.resid_se, f.df] for f in fits]
+    rows += [[f.label] + f.row_cells(columns) + ["%.6g" % f.resid_se, f.df] for f in fits]
     return csv_text(rows)

@@ -466,6 +466,55 @@ def test_unknown_config_keys_warn(tmp_path, clouds_csv, caplog):
     assert "respones" in rma and "responses" in rma
 
 
+def test_chain_entry_typos_warn(tmp_path, clouds_csv, caplog):
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(clouds_csv), label_column="label", seed=2,
+                    out_dir=str(tmp_path / "out"), feature_sets={"s1": ["f0", "f1"]},
+                    chain=[{"set": "s1", "sets": "s1", "competition": {"k_sta": 5}}])
+    with caplog.at_level("WARNING", logger="ceda"):
+        assert run_cli("chain", "--config", cfg) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 2
+    entry, override = warnings
+    assert "chain[0]:" in entry and "sets" in entry and "known keys: competition, set" in entry
+    assert "chain[0].competition" in override and "k_sta" in override and "k_star" in override
+
+
+def assert_one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and "Traceback" not in err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+@pytest.mark.parametrize("command", ["pmap", "chain", "dissect"])
+@pytest.mark.parametrize("field,value", [("k_star", 20.0), ("k_star", "20"), ("pl_upper", "2")])
+def test_mistyped_competition_fields_are_config_errors(tmp_path, clouds_csv, capsys, command, field, value):
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(clouds_csv), label_column="label",
+                    out_dir=str(tmp_path / "out"), competition={field: value})
+    assert run_cli(command, "--config", cfg) == 1
+    assert_one_error_line(capsys, "competition.%s" % field, repr(value))
+
+
+@pytest.mark.parametrize("section,value", [("competition", 5), ("split", [1]), ("let", "x"), ("rma", None)])
+def test_sections_that_are_not_objects_are_config_errors(tmp_path, clouds_csv, capsys, section, value):
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(clouds_csv), label_column="label",
+                    out_dir=str(tmp_path / "out"), **{section: value})
+    assert run_cli("pmap", "--config", cfg) == 1
+    assert_one_error_line(capsys, "section '%s' must be an object" % section)
+
+
+@pytest.mark.parametrize("missing", ["response", "covariates"])
+def test_incomplete_rma_ols_section_is_config_error(tmp_path, magnus_csv, capsys, missing):
+    ols = {"response": "pfx_x", "covariates": ["spin_dir"]}
+    del ols[missing]
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(magnus_csv), label_column="label",
+                    out_dir=str(tmp_path / "out"),
+                    rma={"responses": ["pfx_x", "pfx_z"], "majors": ["spin_dir", "spin_rate"], "ols": ols})
+    assert run_cli("rma", "--config", cfg) == 1
+    assert_one_error_line(capsys, "rma.ols", "'%s'" % missing)
+
+
 # --- stage seeds ----------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ to every other row, whatever the feature count.
 
 import importlib
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -221,6 +222,22 @@ def test_batched_knn_matches_per_point_vote(problem, k, block_bytes):
     assert got == ref_knn(train, test, features, k)
 
 
+def outlier_threshold_input(Z, tree):
+    """The nearest-other-row distances ``TreeClassifier._outlier_threshold``
+    takes its quantile of, with the threshold it returns."""
+    seen = []
+    quantile = np.quantile
+
+    def record(a, q):
+        seen.append(np.array(a))
+        return quantile(a, q)
+
+    clf = SimpleNamespace(cfg=CompetitionConfig())
+    with mock.patch.object(np, "quantile", side_effect=record):
+        threshold = TreeClassifier._outlier_threshold(clf, Z, tree)
+    return seen[0], threshold
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 600), dim=st.sampled_from([1, 2, 3, 9, 32]),
        n_dup=st.integers(0, 40), grid=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]))
@@ -236,9 +253,10 @@ def test_outlier_precompute_is_exact_for_one_or_two_features(seed, n, dim, n_dup
     _, inverse, counts = np.unique(Z, axis=0, return_inverse=True, return_counts=True)
     duplicated = counts[inverse.ravel()] > 1
     for tree in (None, kd_tree(Z)):
-        got = predictive_map._nearest_neighbor_distances(Z, tree)
+        got, threshold = outlier_threshold_input(Z, tree)
         assert got.tobytes() == want.tobytes()
         assert np.all(got[duplicated] == 0.0) and np.all(got[~duplicated] > 0.0)
+        assert threshold == float(np.quantile(want, CompetitionConfig().outlier_quantile))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -405,7 +423,7 @@ def test_ties_at_the_kth_distance_keep_the_lowest_rows():
     cfg = CompetitionConfig(k_star=3, dominant_fraction=0.6, outlier_quantile=None)
     clf = TreeClassifier(tree, train, ["f0"], cfg)
     Z = clf.zstats.transform([[0.0]])
-    R = clf.X[clf.node_rows(tree.root)]
+    R = clf.X  # the root holds every training row
     for screen in screens(R):
         assert k_nearest(Z, R, 3, **screen)[1].tolist() == [[2, 0, 1]]
     assert clf.competition(Z, tree.root).tolist() == ["left"]  # left leaf is 'a'

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from ceda.dataset import synth_generate
-from ceda.errors import ConfigError
-from ceda.label_tree import tree_from_training
+from ceda.errors import ConfigError, DataError
+from ceda.label_tree import build_label_tree, tree_from_training
 from ceda.predictive_map import (
     CompetitionConfig,
     TreeClassifier,
@@ -78,12 +78,22 @@ def test_config_validation():
         CompetitionConfig(dominant_fraction=0.5)
     with pytest.raises(ConfigError):
         CompetitionConfig(outlier_quantile=1.0)
+    for field, value in (("k_star", 20.0), ("k_star", True), ("pl_lower", "0.5"), ("dominant_fraction", None)):
+        with pytest.raises(ConfigError, match="competition.%s" % field):
+            CompetitionConfig(**{field: value})
     # the degenerate band is a legal configuration
     CompetitionConfig(pl_lower=1.0, pl_upper=1.0)
     CompetitionConfig(outlier_quantile=None)
 
 
 # --- competitions --------------------------------------------------------
+
+
+def test_a_tree_label_without_training_rows_is_a_data_error():
+    ds = two_clouds()  # labels 'a' and 'b'
+    tree = build_label_tree(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]]), ["a", "b", "c"])
+    with pytest.raises(DataError, match="label 'c' has zero training rows"):
+        TreeClassifier(tree, ds, ["f0", "f1"])
 
 
 def test_dominant_neighborhood_decides_without_kde():
