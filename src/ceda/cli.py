@@ -51,7 +51,7 @@ from .chain import (
 )
 from .dataset import SplitSpec, csv_text, load_csv, split_train_test, synth_generate, write_csv
 from .discretize import build_histogram
-from .errors import CedaError, ConfigError, DataError
+from .errors import CedaError, ConfigError, DataError, check_number
 from .label_tree import (
     build_label_tree,
     dominance_to_distance,
@@ -209,10 +209,21 @@ def _binnings_for(table, features, cfg):
     return out
 
 
+def _config_number(cfg, section, key, default, integer=True):
+    """cfg[section][key], or default when it is absent, as an int (integer
+    true) or a float; a ConfigError naming the key when it is not a number of
+    that kind.  A None default lets the key be absent or null."""
+    value = cfg.get(section, {}).get(key, default)
+    if value is None and default is None:
+        return None
+    check_number("%s.%s" % (section, key), value, integer)
+    return int(value) if integer else float(value)
+
+
 def _split(ds, cfg):
     split_cfg = cfg.get("split", {})
     spec = SplitSpec(
-        train_fraction=float(split_cfg.get("train_fraction", 0.8)),
+        train_fraction=_config_number(cfg, "split", "train_fraction", 0.8, integer=False),
         seed=stage_seed(cfg["seed"], "split"),
         stratified=bool(split_cfg.get("stratified", True)),
     )
@@ -332,7 +343,7 @@ def cmd_mce(args):
     run.write_json("binning_report.json", {n: b.to_report() for n, b in sorted(binnings.items())})
     matrix = mce_matrix(ds.table, binnings=binnings, features=features)
     run.write_text("mce_matrix.csv", matrix.to_csv_text())
-    k = int(cfg.get("mce", {}).get("k_groups", min(5, len(matrix.features))))
+    k = _config_number(cfg, "mce", "k_groups", min(5, len(matrix.features)))
     groups = matrix.groups(k)
     run.write_json("mce_groups.json", {
         "k": k, "order": matrix.features, "groups": groups.groups,
@@ -352,7 +363,7 @@ def cmd_mce(args):
 
 
 def _samples_per_triplet(cfg):
-    return int(cfg.get("let", {}).get("samples_per_triplet", 200))
+    return _config_number(cfg, "let", "samples_per_triplet", 200)
 
 
 def _split_with_feature_set(cfg, command):
@@ -480,7 +491,7 @@ def cmd_dissect(args):
         source = dis_cfg["external"]
     else:
         chain0 = result.chain.links[0]
-        k = int(dis_cfg.get("knn_k", 20))
+        k = _config_number(cfg, "dissect", "knn_k", 20)
         preds = knn_baseline_predict(train, test, list(chain0.features), k=k)
         external = dict(enumerate(preds))
         source = "builtin-knn(k=%d)" % k
@@ -514,9 +525,9 @@ def cmd_rma(args):
     train, test = _split(ds, cfg)
     needed = list(responses) + covariates
     binnings = _binnings_for(train.table, needed, cfg)
-    bins_per_major = rcfg.get("bins_per_major")
+    bins_per_major = _config_number(cfg, "rma", "bins_per_major", None)
     majors = rcfg.get("majors")
-    threshold = float(rcfg.get("threshold", 0.35))
+    threshold = _config_number(cfg, "rma", "threshold", 0.35, integer=False)
     run = Run("rma", cfg)
     scores = []
     for cand in candidates:
@@ -537,7 +548,7 @@ def cmd_rma(args):
         for m in majors:
             if train.table.kind(m) == "continuous":
                 major_binnings[m] = build_histogram(
-                    train.table.values(m), target_bins=int(bins_per_major), feature=m)
+                    train.table.values(m), target_bins=bins_per_major, feature=m)
     lattice = build_locality_lattice(train.table, spec, majors, major_binnings,
                                      bin_subset=rcfg.get("bin_subset"))
     run.write_json("rma_binnings.json", {
@@ -547,7 +558,7 @@ def cmd_rma(args):
     if minor_cands:
         run.write_text("rma_minor_entropy.csv",
                        minor_feature_entropy(lattice, train.table, minor_cands, binnings).to_csv_text())
-    k_star = int(rcfg.get("k_star", 20))
+    k_star = _config_number(cfg, "rma", "k_star", 20)
     Xte = np.column_stack([np.asarray(test.table.values(m), dtype=float) for m in majors])
     truths = np.column_stack([np.asarray(test.table.values(r), dtype=float) for r in responses])
     predictions = rma_predict_rows(Xte, {m: test.table.values(m) for m in minors}, lattice,

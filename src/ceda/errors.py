@@ -3,6 +3,8 @@
 Each class carries the process exit code the command line tool maps it to.
 """
 
+import numbers
+
 
 class CedaError(Exception):
     """Base class for errors raised by this package."""
@@ -26,3 +28,12 @@ class ComputationError(CedaError):
     """A computation could not be completed (exit code 3)."""
 
     exit_code = 3
+
+
+def check_number(name, value, integer):
+    """value when it is an integer (integer true) or a real number, a bool
+    being neither: a config file may give any JSON value.  Otherwise a
+    ConfigError naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise ConfigError("%s must be %s, got %r" % (name, "an integer" if integer else "a number", value))
+    return value

@@ -28,20 +28,21 @@ and its nearest distance, which ``k_nearest`` finds: the node's KD tree for
 one or two features, a Gram screen with a proven rounding margin for more,
 both exact to the bit, as are the outlier screen's distances.  Only the
 points rule 3 decides get their distances to every node member
-(``distance_rows``).  The kernels cut their query rows into blocks of
-bounded size (``row_blocks``) that reuse one work buffer, so callers hand
-over all their rows at once."""
+(``distance_rows``), with the node's left-branch rows first, so each
+branch's sample is a column slice.  Each KDE takes its log-sum-exp in one
+in-place exponential (``_logsumexp_rows``) with the bits of scipy's
+``logsumexp``.  The kernels cut their query rows into blocks of bounded
+size (``row_blocks``) that reuse one work buffer, so callers hand over all
+their rows at once."""
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataset import ZStats, csv_text, feature_matrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_number
 
 log = logging.getLogger(__name__)
 
@@ -55,13 +56,10 @@ class CompetitionConfig:
     outlier_quantile: float = 0.99  # None disables the outlier screen
 
     def __post_init__(self):
-        # a config file may give any JSON value, and a bool is an int
         for f in fields(self):
-            value, kind = getattr(self, f.name), numbers.Integral if f.type is int else numbers.Real
-            if (isinstance(value, bool) or not isinstance(value, kind)) and not (
-                    value is None and f.name == "outlier_quantile"):
-                raise ConfigError("competition.%s must be %s, got %r"
-                                  % (f.name, "an integer" if f.type is int else "a number", value))
+            value = getattr(self, f.name)
+            if not (value is None and f.name == "outlier_quantile"):
+                check_number("competition." + f.name, value, f.type is int)
         if self.k_star < 1:
             raise ConfigError("k_star must be >= 1")
         if not 0.0 < self.pl_lower <= 1.0 <= self.pl_upper:
@@ -102,6 +100,33 @@ def silverman_bandwidth(samples):
 _log = np.vectorize(math.log, otypes=[float])
 
 
+def _logsumexp_rows(a):
+    """log(sum(exp(row))) of each row of the C-ordered 2-d float array a,
+    with the bits of scipy's ``logsumexp(a, axis=-1)``: the row's
+    maxima are taken out of the sum, which is log1p(s / m) + log(m) + max
+    for m maxima and the rest summing to s.  One in-place exp over a, which
+    this overwrites.
+
+    A row's result is not finite exactly when its max is not (+inf, NaN, or
+    a row of -inf); those rows take scipy's fallback log(sum(exp(row)))."""
+    mx = a.max(axis=1)
+    finite = np.isfinite(mx)
+    if not finite.all():
+        out = np.empty(len(a))
+        with np.errstate(over="ignore", divide="ignore"):
+            out[~finite] = np.log(np.exp(a[~finite]).sum(axis=1))
+        out[finite] = _logsumexp_rows(a[finite])
+        return out
+    top = a == mx[:, None]
+    m = np.count_nonzero(top, axis=1).astype(float)
+    a[top] = -np.inf
+    a -= mx[:, None]
+    np.exp(a, out=a)
+    s = a.sum(axis=1)
+    np.divide(s, m, out=s, where=s != 0.0)
+    return np.log1p(s) + np.log(m) + mx
+
+
 def log_gaussian_kde(samples, x):
     """Log density at x of a Gaussian KDE over each sample (the last axis of
     samples, one x per sample).  Log-space keeps the ratio of two branch
@@ -109,8 +134,12 @@ def log_gaussian_kde(samples, x):
     samples = np.asarray(samples, dtype=float)
     x = np.asarray(x, dtype=float)
     h = silverman_bandwidth(samples)
-    u = (x[..., None] - samples) / h[..., None]
-    return logsumexp(-0.5 * u * u, axis=-1) - _log(samples.shape[-1] * h * math.sqrt(2.0 * math.pi))
+    u = np.subtract(x[..., None], samples)
+    u /= h[..., None]
+    a = np.multiply(u, -0.5)
+    a *= u
+    lse = _logsumexp_rows(a.reshape(-1, a.shape[-1])).reshape(a.shape[:-1])
+    return lse - _log(samples.shape[-1] * h * math.sqrt(2.0 * math.pi))
 
 
 # Bytes of float temporaries one block of query rows may hold.  ``k_nearest``
@@ -379,13 +408,17 @@ class TreeClassifier:
         if cfg.outlier_quantile is not None:
             decision[dist[:, 0] > self._outlier_threshold(R, kd)] = "outlier"
         open_ = np.flatnonzero(decision == "stop")
+        # left rows first, each branch in its own order: a branch's sample
+        # is then a column slice of the distance rows
+        R = R[np.argsort(~is_left, kind="stable")]
+        n_left = np.count_nonzero(is_left)
         blocks, size = row_blocks(len(open_), len(R), row_cells(R.shape[1]))
         work = np.empty(size)
         for block in blocks:
             rows = open_[block]
             d = distance_rows(Z[rows], R, work)
             m = np.median(d, axis=1)
-            log_ratio = log_gaussian_kde(d[:, is_left], m) - log_gaussian_kde(d[:, ~is_left], m)
+            log_ratio = log_gaussian_kde(d[:, :n_left], m) - log_gaussian_kde(d[:, n_left:], m)
             if cfg.pl_lower == cfg.pl_upper:
                 # degenerate band: force a winner at every node
                 decision[rows] = np.where(log_ratio >= math.log(cfg.pl_upper), "left", "right")

@@ -496,6 +496,25 @@ def test_mistyped_competition_fields_are_config_errors(tmp_path, clouds_csv, cap
     assert_one_error_line(capsys, "competition.%s" % field, repr(value))
 
 
+RMA_SECTION = {"responses": ["pfx_x", "pfx_z"], "major_candidates": ["spin_dir", "spin_rate"],
+               "majors": ["spin_dir", "spin_rate"]}
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("let", "let", "samples_per_triplet"), ("pmap", "split", "train_fraction"), ("dissect", "dissect", "knn_k"),
+    ("mce", "mce", "k_groups"), ("rma", "rma", "k_star"), ("rma", "rma", "threshold"),
+    ("rma", "rma", "bins_per_major")])
+@pytest.mark.parametrize("value", ["many", True])
+def test_mistyped_numeric_config_values_are_config_errors(request, tmp_path, capsys, command, section, key, value):
+    dataset = request.getfixturevalue("magnus_csv" if command == "rma" else "clouds_csv")
+    sections = {"rma": dict(RMA_SECTION)} if command == "rma" else {}
+    sections.setdefault(section, {})[key] = value
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(dataset), label_column="label",
+                    out_dir=str(tmp_path / "out"), **sections)
+    assert run_cli(command, "--config", cfg) == 1
+    assert_one_error_line(capsys, "%s.%s must be a" % (section, key), repr(value))
+
+
 @pytest.mark.parametrize("section,value", [("competition", 5), ("split", [1]), ("let", "x"), ("rma", None)])
 def test_sections_that_are_not_objects_are_config_errors(tmp_path, clouds_csv, capsys, section, value):
     cfg = write_cfg(tmp_path / "c.json", dataset=str(clouds_csv), label_column="label",
@@ -544,6 +563,12 @@ def modules_loaded_by_cli_import(prefix):
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     # scipy.stats is most of the import time of ceda.cli, and no command needs it
     assert modules_loaded_by_cli_import("scipy.stats") == "[]"
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # only rma's OLS p-values need it, and importing scipy.special costs
+    # about 0.28 s
+    assert modules_loaded_by_cli_import("scipy.special") == "[]"
 
 
 def test_importing_the_cli_leaves_scipy_spatial_unloaded():

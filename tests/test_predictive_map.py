@@ -4,9 +4,13 @@ import importlib
 import logging
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from ceda.dataset import synth_generate
 from ceda.errors import ConfigError, DataError
@@ -14,6 +18,7 @@ from ceda.label_tree import build_label_tree, tree_from_training
 from ceda.predictive_map import (
     CompetitionConfig,
     TreeClassifier,
+    _logsumexp_rows,
     log_gaussian_kde,
     predictive_map,
     set_name,
@@ -63,6 +68,53 @@ def test_log_kde_stays_finite_far_away():
     farther = log_gaussian_kde(sample, 200.0)
     assert np.isfinite(far) and np.isfinite(farther)
     assert farther < far
+
+
+@st.composite
+def logsumexp_rows(draw):
+    """C-ordered rows of magnitude 1e-300 to 1e300 with several tied maxima,
+    -inf entries, and rows of all -inf, NaN or +inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    a = rng.standard_normal((n_rows, n_cols)) * 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        a = -np.abs(a)  # the KDE's exponents are never positive
+    tied = rng.integers(0, n_cols, (n_rows, draw(st.integers(0, n_cols))))
+    np.put_along_axis(a, tied, a.max(axis=1, keepdims=True), axis=1)
+    a[rng.random(a.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = -np.inf
+    for special in draw(st.lists(st.sampled_from([-np.inf, np.nan, np.inf]), max_size=2)):
+        row = rng.integers(0, n_rows)
+        if special == -np.inf:
+            a[row] = special
+        else:
+            a[row, rng.integers(0, n_cols)] = special
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=logsumexp_rows())
+def test_logsumexp_rows_has_the_bits_of_scipy(a):
+    want = logsumexp(a, axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp_rows(a.copy())
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 5), n_cols=st.integers(2, 60),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_log_kde_rows_match_one_sample_calls(seed, n_rows, n_cols, scale):
+    rng = np.random.default_rng(seed)
+    d = np.abs(rng.standard_normal((n_rows, n_cols))) * scale
+    d[:, rng.integers(0, n_cols, n_cols // 3)] = d[:, :1]  # duplicated distances
+    x = np.median(d, axis=1)
+    cut = int(rng.integers(1, n_cols))
+    # a column slice, as the competition passes each branch's sample
+    rows = log_gaussian_kde(d[:, :cut], x)
+    assert rows.tobytes() == log_gaussian_kde(np.ascontiguousarray(d[:, :cut]), x).tobytes()
+    ones = np.array([log_gaussian_kde(d[i, :cut], x[i]) for i in range(n_rows)])
+    assert rows.tobytes() == ones.tobytes()
 
 
 def test_config_validation():
