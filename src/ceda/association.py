@@ -173,7 +173,8 @@ class MceMatrix:
     dendro: object        # Dendrogram over the features (leaf_names = features)
 
     def groups(self, k):
-        return hclust.cut(self.dendro, k).resolve(self.dendro.leaf_names)
+        """The k feature groups of the clustering, as lists of names."""
+        return [[self.dendro.leaf_names[i] for i in group] for group in hclust.cut(self.dendro, k)]
 
     def to_csv_text(self):
         rows = [["feature"] + list(self.features)]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .association import cross_counts
 from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError
 from .label_tree import tree_from_training
@@ -227,8 +228,7 @@ def knn_baseline_predict(train, test, features, k=20):
     y = train.label_values
     labels, codes = np.unique(y, return_inverse=True)
     _, nearest = k_nearest(Zte, Ztr, k, kd_tree(Ztr))
-    # one vote count per (test row, label): a flat bincount over row * L + label
-    votes = np.bincount((np.arange(len(Zte))[:, None] * len(labels) + codes[nearest]).ravel(),
-                        minlength=len(Zte) * len(labels)).reshape(len(Zte), len(labels))
+    votes = cross_counts(np.repeat(np.arange(len(Zte)), nearest.shape[1]), len(Zte),
+                         codes[nearest].ravel(), len(labels))
     # argmax takes the first maximum: alphabetical tie-break
     return labels[np.argmax(votes, axis=1)].tolist()

@@ -158,6 +158,9 @@ def _load_config(args):
         cfg["out_dir"] = args.out
     cfg.setdefault("seed", 0)
     cfg.setdefault("out_dir", "ceda_out")
+    if check_number("seed", cfg["seed"], integer=True) < 0:
+        raise ConfigError("seed must be a non-negative integer, got %r" % cfg["seed"])
+    _check_kind("out_dir", cfg["out_dir"], str)
     return cfg
 
 
@@ -176,6 +179,15 @@ def _warn_unknown_keys(cfg):
             log.warning("config %s: unknown key(s) %s; known keys: %s", where, ", ".join(unknown), ", ".join(known))
 
 
+def _check_kind(name, value, kind):
+    """value when it has the JSON kind bool, str, list or dict; otherwise a
+    ConfigError naming the setting."""
+    if not isinstance(value, kind):
+        what = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}[kind]
+        raise ConfigError("%s must be %s, got %r" % (name, what, value))
+    return value
+
+
 def _require(cfg, key, command):
     if key not in cfg or cfg[key] in (None, ""):
         raise ConfigError("%s requires config key '%s'" % (command, key))
@@ -183,22 +195,24 @@ def _require(cfg, key, command):
 
 
 def _load_dataset(cfg, command):
-    path = _require(cfg, "dataset", command)
-    label = _require(cfg, "label_column", command)
-    return load_csv(path, label, schema=cfg.get("schema"))
+    path = _check_kind("dataset", _require(cfg, "dataset", command), str)
+    label = _check_kind("label_column", _require(cfg, "label_column", command), str)
+    return load_csv(path, label, schema=_check_kind("schema", cfg.get("schema") or {}, dict))
 
 
 def _check_features(ds, names, where):
+    _check_kind(where, names, list)
     known = set(ds.table.names)
     for n in names:
-        if n not in known:
+        if not isinstance(n, str) or n not in known:
             raise ConfigError("%s: unknown feature '%s'" % (where, n))
 
 
 def _binnings_for(table, features, cfg):
-    bin_cfg = cfg.get("binning", {})
-    target = bin_cfg.get("target_bins")
-    per_feature = bin_cfg.get("per_feature", {})
+    target = _config_number(cfg, "binning", "target_bins", None)
+    per_feature = _check_kind("binning.per_feature", cfg.get("binning", {}).get("per_feature", {}), dict)
+    for name, bins in per_feature.items():
+        check_number("binning.per_feature.%s" % name, bins, integer=True)
     out = {}
     for name in features:
         col = table.column(name)
@@ -221,11 +235,10 @@ def _config_number(cfg, section, key, default, integer=True):
 
 
 def _split(ds, cfg):
-    split_cfg = cfg.get("split", {})
     spec = SplitSpec(
         train_fraction=_config_number(cfg, "split", "train_fraction", 0.8, integer=False),
         seed=stage_seed(cfg["seed"], "split"),
-        stratified=bool(split_cfg.get("stratified", True)),
+        stratified=_check_kind("split.stratified", cfg.get("split", {}).get("stratified", True), bool),
     )
     return split_train_test(ds, spec)
 
@@ -245,8 +258,7 @@ def _feature_sets(cfg, ds):
     if not sets:
         numeric = [n for n in ds.feature_names() if ds.table.kind(n) != "categorical"]
         return {"all": numeric}
-    if not isinstance(sets, dict):
-        raise ConfigError("feature_sets must map names to feature lists")
+    _check_kind("feature_sets", sets, dict)
     for name, feats in sets.items():
         if not feats:
             raise ConfigError("feature_sets.%s: empty feature list" % name)
@@ -255,11 +267,10 @@ def _feature_sets(cfg, ds):
 
 
 def _pick_set(cfg, sets, key):
-    section = cfg.get(key, {})
-    chosen = section.get("feature_set") if isinstance(section, dict) else None
+    chosen = cfg.get(key, {}).get("feature_set")
     if chosen is None:
         chosen = next(iter(sets))
-    if chosen not in sets:
+    if _check_kind("%s.feature_set" % key, chosen, str) not in sets:
         raise ConfigError("%s.feature_set: unknown feature set '%s'" % (key, chosen))
     return chosen
 
@@ -344,9 +355,8 @@ def cmd_mce(args):
     matrix = mce_matrix(ds.table, binnings=binnings, features=features)
     run.write_text("mce_matrix.csv", matrix.to_csv_text())
     k = _config_number(cfg, "mce", "k_groups", min(5, len(matrix.features)))
-    groups = matrix.groups(k)
     run.write_json("mce_groups.json", {
-        "k": k, "order": matrix.features, "groups": groups.groups,
+        "k": k, "order": matrix.features, "groups": matrix.groups(k),
     })
     rows = [["feature", "label_to_feature", "feature_to_label"]]
     fwd = dict(rank_features_by_label_association(ds, binnings, "label_to_feature"))
@@ -429,6 +439,7 @@ def _chain_from_config(cfg, ds):
     spec = cfg.get("chain")
     if not spec:
         spec = list(sets)
+    _check_kind("chain", spec, list)
     links = []
     for i, entry in enumerate(spec):
         if isinstance(entry, str):
@@ -439,7 +450,7 @@ def _chain_from_config(cfg, ds):
                 raise ConfigError("chain[%d].competition: expected an object" % i)
         else:
             raise ConfigError("chain[%d]: expected a set name or object" % i)
-        if name not in sets:
+        if _check_kind("chain[%d].set" % i, name, str) not in sets:
             raise ConfigError("chain[%d]: unknown feature set '%s'" % (i, name))
         links.append(ChainLink(name=name, features=tuple(sets[name]),
                                cfg=_competition_config(cfg, override)))
@@ -486,9 +497,9 @@ def cmd_dissect(args):
     dis_cfg = cfg.get("dissect", {})
     run = Run("dissect", cfg)
     write_csv(test.table, run.path_for("split_test.csv"))
-    if dis_cfg.get("external"):
-        external = load_external_predictions(dis_cfg["external"])
-        source = dis_cfg["external"]
+    source = dis_cfg.get("external")
+    if source not in (None, ""):
+        external = load_external_predictions(_check_kind("dissect.external", source, str))
     else:
         chain0 = result.chain.links[0]
         k = _config_number(cfg, "dissect", "knn_k", 20)
@@ -518,7 +529,10 @@ def cmd_rma(args):
     _check_features(ds, candidates, "rma.major_candidates")
     minors = rcfg.get("minors", [])
     _check_features(ds, minors, "rma.minors")
-    covariates = list(dict.fromkeys(list(candidates) + list(rcfg.get("majors", [])) + list(minors)))
+    majors = rcfg.get("majors")
+    if majors:
+        _check_features(ds, majors, "rma.majors")
+    covariates = list(dict.fromkeys(candidates + (majors or []) + minors))
     if not covariates:
         raise ConfigError("rma needs major_candidates, majors or minors")
     spec = ResponseSpec(responses=tuple(responses), covariates=tuple(covariates))
@@ -526,7 +540,6 @@ def cmd_rma(args):
     needed = list(responses) + covariates
     binnings = _binnings_for(train.table, needed, cfg)
     bins_per_major = _config_number(cfg, "rma", "bins_per_major", None)
-    majors = rcfg.get("majors")
     threshold = _config_number(cfg, "rma", "threshold", 0.35, integer=False)
     run = Run("rma", cfg)
     scores = []
@@ -542,7 +555,6 @@ def cmd_rma(args):
         majors = [s.feature for s in scores if s.is_major]
         if not majors:
             raise DataError("no candidate reached the major-feature threshold %.3g" % threshold)
-    _check_features(ds, majors, "rma.majors")
     major_binnings = dict(binnings)
     if bins_per_major:
         for m in majors:
@@ -572,12 +584,13 @@ def cmd_rma(args):
     run.write_text("rma_plotdata.csv", csv_text(rows))
     ols_cfg = rcfg.get("ols")
     if ols_cfg:
-        if not isinstance(ols_cfg, dict):
-            raise ConfigError("rma.ols: expected an object")
+        _check_kind("rma.ols", ols_cfg, dict)
         ols_response = _require(ols_cfg, "response", "rma.ols")
-        ols_covariates = list(_require(ols_cfg, "covariates", "rma.ols"))
-        _check_features(ds, [ols_response] + ols_covariates, "rma.ols")
-        fits = ols_fit(train, ols_response, ols_covariates, per_label=bool(ols_cfg.get("per_label", True)))
+        ols_covariates = _require(ols_cfg, "covariates", "rma.ols")
+        _check_features(ds, [ols_response], "rma.ols.response")
+        _check_features(ds, ols_covariates, "rma.ols.covariates")
+        per_label = _check_kind("rma.ols.per_label", ols_cfg.get("per_label", True), bool)
+        fits = ols_fit(train, ols_response, ols_covariates, per_label=per_label)
         run.write_text("rma_ols.csv", ols_report_text(fits, ols_covariates))
     run.finish()
     pooled = report.patches[-1]

@@ -31,8 +31,6 @@ class Dendrogram:
 
     def leaf_order(self):
         """Left-to-right leaf ordering for heatmap display."""
-        if self.n_leaves == 1:
-            return [0]
         return self.members(2 * self.n_leaves - 2)
 
     def to_newick(self):
@@ -109,41 +107,16 @@ def agglomerate(d, linkage="average"):
     return Dendrogram(n_leaves=n, merges=merges)
 
 
-@dataclass
-class FeatureGroups:
-    k: int
-    groups: list  # list of lists of leaf indices (or names when resolved)
-
-    def resolve(self, names):
-        return FeatureGroups(self.k, [[names[i] for i in g] for g in self.groups])
-
-
 def cut(dendro, k):
-    """Partition into k groups by removing the k-1 highest merges.
+    """Partition the leaves into k groups by removing the k-1 highest merges.
 
-    Heights are non-decreasing for the supported linkages, so this keeps the
-    first n-k merges.  Groups are ordered by their smallest member.
+    Heights are non-decreasing for the supported linkages, so the groups are
+    the members of each node that the first n-k merges create or leave
+    unmerged.  Returns lists of leaf indices, each ascending, ordered by
+    their smallest leaf.
     """
     n = dendro.n_leaves
     if not 1 <= k <= n:
         raise DataError("k must lie in [1, %d], got %d" % (n, k))
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    node_rep = {}
-    for idx, (left, right, _) in enumerate(dendro.merges[: n - k]):
-        rl = node_rep.get(left, left) if left >= n else find(left)
-        rr = node_rep.get(right, right) if right >= n else find(right)
-        rl, rr = find(rl), find(rr)
-        parent[rr] = rl
-        node_rep[n + idx] = rl
-    buckets = {}
-    for leaf in range(n):
-        buckets.setdefault(find(leaf), []).append(leaf)
-    groups = sorted(buckets.values(), key=lambda g: g[0])
-    return FeatureGroups(k=k, groups=groups)
+    merged = {child for left, right, _ in dendro.merges[: n - k] for child in (left, right)}
+    return sorted(sorted(dendro.members(node)) for node in range(2 * n - k) if node not in merged)

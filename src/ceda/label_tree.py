@@ -82,7 +82,7 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     for t_idx, (a, b, c) in enumerate(triples):
         rng = np.random.default_rng(streams[t_idx])
         ra, rb, rc = rows[labels[a]], rows[labels[b]], rows[labels[c]]
-        local_pairs = [pair_id[(a, b)], pair_id[(a, c)], pair_id[(b, c)]]
+        local = np.array([pair_id[(a, b)], pair_id[(a, c)], pair_id[(b, c)]])
         dominated = np.full(T, -1, dtype=int)
         pending = np.arange(T)
         for _ in range(MAX_TIE_ROUNDS):
@@ -106,14 +106,9 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
                 "persistent distance ties while sampling labels (%s, %s, %s)"
                 % (labels[a], labels[b], labels[c])
             )
-        for p_loc in range(3):
-            m = int(np.sum(dominated == p_loc))
-            if m == 0:
-                continue
-            p = local_pairs[p_loc]
-            for q_loc in range(3):
-                if q_loc != p_loc:
-                    counts[p, local_pairs[q_loc]] += m
+        # each dominated pair counts against the other two pairs of the triple
+        tally = np.bincount(dominated, minlength=3)
+        counts[np.ix_(local, local)] += tally[:, None] - np.diag(tally)
 
     named_pairs = [(labels[i], labels[j]) for i, j in pairs]
     return DominanceMatrix(
@@ -207,9 +202,7 @@ def tree_from_training(train, features, samples_per_triplet=200, seed=0):
     for lab in labels:
         if len(train.rows_with_label(lab)) == 0:
             raise DataError("label '%s' has zero training rows" % lab)
-    if len(labels) == 1:
-        return LabelTree(labels=labels, dendro=Dendrogram(n_leaves=1, merges=[], leaf_names=labels))
-    if len(labels) == 2:
-        return build_label_tree(np.array([[0.0, 1.0], [1.0, 0.0]]), labels)
+    if len(labels) < 3:
+        return build_label_tree(1.0 - np.eye(len(labels)), labels)
     dm = sample_triplet_orderings(train, features, samples_per_triplet=samples_per_triplet, seed=seed)
     return build_label_tree(dominance_to_distance(dm), labels)

@@ -462,16 +462,16 @@ class TreeClassifier:
 def set_name(labels, universe):
     """Display name for a predicted label set.
 
-    Single-character labels concatenate ("be"); longer ones join with "+";
-    the full label space is "all" and the empty set "none"."""
+    Labels concatenate ("be") when every label of the universe is one
+    character; otherwise they join with "+", so that {a, b} and {ab} never
+    share a name.  The full label space is "all" and the empty set "none"."""
     labels = sorted(str(l) for l in labels)
+    universe = [str(u) for u in universe]
     if not labels:
         return "none"
-    if set(labels) == set(str(u) for u in universe):
+    if set(labels) == set(universe):
         return "all"
-    if all(len(l) == 1 for l in labels):
-        return "".join(labels)
-    return "+".join(labels)
+    return ("" if all(len(u) == 1 for u in universe) else "+").join(labels)
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .association import (
     category_codes,
     cross_counts,
     directed_conditional_entropy,
-    shannon_entropy,
+    row_entropies,
 )
 from .dataset import LabeledDataset, ZStats, csv_text, feature_matrix
 from .discretize import categorize_many
@@ -296,23 +296,18 @@ def minor_feature_entropy(lattice, table, candidates, binnings=None):
         table = table.table
     if not candidates:
         raise DataError("no minor-feature candidates given")
-    cand_codes = {}
-    cand_n_cats = {}
-    for cand in candidates:
+    cell_keys = sorted(lattice.cells)
+    members = [lattice.cells[cell] for cell in cell_keys]
+    rows = np.concatenate(members)
+    patch_of_row = np.repeat(np.arange(len(cell_keys)), [len(m) for m in members])
+    out = np.empty((len(cell_keys), len(candidates)))
+    for j, cand in enumerate(candidates):
         codes, cats = category_codes(table, cand, binnings)
         if len(cats) < 2:
             raise DataError("candidate '%s' has a single category" % cand)
-        cand_codes[cand] = codes
-        cand_n_cats[cand] = len(cats)
-    cell_keys = sorted(lattice.cells)
-    out = np.full((len(cell_keys), len(candidates)), np.nan)
-    for i, cell in enumerate(cell_keys):
-        rows = lattice.cells[cell]
-        if len(rows) < 2:
-            continue
-        for j, cand in enumerate(candidates):
-            counts = np.bincount(cand_codes[cand][rows], minlength=cand_n_cats[cand])
-            out[i, j] = shannon_entropy(counts) / np.log(cand_n_cats[cand])
+        counts = cross_counts(patch_of_row, len(cell_keys), codes[rows], len(cats))
+        out[:, j] = row_entropies(counts) / np.log(len(cats))
+    out[[len(m) < 2 for m in members]] = np.nan
     return MinorFeatureReport(
         cells=[lattice.cell_name(c) for c in cell_keys],
         candidates=list(candidates), entropies=out,

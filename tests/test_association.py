@@ -355,10 +355,10 @@ def test_mce_matrix_skips_degenerate_feature(caplog):
 def test_mce_matrix_groups_partition_features():
     m = mce_matrix(categorical_test_table())
     groups = m.groups(2)
-    flat = sorted(f for g in groups.groups for f in g)
+    flat = sorted(f for g in groups for f in g)
     assert flat == sorted(m.features)
     # the planted pair clusters together
-    joint = [g for g in groups.groups if "u" in g]
+    joint = [g for g in groups if "u" in g]
     assert "v" in joint[0]
 
 

@@ -500,19 +500,61 @@ RMA_SECTION = {"responses": ["pfx_x", "pfx_z"], "major_candidates": ["spin_dir",
                "majors": ["spin_dir", "spin_rate"]}
 
 
+def run_with_config_value(request, tmp_path, command, path, value):
+    """Run command with value set at the dotted config path; its exit code."""
+    dataset = request.getfixturevalue("magnus_csv" if command == "rma" else "clouds_csv")
+    cfg = {"dataset": str(dataset), "label_column": "label", "out_dir": str(tmp_path / "out")}
+    if command == "rma":
+        cfg["rma"] = dict(RMA_SECTION, ols={"response": "pfx_x", "covariates": ["spin_dir"]})
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return run_cli(command, "--config", write_cfg(tmp_path / "c.json", **cfg))
+
+
 @pytest.mark.parametrize("command,section,key", [
     ("let", "let", "samples_per_triplet"), ("pmap", "split", "train_fraction"), ("dissect", "dissect", "knn_k"),
     ("mce", "mce", "k_groups"), ("rma", "rma", "k_star"), ("rma", "rma", "threshold"),
-    ("rma", "rma", "bins_per_major")])
+    ("rma", "rma", "bins_per_major"), ("pmap", None, "seed"), ("mce", "binning", "target_bins"),
+    ("mce", "binning", "per_feature.f0"), ("mce", "binning", "per_feature")])
 @pytest.mark.parametrize("value", ["many", True])
 def test_mistyped_numeric_config_values_are_config_errors(request, tmp_path, capsys, command, section, key, value):
-    dataset = request.getfixturevalue("magnus_csv" if command == "rma" else "clouds_csv")
-    sections = {"rma": dict(RMA_SECTION)} if command == "rma" else {}
-    sections.setdefault(section, {})[key] = value
-    cfg = write_cfg(tmp_path / "c.json", dataset=str(dataset), label_column="label",
-                    out_dir=str(tmp_path / "out"), **sections)
-    assert run_cli(command, "--config", cfg) == 1
-    assert_one_error_line(capsys, "%s.%s must be a" % (section, key), repr(value))
+    path = key if section is None else "%s.%s" % (section, key)
+    assert run_with_config_value(request, tmp_path, command, path, value) == 1
+    assert_one_error_line(capsys, "%s must be a" % path, repr(value))
+
+
+@pytest.mark.parametrize("seed", [1.7, -1])
+def test_seed_must_be_a_non_negative_integer(request, tmp_path, capsys, seed):
+    assert run_with_config_value(request, tmp_path, "pmap", "seed", seed) == 1
+    assert_one_error_line(capsys, "seed must be a", repr(seed))
+
+
+@pytest.mark.parametrize("command,path,value,message", [
+    ("pmap", "split.stratified", "false", "split.stratified must be true or false, got 'false'"),
+    ("rma", "rma.ols.per_label", "no", "rma.ols.per_label must be true or false, got 'no'"),
+    ("mce", "dataset", 0, "dataset must be a string, got 0"),
+    ("mce", "label_column", ["label"], "label_column must be a string, got ['label']"),
+    ("mce", "out_dir", 5, "out_dir must be a string, got 5"),
+    ("dissect", "dissect.external", 1, "dissect.external must be a string, got 1"),
+    ("let", "let.feature_set", ["all"], "let.feature_set must be a string, got ['all']"),
+    ("pmap", "pmap.feature_set", ["all"], "pmap.feature_set must be a string, got ['all']"),
+    ("mce", "features", "f0", "features must be a list, got 'f0'"),
+    ("pmap", "feature_sets.a", "f0", "feature_sets.a must be a list, got 'f0'"),
+    ("mce", "schema", ["f0"], "schema must be an object, got ['f0']"),
+    ("chain", "chain", "a", "chain must be a list, got 'a'"),
+    ("chain", "chain", [{"set": ["a"]}], "chain[0].set must be a string, got ['a']"),
+    ("rma", "rma.responses", "pfx_x", "rma.responses must be a list, got 'pfx_x'"),
+    ("rma", "rma.major_candidates", "spin_dir", "rma.major_candidates must be a list, got 'spin_dir'"),
+    ("rma", "rma.majors", "spin_dir", "rma.majors must be a list, got 'spin_dir'"),
+    ("rma", "rma.minors", "noise", "rma.minors must be a list, got 'noise'"),
+    ("rma", "rma.ols.covariates", "spin_dir", "rma.ols.covariates must be a list, got 'spin_dir'"),
+])
+def test_config_values_of_the_wrong_kind_are_config_errors(request, tmp_path, capsys, command, path, value, message):
+    assert run_with_config_value(request, tmp_path, command, path, value) == 1
+    assert_one_error_line(capsys, message)
 
 
 @pytest.mark.parametrize("section,value", [("competition", 5), ("split", [1]), ("let", "x"), ("rma", None)])

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ceda.association import MceMatrix
 from ceda.errors import DataError
 from ceda.hclust import Dendrogram, agglomerate, cut
 
@@ -112,9 +113,9 @@ def test_cut_two_tight_pairs():
         [9.0, 9.0, 0.2, 0.0],
     ])
     dendro = agglomerate(d)
-    assert cut(dendro, 2).groups == [[0, 1], [2, 3]]
-    assert cut(dendro, 1).groups == [[0, 1, 2, 3]]
-    assert cut(dendro, 4).groups == [[0], [1], [2], [3]]
+    assert cut(dendro, 2) == [[0, 1], [2, 3]]
+    assert cut(dendro, 1) == [[0, 1, 2, 3]]
+    assert cut(dendro, 4) == [[0], [1], [2], [3]]
 
 
 def test_cut_matches_oracle_partitions():
@@ -142,7 +143,7 @@ def test_cut_matches_oracle_partitions():
             for leaf in range(n):
                 want.setdefault(find(leaf), []).append(leaf)
             want_groups = sorted(want.values(), key=lambda g: g[0])
-            assert cut(dendro, k).groups == want_groups
+            assert cut(dendro, k) == want_groups
 
 
 def test_cut_range_checked():
@@ -155,8 +156,9 @@ def test_cut_range_checked():
 
 def test_cut_resolves_names():
     d = np.array([[0.0, 1.0, 8.0], [1.0, 0.0, 8.0], [8.0, 8.0, 0.0]])
-    groups = cut(agglomerate(d), 2).resolve(["x", "y", "z"])
-    assert groups.groups == [["x", "y"], ["z"]]
+    dendro = agglomerate(d)
+    dendro.leaf_names = ["x", "y", "z"]
+    assert MceMatrix(["x", "y", "z"], d, dendro).groups(2) == [["x", "y"], ["z"]]
 
 
 def test_dendrogram_members():

@@ -219,6 +219,9 @@ def test_set_name_rules():
     assert set_name(("a", "b"), ["a", "b"]) == "all"
     assert set_name(("east", "west"), ["east", "west", "north"]) == "east+west"
     assert set_name(("c", "a"), ["a", "b", "c"]) == "ac"  # sorted
+    # one multi-character label in the universe: {a, b} and {ab} stay apart
+    assert set_name(("a", "b"), ["a", "b", "ab"]) == "a+b"
+    assert set_name(("ab",), ["a", "b", "ab"]) == "ab"
 
 
 def one_link_table(predicted, true_values, true_labels):
