@@ -559,7 +559,8 @@ def tabulate_predictions(keys_per_row, rows, true_values, true_labels, universe)
     ``keys_per_row[row]`` holds one sorted predicted label tuple per chain
     link; a predictive map is the one-link case.  A category whose members
     carry a single true label is certain; categories mixing true labels are
-    uncertain and displayed with a '*' prefix."""
+    uncertain and displayed with a '*' prefix; two that print alike are a
+    DataError."""
     label_pos = {lab: i for i, lab in enumerate(true_labels)}
     buckets = {}
     for row in rows:
@@ -576,6 +577,11 @@ def tabulate_predictions(keys_per_row, rows, true_values, true_labels, universe)
             counts=counts,
             rows=np.asarray(members, dtype=int),
         ))
+    keys_by_name = {}
+    for cat in categories:
+        if keys_by_name.setdefault(cat.name, cat.key) != cat.key:
+            raise DataError("predicted label sets %s and %s both print as '%s'"
+                            % (keys_by_name[cat.name], cat.key, cat.name))
     return CategoryTable(true_labels=list(true_labels), categories=categories)
 
 

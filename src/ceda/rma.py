@@ -6,8 +6,9 @@ explain the joint response categorization (occupied cross-product cells of
 the binned responses).  score = 1 - dce(candidate -> joint cells); scores at
 or above the threshold make the candidate a major feature.
 
-The locality lattice crosses the major features' bins into rectangles and
-keeps, per occupied rectangle, the training rows inside it.  Prediction for
+The locality lattice is one sort of the major features' mixed-radix cell
+codes (``rows_by_cell``, which groups every crossing of categories here):
+per occupied rectangle, the training rows inside it.  Prediction for
 a new covariate point finds its rectangle, takes the k* nearest training
 rows inside it (z-scored major coordinates), optionally sieves them by minor
 feature equality, and returns the mean response vector of the focal rows.
@@ -20,6 +21,7 @@ the same focal rows and means as one query at a time.
 """
 
 import logging
+import math
 import string
 from dataclasses import dataclass, field
 from itertools import compress, product
@@ -57,21 +59,40 @@ class ResponseSpec:
             raise ConfigError("responses and covariates overlap: %s" % sorted(overlap))
 
 
+def cell_ids(codes, dims):
+    """Mixed-radix cell id of each row of (n, k) category codes, where dims
+    maps the k features to their category counts; ids ascend with cells."""
+    if math.prod(dims.values()) > np.iinfo(np.intp).max:
+        raise DataError("the grid of %s has more cells than an index can count" % " x ".join(dims))
+    return np.ravel_multi_index(tuple(codes.T), tuple(dims.values()))
+
+
+def rows_by_cell(codes, dims):
+    """{cell tuple: ascending row ids} of the occupied cells of (n, k)
+    category codes, cells ascending; dims as for ``cell_ids``."""
+    ids = cell_ids(codes, dims)
+    cells, counts = np.unique(ids, return_counts=True)
+    cells = np.column_stack(np.unravel_index(cells, tuple(dims.values()))).tolist()
+    rows = np.split(np.argsort(ids, kind="stable"), np.cumsum(counts)[:-1])
+    return dict(zip(map(tuple, cells), rows))
+
+
 def joint_response_codes(table, spec, binnings):
     """Occupied joint response cells as a single categorical coding.
 
     Returns (codes, cell_names) where each occupied cross-product cell of
-    the per-response categorizations is one category.
+    the per-response categorizations is one category, cells ascending.
     """
     if isinstance(table, LabeledDataset):
         table = table.table
     per_resp = [category_codes(table, r, binnings) for r in spec.responses]
-    combos = np.column_stack([codes for codes, _ in per_resp])
-    cells, joint = np.unique(combos, axis=0, return_inverse=True)
+    dims = {r: len(cats) for r, (_, cats) in zip(spec.responses, per_resp)}
+    cells, joint = np.unique(cell_ids(np.column_stack([codes for codes, _ in per_resp]), dims),
+                             return_inverse=True)
     names = ["/".join("%s=%s" % (r, cats[c]) for (codes, cats), r, c
                       in zip(per_resp, spec.responses, cell))
-             for cell in cells]
-    return joint.ravel(), names
+             for cell in zip(*np.unravel_index(cells, tuple(dims.values())))]
+    return joint, names
 
 
 @dataclass
@@ -99,17 +120,10 @@ def score_major_candidate(table, spec, candidate, binnings, threshold=MAJOR_SCOR
     counts = cross_counts(cand_codes, len(cand_cats), joint, len(cell_names))
     t = ContingencyTable(candidate, "joint-response", list(cand_cats), cell_names, counts)
     score = 1.0 - directed_conditional_entropy(t, "row_to_col")
-    dispersion = {}
-    resp_vals = {}
-    for r in spec.responses:
-        col = table.column(r)
-        if col.kind != "categorical":
-            resp_vals[r] = np.asarray(col.values, dtype=float)
-    for b, cat in enumerate(cand_cats):
-        rows = cand_codes == b
-        if not np.any(rows):
-            continue
-        dispersion[str(cat)] = {r: float(v[rows].std()) for r, v in resp_vals.items()}
+    resp_vals = {r: np.asarray(table.values(r), dtype=float) for r in spec.responses
+                 if table.kind(r) != "categorical"}
+    dispersion = {str(cand_cats[b]): {r: float(v[rows].std()) for r, v in resp_vals.items()}
+                  for (b,), rows in rows_by_cell(cand_codes[:, None], {candidate: len(cand_cats)}).items()}
     return MajorFeatureScore(feature=candidate, score=float(score),
                              threshold=threshold, per_bin_dispersion=dispersion)
 
@@ -120,7 +134,7 @@ class LocalityLattice:
     cats_per_major: list     # category names per major, defines the grid
     binnings: dict           # per continuous major
     discrete_values: dict    # per discrete major: sorted unique training values
-    cells: dict              # code tuple -> sorted np.ndarray of training row ids
+    cells: dict              # ascending code tuple -> ascending np.ndarray of training row ids
     cell_regions: dict       # code tuple -> {response: (min, max)}
     responses: list
     zstats: ZStats           # frozen at build; prediction never rescales
@@ -132,10 +146,10 @@ class LocalityLattice:
             return "%s%d" % (string.ascii_uppercase[cell[0]], cell[1] + 1)
         return "x".join(str(c) for c in cell)
 
-    def locate(self, x_values):
-        """Map raw major values to a cell code tuple plus out-of-range flag."""
-        codes, oor = self.locate_rows(np.asarray(x_values, dtype=float).reshape(1, -1))
-        return tuple(int(c) for c in codes[0]), bool(oor[0])
+    @property
+    def dims(self):
+        """Major -> its category count: the grid's shape."""
+        return {m: len(cats) for m, cats in zip(self.majors, self.cats_per_major)}
 
     def locate_rows(self, X):
         """Cell codes (n, majors) and out-of-range flags (n,) of the rows of
@@ -165,13 +179,8 @@ class LocalityLattice:
 
     def adjacent_cells(self, cell):
         """Occupied cells within one bin step in every major (Chebyshev 1)."""
-        out = []
-        for other in self.cells:
-            if other == cell:
-                continue
-            if max(abs(a - b) for a, b in zip(other, cell)) <= 1:
-                out.append(other)
-        return out
+        return [other for other in self.cells
+                if other != cell and max(abs(a - b) for a, b in zip(other, cell)) <= 1]
 
     def to_json_dict(self):
         return {
@@ -190,7 +199,7 @@ class LocalityLattice:
                         for r, (lo, hi) in self.cell_regions[cell].items()
                     },
                 }
-                for cell, rows in sorted(self.cells.items())
+                for cell, rows in self.cells.items()
             ],
             "empty_cells": None if self.empty_cells is None
             else [list(c) for c in self.empty_cells],
@@ -239,30 +248,21 @@ def build_locality_lattice(table, spec, majors, binnings, bin_subset=None):
     for m, codes in zip(majors, codes_per_major):
         if m in bin_subset:
             keep &= np.isin(codes, list(bin_subset[m]))
-    combo = np.column_stack(codes_per_major)
+    kept = np.flatnonzero(keep)
+    cells = rows_by_cell(np.column_stack(codes_per_major)[kept],
+                         {m: len(cats) for m, cats in zip(majors, cats_per_major)})
+    cells = {cell: kept[rows] for cell, rows in cells.items()}
     resp_vals = {r: np.asarray(table.values(r), dtype=float) for r in spec.responses
                  if table.kind(r) != "categorical"}
-    cells, regions = {}, {}
-    for i in np.flatnonzero(keep):
-        cells.setdefault(tuple(int(c) for c in combo[i]), []).append(int(i))
-    for cell, rows in cells.items():
-        cells[cell] = np.asarray(sorted(rows), dtype=int)
-        regions[cell] = {
-            r: (float(v[cells[cell]].min()), float(v[cells[cell]].max()))
-            for r, v in resp_vals.items()
-        }
+    regions = {cell: {r: (float(v[rows].min()), float(v[rows].max())) for r, v in resp_vals.items()}
+               for cell, rows in cells.items()}
     if not cells:
         raise DataError("no occupied rectangles (empty bin subset?)")
     if all(len(rows) == 1 for rows in cells.values()):
         log.warning("every occupied rectangle holds a single row; binning looks too fine")
-    grid_sizes = []
-    for m, cats in zip(majors, cats_per_major):
-        ids = range(len(cats)) if m not in bin_subset else sorted(set(bin_subset[m]))
-        grid_sizes.append(list(ids))
-    empty = None
-    total = np.prod([len(g) for g in grid_sizes])
-    if total <= 10000:
-        empty = [c for c in product(*grid_sizes) if c not in cells]
+    grid = [sorted(set(bin_subset[m])) if m in bin_subset else range(len(cats))
+            for m, cats in zip(majors, cats_per_major)]
+    empty = [c for c in product(*grid) if c not in cells] if math.prod(map(len, grid)) <= 10000 else None
     X = feature_matrix(table, majors)
     zstats = ZStats.fit(X)
     return LocalityLattice(
@@ -296,20 +296,19 @@ def minor_feature_entropy(lattice, table, candidates, binnings=None):
         table = table.table
     if not candidates:
         raise DataError("no minor-feature candidates given")
-    cell_keys = sorted(lattice.cells)
-    members = [lattice.cells[cell] for cell in cell_keys]
+    members = list(lattice.cells.values())
     rows = np.concatenate(members)
-    patch_of_row = np.repeat(np.arange(len(cell_keys)), [len(m) for m in members])
-    out = np.empty((len(cell_keys), len(candidates)))
+    patch_of_row = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    out = np.empty((len(members), len(candidates)))
     for j, cand in enumerate(candidates):
         codes, cats = category_codes(table, cand, binnings)
         if len(cats) < 2:
             raise DataError("candidate '%s' has a single category" % cand)
-        counts = cross_counts(patch_of_row, len(cell_keys), codes[rows], len(cats))
+        counts = cross_counts(patch_of_row, len(members), codes[rows], len(cats))
         out[:, j] = row_entropies(counts) / np.log(len(cats))
     out[[len(m) < 2 for m in members]] = np.nan
     return MinorFeatureReport(
-        cells=[lattice.cell_name(c) for c in cell_keys],
+        cells=[lattice.cell_name(c) for c in lattice.cells],
         candidates=list(candidates), entropies=out,
     )
 
@@ -374,14 +373,11 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
     Xtr = feature_matrix(table, lattice.majors)
     Zq = lattice.zstats.transform(X)
     resp = feature_matrix(table, lattice.responses)
+    out = [None] * len(X)
     # cells in order of their first query row, so that an uncovered region
     # is reported for the first row that falls in one
-    rows_by_cell = {}
-    for row, cell in enumerate(map(tuple, codes.tolist())):
-        rows_by_cell.setdefault(cell, []).append(row)
-    out = [None] * len(X)
-    for cell, rows in rows_by_cell.items():
-        rows, members = np.asarray(rows), lattice.cells.get(cell)
+    for cell, rows in sorted(rows_by_cell(codes, lattice.dims).items(), key=lambda item: item[1][0]):
+        members = lattice.cells.get(cell)
         cell_flags = set()
         if members is None or len(members) == 0:
             neighbors = lattice.adjacent_cells(cell)
@@ -513,12 +509,8 @@ def error_metrics(predictions, truths, lattice, table, global_cov=None):
     if global_cov is None:
         global_cov = np.cov(resp_all, rowvar=False, ddof=1)
     global_cov = np.atleast_2d(np.asarray(global_cov, dtype=float))
-    by_patch = {}
-    for i, p in enumerate(predictions):
-        by_patch.setdefault(p.cell, []).append(i)
     patches = []
-    for cell in sorted(by_patch):
-        idx = np.asarray(by_patch[cell])
+    for cell, idx in rows_by_cell(np.array([p.cell for p in predictions]), lattice.dims).items():
         Ep = E[idx]
         mg, rg = _quadratic_form_rows(global_cov, Ep)
         members = lattice.cells.get(cell, np.empty(0, dtype=int))

@@ -1,9 +1,13 @@
-"""Agglomeration against a brute-force oracle and cuts."""
+"""Agglomeration against a brute-force oracle and scipy's linkage, and cuts."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage as scipy_linkage
+from scipy.spatial.distance import squareform
 
 from ceda.association import MceMatrix
 from ceda.errors import DataError
@@ -60,6 +64,18 @@ def test_matches_brute_force_oracle(linkage):
         assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
         for (_, _, hg), (_, _, hw) in zip(got, want):
             assert hg == pytest.approx(hw, abs=1e-9)
+
+
+@pytest.mark.parametrize("linkage", ["average", "complete", "single"])
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 11))
+def test_matches_scipy_linkage(linkage, seed, n):
+    # random distances are tie-free, so the merge order is scipy's too
+    d = random_distance_matrix(np.random.default_rng(seed), n)
+    got = agglomerate(d, linkage=linkage).merges
+    want = scipy_linkage(squareform(d), linkage)
+    assert [tuple(sorted((i, j))) for i, j, _ in got] == [(int(i), int(j)) for i, j in np.sort(want[:, :2])]
+    np.testing.assert_allclose([h for _, _, h in got], want[:, 2], rtol=1e-12, atol=0)
 
 
 def test_all_equal_distances_follow_the_tie_rule():

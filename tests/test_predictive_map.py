@@ -3,6 +3,7 @@
 import importlib
 import logging
 import math
+import re
 import statistics
 import warnings
 
@@ -222,6 +223,24 @@ def test_set_name_rules():
     # one multi-character label in the universe: {a, b} and {ab} stay apart
     assert set_name(("a", "b"), ["a", "b", "ab"]) == "a+b"
     assert set_name(("ab",), ["a", "b", "ab"]) == "ab"
+
+
+@pytest.mark.parametrize("universe, keys, shared", [
+    # {a, b} and {a+b}
+    (["a", "b", "a+b"], [(("a", "b"),), (("a+b",),)], "a+b"),
+    # {all} and the full set
+    (["a", "b", "all"], [(("all",),), (("a", "all", "b"),)], "all"),
+    # two-link keys: a then b-c, and a-b then c
+    (["a", "b-c", "a-b", "c"], [(("a",), ("b-c",)), (("a-b",), ("c",))], "a-b-c"),
+])
+def test_tabulate_rejects_categories_that_print_alike(universe, keys, shared):
+    true_values = [universe[0]] * len(keys)
+    with pytest.raises(DataError, match=r"both print as '%s'" % re.escape(shared)):
+        tabulate_predictions(keys, range(len(keys)), true_values, universe, universe)
+    # either category alone prints without a clash
+    for key in keys:
+        table = tabulate_predictions([key], [0], true_values[:1], universe, universe)
+        assert [c.name for c in table.categories] == [shared]
 
 
 def one_link_table(predicted, true_values, true_labels):

@@ -64,6 +64,22 @@ def test_joint_response_codes_hand_example():
     assert names == ["r1=1/r2=1", "r1=1/r2=2", "r1=2/r2=1"]
 
 
+def test_grids_beyond_an_index_are_a_data_error():
+    # 240 ** 8 cells overflow a 64-bit index
+    names = ["r%d" % j for j in range(8)]
+    table = num_table(x=("discrete", np.arange(240)),
+                      **{n: ("categorical", ["v%d" % i for i in range(240)]) for n in names},
+                      **{"d" + n: ("discrete", np.arange(240)) for n in names})
+    grid = "the grid of %s has more cells than an index can count"
+    with pytest.raises(DataError, match=grid % " x ".join(names)):
+        joint_response_codes(table, ResponseSpec(tuple(names), ("x",)), None)
+    with pytest.raises(DataError, match=grid % " x ".join(names)):
+        score_major_candidate(table, ResponseSpec(tuple(names), ("x",)), "x", None)
+    majors = ["d" + n for n in names]
+    with pytest.raises(DataError, match=grid % " x ".join(majors)):
+        build_locality_lattice(table, ResponseSpec(("x",), tuple(majors)), majors, {})
+
+
 def score_fixture():
     table = num_table(
         x=("discrete", [1, 1, 1, 1, 2, 2, 2, 2]),
@@ -90,6 +106,13 @@ def test_score_per_bin_dispersion():
     sw = score_major_candidate(table, spec, "w", None)
     assert sx.per_bin_dispersion == {"1": {"r1": 0.0}, "2": {"r1": 0.0}}
     assert sw.per_bin_dispersion["1"]["r1"] == pytest.approx(0.5)
+
+
+def test_score_dispersion_skips_empty_bins():
+    table = num_table(x=("continuous", [0.1, 0.2, 2.8, 2.9]), r1=("discrete", [1, 1, 2, 3]))
+    binning = build_histogram(np.array([0.0, 1.0, 1.5, 2.0, 3.0]), target_bins=3, feature="x")
+    score = score_major_candidate(table, ResponseSpec(("r1",), ("x",)), "x", {"x": binning})
+    assert score.per_bin_dispersion == {"bin0": {"r1": 0.0}, "bin2": {"r1": 0.5}}
 
 
 def test_score_rejects_response_candidate():
@@ -197,13 +220,11 @@ def test_three_major_cell_names_use_codes():
 def test_locate_clamps_and_flags():
     table, spec, binnings = uniform_fixture()
     lat = build_locality_lattice(table, spec, ["u", "v"], binnings)
-    cell, oor = lat.locate([-1.0, 1.5])
-    assert cell[0] == 0 and oor
     u0 = float(np.asarray(table.values("u"))[0])
     v0 = float(np.asarray(table.values("v"))[0])
-    cell, oor = lat.locate([u0, v0])
-    assert not oor
-    assert 0 in lat.cells.get(cell, [])
+    codes, oor = lat.locate_rows([[-1.0, 1.5], [u0, v0]])
+    assert codes[0, 0] == 0 and oor.tolist() == [True, False]
+    assert 0 in lat.cells.get(tuple(codes[1].tolist()), [])
 
 
 def test_locate_discrete_major_snaps_to_nearest():
@@ -211,11 +232,9 @@ def test_locate_discrete_major_snaps_to_nearest():
                       y=("continuous", [0, 1, 2, 3, 4, 5]))
     lat = build_locality_lattice(table, ResponseSpec(("y",), ("du",)), ["du"], {})
     assert set(lat.cells) == {(0,), (1,), (2,)}
-    assert lat.locate([2.0]) == ((1,), False)
-    assert lat.locate([2.9]) == ((1,), True)
-    assert lat.locate([3.1]) == ((2,), True)
-    assert lat.locate([0.0]) == ((0,), True)
-    assert lat.locate([5.0]) == ((2,), True)
+    codes, oor = lat.locate_rows([[2.0], [2.9], [3.1], [0.0], [5.0]])
+    assert codes.ravel().tolist() == [1, 1, 2, 0, 2]
+    assert oor.tolist() == [False, True, True, True, True]
 
 
 def test_adjacent_cells_hand_grid():
@@ -501,8 +520,8 @@ def test_predict_rejects_non_finite_major_values(bad):
         rma_predict_rows(np.array([[1.0, 1.0], [2.0, 2.0], [bad, 3.0], [bad, 4.0]]), {}, lat, table)
     with pytest.raises(DataError, match="major 'u'"):
         rma_predict_rows(np.array([[1.0, 1.0], [2.0, bad]]), {}, lat, table)
-    with pytest.raises(DataError, match="major 'du'"):
-        lat.locate([bad, 1.0])
+    with pytest.raises(DataError, match="major 'du' has a non-finite value in query row 0"):
+        lat.locate_rows([[bad, 1.0]])
 
 
 def test_predict_rows_uncovered_region_names_the_first_row():

@@ -7,6 +7,11 @@ their responses, as the package did before prediction was batched.  The
 batched ``rma_predict_rows`` must return the same predictions to the bit,
 including distance ties (duplicated rows), out-of-range and snapped queries,
 empty rectangles, emptied sieves and k* above the rectangle size.
+
+The cell groupings are held to the code they replaced: ``rows_by_cell`` to
+a per-row dict, the lattice's rectangles and response regions to the
+per-row loop that built them, and the joint response codes to a row-wise
+``np.unique(axis=0)``.
 """
 
 import importlib
@@ -17,10 +22,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ceda.association import category_codes
 from ceda.dataset import Column, DataTable, feature_matrix
 from ceda.discretize import build_histogram, categorize_many
 from ceda.errors import DataError
-from ceda.rma import ResponseSpec, build_locality_lattice, rma_predict, rma_predict_rows
+from ceda.rma import (
+    ResponseSpec,
+    build_locality_lattice,
+    joint_response_codes,
+    rma_predict,
+    rma_predict_rows,
+    rows_by_cell,
+)
 
 predictive_map = importlib.import_module("ceda.predictive_map")
 
@@ -94,11 +107,10 @@ def fields(pred):
 
 
 @st.composite
-def problems(draw):
+def lattice_inputs(draw):
     """A small table with 1-3 numeric majors, 1-3 responses and one minor of
-    each kind, duplicated rows, a lattice (sometimes with a bin subset) and
-    queries that repeat training rows, fall between them, leave the range,
-    or carry minor values no training row has."""
+    each kind, duplicated rows, and sometimes a bin subset of the first
+    major.  Returns (rng, columns, table, spec, majors, binnings, bin_subset)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(4, 40))
     major_kinds = draw(st.lists(st.sampled_from(["continuous", "discrete"]), min_size=1, max_size=3))
@@ -133,6 +145,15 @@ def problems(draw):
         n_cats = binnings[first].n_bins if first in binnings else len(np.unique(columns[first][1]))
         keep = draw(st.lists(st.integers(0, n_cats - 1), min_size=1, max_size=n_cats, unique=True))
         bin_subset = {first: keep}
+    return rng, columns, table, spec, majors, binnings, bin_subset
+
+
+@st.composite
+def problems(draw):
+    """A lattice of ``lattice_inputs`` (without the bin subset when it keeps
+    no row) and queries that repeat training rows, fall between them, leave
+    the range, or carry minor values no training row has."""
+    rng, columns, table, spec, majors, binnings, bin_subset = draw(lattice_inputs())
     try:
         lattice = build_locality_lattice(table, spec, majors, binnings, bin_subset=bin_subset)
     except DataError:
@@ -183,3 +204,72 @@ def test_batched_rma_matches_one_query_reference(problem, k_star, block_bytes):
                            lattice, table, k_star, binnings) for i in range(0, len(Xq), 5)]
     assert [fields(p) for p in got] == [(v.tobytes(), *rest) for v, *rest in want]
     assert [fields(p) for p in one] == [fields(p) for p in got[::5]]
+
+
+# --- cell groupings against the per-row code they replaced -----------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+def test_rows_by_cell_matches_per_row_dict(dims, data):
+    cells = data.draw(st.lists(st.tuples(*[st.integers(0, d - 1) for d in dims]), max_size=30))
+    codes = np.array(cells, dtype=int).reshape(len(cells), len(dims))
+    want = {}
+    for row, cell in enumerate(cells):
+        want.setdefault(cell, []).append(row)
+    got = rows_by_cell(codes, {"f%d" % j: d for j, d in enumerate(dims)})
+    assert list(got) == sorted(want)
+    assert {cell: rows.tolist() for cell, rows in got.items()} == want
+    assert all(type(c) is int for cell in got for c in cell)
+
+
+def ref_lattice_cells(table, spec, majors, binnings, bin_subset):
+    """Rectangles and response regions as a per-row loop built them."""
+    codes_per_major = [category_codes(table, m, binnings)[0] for m in majors]
+    keep = np.ones(table.n_rows, dtype=bool)
+    for m, codes in zip(majors, codes_per_major):
+        if m in (bin_subset or {}):
+            keep &= np.isin(codes, list(bin_subset[m]))
+    combo = np.column_stack(codes_per_major)
+    cells = {}
+    for i in np.flatnonzero(keep):
+        cells.setdefault(tuple(int(c) for c in combo[i]), []).append(int(i))
+    regions = {}
+    for cell, rows in cells.items():
+        cells[cell] = np.asarray(sorted(rows), dtype=int)
+        regions[cell] = {r: (float(np.asarray(table.values(r), dtype=float)[cells[cell]].min()),
+                             float(np.asarray(table.values(r), dtype=float)[cells[cell]].max()))
+                         for r in spec.responses}
+    return cells, regions
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inputs=lattice_inputs())
+def test_lattice_matches_per_row_reference(inputs):
+    _, _, table, spec, majors, binnings, bin_subset = inputs
+    cells, regions = ref_lattice_cells(table, spec, majors, binnings, bin_subset)
+    if not cells:
+        with pytest.raises(DataError, match="no occupied rectangles"):
+            build_locality_lattice(table, spec, majors, binnings, bin_subset=bin_subset)
+        return
+    lattice = build_locality_lattice(table, spec, majors, binnings, bin_subset=bin_subset)
+    assert list(lattice.cells) == sorted(cells)
+    assert {cell: rows.tolist() for cell, rows in lattice.cells.items()} == {
+        cell: rows.tolist() for cell, rows in cells.items()}
+    assert lattice.cell_regions == regions
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inputs=lattice_inputs(), data=st.data())
+def test_joint_response_codes_match_rowwise_unique(inputs, data):
+    _, _, table, spec, _, binnings, _ = inputs
+    responses = data.draw(st.lists(st.sampled_from(list(spec.responses) + ["g", "m", "c"]),
+                                   min_size=1, max_size=4, unique=True))
+    per_resp = [category_codes(table, r, binnings) for r in responses]
+    cells, inverse = np.unique(np.column_stack([codes for codes, _ in per_resp]), axis=0,
+                               return_inverse=True)
+    names = ["/".join("%s=%s" % (r, cats[c]) for (_, cats), r, c in zip(per_resp, responses, cell))
+             for cell in cells]
+    got_codes, got_names = joint_response_codes(table, ResponseSpec(tuple(responses), ("x0",)), binnings)
+    assert got_codes.tolist() == inverse.ravel().tolist()
+    assert got_names == names
