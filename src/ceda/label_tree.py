@@ -13,17 +13,30 @@ resulting label-by-label matrix yields the tree.
 Sampling is the costly step, and it is seeded, so it runs once per tree: the
 ``let`` command builds its tree from the dominance matrix it writes, and
 ``tree_from_training`` is the route for callers that need only the tree.
+
+The sampler draws as a per-triple loop would: each triple has its own
+spawned stream and draws its three labels' rows in turn.  It measures
+differently.  One Gram block per label pair (or, for a pair whose block
+would far outnumber its samples, dot products of gathered rows) gives every
+sample the squared-distance screens ||x||^2 + ||y||^2 - 2 x.y of its three
+pairs.  A sample whose smallest screen leads the other two by more than a
+rounding margin is decided: its exact distances have that same strict
+minimum.  Only the other samples get exact distances, and only exact ties
+redraw, from their triple's stream after its first round.  So the counts
+keep every bit of the loop, at a fraction of its row gathers.
 """
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ZStats, csv_text, feature_matrix
-from .errors import ComputationError, DataError
+from .errors import ComputationError, DataError, check_number
 from .hclust import Dendrogram, agglomerate
+from .predictive_map import _gram_margin
 
 log = logging.getLogger(__name__)
 
@@ -53,66 +66,182 @@ class DominanceMatrix:
         return csv_text(rows)
 
 
+# A label pair's screen values come from one Gram block X_a @ X_b.T when the
+# block holds at most this many entries per sample that reads it, and from
+# dot products of gathered rows otherwise (a measured crossover).
+BLOCK_ENTRIES_PER_SAMPLE = 16
+
+# the screen's mark on a sample whose exact distances must decide it
+UNDECIDED = 3
+
+# positions in a triple x < y < z of the two labels of slot 0 (x, y),
+# 1 (x, z) and 2 (y, z), and of the third label
+SLOT_POSITIONS = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
+
+
+def _draw(rng, sizes, m):
+    """m local row indices into each label of a triple, in draw order."""
+    return [rng.integers(0, size, m) for size in sizes]
+
+
+def _exact_order(pa, pb, pc):
+    """The dominated slot (argmin of the three exact distances) of each
+    sample, and whether that minimum is unique."""
+    D = np.column_stack([
+        np.linalg.norm(pa - pb, axis=1),
+        np.linalg.norm(pa - pc, axis=1),
+        np.linalg.norm(pb - pc, axis=1),
+    ])
+    unique_min = (D == D.min(axis=1)[:, None]).sum(axis=1) == 1
+    return np.argmin(D, axis=1), unique_min
+
+
+def _screen(X, start, triples, pair_ids, round_one, T):
+    """Screen every triple's round one: per triple, how many samples the
+    screen decides for each slot; and the undecided samples' triples and
+    local row indices.
+
+    A sample's screens are s = ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j over its
+    three pairs.  The pairs are visited in lexicographic order, so a triple
+    x < y < z sees its slots (x, y), (x, z), (y, z) in turn.  It draws its
+    round one, ``round_one(t)``, when it opens, and until it closes it holds
+    a row of ``draws``, of ``best`` (the slot of its smallest screen so far,
+    or UNDECIDED) and of ``low`` (that screen, rounded to float32).  Each
+    later screen must lead or trail ``low`` by more than the sample's margin
+    plus that rounding, or the sample is undecided for good.
+
+    The margin is twice _gram_margin times the three points' squared norms.
+    By the bounds derived there, a gap above it between two screens gives
+    the two exact distances, as ``_exact_order`` computes them, the same
+    strict order: a pair's points have squared norms summing to at most that
+    total, and a squared distance at most twice their sum.  ``tiny`` in the
+    total covers products that underflow."""
+    L = len(start) - 1
+    sq = np.einsum("ij,ij->i", X, X)
+    scale = 2 * _gram_margin(X.shape[1])
+    # each pair's (triple, slot) entries, 3 * triple + slot, in triple order:
+    # the triples it closes (slot 2), passes (slot 1), then opens (slot 0)
+    entries = np.argsort(pair_ids.ravel(), kind="stable").reshape(-1, L - 2)
+    pairs = np.array(list(itertools.combinations(range(L), 2)))
+    opened, closed = L - 1 - pairs[:, 1], pairs[:, 0]
+    n_open = (np.cumsum(opened - closed) + closed).max()
+    draws = np.empty((n_open, 3, T), dtype=np.min_scalar_type(np.diff(start).max()))
+    best = np.empty((n_open, T), dtype=np.uint8)
+    low = np.empty((n_open, T), dtype=np.float32)
+    free = list(range(n_open))
+    row = np.empty(len(triples), dtype=np.intp)
+    tally = np.zeros((len(triples), 3), dtype=np.int64)
+    undecided = [(np.empty(0, dtype=np.intp), np.empty((0, 3), dtype=draws.dtype))]
+    for (a, b), t, slot in zip(pairs.tolist(), *np.divmod(entries, 3)):
+        k = b - 1   # entries before k compare, entries from k open
+        cut = len(free) - (len(t) - k)
+        for tri, r in zip(t[k:].tolist(), free[cut:]):
+            row[tri] = r
+            draws[r] = round_one(tri)
+        del free[cut:]
+        r = row[t]
+        pos = SLOT_POSITIONS[slot]
+        local = draws[r[:, None], pos]   # the pair's two labels, then the third
+        sq3 = sq[start[triples[t[:, None], pos]][..., None] + local]
+        ia, ib = local[:, 0].astype(np.intp), local[:, 1].astype(np.intp)
+        Xa, Xb = X[start[a]:start[a + 1]], X[start[b]:start[b + 1]]
+        if len(Xa) * len(Xb) <= BLOCK_ENTRIES_PER_SAMPLE * ia.size:
+            dot = (Xa @ Xb.T).take(ia * len(Xb) + ib)
+        else:
+            pa, pb = Xa.take(ia.ravel(), axis=0), Xb.take(ib.ravel(), axis=0)
+            dot = np.einsum("ij,ij->i", pa, pb).reshape(ia.shape)
+        s = (sq3[:, 0] + sq3[:, 1]) - 2 * dot
+        low[r[k:]] = s[k:]
+        best[r[k:]] = 0
+        r, s = r[:k], s[:k]
+        held, settled = low[r].astype(float), best[r]
+        # the sample's margin, plus the float32 rounding of held
+        margin = scale * (sq3[:k].sum(axis=1) + np.finfo(float).tiny)
+        margin += np.abs(held) * 2.0 ** -23 + 2.0 ** -149
+        lead = (np.abs(s - held) > margin) & (settled != UNDECIDED)
+        best[r] = np.where(lead, np.where(s < held, slot[:k, None], settled), UNDECIDED)
+        low[r] = np.minimum(held, s)
+        if a:
+            # the triples this pair closes count their decided samples and hand back their rows
+            done = best[r[:a]]
+            per_slot = np.bincount((4 * np.arange(a)[:, None] + done).ravel(), minlength=4 * a)
+            per_slot = per_slot.reshape(a, 4)
+            tally[t[:a]] = per_slot[:, :3]
+            if per_slot[:, UNDECIDED].any():
+                ui, uk = np.nonzero(done == UNDECIDED)
+                undecided.append((t[ui], draws[r[ui], :, uk]))
+            free.extend(r[:a].tolist())
+    ut, local = (np.concatenate(parts) for parts in zip(*undecided))
+    return tally, ut, local
+
+
 def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     """Build the pairwise dominance matrix from sampled point triples.
 
     Exact distance ties discard the sample and redraw (bounded rounds); a
     persistent tie is a computation error.  Each label triple consumes its
     own spawned random stream, so results do not depend on evaluation order.
+    samples_per_triplet must be an integer (ConfigError) of at least 1
+    (DataError).
     """
     labels = list(train.labels)
     if len(labels) < 3:
         raise DataError("need at least 3 labels to sample triples, have %d" % len(labels))
-    T = int(samples_per_triplet)
+    T = int(check_number("samples_per_triplet", samples_per_triplet, integer=True))
     if T < 1:
         raise DataError("samples_per_triplet must be >= 1")
-    rows = {lab: train.rows_with_label(lab) for lab in labels}
-    for lab in labels:
-        if len(rows[lab]) == 0:
+    rows = [train.rows_with_label(lab) for lab in labels]
+    for lab, r in zip(labels, rows):
+        if len(r) == 0:
             raise DataError("label '%s' has zero training rows" % lab)
     X = feature_matrix(train.table, features)
-    X = ZStats.fit(X).transform(X)
+    zstats = ZStats.fit(X)
+    X = X[np.concatenate(rows)]
+    X = zstats.transform(X)   # z-scored; label i's rows are X[start[i]:start[i + 1]]
+    sizes = [len(r) for r in rows]
+    start = np.concatenate([[0], np.cumsum(sizes)])
 
-    pairs = list(itertools.combinations(range(len(labels)), 2))
-    pair_id = {p: k for k, p in enumerate(pairs)}
-    counts = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
-    triples = list(itertools.combinations(range(len(labels)), 3))
-    streams = np.random.SeedSequence(seed).spawn(len(triples))
+    L = len(labels)
+    triples = np.array(list(itertools.combinations(range(L), 3)))
+    triple_sizes = [[sizes[i] for i in triple] for triple in triples.tolist()]
+    pair_index = np.zeros((L, L), dtype=np.intp)
+    pair_index[np.triu_indices(L, 1)] = np.arange(math.comb(L, 2))
+    pair_ids = pair_index[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]]
+    root = np.random.SeedSequence(seed)
 
-    for t_idx, (a, b, c) in enumerate(triples):
-        rng = np.random.default_rng(streams[t_idx])
-        ra, rb, rc = rows[labels[a]], rows[labels[b]], rows[labels[c]]
-        local = np.array([pair_id[(a, b)], pair_id[(a, c)], pair_id[(b, c)]])
-        dominated = np.full(T, -1, dtype=int)
-        pending = np.arange(T)
-        for _ in range(MAX_TIE_ROUNDS):
-            m = len(pending)
-            pa = X[ra[rng.integers(0, len(ra), m)]]
-            pb = X[rb[rng.integers(0, len(rb), m)]]
-            pc = X[rc[rng.integers(0, len(rc), m)]]
-            D = np.column_stack([
-                np.linalg.norm(pa - pb, axis=1),
-                np.linalg.norm(pa - pc, axis=1),
-                np.linalg.norm(pb - pc, axis=1),
-            ])
-            mins = D.min(axis=1)
-            unique_min = (D == mins[:, None]).sum(axis=1) == 1
-            dominated[pending[unique_min]] = np.argmin(D[unique_min], axis=1)
-            pending = pending[~unique_min]
-            if len(pending) == 0:
+    def stream(t):
+        # triple t's generator: that of root.spawn(len(triples))[t], made when needed
+        return np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
+
+    tally, ut, local = _screen(
+        X, start, triples, pair_ids, lambda t: _draw(stream(t), triple_sizes[t], T), T)
+    slot, unique_min = _exact_order(*(X[start[triples[ut, j]] + local[:, j]] for j in range(3)))
+    tally += np.bincount(3 * ut[unique_min] + slot[unique_min], minlength=tally.size).reshape(-1, 3)
+    # exact ties redraw from their triple's stream, after its round one
+    ties = np.bincount(ut[~unique_min], minlength=len(triples))
+    for t in np.flatnonzero(ties).tolist():
+        rng = stream(t)
+        _draw(rng, triple_sizes[t], T)
+        pending = ties[t]
+        for _ in range(MAX_TIE_ROUNDS - 1):
+            idx = _draw(rng, triple_sizes[t], pending)
+            slot, unique_min = _exact_order(*(X[start[i] + j] for i, j in zip(triples[t], idx)))
+            tally[t] += np.bincount(slot[unique_min], minlength=3)
+            pending -= np.count_nonzero(unique_min)
+            if pending == 0:
                 break
-        if len(pending):
+        else:
             raise ComputationError(
                 "persistent distance ties while sampling labels (%s, %s, %s)"
-                % (labels[a], labels[b], labels[c])
+                % tuple(labels[i] for i in triples[t])
             )
-        # each dominated pair counts against the other two pairs of the triple
-        tally = np.bincount(dominated, minlength=3)
-        counts[np.ix_(local, local)] += tally[:, None] - np.diag(tally)
 
-    named_pairs = [(labels[i], labels[j]) for i, j in pairs]
+    # each dominated pair counts against the other two pairs of its triple
+    dominated_slot, other_slot = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]
+    counts = np.zeros((math.comb(L, 2),) * 2, dtype=np.int64)
+    counts[pair_ids[:, dominated_slot], pair_ids[:, other_slot]] = tally[:, dominated_slot]
     return DominanceMatrix(
-        labels=labels, pairs=named_pairs, counts=counts,
+        labels=labels, pairs=list(itertools.combinations(labels, 2)), counts=counts,
         samples_per_triplet=T, seed=seed,
     )
 
@@ -128,11 +257,10 @@ def dominance_to_distance(dm, normalize=True):
     colsums = dm.column_sums().astype(float)
     if normalize:
         colsums = colsums / dm.exposure
+    # the pairs run in index order, as np.triu_indices does
     out = np.zeros((L, L))
-    for k, (la, lb) in enumerate(dm.pairs):
-        i, j = dm.labels.index(la), dm.labels.index(lb)
-        out[i, j] = out[j, i] = colsums[k]
-    return out
+    out[np.triu_indices(L, 1)] = colsums
+    return out + out.T
 
 
 @dataclass

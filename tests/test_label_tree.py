@@ -1,11 +1,16 @@
 """Dominance sampling tallies and the label tree built from them."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ceda.dataset import Column, DataTable, LabeledDataset, synth_generate
-from ceda.errors import ComputationError, DataError
+from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matrix, synth_generate
+from ceda.errors import ComputationError, ConfigError, DataError
 from ceda.label_tree import (
+    MAX_TIE_ROUNDS,
     DominanceMatrix,
     build_label_tree,
     dominance_to_distance,
@@ -80,6 +85,12 @@ def test_requires_three_labels_and_rows():
         sample_triplet_orderings(three, ["f0", "f1"], samples_per_triplet=0)
 
 
+@pytest.mark.parametrize("value", [2.7, True])
+def test_samples_per_triplet_must_be_an_integer(value):
+    with pytest.raises(ConfigError, match="samples_per_triplet must be an integer"):
+        sample_triplet_orderings(clouds(THREE), ["f0", "f1"], samples_per_triplet=value)
+
+
 def test_persistent_ties_raise():
     # three labels sharing one identical point: all distances are exactly 0
     t = DataTable([
@@ -89,6 +100,102 @@ def test_persistent_ties_raise():
     ds = LabeledDataset(t, "label")
     with pytest.raises(ComputationError, match="ties"):
         sample_triplet_orderings(ds, ["x"], samples_per_triplet=5, seed=0)
+
+
+# --- the screened sampler against the per-triple loop ----------------------
+
+
+def reference_orderings(train, features, samples_per_triplet, seed):
+    """The per-triple sampler the screen replaced: every sample's three
+    exact distances, ties redrawn in rounds from the triple's stream."""
+    labels = list(train.labels)
+    T = samples_per_triplet
+    rows = {lab: train.rows_with_label(lab) for lab in labels}
+    X = feature_matrix(train.table, features)
+    X = ZStats.fit(X).transform(X)
+    pairs = list(itertools.combinations(range(len(labels)), 2))
+    pair_id = {p: k for k, p in enumerate(pairs)}
+    counts = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
+    triples = list(itertools.combinations(range(len(labels)), 3))
+    streams = np.random.SeedSequence(seed).spawn(len(triples))
+    for t_idx, (a, b, c) in enumerate(triples):
+        rng = np.random.default_rng(streams[t_idx])
+        ra, rb, rc = rows[labels[a]], rows[labels[b]], rows[labels[c]]
+        local = np.array([pair_id[(a, b)], pair_id[(a, c)], pair_id[(b, c)]])
+        dominated = np.full(T, -1, dtype=int)
+        pending = np.arange(T)
+        for _ in range(MAX_TIE_ROUNDS):
+            m = len(pending)
+            pa = X[ra[rng.integers(0, len(ra), m)]]
+            pb = X[rb[rng.integers(0, len(rb), m)]]
+            pc = X[rc[rng.integers(0, len(rc), m)]]
+            D = np.column_stack([
+                np.linalg.norm(pa - pb, axis=1),
+                np.linalg.norm(pa - pc, axis=1),
+                np.linalg.norm(pb - pc, axis=1),
+            ])
+            mins = D.min(axis=1)
+            unique_min = (D == mins[:, None]).sum(axis=1) == 1
+            dominated[pending[unique_min]] = np.argmin(D[unique_min], axis=1)
+            pending = pending[~unique_min]
+            if len(pending) == 0:
+                break
+        if len(pending):
+            raise ComputationError(
+                "persistent distance ties while sampling labels (%s, %s, %s)"
+                % (labels[a], labels[b], labels[c])
+            )
+        tally = np.bincount(dominated, minlength=3)
+        counts[np.ix_(local, local)] += tally[:, None] - np.diag(tally)
+    return counts
+
+
+@st.composite
+def sampling_problems(draw):
+    """3-6 labels of 1-40 rows in shuffled order, 1-40 features, and T.
+
+    Rows are continuous, or on a grid of one to three levels per feature
+    (a single level makes every distance 0, so ties persist), and may be
+    copies of a few rows, so that screens fail to decide, exact distances
+    tie and redraw rounds run.  With T up to 12, label pairs fall on both
+    sides of the block/gather crossover."""
+    n_labels = draw(st.integers(3, 6))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=n_labels, max_size=n_labels))
+    n_features = draw(st.integers(1, 40))
+    levels = draw(st.sampled_from([None, 1, 2, 3]))
+    copies_of = draw(st.sampled_from([None, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = sum(sizes)
+    if levels is None:
+        X = rng.standard_normal((n, n_features)) * rng.uniform(0.1, 100.0, n_features)
+    else:
+        X = rng.integers(0, levels, (n, n_features)) * rng.uniform(0.5, 3.0, n_features)
+    if copies_of is not None:
+        X = X[rng.integers(0, min(copies_of, n), n)]
+    names = np.repeat(np.array(list("abcdef"[:n_labels]), dtype=object), sizes)
+    order = rng.permutation(n)
+    columns = [Column("f%d" % j, "continuous", X[order, j]) for j in range(n_features)]
+    train = LabeledDataset(DataTable(columns + [Column("label", "categorical", names[order])]), "label")
+    return train, [c.name for c in columns], draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def outcome(sampler, train, features, T, seed):
+    try:
+        return sampler(train, features, T, seed)
+    except ComputationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=sampling_problems())
+def test_screened_sampler_matches_the_per_triple_loop(problem):
+    train, features, T, seed = problem
+    want = outcome(reference_orderings, train, features, T, seed)
+    got = outcome(lambda *args: sample_triplet_orderings(*args).counts, train, features, T, seed)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got == want
+    else:
+        assert np.array_equal(got, want)
 
 
 # --- distances -----------------------------------------------------------
