@@ -26,7 +26,7 @@ from .dataset import (
     synth_generate,
     write_csv,
 )
-from .discretize import Binning, build_histogram, categorize, categorize_many
+from .discretize import Binning, build_histogram, categorize_many
 from .errors import CedaError, ComputationError, ConfigError, DataError
 from .hclust import Dendrogram, agglomerate, cut
 from .label_tree import (

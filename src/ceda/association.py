@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hclust
-from .dataset import LabeledDataset, csv_text
+from .dataset import csv_text
 from .discretize import categorize_many
 from .errors import DataError
 
@@ -85,8 +85,6 @@ def contingency_table(table, row_var, col_var, binnings=None):
     Continuous variables are mapped through their Binning from ``binnings``;
     discrete and categorical ones use their distinct values directly.
     """
-    if isinstance(table, LabeledDataset):
-        table = table.table
     if row_var == col_var:
         raise DataError("row and column variable are the same ('%s')" % row_var)
     row_codes, row_cats = category_codes(table, row_var, binnings)
@@ -121,11 +119,6 @@ def row_entropies(C):
         rows = np.flatnonzero(m == width)
         h[live[rows]] = -np.add.reduce(terms[start[rows, None] + np.arange(width)], axis=1)
     return h
-
-
-def shannon_entropy(p):
-    """Entropy in nats of a count or probability vector; 0 log 0 is 0."""
-    return float(row_entropies(np.asarray(p, dtype=float)[None, :])[0])
 
 
 def directed_values(stack):
@@ -183,16 +176,13 @@ class MceMatrix:
 
 
 def mce_matrix(table, binnings=None, features=None):
-    """Pairwise mutual conditional entropy over usable features.
+    """Pairwise mutual conditional entropy over usable features of a
+    DataTable (default: all of its columns).
 
     Degenerate features (a single category after binning) are skipped with a
     warning.  The output ordering is the leaf order of an average-linkage
     clustering of the matrix, so associated blocks sit together.
     """
-    if isinstance(table, LabeledDataset):
-        if features is None:
-            features = table.feature_names()
-        table = table.table
     if features is None:
         features = table.names
     usable, coded = [], []

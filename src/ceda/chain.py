@@ -208,6 +208,8 @@ def load_external_predictions(path):
                     rid = int(row[0])
                 except ValueError:
                     raise DataError("external predictions row %d: bad row id '%s'" % (i, row[0]))
+                if rid in out:
+                    raise DataError("external predictions row %d: row id %d given twice" % (i, rid))
                 out[rid] = row[1].strip()
     except OSError as exc:
         raise DataError("cannot read %s: %s" % (path, exc))

@@ -50,7 +50,10 @@ from .chain import (
     load_external_predictions,
 )
 from .dataset import SplitSpec, csv_text, load_csv, split_train_test, synth_generate, write_csv
-from .discretize import build_histogram
+from .discretize import (
+    build_histogram,  # noqa: F401  (bench/spans.py wraps ceda.cli.build_histogram by name)
+    default_binnings,
+)
 from .errors import CedaError, ConfigError, DataError, check_number
 from .label_tree import (
     build_label_tree,
@@ -60,6 +63,7 @@ from .label_tree import (
 )
 from .predictive_map import CompetitionConfig, predictive_map
 from .rma import (
+    MAJOR_SCORE_THRESHOLD,
     ResponseSpec,
     build_locality_lattice,
     error_metrics,
@@ -213,14 +217,7 @@ def _binnings_for(table, features, cfg):
     per_feature = _check_kind("binning.per_feature", cfg.get("binning", {}).get("per_feature", {}), dict)
     for name, bins in per_feature.items():
         check_number("binning.per_feature.%s" % name, bins, integer=True)
-    out = {}
-    for name in features:
-        col = table.column(name)
-        if col.kind != "continuous":
-            continue
-        out[name] = build_histogram(
-            col.values, target_bins=per_feature.get(name, target), feature=name)
-    return out
+    return default_binnings(table, features, target, per_feature)
 
 
 def _config_number(cfg, section, key, default, integer=True):
@@ -321,10 +318,11 @@ def cmd_synth(args):
     kind = args.kind or synth_cfg.get("kind")
     if not kind:
         raise ConfigError("synth requires --kind or config synth.kind")
-    params = synth_cfg.get("params", {})
+    _check_kind("synth.kind", kind, str)
+    params = _check_kind("synth.params", synth_cfg.get("params", {}), dict)
     if args.params:
         try:
-            params = json.loads(args.params)
+            params = _check_kind("--params", json.loads(args.params), dict)
         except json.JSONDecodeError as exc:
             raise ConfigError("--params is not valid JSON: %s" % exc)
     seed = stage_seed(cfg["seed"], "synth")
@@ -540,7 +538,7 @@ def cmd_rma(args):
     needed = list(responses) + covariates
     binnings = _binnings_for(train.table, needed, cfg)
     bins_per_major = _config_number(cfg, "rma", "bins_per_major", None)
-    threshold = _config_number(cfg, "rma", "threshold", 0.35, integer=False)
+    threshold = _config_number(cfg, "rma", "threshold", MAJOR_SCORE_THRESHOLD, integer=False)
     run = Run("rma", cfg)
     scores = []
     for cand in candidates:
@@ -557,10 +555,7 @@ def cmd_rma(args):
             raise DataError("no candidate reached the major-feature threshold %.3g" % threshold)
     major_binnings = dict(binnings)
     if bins_per_major:
-        for m in majors:
-            if train.table.kind(m) == "continuous":
-                major_binnings[m] = build_histogram(
-                    train.table.values(m), target_bins=bins_per_major, feature=m)
+        major_binnings.update(default_binnings(train.table, majors, bins_per_major))
     lattice = build_locality_lattice(train.table, spec, majors, major_binnings,
                                      bin_subset=rcfg.get("bin_subset"))
     run.write_json("rma_binnings.json", {

@@ -7,7 +7,7 @@ Columns are one of three kinds:
 * ``categorical`` - string values
 
 Kind inference for CSV input: a column whose non-missing cells all parse as
-floats is numeric, and numeric columns with at most ``discrete_max_distinct``
+floats is numeric, and numeric columns with at most ``DISCRETE_MAX_DISTINCT``
 distinct values are discrete, otherwise continuous.  Anything else is
 categorical.  Explicit schema overrides win over inference.  The label column
 is always categorical.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_number
 
 log = logging.getLogger(__name__)
 
@@ -114,11 +114,6 @@ class LabeledDataset:
     def label_values(self):
         return self.table.values(self.label_column)
 
-    @property
-    def per_label_counts(self):
-        vals = self.label_values
-        return {lab: int(np.sum(vals == lab)) for lab in self.labels}
-
     def rows_with_label(self, label):
         return np.flatnonzero(self.label_values == label)
 
@@ -131,9 +126,7 @@ class LabeledDataset:
 
 
 def feature_matrix(table, features):
-    """Stack numeric feature columns into an (n_rows, k) float matrix."""
-    if isinstance(table, LabeledDataset):
-        table = table.table
+    """Stack numeric feature columns of a DataTable into an (n_rows, k) float matrix."""
     cols = []
     for name in features:
         c = table.column(name)
@@ -193,7 +186,7 @@ def _parse_floats(cells):
     return floats, np.fromiter(map(failed.__contains__, cells), dtype=bool, count=len(cells))
 
 
-def load_csv(path, label_column, schema=None, discrete_max_distinct=DISCRETE_MAX_DISTINCT):
+def load_csv(path, label_column, schema=None):
     """Load a CSV file into a LabeledDataset.
 
     schema maps column names to kind overrides.  Rows with missing cells in
@@ -276,7 +269,7 @@ def load_csv(path, label_column, schema=None, discrete_max_distinct=DISCRETE_MAX
                 continue
             if not len(bad):
                 n_distinct = len(np.unique(vals))
-                inferred = "discrete" if n_distinct <= discrete_max_distinct else "continuous"
+                inferred = "discrete" if n_distinct <= DISCRETE_MAX_DISTINCT else "continuous"
                 columns.append(Column(name, inferred, vals))
                 continue
         cells = np.array([c.strip() for c in cells], dtype=object)
@@ -287,8 +280,6 @@ def load_csv(path, label_column, schema=None, discrete_max_distinct=DISCRETE_MAX
 
 def write_csv(table, path):
     """Write a DataTable as CSV.  Floats use repr, so a reload is bit-exact."""
-    if isinstance(table, LabeledDataset):
-        table = table.table
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.names)
@@ -379,19 +370,47 @@ def _default_labels(n):
     return ["l%d" % i for i in range(n)]
 
 
-def _per_label(value, n_labels, name):
-    if np.isscalar(value):
-        return [value] * n_labels
-    value = list(value)
+def _number(key, value, integer=False):
+    """A generator parameter's value that must be one number, as an int or a
+    float; a ConfigError naming synth.params.<key> otherwise."""
+    value = check_number("synth.params.%s" % key, value, integer)
+    return int(value) if integer else float(value)
+
+
+def _numbers(key, value, length=None):
+    """The floats of a generator parameter that is a list of numbers, of the
+    given length if any; a ConfigError naming synth.params.<key> otherwise."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or length not in (None, len(value)):
+        what = "a list" if length is None else "a list of %d numbers" % length
+        raise ConfigError("synth.params.%s must be %s, got %r" % (key, what, value))
+    return [_number(key, v) for v in value]
+
+
+def _per_label(params, key, default, n_labels, integer=False):
+    """A generator parameter given once or once per label, as n_labels numbers."""
+    value = params.get(key, default)
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return [_number(key, value, integer)] * n_labels
     if len(value) != n_labels:
-        raise ConfigError("%s must be scalar or one entry per label" % name)
-    return value
+        raise ConfigError("%s must be scalar or one entry per label" % key)
+    return [_number(key, v, integer) for v in value]
+
+
+def _counts(params, n_labels):
+    if n_labels < 1:
+        raise ConfigError("a synthetic dataset needs at least one label")
+    counts = _per_label(params, "n_per_label", 200, n_labels, integer=True)
+    if min(counts) < 1:
+        raise ConfigError("n_per_label must be >= 1")
+    return counts
 
 
 def synth_generate(kind, params=None, seed=0):
     """Generate a labeled synthetic dataset.  Same kind, params and seed give
     an identical table."""
     params = dict(params or {})
+    if not isinstance(params.get("labels") or [], (list, tuple)):
+        raise ConfigError("synth.params.labels must be a list, got %r" % (params["labels"],))
     if kind == "gauss-clouds":
         return _gauss_clouds(params, seed)
     if kind == "magnus-manifold":
@@ -403,9 +422,9 @@ def synth_generate(kind, params=None, seed=0):
 
 def _gauss_clouds(params, seed):
     centers = params.get("centers")
-    if centers is None:
+    if not isinstance(centers, (list, tuple, np.ndarray)) or not len(centers):
         raise ConfigError("gauss-clouds requires 'centers' (one vector per label)")
-    centers = [np.asarray(c, dtype=float) for c in centers]
+    centers = [np.asarray(_numbers("centers", c), dtype=float) for c in centers]
     dim = len(centers[0])
     if any(len(c) != dim for c in centers):
         raise ConfigError("gauss-clouds centers must share a dimension")
@@ -413,18 +432,18 @@ def _gauss_clouds(params, seed):
     labels = params.get("labels") or _default_labels(n_labels)
     if len(labels) != n_labels:
         raise ConfigError("labels must match the number of centers")
-    counts = _per_label(params.get("n_per_label", 200), n_labels, "n_per_label")
-    sds = _per_label(params.get("sd", 1.0), n_labels, "sd")
-    if any(int(c) < 1 for c in counts):
-        raise ConfigError("n_per_label must be >= 1")
-    if any(float(s) <= 0 for s in sds):
+    counts = _counts(params, n_labels)
+    sds = _per_label(params, "sd", 1.0, n_labels)
+    if any(s <= 0 for s in sds):
         raise ConfigError("sd must be positive")
     feature_names = params.get("feature_names") or ["f%d" % j for j in range(dim)]
+    if not isinstance(feature_names, (list, tuple)) or len(feature_names) != dim:
+        raise ConfigError("feature_names must give one name per center coordinate")
     rng = np.random.default_rng(seed)
     blocks, labs = [], []
     for center, n, sd, lab in zip(centers, counts, sds, labels):
-        blocks.append(center + float(sd) * rng.standard_normal((int(n), dim)))
-        labs.extend([str(lab)] * int(n))
+        blocks.append(center + sd * rng.standard_normal((n, dim)))
+        labs.extend([str(lab)] * n)
     X = np.vstack(blocks)
     columns = [Column(feature_names[j], "continuous", X[:, j].copy()) for j in range(dim)]
     columns.append(Column(params.get("label_name", "label"), "categorical", np.array(labs, dtype=object)))
@@ -440,23 +459,25 @@ def _magnus_manifold(params, seed):
     and offsets 0 the points satisfy pfx_x^2 + pfx_z^2 == (a * rate)^2
     exactly.
     """
-    n_labels = int(params.get("n_labels", len(params.get("labels", [])) or 3))
-    labels = params.get("labels") or _default_labels(n_labels)
+    labels = params.get("labels") or _default_labels(
+        _number("n_labels", params.get("n_labels", 3), integer=True))
     n_labels = len(labels)
-    counts = _per_label(params.get("n_per_label", 200), n_labels, "n_per_label")
-    a = float(params.get("a", 1.0))
-    rate_lo, rate_hi = params.get("spin_rate_range", (0.75, 1.25))
-    noise_sd = float(params.get("noise_sd", 0.0))
-    offset_scale = float(params.get("label_offset_scale", 0.0))
+    counts = _counts(params, n_labels)
+    a = _number("a", params.get("a", 1.0))
+    rate_lo, rate_hi = _numbers("spin_rate_range", params.get("spin_rate_range", (0.75, 1.25)), 2)
+    noise_sd = _number("noise_sd", params.get("noise_sd", 0.0))
+    offset_scale = _number("label_offset_scale", params.get("label_offset_scale", 0.0))
     arcs = params.get("label_arcs")
-    if arcs is not None and len(arcs) != n_labels:
-        raise ConfigError("label_arcs must give one (lo, hi) pair per label")
+    if arcs is not None:
+        if not isinstance(arcs, (list, tuple)) or len(arcs) != n_labels:
+            raise ConfigError("label_arcs must give one (lo, hi) pair per label")
+        arcs = [_numbers("label_arcs", arc, 2) for arc in arcs]
     if not rate_lo < rate_hi:
         raise ConfigError("spin_rate_range must be an increasing pair")
     rng = np.random.default_rng(seed)
     dirs, rates, labs = [], [], []
     for i, lab in enumerate(labels):
-        n = int(counts[i])
+        n = counts[i]
         lo, hi = (0.0, 2.0 * math.pi) if arcs is None else arcs[i]
         dirs.append(rng.uniform(lo, hi, n))
         rates.append(rng.uniform(rate_lo, rate_hi, n))
@@ -491,25 +512,26 @@ def _magnus_manifold(params, seed):
 
 def _linear_speed(params, seed):
     """Per-label linear response: end_speed = alpha + b1*x0 + b2*start_speed + eps."""
-    n_labels = int(params.get("n_labels", len(params.get("labels", [])) or 3))
-    labels = params.get("labels") or _default_labels(n_labels)
+    labels = params.get("labels") or _default_labels(
+        _number("n_labels", params.get("n_labels", 3), integer=True))
     n_labels = len(labels)
-    counts = _per_label(params.get("n_per_label", 200), n_labels, "n_per_label")
+    counts = _counts(params, n_labels)
     coefs = params.get("coefs")
     if coefs is None:
         coefs = [(0.05 * i, -0.05 * (i + 1), 1.0 - 0.02 * i) for i in range(n_labels)]
-    if len(coefs) != n_labels or any(len(c) != 3 for c in coefs):
+    if not isinstance(coefs, (list, tuple)) or len(coefs) != n_labels:
         raise ConfigError("coefs must give (alpha, b1, b2) per label")
-    x0_centers = _per_label(params.get("x0_centers", 0.0), n_labels, "x0_centers")
-    x0_sd = float(params.get("x0_sd", 1.0))
-    speed_lo, speed_hi = params.get("start_speed_range", (85.0, 95.0))
-    noise_sd = float(params.get("noise_sd", 0.0))
+    coefs = [_numbers("coefs", c, 3) for c in coefs]
+    x0_centers = _per_label(params, "x0_centers", 0.0, n_labels)
+    x0_sd = _number("x0_sd", params.get("x0_sd", 1.0))
+    speed_lo, speed_hi = _numbers("start_speed_range", params.get("start_speed_range", (85.0, 95.0)), 2)
+    noise_sd = _number("noise_sd", params.get("noise_sd", 0.0))
     rng = np.random.default_rng(seed)
     x0s, starts, ends, labs = [], [], [], []
     for i, lab in enumerate(labels):
-        n = int(counts[i])
-        alpha, b1, b2 = (float(v) for v in coefs[i])
-        x0 = float(x0_centers[i]) + x0_sd * rng.standard_normal(n)
+        n = counts[i]
+        alpha, b1, b2 = coefs[i]
+        x0 = x0_centers[i] + x0_sd * rng.standard_normal(n)
         start = rng.uniform(speed_lo, speed_hi, n)
         end = alpha + b1 * x0 + b2 * start
         if noise_sd > 0:

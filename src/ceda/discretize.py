@@ -6,6 +6,10 @@ are then collapsed: the occupied bins on either side become adjacent
 categories and the collapsed boundary between them is flagged as a gap at the
 midpoint of the empty run.  Bins are left-closed right-open, except the last
 which is closed, so every training value lands in exactly one bin.
+
+``default_binnings`` builds the histograms of a table's continuous features,
+with per-feature bin targets, and ``categorize_many`` maps values to bin ids,
+clamping values outside the training range into the end bins.
 """
 
 import math
@@ -14,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-
-__all__ = ["Binning", "build_histogram", "categorize", "categorize_many", "default_bin_count"]
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,6 @@ class Binning:
     @property
     def n_bins(self):
         return len(self.edges) - 1
-
-    @property
-    def has_gaps(self):
-        return bool(self.gap_flags.any())
 
     def to_report(self):
         return {
@@ -93,12 +91,6 @@ def build_histogram(values, target_bins=None, feature=""):
     )
 
 
-def categorize(binning, x):
-    """Map one value to (bin_id, out_of_range flag); out-of-range clamps."""
-    ids, oor = categorize_many(binning, np.asarray([x], dtype=float))
-    return int(ids[0]), bool(oor[0])
-
-
 def categorize_many(binning, xs):
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
@@ -111,17 +103,15 @@ def categorize_many(binning, xs):
     return ids.astype(int), oor
 
 
-def default_binnings(table, features=None, target_bins=None):
-    """Build histograms for every continuous feature (helper for callers that
-    need a consistent per-feature binning map)."""
-    from .dataset import LabeledDataset
+def default_binnings(table, features, target_bins=None, per_feature=None):
+    """Histograms of the continuous columns among features, in their order.
 
-    if isinstance(table, LabeledDataset):
-        table = table.table
+    per_feature maps a feature to its own target_bins, overriding
+    target_bins."""
+    per_feature = per_feature or {}
     out = {}
-    for c in table.columns:
-        if features is not None and c.name not in features:
-            continue
+    for name in features:
+        c = table.column(name)
         if c.kind == "continuous":
-            out[c.name] = build_histogram(c.values, target_bins=target_bins, feature=c.name)
+            out[name] = build_histogram(c.values, per_feature.get(name, target_bins), name)
     return out

@@ -1,9 +1,10 @@
 """Agglomerative hierarchical clustering on a precomputed distance matrix.
 
-Average, complete and single linkage via Lance-Williams updates.  Ties are
-broken by the lexicographically smallest (i, j) node-id pair, so results are
-fully deterministic.  Leaves are 0..n-1, internal nodes n..2n-2 in merge
-order, matching the usual dendrogram convention.
+Average linkage only, which both the label tree and the mce matrix use, via
+Lance-Williams updates.  Ties are broken by the lexicographically smallest
+(i, j) node-id pair, so results are fully deterministic.  Leaves are 0..n-1,
+internal nodes n..2n-2 in merge order, matching the usual dendrogram
+convention.
 """
 
 from dataclasses import dataclass, field
@@ -11,8 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-
-LINKAGES = ("average", "complete", "single")
 
 
 @dataclass
@@ -59,15 +58,13 @@ def _validate_distance_matrix(d):
     return 0.5 * (d + d.T)
 
 
-def agglomerate(d, linkage="average"):
-    """Cluster items of a symmetric zero-diagonal distance matrix.
+def agglomerate(d):
+    """Average-linkage clustering of a symmetric zero-diagonal distance matrix.
 
     The working matrix is indexed by node id and inactive rows hold inf.
     np.argmin scans row-major, so its first occurrence of the minimum is the
     lexicographically smallest (i, j) pair, which is the documented tie rule.
     """
-    if linkage not in LINKAGES:
-        raise DataError("unknown linkage '%s'" % linkage)
     d = _validate_distance_matrix(d)
     n = d.shape[0]
     if n == 1:
@@ -86,14 +83,7 @@ def agglomerate(d, linkage="average"):
         if i > j:
             i, j = j, i
         h = float(sub[i, j])
-        di = work[i, :top].copy()
-        dj = work[j, :top].copy()
-        if linkage == "average":
-            nd = (sizes[i] * di + sizes[j] * dj) / (sizes[i] + sizes[j])
-        elif linkage == "complete":
-            nd = np.maximum(di, dj)
-        else:
-            nd = np.minimum(di, dj)
+        nd = (sizes[i] * work[i, :top] + sizes[j] * work[j, :top]) / (sizes[i] + sizes[j])
         nd[i] = nd[j] = np.inf
         new = top
         work[new, :top] = nd
@@ -110,7 +100,7 @@ def agglomerate(d, linkage="average"):
 def cut(dendro, k):
     """Partition the leaves into k groups by removing the k-1 highest merges.
 
-    Heights are non-decreasing for the supported linkages, so the groups are
+    Average-linkage heights are non-decreasing, so the groups are
     the members of each node that the first n-k merges create or leave
     unmerged.  Returns lists of leaf indices, each ascending, ordered by
     their smallest leaf.

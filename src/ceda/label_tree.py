@@ -56,9 +56,6 @@ class DominanceMatrix:
         # each pair sits in L-2 triples, each sampled samples_per_triplet times
         return (len(self.labels) - 2) * self.samples_per_triplet
 
-    def column_sums(self):
-        return self.counts.sum(axis=0)
-
     def to_csv_text(self):
         names = ["|".join(p) for p in self.pairs]
         rows = [["dominated\\dominator"] + names]
@@ -246,17 +243,13 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     )
 
 
-def dominance_to_distance(dm, normalize=True):
-    """Label-by-label relative distance matrix from dominance column sums.
-
-    Normalized values divide by the exposure (L-2)*T and lie in [0, 1].
-    """
+def dominance_to_distance(dm):
+    """Label-by-label relative distance matrix from dominance column sums
+    divided by the exposure (L-2)*T, so every value lies in [0, 1]."""
     L = len(dm.labels)
     if L < 3:
         raise DataError("dominance matrix needs at least 3 labels")
-    colsums = dm.column_sums().astype(float)
-    if normalize:
-        colsums = colsums / dm.exposure
+    colsums = dm.counts.sum(axis=0) / dm.exposure
     # the pairs run in index order, as np.triu_indices does
     out = np.zeros((L, L))
     out[np.triu_indices(L, 1)] = colsums
@@ -288,10 +281,6 @@ class LabelTree:
     def node_labels(self, node):
         """Sorted tuple of label names under a node."""
         return tuple(sorted(self.labels[i] for i in self.dendro.members(node)))
-
-    def topology(self):
-        """Set of label-set signatures of all internal nodes."""
-        return frozenset(self.node_labels(self.n_labels + k) for k in range(len(self.dendro.merges)))
 
     def to_newick(self):
         return self.dendro.to_newick()

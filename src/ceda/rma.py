@@ -35,7 +35,7 @@ from .association import (
     directed_conditional_entropy,
     row_entropies,
 )
-from .dataset import LabeledDataset, ZStats, csv_text, feature_matrix
+from .dataset import ZStats, csv_text, feature_matrix
 from .discretize import categorize_many
 from .errors import ConfigError, DataError
 from .predictive_map import k_nearest
@@ -83,8 +83,6 @@ def joint_response_codes(table, spec, binnings):
     Returns (codes, cell_names) where each occupied cross-product cell of
     the per-response categorizations is one category, cells ascending.
     """
-    if isinstance(table, LabeledDataset):
-        table = table.table
     per_resp = [category_codes(table, r, binnings) for r in spec.responses]
     dims = {r: len(cats) for r, (_, cats) in zip(spec.responses, per_resp)}
     cells, joint = np.unique(cell_ids(np.column_stack([codes for codes, _ in per_resp]), dims),
@@ -109,8 +107,6 @@ class MajorFeatureScore:
 
 def score_major_candidate(table, spec, candidate, binnings, threshold=MAJOR_SCORE_THRESHOLD):
     """Score one candidate covariate against the joint response cells."""
-    if isinstance(table, LabeledDataset):
-        table = table.table
     if candidate in spec.responses:
         raise ConfigError("candidate '%s' is a response" % candidate)
     joint, cell_names = joint_response_codes(table, spec, binnings)
@@ -215,8 +211,6 @@ def build_locality_lattice(table, spec, majors, binnings, bin_subset=None):
     A key that is not a major, or a bin id outside its major's bins, raises
     ConfigError.
     """
-    if isinstance(table, LabeledDataset):
-        table = table.table
     majors = list(majors)
     if not majors:
         raise DataError("at least one major feature is required")
@@ -292,8 +286,6 @@ def minor_feature_entropy(lattice, table, candidates, binnings=None):
     means one category owns the patch and 1 means a uniform mix.  Patches
     with fewer than 2 members are skipped (nan).
     """
-    if isinstance(table, LabeledDataset):
-        table = table.table
     if not candidates:
         raise DataError("no minor-feature candidates given")
     members = list(lattice.cells.values())
@@ -354,8 +346,6 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
     training rows in the rectangle, by distance and then row id, in that
     order.
     """
-    if isinstance(table, LabeledDataset):
-        table = table.table
     if k_star < 1:
         raise ConfigError("k_star must be >= 1")
     X = np.asarray(X, dtype=float)
@@ -488,7 +478,7 @@ class ErrorReport:
         return csv_text(rows)
 
 
-def error_metrics(predictions, truths, lattice, table, global_cov=None):
+def error_metrics(predictions, truths, lattice, table):
     """Per-patch and pooled prediction error summaries.
 
     Three kinds: per-response mean squared error; mean error quadratic form
@@ -497,8 +487,6 @@ def error_metrics(predictions, truths, lattice, table, global_cov=None):
     use the n-1 denominator; near-singular matrices get a flagged ridge of
     RIDGE_SCALE * trace / m instead of aborting.
     """
-    if isinstance(table, LabeledDataset):
-        table = table.table
     if len(predictions) == 0:
         raise DataError("no predictions to score")
     truths = np.asarray(truths, dtype=float)
@@ -506,9 +494,7 @@ def error_metrics(predictions, truths, lattice, table, global_cov=None):
     if E.shape[1] != len(lattice.responses):
         raise DataError("truths shape does not match the response list")
     resp_all = feature_matrix(table, lattice.responses)
-    if global_cov is None:
-        global_cov = np.cov(resp_all, rowvar=False, ddof=1)
-    global_cov = np.atleast_2d(np.asarray(global_cov, dtype=float))
+    global_cov = np.atleast_2d(np.cov(resp_all, rowvar=False, ddof=1))
     patches = []
     for cell, idx in rows_by_cell(np.array([p.cell for p in predictions]), lattice.dims).items():
         Ep = E[idx]
@@ -560,8 +546,9 @@ class OlsFit:
 
 
 def ols_fit(ds, response, covariates, per_label=True):
-    """Least squares with intercept, per label: estimates, residual standard
-    error with df = n - p - 1, and two-sided t-test stars at the 0.05 level."""
+    """Least squares with intercept over a LabeledDataset, per label or (per_label
+    false) over all rows as "ALL": estimates, residual standard error with
+    df = n - p - 1, and two-sided t-test stars at the 0.05 level."""
     # imported here: it adds about 0.28 s to importing the CLI
     from scipy.special import stdtr
 
@@ -570,12 +557,11 @@ def ols_fit(ds, response, covariates, per_label=True):
         raise ConfigError("at least one covariate is required")
     if response in covariates:
         raise ConfigError("response '%s' repeated in covariates" % response)
-    table = ds.table if isinstance(ds, LabeledDataset) else ds
-    y_all = np.asarray(table.values(response), dtype=float)
-    X_all = feature_matrix(table, covariates)
+    y_all = np.asarray(ds.table.values(response), dtype=float)
+    X_all = feature_matrix(ds.table, covariates)
     design_names = ["intercept"] + covariates
-    groups = [(lab, ds.rows_with_label(lab)) for lab in ds.labels] if per_label and isinstance(ds, LabeledDataset) \
-        else [("ALL", np.arange(len(y_all)))]
+    groups = ([(lab, ds.rows_with_label(lab)) for lab in ds.labels] if per_label
+              else [("ALL", np.arange(ds.n_rows))])
     fits = []
     p = len(covariates)
     for label, rows in groups:

@@ -32,6 +32,7 @@ from ceda.cli import main as cli_main
 from ceda.dataset import (
     Column,
     DataTable,
+    LabeledDataset,
     SplitSpec,
     ZStats,
     split_train_test,
@@ -149,7 +150,7 @@ def test_c02_spin_direction_tracks_movement_better_than_noise():
     for seed in range(50):
         ds = synth_generate("magnus-manifold", {"labels": ["a"], "n_per_label": 2000},
                             seed=seed)
-        binnings = default_binnings(ds.table)
+        binnings = default_binnings(ds.table, ds.table.names)
         spin = contingency_table(ds.table, "spin_dir", "pfx_x", binnings)
         noise = contingency_table(ds.table, "noise", "pfx_x", binnings)
         assert mutual_conditional_entropy(spin) < mutual_conditional_entropy(noise)
@@ -159,7 +160,7 @@ def test_c02_spin_direction_tracks_movement_better_than_noise():
 # --- c03: clustering against the brute-force oracle ----------------------
 
 
-def _brute_merges(d, linkage):
+def _brute_merges(d):
     n = len(d)
     clusters = [[i] for i in range(n)]
     ids = list(range(n))
@@ -170,12 +171,7 @@ def _brute_merges(d, linkage):
         for a in range(len(clusters)):
             for b in range(a + 1, len(clusters)):
                 pairs = [d[p][q] for p in clusters[a] for q in clusters[b]]
-                if linkage == "average":
-                    h = sum(pairs) / len(pairs)
-                elif linkage == "complete":
-                    h = max(pairs)
-                else:
-                    h = min(pairs)
+                h = sum(pairs) / len(pairs)
                 if best is None or h < best[0]:
                     best = (h, a, b)
         h, a, b = best
@@ -192,15 +188,13 @@ def _brute_merges(d, linkage):
 def test_c03_agglomeration_matches_brute_force():
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
-    linkages = ("average", "complete", "single")
-    for trial in range(500):
+    for _ in range(500):
         n = int(rng.integers(2, 9))
         a = rng.uniform(0.1, 2.0, (n, n))
         d = (a + a.T) / 2.0
         np.fill_diagonal(d, 0.0)
-        linkage = linkages[trial % 3]
-        got = agglomerate(d, linkage).merges
-        want = _brute_merges(d.tolist(), linkage)
+        got = agglomerate(d).merges
+        want = _brute_merges(d.tolist())
         assert len(got) == len(want)
         for (gi, gj, gh), (wi, wj, wh) in zip(got, want):
             assert (gi, gj) == (wi, wj)
@@ -404,17 +398,20 @@ def _hand_lattice(table, cells):
 
 def test_c09_identity_covariance_and_ridge_guard():
     t0 = time.perf_counter()
+    # zero-mean, orthogonal responses whose squares sum to n - 1: the
+    # training response covariance is exactly the identity
     table = DataTable([
         Column("u", "continuous", np.arange(6, dtype=float)),
-        Column("y1", "continuous", np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])),
-        Column("y2", "continuous", np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0])),
+        Column("y1", "continuous", np.array([2.0, -0.5, -0.5, -0.5, -0.5, 0.0])),
+        Column("y2", "continuous", np.array([0.0, 1.5, -1.5, 0.5, -0.5, 0.0])),
     ])
+    Y = np.column_stack([table.values("y1"), table.values("y2")])
+    assert np.cov(Y, rowvar=False, ddof=1).tolist() == np.eye(2).tolist()
     lattice = _hand_lattice(table, {(0,): np.arange(4), (1,): np.array([4, 5])})
     preds = [RmaPrediction(values=np.asarray(v, dtype=float), cell=(0,),
                            flags=frozenset(), focal_rows=(), k_used=1)
              for v in ([0, 1], [1, 0], [2, 2], [3, 3])]
-    report = error_metrics(preds, np.zeros((4, 2)), lattice, table,
-                           global_cov=np.eye(2))
+    report = error_metrics(preds, np.zeros((4, 2)), lattice, table)
     pooled = report.patches[-1]
     assert pooled.name == "ALL"
     assert abs(pooled.mahal_global - (pooled.mse["y1"] + pooled.mse["y2"])) <= 1e-12
@@ -451,8 +448,9 @@ def test_c10_least_squares_oracle_and_report():
         y = beta[0] + X @ beta[1:] + 0.3 * rng.normal(size=n)
         cols = [Column("x%d" % j, "continuous", X[:, j].copy()) for j in range(p)]
         cols.append(Column("y", "continuous", y))
+        cols.append(Column("label", "categorical", np.full(n, "a", dtype=object)))
         names = ["x%d" % j for j in range(p)]
-        fit = ols_fit(DataTable(cols), "y", names, per_label=False)[0]
+        fit = ols_fit(LabeledDataset(DataTable(cols), "label"), "y", names, per_label=False)[0]
         Xd = np.column_stack([np.ones(n), X])
         xtx = Xd.T @ Xd
         bhat = np.linalg.solve(xtx, Xd.T @ y)

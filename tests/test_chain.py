@@ -227,6 +227,10 @@ def test_load_external_predictions_errors(tmp_path):
     short.write_text("row_id,predicted_label\n0\n")
     with pytest.raises(DataError, match="malformed"):
         load_external_predictions(short)
+    twice = tmp_path / "t.csv"
+    twice.write_text("row_id,predicted_label\n0,a\n1,b\n0,b\n")
+    with pytest.raises(DataError, match="row 2: row id 0 given twice"):
+        load_external_predictions(twice)
     with pytest.raises(DataError, match="cannot read"):
         load_external_predictions(tmp_path / "absent.csv")
 

@@ -557,6 +557,42 @@ def test_config_values_of_the_wrong_kind_are_config_errors(request, tmp_path, ca
     assert_one_error_line(capsys, message)
 
 
+@pytest.mark.parametrize("kind,params,message", [
+    ("gauss-clouds", [1, 2], "--params must be an object, got [1, 2]"),
+    ("gauss-clouds", {"centers": [[0], [3]], "n_per_label": "many"},
+     "synth.params.n_per_label must be an integer, got 'many'"),
+    ("gauss-clouds", {"centers": [[0], [3]], "n_per_label": [20, 2.5]},
+     "synth.params.n_per_label must be an integer, got 2.5"),
+    ("gauss-clouds", {"centers": [[0], [3]], "sd": [1, None]}, "synth.params.sd must be a number, got None"),
+    ("gauss-clouds", {"centers": [[0, "x"], [3, 0]]}, "synth.params.centers must be a number, got 'x'"),
+    ("gauss-clouds", {"centers": [5, 6]}, "synth.params.centers must be a list, got 5"),
+    ("gauss-clouds", {"centers": [[0, 0], [3, 0]], "feature_names": ["x"]},
+     "feature_names must give one name per center coordinate"),
+    ("magnus-manifold", {"a": "big"}, "synth.params.a must be a number, got 'big'"),
+    ("magnus-manifold", {"n_labels": 0}, "at least one label"),
+    ("magnus-manifold", {"spin_rate_range": 1},
+     "synth.params.spin_rate_range must be a list of 2 numbers, got 1"),
+    ("magnus-manifold", {"labels": ["a"], "label_arcs": [[0, "pi"]]},
+     "synth.params.label_arcs must be a number, got 'pi'"),
+    ("magnus-manifold", {"labels": 3}, "synth.params.labels must be a list, got 3"),
+    ("linear-speed", {"labels": ["a"], "coefs": [[1, 2]]}, "synth.params.coefs must be a list of 3 numbers"),
+    ("linear-speed", {"noise_sd": True}, "synth.params.noise_sd must be a number, got True"),
+])
+def test_malformed_synth_params_are_config_errors(tmp_path, capsys, kind, params, message):
+    assert run_cli("synth", "--kind", kind, "--params", json.dumps(params), "--out", tmp_path / "x") == 1
+    assert_one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize("synth,message", [
+    ({"kind": "gauss-clouds", "params": [1]}, "synth.params must be an object, got [1]"),
+    ({"kind": 5}, "synth.kind must be a string, got 5"),
+])
+def test_malformed_synth_section_is_config_error(tmp_path, capsys, synth, message):
+    cfg = write_cfg(tmp_path / "c.json", out_dir=str(tmp_path / "out"), synth=synth)
+    assert run_cli("synth", "--config", cfg) == 1
+    assert_one_error_line(capsys, message)
+
+
 @pytest.mark.parametrize("section,value", [("competition", 5), ("split", [1]), ("let", "x"), ("rma", None)])
 def test_sections_that_are_not_objects_are_config_errors(tmp_path, clouds_csv, capsys, section, value):
     cfg = write_cfg(tmp_path / "c.json", dataset=str(clouds_csv), label_column="label",

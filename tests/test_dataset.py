@@ -5,12 +5,14 @@ import logging
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ceda import dataset
 from ceda.dataset import (
     DISCRETE_MAX_DISTINCT,
     KINDS,
@@ -76,7 +78,7 @@ class TestDataTable:
         ds = make_labeled()
         only_a = ds.subset(ds.rows_with_label("a"))
         assert only_a.labels == ("a", "b")
-        assert only_a.per_label_counts["b"] == 0
+        assert len(only_a.rows_with_label("b")) == 0
 
 
 class TestCsvRoundTrip:
@@ -88,7 +90,7 @@ class TestCsvRoundTrip:
             Column("label", "categorical", np.array(["a", "b"] * 20, dtype=object)),
         ]), "label")
         path = tmp_path / "t.csv"
-        write_csv(ds, path)
+        write_csv(ds.table, path)
         back = load_csv(path, "label")
         assert np.array_equal(back.table.values("x"), ds.table.values("x"))
         assert np.array_equal(back.table.values("third"), ds.table.values("third"))
@@ -148,7 +150,7 @@ class TestCsvRoundTrip:
             load_csv(path, "label")
 
 
-def row_loader(path, label_column, schema=None, discrete_max_distinct=DISCRETE_MAX_DISTINCT):
+def row_loader(path, label_column, schema=None):
     """The row-at-a-time loader that load_csv must match: a missing-marker
     check on every cell, then one float() per kept cell."""
     log = logging.getLogger("ceda.dataset")
@@ -217,7 +219,7 @@ def row_loader(path, label_column, schema=None, discrete_max_distinct=DISCRETE_M
             columns.append(Column(name, "categorical", np.array(cells, dtype=object)))
             continue
         n_distinct = len(np.unique(vals))
-        inferred = "discrete" if n_distinct <= discrete_max_distinct else "continuous"
+        inferred = "discrete" if n_distinct <= dataset.DISCRETE_MAX_DISTINCT else "continuous"
         columns.append(Column(name, inferred, vals))
     return LabeledDataset(DataTable(columns), label_column)
 
@@ -240,7 +242,8 @@ def load_outcome(loader, path, schema, max_distinct):
     logger.addHandler(records)
     logger.setLevel(logging.DEBUG)
     try:
-        ds = loader(path, "label", schema=schema, discrete_max_distinct=max_distinct)
+        with mock.patch.object(dataset, "DISCRETE_MAX_DISTINCT", max_distinct):
+            ds = loader(path, "label", schema=schema)
         result = [(c.name, c.kind, c.values.tolist() if c.kind == "categorical"
                    else np.asarray(c.values, dtype=float).view(np.int64).tolist())
                   for c in ds.table.columns]
@@ -332,8 +335,8 @@ class TestSplit:
             Column("label", "categorical", np.array(labs, dtype=object)),
         ]), "label")
         train, test = split_train_test(ds, SplitSpec(0.6, seed=1))
-        assert train.per_label_counts == {"a": 4, "b": 8}
-        assert test.per_label_counts == {"a": 3, "b": 5}
+        assert [len(train.rows_with_label(lab)) for lab in "ab"] == [4, 8]
+        assert [len(test.rows_with_label(lab)) for lab in "ab"] == [3, 5]
 
     def test_sides_partition_the_rows(self):
         ds = make_labeled(30)
@@ -349,8 +352,8 @@ class TestSplit:
         ]), "label")
         with caplog.at_level("WARNING"):
             train, test = split_train_test(ds, SplitSpec(0.5, seed=0))
-        assert train.per_label_counts["b"] == 1
-        assert test.per_label_counts["b"] == 0
+        assert len(train.rows_with_label("b")) == 1
+        assert len(test.rows_with_label("b")) == 0
         assert any("single row" in r.message for r in caplog.records)
 
     def test_bad_fraction_rejected(self):
@@ -431,7 +434,7 @@ def test_feature_matrix_rejects_categorical():
 
 def test_feature_matrix_stacks_in_order():
     ds = make_labeled()
-    X = feature_matrix(ds, ["g", "x"])
+    X = feature_matrix(ds.table, ["g", "x"])
     assert X.shape == (ds.n_rows, 2)
     assert np.array_equal(X[:, 0], ds.table.values("g"))
 

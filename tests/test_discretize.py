@@ -5,7 +5,6 @@ import pytest
 
 from ceda.discretize import (
     build_histogram,
-    categorize,
     categorize_many,
     default_bin_count,
     default_binnings,
@@ -26,7 +25,7 @@ def test_equal_width_edges_without_gaps():
     values = np.linspace(0.0, 10.0, 200)
     b = build_histogram(values, target_bins=5, feature="u")
     assert np.allclose(b.edges, np.linspace(0, 10, 6))
-    assert not b.has_gaps
+    assert not b.gap_flags.any()
     assert b.counts.sum() == 200
 
 
@@ -39,7 +38,7 @@ def test_empty_run_collapses_to_flagged_midpoint():
     assert b.edges.tolist() == [0.0, 5.0, 10.0]
     assert b.gap_flags.tolist() == [False, True, False]
     assert b.counts.tolist() == [20, 20]
-    assert b.has_gaps
+    assert b.gap_flags.any()
 
 
 def test_two_separate_gaps():
@@ -66,19 +65,16 @@ def test_every_training_value_lands_in_a_bin():
 def test_max_falls_in_last_closed_bin():
     values = np.arange(11.0)
     b = build_histogram(values, target_bins=5, feature="u")
-    bin_id, flag = categorize(b, 10.0)
-    assert bin_id == b.n_bins - 1
-    assert not flag
+    ids, flags = categorize_many(b, [10.0])
+    assert ids.tolist() == [b.n_bins - 1]
+    assert flags.tolist() == [False]
 
 
 def test_out_of_range_clamps_with_flag():
     b = build_histogram(np.arange(11.0), target_bins=5, feature="u")
-    low, low_flag = categorize(b, -3.0)
-    high, high_flag = categorize(b, 99.0)
-    assert (low, low_flag) == (0, True)
-    assert (high, high_flag) == (b.n_bins - 1, True)
-    inside, inside_flag = categorize(b, 5.5)
-    assert not inside_flag
+    (low, high, inside), flags = categorize_many(b, [-3.0, 99.0, 5.5])
+    assert (low, high) == (0, b.n_bins - 1)
+    assert flags.tolist() == [True, True, False]
     assert 0 <= inside < b.n_bins
 
 
@@ -125,7 +121,19 @@ def test_default_binnings_covers_continuous_only():
         Column("g", "discrete", np.array([1.0, 2.0] * 5)),
         Column("s", "categorical", np.array(list("ababababab"), dtype=object)),
     ])
-    out = default_binnings(t)
+    out = default_binnings(t, t.names)
     assert sorted(out) == ["x"]
-    out2 = default_binnings(t, features=["g"])
+    out2 = default_binnings(t, ["g"])
     assert out2 == {}
+
+
+def test_default_binnings_follow_the_feature_order_and_overrides():
+    t = DataTable([
+        Column("x", "continuous", np.arange(40.0)),
+        Column("y", "continuous", np.arange(40.0) ** 2),
+    ])
+    out = default_binnings(t, ["y", "x"], target_bins=4, per_feature={"x": 2})
+    assert list(out) == ["y", "x"]
+    assert (out["y"].edges == build_histogram(t.values("y"), 4, "y").edges).all()
+    assert (out["x"].edges == build_histogram(t.values("x"), 2, "x").edges).all()
+    assert out["x"].n_bins == 2

@@ -46,7 +46,7 @@ def test_counts_total_with_four_labels():
     assert len(dm.pairs) == 6
     assert dm.counts.sum() == 2 * 30 * 4  # C(4,3) triples
     assert dm.exposure == 2 * 30
-    assert np.all(dm.column_sums() <= dm.exposure)
+    assert np.all(dm.counts.sum(axis=0) <= dm.exposure)
 
 
 def test_same_seed_reproduces_counts():
@@ -215,8 +215,6 @@ def test_distance_from_hand_tally():
     assert d[0, 2] == pytest.approx(0.7)
     assert d[1, 2] == pytest.approx(0.9)
     assert np.array_equal(d, d.T)
-    raw = dominance_to_distance(dm, normalize=False)
-    assert raw[0, 1] == 4.0
 
 
 def test_dominance_csv_header():
@@ -235,7 +233,6 @@ def test_tree_joins_the_close_pair_first():
     tree = tree_from_training(ds, ["f0", "f1"], samples_per_triplet=200, seed=11)
     # first internal node of a 3-leaf tree is node 3
     assert tree.node_labels(3) == ("a", "b")
-    assert ("a", "b") in tree.topology()
 
 
 def test_tree_special_cases():

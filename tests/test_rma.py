@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from ceda.dataset import Column, DataTable, ZStats, synth_generate
+from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, synth_generate
 from ceda.discretize import build_histogram, default_binnings
 from ceda.errors import ConfigError, DataError
 from ceda.rma import (
@@ -48,6 +48,12 @@ def num_table(**cols):
         arr = np.array(values, dtype=object if kind == "categorical" else float)
         out.append(Column(name, kind, arr))
     return DataTable(out)
+
+
+def one_label(table):
+    """The table as a LabeledDataset whose rows all carry label "a"."""
+    label = Column("label", "categorical", np.full(table.n_rows, "a", dtype=object))
+    return LabeledDataset(DataTable(table.columns + [label]), "label")
 
 
 # --- joint response cells and major scoring ------------------------------
@@ -137,10 +143,10 @@ def test_spin_direction_outranks_noise():
          "spin_rate_range": (0.95, 1.05)},
         seed=9,
     )
-    binnings = default_binnings(ds.table)
+    binnings = default_binnings(ds.table, ds.table.names)
     spec = ResponseSpec(("pfx_x", "pfx_z"), ("spin_dir", "spin_rate", "noise"))
-    s_dir = score_major_candidate(ds, spec, "spin_dir", binnings)
-    s_noise = score_major_candidate(ds, spec, "noise", binnings)
+    s_dir = score_major_candidate(ds.table, spec, "spin_dir", binnings)
+    s_noise = score_major_candidate(ds.table, spec, "noise", binnings)
     assert s_dir.score > s_noise.score
     assert s_dir.is_major
     assert not s_noise.is_major
@@ -562,8 +568,10 @@ def pred_at(values, cell):
 
 def metrics_fixture():
     u = np.arange(6, dtype=float)
-    y1 = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    y2 = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
+    # zero-mean, orthogonal, each with squares summing to n - 1: the training
+    # response covariance is exactly the identity
+    y1 = np.array([2.0, -0.5, -0.5, -0.5, -0.5, 0.0])
+    y2 = np.array([0.0, 1.5, -1.5, 0.5, -0.5, 0.0])
     table = num_table(u=("continuous", u), y1=("continuous", y1), y2=("continuous", y2))
     lat = LocalityLattice(
         majors=["u"], cats_per_major=[["b0", "b1"]], binnings={},
@@ -579,7 +587,9 @@ def test_identity_covariance_sums_squared_errors():
     table, lat = metrics_fixture()
     preds = [pred_at(v, (0,)) for v in ([0, 1], [1, 0], [2, 2], [3, 3])]
     truths = np.zeros((4, 2))
-    report = error_metrics(preds, truths, lat, table, global_cov=np.eye(2))
+    Y = np.column_stack([table.values("y1"), table.values("y2")])
+    assert np.cov(Y, rowvar=False, ddof=1).tolist() == np.eye(2).tolist()
+    report = error_metrics(preds, truths, lat, table)
     pooled = report.patches[-1]
     assert pooled.name == "ALL"
     assert pooled.mse["y1"] == pytest.approx(3.5)
@@ -632,7 +642,7 @@ def test_singular_covariance_gets_flagged_ridge():
 def test_patches_sorted_with_pooled_last():
     table, lat = metrics_fixture()
     preds = [pred_at([0, 0], (1,)), pred_at([0, 0], (0,)), pred_at([1, 1], (1,))]
-    report = error_metrics(preds, np.zeros((3, 2)), lat, table, global_cov=np.eye(2))
+    report = error_metrics(preds, np.zeros((3, 2)), lat, table)
     assert [p.name for p in report.patches] == ["0", "1", "ALL"]
     assert [p.n for p in report.patches] == [1, 2, 3]
 
@@ -643,14 +653,13 @@ def test_error_metrics_validation():
         error_metrics([], np.zeros((0, 2)), lat, table)
     bad = [pred_at([0, 0, 0], (0,))]
     with pytest.raises(DataError, match="does not match the response list"):
-        error_metrics(bad, np.zeros((1, 3)), lat, table, global_cov=np.eye(3))
+        error_metrics(bad, np.zeros((1, 3)), lat, table)
 
 
 def test_error_report_csv_layout():
     table, lat = metrics_fixture()
     preds = [pred_at([0, 0], (1,)), pred_at([0, 0], (0,))]
-    lines = error_metrics(preds, np.zeros((2, 2)), lat, table,
-                          global_cov=np.eye(2)).to_csv_text().strip().split("\n")
+    lines = error_metrics(preds, np.zeros((2, 2)), lat, table).to_csv_text().strip().split("\n")
     assert lines[0] == "patch,n,mse_y1,mse_y2,mahal_global,mahal_patch,ridged_global,ridged_patch"
     # the 2-member patch and the pooled row leave mahal_patch blank
     assert lines[2].split(",")[5] == ""
@@ -672,7 +681,7 @@ def test_ols_matches_normal_equations():
         cols["y"] = ("continuous", y)
         table = num_table(**cols)
         names = ["x%d" % j for j in range(p)]
-        fit = ols_fit(table, "y", names, per_label=False)[0]
+        fit = ols_fit(one_label(table), "y", names, per_label=False)[0]
         b, se, pv, rse, df = ols_oracle(np.column_stack([np.ones(n), X]), y)
         for i, nm in enumerate(["intercept"] + names):
             assert fit.coef[nm] == pytest.approx(b[i], rel=1e-9, abs=1e-12)
@@ -702,7 +711,7 @@ def test_ols_recovers_noiseless_per_label_coefficients():
 def test_ols_report_layout_and_stars():
     x = np.arange(12, dtype=float)
     table = num_table(x=("continuous", x), y=("continuous", 3.0 + 2.0 * x))
-    fits = ols_fit(table, "y", ["x"], per_label=False)
+    fits = ols_fit(one_label(table), "y", ["x"], per_label=False)
     lines = ols_report_text(fits, ["x"]).strip().split("\n")
     assert lines[0] == "label,intercept,x,residual_std_error,df"
     cells = lines[1].split(",")
@@ -724,7 +733,7 @@ def test_ols_collinear_columns_named():
     table = num_table(x0=("continuous", x0), x1=("continuous", 2.0 * x0),
                       y=("continuous", x0 + rng.normal(size=20)))
     with pytest.raises(DataError, match="collinear design columns"):
-        ols_fit(table, "y", ["x0", "x1"], per_label=False)
+        ols_fit(one_label(table), "y", ["x0", "x1"], per_label=False)
 
 
 def test_ols_too_few_rows():
@@ -732,13 +741,13 @@ def test_ols_too_few_rows():
                       x1=("continuous", [5.0, 1.0, 2.0]),
                       y=("continuous", [1.0, 0.0, 2.0]))
     with pytest.raises(DataError, match="cannot fit"):
-        ols_fit(table, "y", ["x0", "x1"], per_label=False)
+        ols_fit(one_label(table), "y", ["x0", "x1"], per_label=False)
 
 
 def test_ols_config_validation():
     table = num_table(x=("continuous", [1.0, 2.0, 3.0, 4.0]),
                       y=("continuous", [1.0, 0.0, 2.0, 1.0]))
     with pytest.raises(ConfigError, match="at least one covariate"):
-        ols_fit(table, "y", [], per_label=False)
+        ols_fit(one_label(table), "y", [], per_label=False)
     with pytest.raises(ConfigError, match="repeated in covariates"):
-        ols_fit(table, "y", ["y"], per_label=False)
+        ols_fit(one_label(table), "y", ["y"], per_label=False)
