@@ -411,6 +411,11 @@ def synth_generate(kind, params=None, seed=0):
     params = dict(params or {})
     if not isinstance(params.get("labels") or [], (list, tuple)):
         raise ConfigError("synth.params.labels must be a list, got %r" % (params["labels"],))
+    # labels are written as text, so 1 and "1" name one label
+    names = [str(lab) for lab in params.get("labels") or []]
+    if len(set(names)) < len(names):
+        raise ConfigError("synth.params.labels repeats the label '%s'"
+                          % next(name for name in names if names.count(name) > 1))
     if kind == "gauss-clouds":
         return _gauss_clouds(params, seed)
     if kind == "magnus-manifold":

@@ -26,14 +26,16 @@ point-at-a-time descent makes, and builds the node's rows, left branch and
 KD tree as it runs.  Rules 1 and 2 need only each point's k* nearest rows
 and its nearest distance, which ``k_nearest`` finds: the node's KD tree for
 one or two features, a Gram screen with a proven rounding margin for more,
-both exact to the bit, as are the outlier screen's distances.  Only the
-points rule 3 decides get their distances to every node member
-(``distance_rows``), with the node's left-branch rows first, so each
-branch's sample is a column slice.  Each KDE takes its log-sum-exp in one
-in-place exponential (``_logsumexp_rows``) with the bits of scipy's
-``logsumexp``.  The kernels cut their query rows into blocks of bounded
-size (``row_blocks``) that reuse one work buffer, so callers hand over all
-their rows at once."""
+both exact to the bit.  The outlier screen's distances are exact too: the
+node's KD tree for one or two features, and for more one k-nearest list
+over all training rows, with a direct query of the node's rows for a row
+whose list holds fewer than two of them.  Only the points rule 3 decides
+get their distances to every node member (``distance_rows``), with the
+node's left-branch rows first, so each branch's sample is a column slice.
+Each KDE takes its log-sum-exp in one in-place exponential
+(``_logsumexp_rows``) with the bits of scipy's ``logsumexp``.  The kernels
+cut their query rows into blocks of bounded size (``row_blocks``) that
+reuse one work buffer, so callers hand over all their rows at once."""
 
 import logging
 import math
@@ -354,6 +356,13 @@ def k_nearest(Q, R, k, tree=None):
     return dist, cols
 
 
+# Neighbours per training row in the list that gives the outlier thresholds
+# of three or more features.  On the six 32-feature wide-labels benchmark
+# inputs of seeds 0 and 81, 3 already leave no node row to the direct query;
+# 8 keeps a margin at 2880 x 8 entries
+TRAIN_NEAREST_K = 8
+
+
 class TreeClassifier:
     """Prepared state for classifying many points against one label tree."""
 
@@ -372,13 +381,37 @@ class TreeClassifier:
                 raise DataError("label '%s' has zero training rows" % lab)
             self.leaf[of_label] = leaf
         self._warned_small_k = False
+        self._train_nearest = None  # k_nearest(X, X, TRAIN_NEAREST_K), built on first use
 
-    def _outlier_threshold(self, R, kd):
+    def _outlier_threshold(self, R, in_node, kd):
         """The outlier_quantile of the distances, with the bits of
-        ``distance_rows``, from each node row R to its nearest other row: the
-        second of its two nearest, as it is its own nearest at exactly 0."""
-        nn = kd.query(R, k=2)[0] if kd is not None else k_nearest(R, R, 2)[0]
-        return float(np.quantile(nn[:, 1], self.cfg.outlier_quantile))
+        ``distance_rows``, from each node row R (the training rows in_node
+        selects) to its nearest other row: the second of its two nearest, as
+        it is its own nearest at exactly 0.
+
+        With one or two features the node's KD tree kd answers.  With more,
+        one k-nearest list over all training rows serves every node.  A
+        row's list is its first TRAIN_NEAREST_K training rows by (distance,
+        row); a distance has the same bits whichever node asks, and R keeps
+        the training order, so the list's in-node entries are the first
+        entries of the row's order within the node.  Its second in-node
+        entry is therefore the second of ``k_nearest(R, R, 2)``, 0.0 for a
+        duplicate.  Rows whose list holds fewer than two in-node entries ask
+        the node's rows directly."""
+        if kd is not None:
+            nn = kd.query(R, k=2)[0][:, 1]
+        else:
+            if self._train_nearest is None:
+                self._train_nearest = k_nearest(self.X, self.X, TRAIN_NEAREST_K)
+            dist, cols = self._train_nearest
+            rows = np.flatnonzero(in_node)
+            # the first column where the count of in-node entries reaches 2
+            second = np.cumsum(in_node[cols[rows]], axis=1) == 2
+            nn = dist[rows, second.argmax(axis=1)]
+            miss = ~second.any(axis=1)
+            if np.any(miss):
+                nn[miss] = k_nearest(R[miss], R, 2)[0][:, 1]
+        return float(np.quantile(nn, self.cfg.outlier_quantile))
 
     def competition(self, Z, node):
         """Decide one internal-node competition for each z-scored row of Z.
@@ -406,7 +439,7 @@ class TreeClassifier:
         decision[k - left_count >= need] = "right"
         decision[left_count >= need] = "left"
         if cfg.outlier_quantile is not None:
-            decision[dist[:, 0] > self._outlier_threshold(R, kd)] = "outlier"
+            decision[dist[:, 0] > self._outlier_threshold(R, in_node, kd)] = "outlier"
         open_ = np.flatnonzero(decision == "stop")
         # left rows first, each branch in its own order: a branch's sample
         # is then a column slice of the distance rows

@@ -577,6 +577,11 @@ def test_config_values_of_the_wrong_kind_are_config_errors(request, tmp_path, ca
     ("magnus-manifold", {"labels": 3}, "synth.params.labels must be a list, got 3"),
     ("linear-speed", {"labels": ["a"], "coefs": [[1, 2]]}, "synth.params.coefs must be a list of 3 numbers"),
     ("linear-speed", {"noise_sd": True}, "synth.params.noise_sd must be a number, got True"),
+    ("gauss-clouds", {"centers": [[0, 0], [1, 1]], "labels": ["a", "a"]},
+     "synth.params.labels repeats the label 'a'"),
+    ("magnus-manifold", {"labels": ["a", "a", "b"]}, "synth.params.labels repeats the label 'a'"),
+    ("linear-speed", {"labels": ["a", "a", "b"]}, "synth.params.labels repeats the label 'a'"),
+    ("linear-speed", {"labels": ["1", 1]}, "synth.params.labels repeats the label '1'"),
 ])
 def test_malformed_synth_params_are_config_errors(tmp_path, capsys, kind, params, message):
     assert run_cli("synth", "--kind", kind, "--params", json.dumps(params), "--out", tmp_path / "x") == 1
@@ -650,6 +655,6 @@ def test_importing_the_cli_leaves_scipy_special_unloaded():
 
 
 def test_importing_the_cli_leaves_scipy_spatial_unloaded():
-    # only the outlier screen of a one- or two-feature node needs the KD tree,
-    # and importing scipy.spatial costs about 0.16 s
+    # only a one- or two-feature node needs the KD tree, for its k-nearest
+    # and outlier screens, and importing scipy.spatial costs about 0.16 s
     assert modules_loaded_by_cli_import("scipy.spatial") == "[]"

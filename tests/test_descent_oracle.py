@@ -222,9 +222,11 @@ def test_batched_knn_matches_per_point_vote(problem, k, block_bytes):
     assert got == ref_knn(train, test, features, k)
 
 
-def outlier_threshold_input(Z, tree):
+def outlier_threshold_input(X, in_node, kd):
     """The nearest-other-row distances ``TreeClassifier._outlier_threshold``
-    takes its quantile of, with the threshold it returns."""
+    takes its quantile of at the node of training rows X[in_node], with the
+    threshold it returns and the node rows it asked ``k_nearest`` for
+    directly (outside the training list)."""
     seen = []
     quantile = np.quantile
 
@@ -232,31 +234,76 @@ def outlier_threshold_input(Z, tree):
         seen.append(np.array(a))
         return quantile(a, q)
 
-    clf = SimpleNamespace(cfg=CompetitionConfig())
-    with mock.patch.object(np, "quantile", side_effect=record):
-        threshold = TreeClassifier._outlier_threshold(clf, Z, tree)
-    return seen[0], threshold
+    clf = SimpleNamespace(cfg=CompetitionConfig(), X=X, _train_nearest=None)
+    with mock.patch.object(np, "quantile", side_effect=record), \
+            mock.patch.object(predictive_map, "k_nearest", wraps=k_nearest) as calls:
+        threshold = TreeClassifier._outlier_threshold(clf, X[in_node], in_node, kd)
+    asked = [call.args[0] for call in calls.call_args_list if call.args[0] is not X]
+    return seen[0], threshold, sum(len(Q) for Q in asked)
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 600), dim=st.sampled_from([1, 2, 3, 9, 32]),
-       n_dup=st.integers(0, 40), grid=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]))
-def test_outlier_precompute_is_exact_for_one_or_two_features(seed, n, dim, n_dup, grid, scale):
+       n_dup=st.integers(0, 40), grid=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       n_labels=st.integers(1, 4), list_k=st.sampled_from([1, 2, 3, predictive_map.TRAIN_NEAREST_K]))
+def test_outlier_precompute_is_exact_for_one_or_two_features(seed, n, dim, n_dup, grid, scale, n_labels, list_k):
     # every feature count, with the node's KD tree (one or two features:
-    # kd_tree gives None for more) and without one
+    # kd_tree gives None for more) and from the training list; the node is
+    # a random set of labels drawn row by row, so a row's nearest training
+    # rows often lie outside it, and a short list forces the direct query
     rng = np.random.default_rng(seed)
-    Z = scale * rng.normal(size=(n, dim))
+    X = scale * rng.normal(size=(n, dim))
     if grid:
-        Z = np.round(Z / scale, 1) * scale  # equal distances between many pairs
-    Z[rng.integers(0, n, n_dup)] = Z[rng.integers(0, n, n_dup)]
+        X = np.round(X / scale, 1) * scale  # equal distances between many pairs
+    X[rng.integers(0, n, n_dup)] = X[rng.integers(0, n, n_dup)]
+    label = rng.integers(0, n_labels, n)
+    in_node = np.isin(label, rng.choice(n_labels, int(rng.integers(1, n_labels + 1)), replace=False))
+    if np.count_nonzero(in_node) < 2:
+        in_node[:2] = True
+    Z = X[in_node]
     want = ref_exact_nearest_neighbor_distances(Z)
     _, inverse, counts = np.unique(Z, axis=0, return_inverse=True, return_counts=True)
     duplicated = counts[inverse.ravel()] > 1
-    for tree in (None, kd_tree(Z)):
-        got, threshold = outlier_threshold_input(Z, tree)
-        assert got.tobytes() == want.tobytes()
-        assert np.all(got[duplicated] == 0.0) and np.all(got[~duplicated] > 0.0)
-        assert threshold == float(np.quantile(want, CompetitionConfig().outlier_quantile))
+    with mock.patch.object(predictive_map, "TRAIN_NEAREST_K", list_k):
+        for tree in (None, kd_tree(Z)):
+            got, threshold, asked = outlier_threshold_input(X, in_node, tree)
+            assert got.tobytes() == want.tobytes()
+            assert np.all(got[duplicated] == 0.0) and np.all(got[~duplicated] > 0.0)
+            assert threshold == float(np.quantile(want, CompetitionConfig().outlier_quantile))
+            if tree is not None:
+                assert asked == 0
+            elif list_k == 1:
+                assert asked == len(Z)  # a one-entry list never holds a second node row
+
+
+def test_outlier_threshold_asks_the_node_only_for_rows_its_list_misses():
+    # three features on a line.  Node row 0 has seven rows of another label
+    # nearer than any row of its own, so its 8-entry list holds no second
+    # node row and it is asked directly; rows 1 and 2 are each other's
+    # nearest and the list serves them
+    xs = [0.0, 10.0, 11.0] + [0.01 * j for j in range(1, 9)]
+    X = np.array([[x, 0.0, 0.0] for x in xs])
+    in_node = np.arange(len(X)) < 3
+    got, threshold, asked = outlier_threshold_input(X, in_node, None)
+    assert predictive_map.TRAIN_NEAREST_K == 8 and asked == 1
+    assert got.tolist() == [10.0, 1.0, 1.0]
+    assert got.tobytes() == ref_exact_nearest_neighbor_distances(X[in_node]).tobytes()
+    assert threshold == float(np.quantile(got, CompetitionConfig().outlier_quantile))
+
+
+def test_training_list_is_built_once_and_only_for_the_outlier_screen():
+    rng = np.random.default_rng(7)
+    labels = list("abcd")
+    y = np.repeat(labels, 15)
+    train = dataset(rng.normal(size=(len(y), 3)) + 3.0 * np.repeat(np.arange(4), 15)[:, None], y)
+    tree = build_label_tree(np.array([[0.0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]), labels)
+    features = train.feature_names()
+    for quantile, lists in ((None, 0), (0.99, 1)):
+        clf = TreeClassifier(tree, train, features, CompetitionConfig(outlier_quantile=quantile))
+        with mock.patch.object(predictive_map, "k_nearest", wraps=k_nearest) as calls:
+            preds = clf.classify_rows(train.table)
+        assert len({node for pred in preds for node, _ in pred.path}) > 1
+        assert sum(call.args[0] is clf.X for call in calls.call_args_list) == lists
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
