@@ -11,14 +11,13 @@ Usage examples:
     ceda rma --config cfg.json
     ceda let --config cfg.json
 
-The config file is JSON.  Typical keys: dataset, label_column, schema,
-split.train_fraction, binning.target_bins, feature_sets, chain, competition,
-let.samples_per_triplet, dissect.external or dissect.knn_k, rma.*, seed,
-out_dir (CONFIG_KEYS lists them all; unknown keys draw a warning).  Command
-line --seed/--out override the config; --threads is accepted and ignored.
+The config file is JSON.  SETTINGS below lists every key with its kind,
+default and range, as does the README's table; unknown keys draw a warning.
+Command line --seed/--out override the config; --threads is accepted and
+ignored.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 computation
-error.
+error (running out of memory included).
 
 Every run writes a manifest.json recording the command, package version,
 seed, a sha256 of the effective config and the artifact list.  Reports are
@@ -54,7 +53,7 @@ from .discretize import (
     build_histogram,  # noqa: F401  (bench/spans.py wraps ceda.cli.build_histogram by name)
     default_binnings,
 )
-from .errors import CedaError, ConfigError, DataError, check_number
+from .errors import CedaError, ComputationError, ConfigError, DataError, check_kind
 from .label_tree import (
     build_label_tree,
     dominance_to_distance,
@@ -79,20 +78,54 @@ log = logging.getLogger("ceda")
 
 STAGE_OFFSETS = {"synth": 0, "split": 1, "let": 2, "pmap": 3, "chain": 4, "dissect": 5, "rma": 6}
 
-# known keys of the config's top level (None) and of its sections
-CONFIG_KEYS = {
-    None: ("binning", "chain", "competition", "dataset", "dissect", "feature_sets", "features",
-           "label_column", "let", "mce", "out_dir", "pmap", "rma", "schema", "seed", "split", "synth"),
-    "split": ("stratified", "train_fraction"),
-    "binning": ("per_feature", "target_bins"),
-    "competition": tuple(f.name for f in dataclasses.fields(CompetitionConfig)),
-    "let": ("feature_set", "samples_per_triplet"),
-    "pmap": ("feature_set",),
-    "mce": ("k_groups",),
-    "dissect": ("external", "knn_k"),
-    "rma": ("bin_subset", "bins_per_major", "k_star", "major_candidates", "majors", "minors",
-            "ols", "responses", "threshold"),
-    "synth": ("kind", "params"),
+# Every config key: dotted path -> (JSON kind, default, range).  "*" stands
+# for a name the config chooses.  A None default lets the key be absent or
+# null, the command then working the value out from its data.  A range
+# (low, high) bounds an integer, a None high leaving it open; the competition
+# keys and split.train_fraction have theirs in CompetitionConfig and
+# SplitSpec, which library callers build directly.
+REQUIRED = object()
+
+SETTINGS = {
+    "dataset": (str, REQUIRED, None),
+    "label_column": (str, REQUIRED, None),
+    "schema": (dict, None, None),
+    "seed": (int, 0, (0, None)),
+    "out_dir": (str, "ceda_out", None),
+    "features": (list, None, None),
+    "feature_sets": (dict, None, None),
+    "feature_sets.*": (list, None, None),
+    "chain": (list, None, None),
+    "chain.*.set": (str, REQUIRED, None),
+    "chain.*.competition": (dict, None, None),
+    "split.train_fraction": (float, 0.8, None),
+    "split.stratified": (bool, True, None),
+    "binning.target_bins": (int, None, (1, None)),
+    "binning.per_feature": (dict, {}, None),
+    "binning.per_feature.*": (int, None, (1, None)),
+    **{"competition." + f.name: (f.type, f.default, None) for f in dataclasses.fields(CompetitionConfig)},
+    "let.feature_set": (str, None, None),
+    # the sampler's held screen state grows with samples x open triples (about
+    # 10 bytes each): 10^8 samples on three labels ran out of memory
+    "let.samples_per_triplet": (int, 200, (1, 100_000)),
+    "pmap.feature_set": (str, None, None),
+    "mce.k_groups": (int, None, (1, None)),
+    "dissect.external": (str, None, None),
+    "dissect.knn_k": (int, 20, (1, None)),
+    "rma.responses": (list, REQUIRED, None),
+    "rma.major_candidates": (list, [], None),
+    "rma.majors": (list, None, None),
+    "rma.minors": (list, [], None),
+    "rma.threshold": (float, MAJOR_SCORE_THRESHOLD, None),
+    "rma.bins_per_major": (int, None, (1, None)),
+    "rma.bin_subset": (dict, None, None),
+    "rma.k_star": (int, 20, (1, None)),
+    "rma.ols": (dict, None, None),
+    "rma.ols.response": (str, REQUIRED, None),
+    "rma.ols.covariates": (list, REQUIRED, None),
+    "rma.ols.per_label": (bool, True, None),
+    "synth.kind": (str, None, None),
+    "synth.params": (dict, {}, None),
 }
 
 
@@ -142,7 +175,7 @@ def build_parser():
 
 def _load_config(args):
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         try:
             cfg = json.loads(path.read_text())
@@ -152,60 +185,74 @@ def _load_config(args):
             raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
         if not isinstance(cfg, dict):
             raise ConfigError("config %s: top level must be an object" % path)
-        for section in CONFIG_KEYS:
+        for section in sorted({p.split(".")[0] for p in SETTINGS if "." in p} - set(SETTINGS)):
             if section in cfg and not isinstance(cfg[section], dict):
                 raise ConfigError("config %s: section '%s' must be an object" % (path, section))
         _warn_unknown_keys(cfg)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "out", None):
-        cfg["out_dir"] = args.out
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("out_dir", "ceda_out")
-    if check_number("seed", cfg["seed"], integer=True) < 0:
-        raise ConfigError("seed must be a non-negative integer, got %r" % cfg["seed"])
-    _check_kind("out_dir", cfg["out_dir"], str)
+    # a flag overrides the config; the manifest hashes the effective config, defaults included
+    for key, flag in (("seed", args.seed), ("out_dir", args.out or None)):
+        cfg[key] = setting(cfg if flag is None else {key: flag}, key)
     return cfg
 
 
-def _warn_unknown_keys(cfg):
-    checks = [(cfg if section is None else cfg.get(section), known,
-               "top level" if section is None else "section '%s'" % section)
-              for section, known in CONFIG_KEYS.items()]
-    chain = cfg.get("chain")
-    for i, entry in enumerate(chain if isinstance(chain, list) else ()):
-        if isinstance(entry, dict):
-            checks.append((entry, ("competition", "set"), "chain[%d]" % i))
-            checks.append((entry.get("competition"), CONFIG_KEYS["competition"], "chain[%d].competition" % i))
-    for entries, known, where in checks:
-        unknown = sorted(set(entries) - set(known)) if isinstance(entries, dict) else None
+def _warn_unknown_keys(node, pattern="", name=""):
+    """Warn about the keys of config object node, and of every object inside
+    it, that SETTINGS does not know.  pattern is node's path in SETTINGS with
+    a trailing dot ("" for the whole config), name its path in the config."""
+    known = list(dict.fromkeys(p[len(pattern):].split(".")[0] for p in SETTINGS if p.startswith(pattern)))
+    if known == ["*"]:
+        # members named by the config; only chain entries have keys of their own
+        for i, entry in enumerate(node if isinstance(node, list) else ()):
+            _warn_unknown_keys(entry, pattern + "*.", "%s[%d]" % (name, i))
+    elif isinstance(node, dict):
+        unknown = sorted(set(node) - set(known))
         if unknown:
-            log.warning("config %s: unknown key(s) %s; known keys: %s", where, ", ".join(unknown), ", ".join(known))
+            where = "section '%s'" % name if pattern == name + "." else name or "top level"
+            log.warning("config %s: unknown key(s) %s; known keys: %s",
+                        where, ", ".join(unknown), ", ".join(sorted(known)))
+        for key in known:
+            # a chain entry's competition override takes the competition section's keys
+            inner = "competition." if key == "competition" else pattern + key + "."
+            if key in node and any(p.startswith(inner) for p in SETTINGS):
+                _warn_unknown_keys(node[key], inner, "%s.%s" % (name, key) if name else key)
 
 
-def _check_kind(name, value, kind):
-    """value when it has the JSON kind bool, str, list or dict; otherwise a
-    ConfigError naming the setting."""
-    if not isinstance(value, kind):
-        what = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}[kind]
-        raise ConfigError("%s must be %s, got %r" % (name, what, value))
+def _read(node, key, entry, name, where):
+    """node[key], or the default when node has no key, checked against its
+    SETTINGS entry; a ConfigError naming the key otherwise.  where names the
+    object or command that requires a REQUIRED key."""
+    kind, default, bounds = entry
+    value = node.get(key, default)
+    if default is REQUIRED and value in (REQUIRED, None, ""):
+        raise ConfigError("%s requires config key '%s'" % (where, key))
+    if value is None and default is None:
+        return None
+    check_kind(name, value, kind)
+    if bounds and (value < bounds[0] or bounds[1] is not None and value > bounds[1]):
+        raise ConfigError("%s must be an integer %s, got %r" % (
+            name, ">= %d" % bounds[0] if bounds[1] is None else "in [%d, %d]" % bounds, value))
     return value
 
 
-def _require(cfg, key, command):
-    if key not in cfg or cfg[key] in (None, ""):
-        raise ConfigError("%s requires config key '%s'" % (command, key))
-    return cfg[key]
+def setting(cfg, path, command=None):
+    """The value of the config key at a dotted SETTINGS path, or its
+    default, checked against the table; when the key's members have an
+    entry (path.*), each member is checked too.  command names the command
+    that requires a top-level key."""
+    parent, _, key = path.rpartition(".")
+    node = setting(cfg, parent) if parent in SETTINGS else cfg.get(parent, {}) if parent else cfg
+    value = _read(node or {}, key, SETTINGS[path], path, parent or command)
+    for member in value if value and path + ".*" in SETTINGS else ():
+        _read(value, member, SETTINGS[path + ".*"], "%s.%s" % (path, member), path)
+    return value
 
 
 def _load_dataset(cfg, command):
-    path = _check_kind("dataset", _require(cfg, "dataset", command), str)
-    label = _check_kind("label_column", _require(cfg, "label_column", command), str)
-    return load_csv(path, label, schema=_check_kind("schema", cfg.get("schema") or {}, dict))
+    return load_csv(setting(cfg, "dataset", command), setting(cfg, "label_column", command),
+                    schema=setting(cfg, "schema"))
 
 
 def _check_features(ds, names, where):
-    _check_kind(where, names, list)
     known = set(ds.table.names)
     for n in names:
         if not isinstance(n, str) or n not in known:
@@ -213,63 +260,34 @@ def _check_features(ds, names, where):
 
 
 def _binnings_for(table, features, cfg):
-    target = _config_number(cfg, "binning", "target_bins", None)
-    per_feature = _check_kind("binning.per_feature", cfg.get("binning", {}).get("per_feature", {}), dict)
-    for name, bins in per_feature.items():
-        check_number("binning.per_feature.%s" % name, bins, integer=True)
-    return default_binnings(table, features, target, per_feature)
-
-
-def _config_number(cfg, section, key, default, integer=True):
-    """cfg[section][key], or default when it is absent, as an int (integer
-    true) or a float; a ConfigError naming the key when it is not a number of
-    that kind.  A None default lets the key be absent or null."""
-    value = cfg.get(section, {}).get(key, default)
-    if value is None and default is None:
-        return None
-    check_number("%s.%s" % (section, key), value, integer)
-    return int(value) if integer else float(value)
+    return default_binnings(table, features, setting(cfg, "binning.target_bins"),
+                            setting(cfg, "binning.per_feature"))
 
 
 def _split(ds, cfg):
     spec = SplitSpec(
-        train_fraction=_config_number(cfg, "split", "train_fraction", 0.8, integer=False),
+        train_fraction=setting(cfg, "split.train_fraction"),
         seed=stage_seed(cfg["seed"], "split"),
-        stratified=_check_kind("split.stratified", cfg.get("split", {}).get("stratified", True), bool),
+        stratified=setting(cfg, "split.stratified"),
     )
     return split_train_test(ds, spec)
 
 
 def _competition_config(cfg, override=None):
-    comp = dict(cfg.get("competition", {}))
-    comp.update(override or {})
-    kwargs = {}
-    for key in CONFIG_KEYS["competition"]:
-        if key in comp:
-            kwargs[key] = comp[key]
-    return CompetitionConfig(**kwargs)
+    comp = {**cfg.get("competition", {}), **(override or {})}
+    return CompetitionConfig(**{k: v for k, v in comp.items() if "competition." + k in SETTINGS})
 
 
 def _feature_sets(cfg, ds):
-    sets = cfg.get("feature_sets")
+    sets = setting(cfg, "feature_sets")
     if not sets:
         numeric = [n for n in ds.feature_names() if ds.table.kind(n) != "categorical"]
         return {"all": numeric}
-    _check_kind("feature_sets", sets, dict)
     for name, feats in sets.items():
         if not feats:
             raise ConfigError("feature_sets.%s: empty feature list" % name)
         _check_features(ds, feats, "feature_sets.%s" % name)
     return {k: list(v) for k, v in sets.items()}
-
-
-def _pick_set(cfg, sets, key):
-    chosen = cfg.get(key, {}).get("feature_set")
-    if chosen is None:
-        chosen = next(iter(sets))
-    if _check_kind("%s.feature_set" % key, chosen, str) not in sets:
-        raise ConfigError("%s.feature_set: unknown feature set '%s'" % (key, chosen))
-    return chosen
 
 
 class Run:
@@ -312,17 +330,14 @@ class Run:
 # commands
 
 
-def cmd_synth(args):
-    cfg = _load_config(args)
-    synth_cfg = dict(cfg.get("synth", {}))
-    kind = args.kind or synth_cfg.get("kind")
+def cmd_synth(args, cfg):
+    kind = args.kind or setting(cfg, "synth.kind")
     if not kind:
         raise ConfigError("synth requires --kind or config synth.kind")
-    _check_kind("synth.kind", kind, str)
-    params = _check_kind("synth.params", synth_cfg.get("params", {}), dict)
+    params = setting(cfg, "synth.params")
     if args.params:
         try:
-            params = _check_kind("--params", json.loads(args.params), dict)
+            params = check_kind("--params", json.loads(args.params), dict)
         except json.JSONDecodeError as exc:
             raise ConfigError("--params is not valid JSON: %s" % exc)
     seed = stage_seed(cfg["seed"], "synth")
@@ -339,20 +354,16 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_mce(args):
-    cfg = _load_config(args)
+def cmd_mce(args, cfg):
     ds = _load_dataset(cfg, "mce")
-    features = cfg.get("features")
-    if features:
-        _check_features(ds, features, "features")
-    else:
-        features = ds.feature_names()
+    features = setting(cfg, "features") or ds.feature_names()
+    _check_features(ds, features, "features")
     binnings = _binnings_for(ds.table, features, cfg)
     run = Run("mce", cfg)
     run.write_json("binning_report.json", {n: b.to_report() for n, b in sorted(binnings.items())})
     matrix = mce_matrix(ds.table, binnings=binnings, features=features)
     run.write_text("mce_matrix.csv", matrix.to_csv_text())
-    k = _config_number(cfg, "mce", "k_groups", min(5, len(matrix.features)))
+    k = setting(cfg, "mce.k_groups") or min(5, len(matrix.features))
     run.write_json("mce_groups.json", {
         "k": k, "order": matrix.features, "groups": matrix.groups(k),
     })
@@ -370,23 +381,22 @@ def cmd_mce(args):
     return 0
 
 
-def _samples_per_triplet(cfg):
-    return _config_number(cfg, "let", "samples_per_triplet", 200)
-
-
 def _split_with_feature_set(cfg, command):
     """Load and split the dataset and pick the command's feature set."""
     ds = _load_dataset(cfg, command)
     train, test = _split(ds, cfg)
     sets = _feature_sets(cfg, ds)
-    set_name_ = _pick_set(cfg, sets, command)
-    return train, test, set_name_, sets[set_name_]
+    chosen = setting(cfg, command + ".feature_set")
+    if chosen is None:
+        chosen = next(iter(sets))
+    if chosen not in sets:
+        raise ConfigError("%s.feature_set: unknown feature set '%s'" % (command, chosen))
+    return train, test, chosen, sets[chosen]
 
 
-def cmd_let(args):
-    cfg = _load_config(args)
+def cmd_let(args, cfg):
     train, _, set_name_, features = _split_with_feature_set(cfg, "let")
-    T = _samples_per_triplet(cfg)
+    T = setting(cfg, "let.samples_per_triplet")
     seed = stage_seed(cfg["seed"], "let")
     run = Run("let", cfg)
     if len(train.labels) >= 3:
@@ -406,11 +416,10 @@ def cmd_let(args):
     return 0
 
 
-def cmd_pmap(args):
-    cfg = _load_config(args)
+def cmd_pmap(args, cfg):
     train, test, set_name_, features = _split_with_feature_set(cfg, "pmap")
     comp = _competition_config(cfg)
-    tree = tree_from_training(train, features, samples_per_triplet=_samples_per_triplet(cfg),
+    tree = tree_from_training(train, features, samples_per_triplet=setting(cfg, "let.samples_per_triplet"),
                               seed=stage_seed(cfg["seed"], "let"))
     table, preds = predictive_map(test, tree, train, features, cfg=comp)
     doc = table.to_json_dict()
@@ -434,22 +443,17 @@ def cmd_pmap(args):
 
 def _chain_from_config(cfg, ds):
     sets = _feature_sets(cfg, ds)
-    spec = cfg.get("chain")
-    if not spec:
-        spec = list(sets)
-    _check_kind("chain", spec, list)
     links = []
-    for i, entry in enumerate(spec):
+    for i, entry in enumerate(setting(cfg, "chain") or list(sets)):
+        where = "chain[%d]" % i
         if isinstance(entry, str):
-            name, override = entry, None
-        elif isinstance(entry, dict):
-            name, override = entry.get("set"), entry.get("competition")
-            if override is not None and not isinstance(override, dict):
-                raise ConfigError("chain[%d].competition: expected an object" % i)
-        else:
-            raise ConfigError("chain[%d]: expected a set name or object" % i)
-        if _check_kind("chain[%d].set" % i, name, str) not in sets:
-            raise ConfigError("chain[%d]: unknown feature set '%s'" % (i, name))
+            entry = {"set": entry}
+        elif not isinstance(entry, dict):
+            raise ConfigError("%s: expected a set name or object" % where)
+        name = _read(entry, "set", SETTINGS["chain.*.set"], where + ".set", where)
+        override = _read(entry, "competition", SETTINGS["chain.*.competition"], where + ".competition", where)
+        if name not in sets:
+            raise ConfigError("%s: unknown feature set '%s'" % (where, name))
         links.append(ChainLink(name=name, features=tuple(sets[name]),
                                cfg=_competition_config(cfg, override)))
     return FeatureChain(links)
@@ -459,13 +463,12 @@ def _run_chain(cfg, command):
     ds = _load_dataset(cfg, command)
     train, test = _split(ds, cfg)
     chain = _chain_from_config(cfg, ds)
-    result = chain_categories(test, train, chain, samples_per_triplet=_samples_per_triplet(cfg),
+    result = chain_categories(test, train, chain, samples_per_triplet=setting(cfg, "let.samples_per_triplet"),
                               seed=stage_seed(cfg["seed"], "chain"))
     return train, test, result
 
 
-def cmd_chain(args):
-    cfg = _load_config(args)
+def cmd_chain(args, cfg):
     _, test, result = _run_chain(cfg, "chain")
     run = Run("chain", cfg)
     write_csv(test.table, run.path_for("split_test.csv"))
@@ -489,18 +492,16 @@ def cmd_chain(args):
     return 0
 
 
-def cmd_dissect(args):
-    cfg = _load_config(args)
+def cmd_dissect(args, cfg):
     train, test, result = _run_chain(cfg, "dissect")
-    dis_cfg = cfg.get("dissect", {})
     run = Run("dissect", cfg)
     write_csv(test.table, run.path_for("split_test.csv"))
-    source = dis_cfg.get("external")
-    if source not in (None, ""):
-        external = load_external_predictions(_check_kind("dissect.external", source, str))
+    source = setting(cfg, "dissect.external")
+    if source:
+        external = load_external_predictions(source)
     else:
         chain0 = result.chain.links[0]
-        k = _config_number(cfg, "dissect", "knn_k", 20)
+        k = setting(cfg, "dissect.knn_k")
         preds = knn_baseline_predict(train, test, list(chain0.features), k=k)
         external = dict(enumerate(preds))
         source = "builtin-knn(k=%d)" % k
@@ -515,21 +516,14 @@ def cmd_dissect(args):
     return 0
 
 
-def cmd_rma(args):
-    cfg = _load_config(args)
+def cmd_rma(args, cfg):
     ds = _load_dataset(cfg, "rma")
-    rcfg = cfg.get("rma")
-    if not rcfg:
-        raise ConfigError("rma requires a config 'rma' section")
-    responses = _require(rcfg, "responses", "rma")
+    responses, candidates, minors, majors = (
+        setting(cfg, "rma." + key) for key in ("responses", "major_candidates", "minors", "majors"))
     _check_features(ds, responses, "rma.responses")
-    candidates = rcfg.get("major_candidates", [])
     _check_features(ds, candidates, "rma.major_candidates")
-    minors = rcfg.get("minors", [])
     _check_features(ds, minors, "rma.minors")
-    majors = rcfg.get("majors")
-    if majors:
-        _check_features(ds, majors, "rma.majors")
+    _check_features(ds, majors or [], "rma.majors")
     covariates = list(dict.fromkeys(candidates + (majors or []) + minors))
     if not covariates:
         raise ConfigError("rma needs major_candidates, majors or minors")
@@ -537,8 +531,8 @@ def cmd_rma(args):
     train, test = _split(ds, cfg)
     needed = list(responses) + covariates
     binnings = _binnings_for(train.table, needed, cfg)
-    bins_per_major = _config_number(cfg, "rma", "bins_per_major", None)
-    threshold = _config_number(cfg, "rma", "threshold", MAJOR_SCORE_THRESHOLD, integer=False)
+    bins_per_major = setting(cfg, "rma.bins_per_major")
+    threshold = setting(cfg, "rma.threshold")
     run = Run("rma", cfg)
     scores = []
     for cand in candidates:
@@ -554,10 +548,10 @@ def cmd_rma(args):
         if not majors:
             raise DataError("no candidate reached the major-feature threshold %.3g" % threshold)
     major_binnings = dict(binnings)
-    if bins_per_major:
+    if bins_per_major is not None:
         major_binnings.update(default_binnings(train.table, majors, bins_per_major))
     lattice = build_locality_lattice(train.table, spec, majors, major_binnings,
-                                     bin_subset=rcfg.get("bin_subset"))
+                                     bin_subset=setting(cfg, "rma.bin_subset"))
     run.write_json("rma_binnings.json", {
         n: b.to_report() for n, b in sorted(major_binnings.items()) if n in majors or n in minors})
     run.write_json("rma_lattice.json", lattice.to_json_dict())
@@ -565,7 +559,7 @@ def cmd_rma(args):
     if minor_cands:
         run.write_text("rma_minor_entropy.csv",
                        minor_feature_entropy(lattice, train.table, minor_cands, binnings).to_csv_text())
-    k_star = _config_number(cfg, "rma", "k_star", 20)
+    k_star = setting(cfg, "rma.k_star")
     Xte = np.column_stack([np.asarray(test.table.values(m), dtype=float) for m in majors])
     truths = np.column_stack([np.asarray(test.table.values(r), dtype=float) for r in responses])
     predictions = rma_predict_rows(Xte, {m: test.table.values(m) for m in minors}, lattice,
@@ -577,14 +571,11 @@ def cmd_rma(args):
         rows.append([i, lattice.cell_name(p.cell), "|".join(sorted(p.flags))]
                     + ["%.10g" % v for v in p.values] + ["%.10g" % v for v in truths[i]])
     run.write_text("rma_plotdata.csv", csv_text(rows))
-    ols_cfg = rcfg.get("ols")
-    if ols_cfg:
-        _check_kind("rma.ols", ols_cfg, dict)
-        ols_response = _require(ols_cfg, "response", "rma.ols")
-        ols_covariates = _require(ols_cfg, "covariates", "rma.ols")
+    if setting(cfg, "rma.ols"):
+        ols_response, ols_covariates, per_label = (
+            setting(cfg, "rma.ols." + key) for key in ("response", "covariates", "per_label"))
         _check_features(ds, [ols_response], "rma.ols.response")
         _check_features(ds, ols_covariates, "rma.ols.covariates")
-        per_label = _check_kind("rma.ols.per_label", ols_cfg.get("per_label", True), bool)
         fits = ols_fit(train, ols_response, ols_covariates, per_label=per_label)
         run.write_text("rma_ols.csv", ols_report_text(fits, ols_covariates))
     run.finish()
@@ -610,10 +601,13 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command](args, _load_config(args))
     except CedaError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return ComputationError.exit_code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_number
+from .errors import ConfigError, DataError, check_kind
 
 log = logging.getLogger(__name__)
 
@@ -312,7 +312,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie in (0, 1), got %r" % (self.train_fraction,))
+            raise ConfigError("split.train_fraction must lie in (0, 1), got %r" % (self.train_fraction,))
 
 
 def _take(n, fraction):
@@ -373,7 +373,7 @@ def _default_labels(n):
 def _number(key, value, integer=False):
     """A generator parameter's value that must be one number, as an int or a
     float; a ConfigError naming synth.params.<key> otherwise."""
-    value = check_number("synth.params.%s" % key, value, integer)
+    value = check_kind("synth.params.%s" % key, value, int if integer else float)
     return int(value) if integer else float(value)
 
 

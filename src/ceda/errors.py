@@ -30,10 +30,15 @@ class ComputationError(CedaError):
     exit_code = 3
 
 
-def check_number(name, value, integer):
-    """value when it is an integer (integer true) or a real number, a bool
-    being neither: a config file may give any JSON value.  Otherwise a
-    ConfigError naming the setting."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-        raise ConfigError("%s must be %s, got %r" % (name, "an integer" if integer else "a number", value))
+KIND_TEXT = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
+             dict: "an object"}
+
+
+def check_kind(name, value, kind):
+    """value when it has the JSON kind int, float (any number), bool, str,
+    list or dict, a bool being no number: a config file may give any JSON
+    value.  Otherwise a ConfigError naming the setting."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind)):
+        raise ConfigError("%s must be %s, got %r" % (name, KIND_TEXT[kind], value))
     return value

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ZStats, csv_text, feature_matrix
-from .errors import ComputationError, DataError, check_number
+from .errors import ComputationError, DataError, check_kind
 from .hclust import Dendrogram, agglomerate
 from .predictive_map import _gram_margin
 
@@ -184,7 +184,7 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     labels = list(train.labels)
     if len(labels) < 3:
         raise DataError("need at least 3 labels to sample triples, have %d" % len(labels))
-    T = int(check_number("samples_per_triplet", samples_per_triplet, integer=True))
+    T = int(check_kind("samples_per_triplet", samples_per_triplet, int))
     if T < 1:
         raise DataError("samples_per_triplet must be >= 1")
     rows = [train.rows_with_label(lab) for lab in labels]

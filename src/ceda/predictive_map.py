@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import ZStats, csv_text, feature_matrix
-from .errors import ConfigError, DataError, check_number
+from .errors import ConfigError, DataError, check_kind
 
 log = logging.getLogger(__name__)
 
@@ -61,18 +61,18 @@ class CompetitionConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if not (value is None and f.name == "outlier_quantile"):
-                check_number("competition." + f.name, value, f.type is int)
+                check_kind("competition." + f.name, value, f.type)
         if self.k_star < 1:
-            raise ConfigError("k_star must be >= 1")
+            raise ConfigError("competition.k_star must be >= 1")
         if not 0.0 < self.pl_lower <= 1.0 <= self.pl_upper:
             raise ConfigError(
-                "thresholds must satisfy 0 < lower <= 1 <= upper, got (%r, %r)"
+                "competition.pl_lower and pl_upper must satisfy 0 < lower <= 1 <= upper, got (%r, %r)"
                 % (self.pl_lower, self.pl_upper)
             )
         if not 0.5 < self.dominant_fraction <= 1.0:
-            raise ConfigError("dominant_fraction must lie in (0.5, 1]")
+            raise ConfigError("competition.dominant_fraction must lie in (0.5, 1]")
         if self.outlier_quantile is not None and not 0.0 < self.outlier_quantile < 1.0:
-            raise ConfigError("outlier_quantile must lie in (0, 1) or be None")
+            raise ConfigError("competition.outlier_quantile must lie in (0, 1) or be None")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 import ceda
 import ceda.cli
 import ceda.label_tree
-from ceda.cli import STAGE_OFFSETS, main, stage_seed
+from ceda.cli import REQUIRED, SETTINGS, STAGE_OFFSETS, main, stage_seed
 from ceda.label_tree import tree_from_training
 
 
@@ -451,19 +451,20 @@ def test_unknown_config_keys_warn(tmp_path, clouds_csv, caplog):
         assert run_cli("let", "--config", clean) == 0
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
     typos = write_cfg(tmp_path / "typos.json", out_dir=str(tmp_path / "b"), feature_set="s1",
-                      split={"train_frac": 0.5}, competition={"kstar": 3}, rma={"respones": []},
-                      **base)
+                      split={"train_frac": 0.5}, competition={"kstar": 3},
+                      rma={"respones": [], "ols": {"per_labl": True}}, **base)
     caplog.clear()
     with caplog.at_level("WARNING", logger="ceda"):
         assert run_cli("let", "--config", typos) == 0
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 4
-    top, split, competition, rma = warnings
+    assert len(warnings) == 5
+    top, split, competition, rma, ols = warnings
     assert "top level" in top and "feature_set" in top and "feature_sets" in top
     assert "section 'split'" in split and "train_frac" in split
     assert "known keys: stratified, train_fraction" in split
     assert "kstar" in competition and "k_star" in competition
     assert "respones" in rma and "responses" in rma
+    assert "rma.ols" in ols and "per_labl" in ols and "known keys: covariates, per_label, response" in ols
 
 
 def test_chain_entry_typos_warn(tmp_path, clouds_csv, caplog):
@@ -530,6 +531,46 @@ def test_mistyped_numeric_config_values_are_config_errors(request, tmp_path, cap
 def test_seed_must_be_a_non_negative_integer(request, tmp_path, capsys, seed):
     assert run_with_config_value(request, tmp_path, "pmap", "seed", seed) == 1
     assert_one_error_line(capsys, "seed must be a", repr(seed))
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("mce", "binning.target_bins", 0), ("mce", "binning.per_feature.f0", -2), ("mce", "mce.k_groups", 0),
+    ("let", "let.samples_per_triplet", 0), ("let", "let.samples_per_triplet", 100_001),
+    ("dissect", "dissect.knn_k", 0), ("rma", "rma.k_star", 0), ("rma", "rma.bins_per_major", 0),
+    ("rma", "rma.bins_per_major", -1), ("pmap", "seed", -1)])
+def test_out_of_range_config_values_are_config_errors(request, tmp_path, capsys, command, path, value):
+    assert run_with_config_value(request, tmp_path, command, path, value) == 1
+    assert_one_error_line(capsys, "%s must be an integer " % path, "got %r" % value)
+
+
+def test_running_out_of_memory_is_a_computation_error(monkeypatch, capsys):
+    def exhausted(args, cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(ceda.cli.COMMANDS, "mce", exhausted)
+    assert run_cli("mce") == 3
+    assert_one_error_line(capsys, "out of memory")
+
+
+def test_readme_config_table_matches_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format")[1].split("\n### ")[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| `")]
+    table = {key.strip().strip("`"): [cell.strip() for cell in cells] for key, *cells in rows}
+    assert list(table) == list(SETTINGS)
+    kinds = {int: "integer", float: "number", bool: "boolean", str: "string", list: "list", dict: "object"}
+    for path, (kind, default, bounds) in SETTINGS.items():
+        kind_cell, default_cell, range_cell = table[path]
+        assert kind_cell == kinds[kind], path
+        # a None default is worked out from the data and described in words
+        if default is not None:
+            assert default_cell == ("required" if default is REQUIRED else "`%s`" % json.dumps(default)), path
+        if bounds:
+            low, high = bounds
+            assert range_cell == ("`>= %d`" % low if high is None else "`[%d, %d]`" % bounds), path
+        else:
+            # a range that CompetitionConfig or SplitSpec checks is marked
+            assert range_cell == "—" or range_cell.endswith("†"), path
 
 
 @pytest.mark.parametrize("command,path,value,message", [
