@@ -454,8 +454,12 @@ def _chain_from_config(cfg, ds):
         override = _read(entry, "competition", SETTINGS["chain.*.competition"], where + ".competition", where)
         if name not in sets:
             raise ConfigError("%s: unknown feature set '%s'" % (where, name))
-        links.append(ChainLink(name=name, features=tuple(sets[name]),
-                               cfg=_competition_config(cfg, override)))
+        try:
+            comp = _competition_config(cfg, override)
+        except ConfigError as exc:
+            _competition_config(cfg)  # an error in the competition section keeps its text
+            raise ConfigError("%s.%s" % (where, exc)) from None
+        links.append(ChainLink(name=name, features=tuple(sets[name]), cfg=comp))
     return FeatureChain(links)
 
 

@@ -10,13 +10,15 @@ Kind inference for CSV input: a column whose non-missing cells all parse as
 floats is numeric, and numeric columns with at most ``DISCRETE_MAX_DISTINCT``
 distinct values are discrete, otherwise continuous.  Anything else is
 categorical.  Explicit schema overrides win over inference.  The label column
-is always categorical.
+is always categorical.  A file is read once: numpy's C parser reads plain
+text, the csv module the rest, with the same values (see ``load_csv``).
 """
 
 import csv
 import io
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,6 +188,39 @@ def _parse_floats(cells):
     return floats, np.fromiter(map(failed.__contains__, cells), dtype=bool, count=len(cells))
 
 
+# a line as the csv module reads it from a file opened with newline=""
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _plain_columns(text, kinds):
+    """(cells, floats, None) per column of a plain text's data rows, as
+    load_csv describes, or None: categorical columns' cells, the rest's floats."""
+    if '"' in text or "\0" in text or len(kinds) < 2:
+        return None
+    end = "\r\n" if "\r" in text else "\n"
+    lines = text.split(end)
+    if end == "\r\n" and not text.count("\r") == text.count("\n") == len(lines) - 1:
+        return None
+    if not lines[-1]:
+        lines.pop()  # the end of the last line
+    # the header's commas on every line: none blank, short or long
+    if len(lines) < 2 or {line.count(",") for line in lines} != {len(kinds) - 1}:
+        return None
+    del lines[0]
+    try:
+        X = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float,
+                       usecols=[j for j, kind in enumerate(kinds) if kind != "categorical"])
+    except ValueError:
+        return None
+    if not np.isfinite(X).all():
+        return None
+    floats, width = iter(X.T), len(kinds)
+    # rsplit cuts off only the cells right of column j
+    return [([line.rsplit(",", width - j)[j - width] for line in lines], None, None)
+            if kind == "categorical" else (None, next(floats), None)
+            for j, kind in enumerate(kinds)]
+
+
 def load_csv(path, label_column, schema=None):
     """Load a CSV file into a LabeledDataset.
 
@@ -193,18 +228,25 @@ def load_csv(path, label_column, schema=None):
     any column are dropped (count logged).  A non-missing cell that fails to
     parse in a continuous or discrete column is an error naming row and
     column.
+
+    The file is read once.  Plain text (no quote or NUL, line ends all "\\n"
+    or all "\\r\\n", two or more columns, the header's commas on every line)
+    goes through one ``np.loadtxt``; other text, or a cell numpy refuses or
+    reads as non-finite, through the csv module and ``float()``.  The values
+    agree: numpy strips what ``str.strip`` strips and parses with the
+    correctly rounded routine of ``float()``, and what only ``float()``
+    accepts (``1_0``, non-ASCII digits) makes numpy fail.
     """
     schema = dict(schema or {})
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError("empty table: %s has no header" % path)
-            rows = list(reader)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError("cannot read %s: %s" % (path, exc))
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
+    header = next(reader, None)
+    if header is None:
+        raise DataError("empty table: %s has no header" % path)
 
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
@@ -217,32 +259,32 @@ def load_csv(path, label_column, schema=None):
             raise ConfigError("schema override for unknown column '%s'" % name)
         if kind not in KINDS:
             raise ConfigError("schema override for '%s': unknown kind '%s'" % (name, kind))
-    if not rows:
-        raise DataError("empty table: %s has no data rows" % path)
-    width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError("row %d has %d cells, expected %d" % (i, len(row), width))
-
     kinds = ["categorical" if name == label_column else schema.get(name) for name in header]
-    cols = list(zip(*rows))
-    del rows  # the column tuples hold the same cell texts
-    n = len(cols[0])
+
+    parsed = _plain_columns(text, kinds)
+    if parsed is None:
+        rows = list(reader)
+        if not rows:
+            raise DataError("empty table: %s has no data rows" % path)
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise DataError("row %d has %d cells, expected %d" % (i, len(row), len(header)))
+        cols = list(zip(*rows))
+        del rows  # the column tuples hold the same cell texts
+        parsed = [(cells, None, None) if kind == "categorical" else (cells, *_parse_floats(cells))
+                  for kind, cells in zip(kinds, cols)]
+    # both paths give the cells of the label column
+    n = len(parsed[header.index(label_column)][0])
 
     # drop rows with missing cells anywhere, keeping original indices for the log
-    parsed, missing = [], np.zeros(n, dtype=bool)
-    for kind, cells in zip(kinds, cols):
-        if kind == "categorical":
-            floats = unparsed = None
-            suspects = set(cells)
-        else:
-            floats, unparsed = _parse_floats(cells)
-            # only a cell that fails to parse (NaN here) or parses to NaN can be a marker
-            suspects = {cells[i] for i in np.flatnonzero(np.isnan(floats))}
+    missing = np.zeros(n, dtype=bool)
+    for cells, floats, _ in parsed:
+        # only a cell that fails to parse (NaN here) or parses to NaN can be a marker
+        suspects = set(cells) if floats is None else {
+            cells[i] for i in np.flatnonzero(np.isnan(floats))}
         markers = {c for c in suspects if c.strip().lower() in MISSING_MARKERS}
         if markers:
             missing |= np.fromiter(map(markers.__contains__, cells), dtype=bool, count=n)
-        parsed.append((floats, unparsed))
     dropped = np.flatnonzero(missing).tolist()
     if dropped:
         shown = ", ".join(str(i) for i in dropped[:10])
@@ -253,9 +295,7 @@ def load_csv(path, label_column, schema=None):
         raise DataError("empty table: all rows of %s had missing values" % path)
 
     columns = []
-    for name, kind, cells, (floats, unparsed) in zip(header, kinds, cols, parsed):
-        if dropped:
-            cells = [cells[i] for i in keep]
+    for name, kind, (cells, floats, unparsed) in zip(header, kinds, parsed):
         if kind != "categorical":
             vals = floats[keep]
             bad = np.flatnonzero(unparsed[keep]) if unparsed is not None else ()
@@ -263,7 +303,7 @@ def load_csv(path, label_column, schema=None):
                 if len(bad):
                     raise DataError(
                         "column '%s', row %d: cannot parse '%s' as a number"
-                        % (name, keep[bad[0]], cells[bad[0]].strip())
+                        % (name, keep[bad[0]], cells[keep[bad[0]]].strip())
                     )
                 columns.append(Column(name, kind, vals))
                 continue
@@ -272,8 +312,9 @@ def load_csv(path, label_column, schema=None):
                 inferred = "discrete" if n_distinct <= DISCRETE_MAX_DISTINCT else "continuous"
                 columns.append(Column(name, inferred, vals))
                 continue
-        cells = np.array([c.strip() for c in cells], dtype=object)
-        columns.append(Column(name, "categorical", cells))
+        stripped = {cell: cell.strip() for cell in set(cells)}
+        cells = np.array(list(map(stripped.__getitem__, cells)), dtype=object)
+        columns.append(Column(name, "categorical", cells[keep]))
 
     return LabeledDataset(DataTable(columns), label_column)
 
@@ -283,14 +324,8 @@ def write_csv(table, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.names)
-        cols = []
-        for c in table.columns:
-            if c.kind == "categorical":
-                cols.append([str(v) for v in c.values])
-            else:
-                cols.append([repr(float(v)) for v in c.values])
-        for i in range(table.n_rows):
-            writer.writerow([col[i] for col in cols])
+        writer.writerows(zip(*([str(v) for v in c.values] if c.kind == "categorical"
+                               else [repr(float(v)) for v in c.values] for c in table.columns)))
 
 
 def csv_text(rows):

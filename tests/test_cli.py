@@ -119,6 +119,14 @@ def test_missing_dataset_file_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_undecodable_dataset_is_data_error(tmp_path, capsys):
+    (tmp_path / "d.csv").write_bytes(b"x,label\n1,a\n2,\xff\n")
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(tmp_path / "d.csv"), label_column="label",
+                    out_dir=str(tmp_path / "out"))
+    assert run_cli("mce", "--config", cfg) == 2
+    assert_one_error_line(capsys, "cannot read", "can't decode byte 0xff")
+
+
 def test_invalid_config_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -495,6 +503,22 @@ def test_mistyped_competition_fields_are_config_errors(tmp_path, clouds_csv, cap
                     out_dir=str(tmp_path / "out"), competition={field: value})
     assert run_cli(command, "--config", cfg) == 1
     assert_one_error_line(capsys, "competition.%s" % field, repr(value))
+
+
+@pytest.mark.parametrize("competition,override,message", [
+    ({}, {"k_star": 0}, "chain[1].competition.k_star must be >= 1"),
+    ({}, {"k_star": "5"}, "chain[1].competition.k_star must be an integer, got '5'"),
+    ({"pl_lower": 0.5}, {"pl_upper": 0.9}, "chain[1].competition.pl_lower and pl_upper must satisfy"),
+    ({"k_star": 0}, {"pl_upper": 2.0}, "error: competition.k_star must be >= 1"),
+    ({"k_star": 0}, None, "error: competition.k_star must be >= 1"),
+])
+def test_bad_chain_link_overrides_name_the_link(tmp_path, clouds_csv, capsys, competition, override, message):
+    link = {"set": "s1"} if override is None else {"set": "s1", "competition": override}
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(clouds_csv), label_column="label",
+                    out_dir=str(tmp_path / "out"), feature_sets={"s1": ["f0", "f1"]},
+                    competition=competition, chain=["s1", link])
+    assert run_cli("chain", "--config", cfg) == 1
+    assert_one_error_line(capsys, message)
 
 
 RMA_SECTION = {"responses": ["pfx_x", "pfx_z"], "major_candidates": ["spin_dir", "spin_rate"],

@@ -1,5 +1,6 @@
 """Tables, CSV round trips, splits and the synthetic generators."""
 
+import contextlib
 import csv
 import logging
 import math
@@ -305,6 +306,107 @@ def test_load_csv_matches_the_row_loader(data, max_distinct):
         want = load_outcome(row_loader, path, schema, max_distinct)
         got = load_outcome(load_csv, path, schema, max_distinct)
     assert got == want
+
+
+@contextlib.contextmanager
+def csv_reads_only_the_header():
+    """Within the block the csv module reads a file's header; reading a data
+    row raises, so a load_csv that runs through is one that took the numpy path."""
+    real = csv.reader
+
+    def header_only(lines):
+        yield next(real(lines))
+        raise AssertionError("the csv module read a data row")
+
+    with mock.patch.object(csv, "reader", header_only):
+        yield
+
+
+PLAIN_NUMBERS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.sampled_from(["1e3", "-0.0", "+2", "1.", ".5", "1E+05", "1e-400", "1.5e-320"]),
+)
+
+
+@st.composite
+def plain_csv_texts(draw):
+    """Plain CSV text (no quote, one kind of line end, every line as wide as
+    the header) whose number cells all parse as finite floats, with the
+    schema overrides for its columns."""
+    n_cols = draw(st.integers(1, 4))
+    names = ["c%d" % j for j in range(n_cols)]
+    names.insert(draw(st.integers(0, n_cols)), "label")
+    # whole-number columns infer as discrete, the rest mostly as continuous
+    whole = [draw(st.booleans()) for _ in names]
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        rows.append(",".join(
+            draw(st.sampled_from(["a", "b", " b ", "a", "b", "NA", ""])) if name == "label"
+            else draw(PADDING) + draw(st.integers(0, 2).map(str) if is_whole else PLAIN_NUMBERS)
+            + draw(PADDING)
+            for name, is_whole in zip(names, whole)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([",".join(names)] + rows) + draw(st.sampled_from(["", end]))
+    schema = draw(st.dictionaries(st.sampled_from(names), st.sampled_from(KINDS), max_size=n_cols))
+    schema.pop("label", None)
+    return text, schema
+
+
+def write_text(tmp, text):
+    path = os.path.join(tmp, "t.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=plain_csv_texts(), max_distinct=st.sampled_from([1, 3, DISCRETE_MAX_DISTINCT]))
+def test_plain_text_loads_through_numpy_as_the_row_loader_does(data, max_distinct):
+    text, schema = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_text(tmp, text)
+        want = load_outcome(row_loader, path, schema, max_distinct)
+        with csv_reads_only_the_header():
+            got = load_outcome(load_csv, path, schema, max_distinct)
+    assert got == want
+
+
+PLAIN = "x,n,label\n1.5,1,a\n-2,2,b\n 3 ,\t1\x1c,a\n4e-3,\x852,NA\n"
+CRLF = PLAIN.replace("\n", "\r\n")
+
+
+@pytest.mark.parametrize("text,fast", [
+    pytest.param(PLAIN, True, id="plain"),
+    pytest.param(CRLF, True, id="crlf"),
+    pytest.param(PLAIN.rstrip("\n"), True, id="no-final-newline"),
+    pytest.param(PLAIN.replace("1.5", '"1.5"'), False, id="quote"),
+    pytest.param(PLAIN.replace("1.5", '"1.5"').rstrip("\n"), False, id="quote-no-final-newline"),
+    pytest.param(PLAIN.replace("b\n", "b\x00\n"), False, id="nul"),
+    pytest.param(PLAIN.replace("a\n", "a\r", 1), False, id="lone-cr"),
+    pytest.param(PLAIN.replace("a\n", "a\r\n", 1), False, id="mixed-ends"),
+    pytest.param(CRLF.replace("a\r\n", "a\r\r\n", 1), False, id="stray-cr"),
+    pytest.param(CRLF.replace("a\r\n", "a\n\r\n", 1), False, id="stray-lf"),
+    pytest.param(PLAIN.replace(",1,a", ",1,a,9"), False, id="long-row"),
+    pytest.param(PLAIN.replace(",1,a", ",a"), False, id="short-row"),
+    pytest.param(PLAIN + "\n", False, id="blank-line"),
+    pytest.param(PLAIN.replace("-2", "1_0"), False, id="underscore"),
+    pytest.param(PLAIN.replace("-2", "\u0661\u0662"), False, id="arabic-digits"),
+    pytest.param(PLAIN.replace("-2", "nan"), False, id="nan"),
+    pytest.param(PLAIN.replace("-2", "inf"), False, id="inf"),
+    pytest.param(PLAIN.replace("-2", "1e400"), False, id="overflow"),
+    pytest.param(PLAIN.replace("-2", "NA"), False, id="NA-number"),
+])
+def test_only_plain_text_takes_the_numpy_path(tmp_path, text, fast):
+    path = write_text(tmp_path, text)
+    with csv_reads_only_the_header():
+        if fast:
+            load_csv(path, "label")
+        else:
+            with pytest.raises(AssertionError, match="data row"):
+                load_csv(path, "label")
+    assert load_outcome(load_csv, path, None, DISCRETE_MAX_DISTINCT) == \
+        load_outcome(row_loader, path, None, DISCRETE_MAX_DISTINCT)
 
 
 class TestSplit:
