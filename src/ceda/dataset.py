@@ -10,15 +10,14 @@ Kind inference for CSV input: a column whose non-missing cells all parse as
 floats is numeric, and numeric columns with at most ``DISCRETE_MAX_DISTINCT``
 distinct values are discrete, otherwise continuous.  Anything else is
 categorical.  Explicit schema overrides win over inference.  The label column
-is always categorical.  A file is read once: numpy's C parser reads plain
-text, the csv module the rest, with the same values (see ``load_csv``).
+is always categorical.  numpy parses the numbers of plain text, ``float()``
+the rest, to the same values (see ``load_csv``).
 """
 
 import csv
 import io
 import logging
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,9 @@ KINDS = ("continuous", "discrete", "categorical")
 MISSING_MARKERS = frozenset({"", "na", "nan", "null"})
 
 DISCRETE_MAX_DISTINCT = 12
+
+# plain data lines per np.loadtxt call: a block numpy refuses costs at most this many
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ class ZStats:
 
 def _parse_floats(cells):
     """Float values of one column's cell texts, NaN where a cell does not parse,
-    and a mask of the cells that do not parse (None when all do).
+    and a mask of the cells that do not parse.
 
     A cell parses as ``float(cell.strip())`` does.  ``float`` strips only some
     of the whitespace ``str.strip`` removes, so a cell it accepts as it stands
@@ -174,7 +176,7 @@ def _parse_floats(cells):
     text.
     """
     try:
-        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), None
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), np.zeros(len(cells), bool)
     except ValueError:
         pass
     values, failed = {}, set()
@@ -188,37 +190,50 @@ def _parse_floats(cells):
     return floats, np.fromiter(map(failed.__contains__, cells), dtype=bool, count=len(cells))
 
 
-# a line as the csv module reads it from a file opened with newline=""
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-
-def _plain_columns(text, kinds):
-    """(cells, floats, None) per column of a plain text's data rows, as
-    load_csv describes, or None: categorical columns' cells, the rest's floats."""
-    if '"' in text or "\0" in text or len(kinds) < 2:
+def _plain_lines(text):
+    """The lines of a plain text, as load_csv describes, or None."""
+    if '"' in text or "\0" in text:
         return None
-    end = "\r\n" if "\r" in text else "\n"
-    lines = text.split(end)
-    if end == "\r\n" and not text.count("\r") == text.count("\n") == len(lines) - 1:
-        return None
+    lines = text.split("\r\n" if "\r" in text else "\n")
+    ends = len(lines) - 1
     if not lines[-1]:
         lines.pop()  # the end of the last line
-    # the header's commas on every line: none blank, short or long
-    if len(lines) < 2 or {line.count(",") for line in lines} != {len(kinds) - 1}:
+    commas = {line.count(",") for line in lines}
+    # one kind of line end, and the header's commas, one or more, on every
+    # line: none blank, short or long
+    if (text.count("\n") != ends or text.count("\r") not in (0, ends) or len(lines) < 2
+            or len(commas) != 1 or 0 in commas):
         return None
-    del lines[0]
-    try:
-        X = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float,
-                       usecols=[j for j, kind in enumerate(kinds) if kind != "categorical"])
-    except ValueError:
-        return None
-    if not np.isfinite(X).all():
-        return None
-    floats, width = iter(X.T), len(kinds)
-    # rsplit cuts off only the cells right of column j
-    return [([line.rsplit(",", width - j)[j - width] for line in lines], None, None)
-            if kind == "categorical" else (None, next(floats), None)
-            for j, kind in enumerate(kinds)]
+    return lines
+
+
+def _plain_columns(lines, kinds):
+    """(cells, floats, unparsed) per column of plain data lines, as load_csv
+    describes; cells only where a column is categorical or holds a NaN."""
+    usecols = [j for j, kind in enumerate(kinds) if kind != "categorical"]
+    blocks = []
+    for start in range(0, len(lines), _BLOCK):
+        block = lines[start:start + _BLOCK]
+        try:
+            X = np.loadtxt(block, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                           dtype=float, usecols=usecols)
+            if np.isfinite(X).all():
+                blocks.append([(x, np.zeros(len(x), bool)) for x in X.T])
+                continue
+        except ValueError:
+            pass
+        cols = list(zip(*(line.split(",") for line in block)))
+        blocks.append([_parse_floats(cols[j]) for j in usecols])
+    numbers, width, parsed = iter(zip(*blocks)), len(kinds), []
+    for j, kind in enumerate(kinds):
+        # a number column's floats and unparsed mask, joined over the blocks
+        floats, unparsed = (None, None) if kind == "categorical" else (
+            np.concatenate(part) for part in zip(*next(numbers)))
+        # rsplit cuts off only the cells right of column j
+        cells = None if floats is not None and not np.isnan(floats).any() else [
+            line.rsplit(",", width - j)[j - width] for line in lines]
+        parsed.append((cells, floats, unparsed))
+    return parsed
 
 
 def load_csv(path, label_column, schema=None):
@@ -229,24 +244,32 @@ def load_csv(path, label_column, schema=None):
     parse in a continuous or discrete column is an error naming row and
     column.
 
-    The file is read once.  Plain text (no quote or NUL, line ends all "\\n"
-    or all "\\r\\n", two or more columns, the header's commas on every line)
-    goes through one ``np.loadtxt``; other text, or a cell numpy refuses or
-    reads as non-finite, through the csv module and ``float()``.  The values
-    agree: numpy strips what ``str.strip`` strips and parses with the
-    correctly rounded routine of ``float()``, and what only ``float()``
-    accepts (``1_0``, non-ASCII digits) makes numpy fail.
+    Plain text (no quote or NUL, line ends all "\\n" or all "\\r\\n", the
+    header's commas, one or more, on every line) is read once; np.loadtxt
+    parses its numbers ``_BLOCK`` lines per call, ``float()`` a block with a
+    cell numpy refuses or reads as non-finite.  Other text is read again by
+    the csv module, for ``float()``.  Exact: numpy strips what ``str.strip``
+    strips and parses as ``float()`` does (correctly rounded), and fails on
+    what only ``float()`` accepts (``1_0``, non-ASCII digits).
     """
     schema = dict(schema or {})
+    rows = None
     try:
         with open(path, newline="") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            lines = _plain_lines(text)
+            # the csv module reads other text again: from the file, a row at a
+            # time, or, for a pipe, from memory
+            source = fh if lines or fh.seekable() else io.StringIO(text, newline="")
+            del text
+            if lines is None:
+                source.seek(0)
+                rows = list(csv.reader(source))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError("cannot read %s: %s" % (path, exc))
-    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
-    header = next(reader, None)
-    if header is None:
+    if not (lines or rows):
         raise DataError("empty table: %s has no header" % path)
+    header = lines.pop(0).split(",") if lines else rows.pop(0)
 
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
@@ -261,9 +284,9 @@ def load_csv(path, label_column, schema=None):
             raise ConfigError("schema override for '%s': unknown kind '%s'" % (name, kind))
     kinds = ["categorical" if name == label_column else schema.get(name) for name in header]
 
-    parsed = _plain_columns(text, kinds)
-    if parsed is None:
-        rows = list(reader)
+    if lines is not None:
+        parsed = _plain_columns(lines, kinds)
+    else:
         if not rows:
             raise DataError("empty table: %s has no data rows" % path)
         for i, row in enumerate(rows):
@@ -298,7 +321,7 @@ def load_csv(path, label_column, schema=None):
     for name, kind, (cells, floats, unparsed) in zip(header, kinds, parsed):
         if kind != "categorical":
             vals = floats[keep]
-            bad = np.flatnonzero(unparsed[keep]) if unparsed is not None else ()
+            bad = np.flatnonzero(unparsed[keep])
             if kind in ("continuous", "discrete"):
                 if len(bad):
                     raise DataError(

@@ -127,6 +127,15 @@ def test_undecodable_dataset_is_data_error(tmp_path, capsys):
     assert_one_error_line(capsys, "cannot read", "can't decode byte 0xff")
 
 
+def test_oversized_quoted_cell_is_data_error(tmp_path, capsys):
+    # the csv module refuses a field over its 128k-character limit
+    (tmp_path / "d.csv").write_text('x,label\n1,a\n2,"%s"\n' % ("b" * 200000))
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(tmp_path / "d.csv"), label_column="label",
+                    out_dir=str(tmp_path / "out"))
+    assert run_cli("mce", "--config", cfg) == 2
+    assert_one_error_line(capsys, "cannot read", "field larger than field limit")
+
+
 def test_invalid_config_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

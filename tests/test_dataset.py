@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import tempfile
+import threading
 from unittest import mock
 
 import numpy as np
@@ -308,18 +309,33 @@ def test_load_csv_matches_the_row_loader(data, max_distinct):
     assert got == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=csv_files(), block=st.integers(1, 4))
+def test_load_csv_in_small_blocks_matches_the_row_loader(data, block):
+    """Plain text mixes blocks numpy parses with blocks float() parses."""
+    names, rows, schema = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            writer.writerows(rows)
+        want = load_outcome(row_loader, path, schema, DISCRETE_MAX_DISTINCT)
+        with mock.patch.object(dataset, "_BLOCK", block):
+            got = load_outcome(load_csv, path, schema, DISCRETE_MAX_DISTINCT)
+    assert got == want
+
+
 @contextlib.contextmanager
-def csv_reads_only_the_header():
-    """Within the block the csv module reads a file's header; reading a data
-    row raises, so a load_csv that runs through is one that took the numpy path."""
-    real = csv.reader
-
-    def header_only(lines):
-        yield next(real(lines))
-        raise AssertionError("the csv module read a data row")
-
-    with mock.patch.object(csv, "reader", header_only):
-        yield
+def load_path():
+    """Within the block, path() tells how load_csv parsed the numbers so far:
+    "numpy" all of them, "float" where numpy refused a block of plain text,
+    and "csv" where the text is not plain."""
+    plain = mock.Mock(wraps=dataset._plain_columns)
+    floats = mock.Mock(wraps=dataset._parse_floats)
+    with mock.patch.object(dataset, "_plain_columns", plain), \
+            mock.patch.object(dataset, "_parse_floats", floats):
+        yield lambda: "csv" if not plain.called else "float" if floats.called else "numpy"
 
 
 PLAIN_NUMBERS = st.one_of(
@@ -367,8 +383,9 @@ def test_plain_text_loads_through_numpy_as_the_row_loader_does(data, max_distinc
     with tempfile.TemporaryDirectory() as tmp:
         path = write_text(tmp, text)
         want = load_outcome(row_loader, path, schema, max_distinct)
-        with csv_reads_only_the_header():
+        with load_path() as path_taken:
             got = load_outcome(load_csv, path, schema, max_distinct)
+            assert path_taken() == "numpy"
     assert got == want
 
 
@@ -376,37 +393,46 @@ PLAIN = "x,n,label\n1.5,1,a\n-2,2,b\n 3 ,\t1\x1c,a\n4e-3,\x852,NA\n"
 CRLF = PLAIN.replace("\n", "\r\n")
 
 
-@pytest.mark.parametrize("text,fast", [
-    pytest.param(PLAIN, True, id="plain"),
-    pytest.param(CRLF, True, id="crlf"),
-    pytest.param(PLAIN.rstrip("\n"), True, id="no-final-newline"),
-    pytest.param(PLAIN.replace("1.5", '"1.5"'), False, id="quote"),
-    pytest.param(PLAIN.replace("1.5", '"1.5"').rstrip("\n"), False, id="quote-no-final-newline"),
-    pytest.param(PLAIN.replace("b\n", "b\x00\n"), False, id="nul"),
-    pytest.param(PLAIN.replace("a\n", "a\r", 1), False, id="lone-cr"),
-    pytest.param(PLAIN.replace("a\n", "a\r\n", 1), False, id="mixed-ends"),
-    pytest.param(CRLF.replace("a\r\n", "a\r\r\n", 1), False, id="stray-cr"),
-    pytest.param(CRLF.replace("a\r\n", "a\n\r\n", 1), False, id="stray-lf"),
-    pytest.param(PLAIN.replace(",1,a", ",1,a,9"), False, id="long-row"),
-    pytest.param(PLAIN.replace(",1,a", ",a"), False, id="short-row"),
-    pytest.param(PLAIN + "\n", False, id="blank-line"),
-    pytest.param(PLAIN.replace("-2", "1_0"), False, id="underscore"),
-    pytest.param(PLAIN.replace("-2", "\u0661\u0662"), False, id="arabic-digits"),
-    pytest.param(PLAIN.replace("-2", "nan"), False, id="nan"),
-    pytest.param(PLAIN.replace("-2", "inf"), False, id="inf"),
-    pytest.param(PLAIN.replace("-2", "1e400"), False, id="overflow"),
-    pytest.param(PLAIN.replace("-2", "NA"), False, id="NA-number"),
+@pytest.mark.parametrize("text,taken", [
+    pytest.param(PLAIN, "numpy", id="plain"),
+    pytest.param(CRLF, "numpy", id="crlf"),
+    pytest.param(PLAIN.rstrip("\n"), "numpy", id="no-final-newline"),
+    pytest.param(PLAIN.replace("1.5", '"1.5"'), "csv", id="quote"),
+    pytest.param(PLAIN.replace("1.5", '"1.5"').rstrip("\n"), "csv", id="quote-no-final-newline"),
+    pytest.param(PLAIN.replace("b\n", "b\x00\n"), "csv", id="nul"),
+    pytest.param(PLAIN.replace("a\n", "a\r", 1), "csv", id="lone-cr"),
+    pytest.param(PLAIN.replace("a\n", "a\r\n", 1), "csv", id="mixed-ends"),
+    pytest.param(CRLF.replace("a\r\n", "a\r\r\n", 1), "csv", id="stray-cr"),
+    pytest.param(CRLF.replace("a\r\n", "a\n\r\n", 1), "csv", id="stray-lf"),
+    pytest.param(PLAIN.replace(",1,a", ",1,a,9"), "csv", id="long-row"),
+    pytest.param(PLAIN.replace(",1,a", ",a"), "csv", id="short-row"),
+    pytest.param(PLAIN + "\n", "csv", id="blank-line"),
+    pytest.param(PLAIN.replace("-2", "1_0"), "float", id="underscore"),
+    pytest.param(PLAIN.replace("-2", "\u0661\u0662"), "float", id="arabic-digits"),
+    pytest.param(PLAIN.replace("-2", "nan"), "float", id="nan"),
+    pytest.param(PLAIN.replace("-2", "inf"), "float", id="inf"),
+    pytest.param(PLAIN.replace("-2", "1e400"), "float", id="overflow"),
+    pytest.param(PLAIN.replace("-2", "NA"), "float", id="NA-number"),
+    pytest.param(PLAIN.replace("-2", "oops"), "float", id="text-cell"),
 ])
-def test_only_plain_text_takes_the_numpy_path(tmp_path, text, fast):
+def test_only_plain_text_takes_the_numpy_path(tmp_path, text, taken):
     path = write_text(tmp_path, text)
-    with csv_reads_only_the_header():
-        if fast:
-            load_csv(path, "label")
-        else:
-            with pytest.raises(AssertionError, match="data row"):
-                load_csv(path, "label")
-    assert load_outcome(load_csv, path, None, DISCRETE_MAX_DISTINCT) == \
-        load_outcome(row_loader, path, None, DISCRETE_MAX_DISTINCT)
+    with load_path() as path_taken:
+        got = load_outcome(load_csv, path, None, DISCRETE_MAX_DISTINCT)
+        assert path_taken() == taken
+    assert got == load_outcome(row_loader, path, None, DISCRETE_MAX_DISTINCT)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_text_that_is_not_plain_loads_from_a_pipe(tmp_path):
+    path = tmp_path / "p.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=('x,label\n1,"a"\n2,b\n',), daemon=True)
+    writer.start()
+    ds = load_csv(path, "label")
+    writer.join()
+    assert ds.table.values("x").tolist() == [1.0, 2.0]
+    assert ds.table.values("label").tolist() == ["a", "b"]
 
 
 class TestSplit:
