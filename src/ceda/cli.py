@@ -359,11 +359,14 @@ def cmd_mce(args, cfg):
     features = setting(cfg, "features") or ds.feature_names()
     _check_features(ds, features, "features")
     binnings = _binnings_for(ds.table, features, cfg)
+    matrix = mce_matrix(ds.table, binnings=binnings, features=features)
+    k = setting(cfg, "mce.k_groups") or min(5, len(matrix.features))
+    if k > len(matrix.features):
+        raise ConfigError("mce.k_groups must be an integer in [1, %d], the usable feature count, got %d"
+                          % (len(matrix.features), k))
     run = Run("mce", cfg)
     run.write_json("binning_report.json", {n: b.to_report() for n, b in sorted(binnings.items())})
-    matrix = mce_matrix(ds.table, binnings=binnings, features=features)
     run.write_text("mce_matrix.csv", matrix.to_csv_text())
-    k = setting(cfg, "mce.k_groups") or min(5, len(matrix.features))
     run.write_json("mce_groups.json", {
         "k": k, "order": matrix.features, "groups": matrix.groups(k),
     })
@@ -528,6 +531,12 @@ def cmd_rma(args, cfg):
     _check_features(ds, candidates, "rma.major_candidates")
     _check_features(ds, minors, "rma.minors")
     _check_features(ds, majors or [], "rma.majors")
+    ols = setting(cfg, "rma.ols")
+    if ols:
+        ols_response, ols_covariates, per_label = (
+            setting(cfg, "rma.ols." + key) for key in ("response", "covariates", "per_label"))
+        _check_features(ds, [ols_response], "rma.ols.response")
+        _check_features(ds, ols_covariates, "rma.ols.covariates")
     covariates = list(dict.fromkeys(candidates + (majors or []) + minors))
     if not covariates:
         raise ConfigError("rma needs major_candidates, majors or minors")
@@ -575,11 +584,7 @@ def cmd_rma(args, cfg):
         rows.append([i, lattice.cell_name(p.cell), "|".join(sorted(p.flags))]
                     + ["%.10g" % v for v in p.values] + ["%.10g" % v for v in truths[i]])
     run.write_text("rma_plotdata.csv", csv_text(rows))
-    if setting(cfg, "rma.ols"):
-        ols_response, ols_covariates, per_label = (
-            setting(cfg, "rma.ols." + key) for key in ("response", "covariates", "per_label"))
-        _check_features(ds, [ols_response], "rma.ols.response")
-        _check_features(ds, ols_covariates, "rma.ols.covariates")
+    if ols:
         fits = ols_fit(train, ols_response, ols_covariates, per_label=per_label)
         run.write_text("rma_ols.csv", ols_report_text(fits, ols_covariates))
     run.finish()

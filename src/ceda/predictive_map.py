@@ -11,10 +11,11 @@ compete for it:
    them wins outright.
 3. Pseudo-likelihood: otherwise each branch's distance sample gets a
    Gaussian kernel density (Silverman rule-of-thumb bandwidth), both
-   evaluated at the median distance from the point to all node members.  A
-   left/right density ratio above the upper threshold sends the point left,
-   below the lower threshold right; a ratio inside the threshold band stops
-   descent at this node.
+   evaluated at the median distance from the point to all node members
+   (the bits of ``np.median``, from one partition).  A left/right density
+   ratio above the upper threshold sends the point left, below the lower
+   threshold right; a ratio inside the threshold band stops descent at this
+   node.
 
 The stop node's label set is the prediction: a singleton at a leaf, several
 labels at an internal stop, empty for outliers.  Tabulating predicted sets
@@ -31,11 +32,13 @@ node's KD tree for one or two features, and for more one k-nearest list
 over all training rows, with a direct query of the node's rows for a row
 whose list holds fewer than two of them.  Only the points rule 3 decides
 get their distances to every node member (``distance_rows``), with the
-node's left-branch rows first, so each branch's sample is a column slice.
-Each KDE takes its log-sum-exp in one in-place exponential
-(``_logsumexp_rows``) with the bits of scipy's ``logsumexp``.  The kernels
-cut their query rows into blocks of bounded size (``row_blocks``) that
-reuse one work buffer, so callers hand over all their rows at once."""
+node's left-branch rows first, so each branch's sample is a column slice;
+their median is one in-place partition of a copy in the scratch the
+distances leave free (``median_rows``).  Each KDE takes its log-sum-exp in
+one in-place exponential (``_logsumexp_rows``) with the bits of scipy's
+``logsumexp``.  The kernels cut their query rows into blocks of bounded
+size (``row_blocks``) that reuse one work buffer, so callers hand over all
+their rows at once."""
 
 import logging
 import math
@@ -201,6 +204,26 @@ def distance_rows(Q, R, work):
         np.add.reduce(diff, axis=-1, out=dist)
     np.sqrt(dist, out=dist)
     return dist
+
+
+def median_rows(d, work):
+    """np.median(d, axis=1) with its bits, from one in-place partition of a
+    copy of d in work[d.size:2 * d.size], the scratch ``distance_rows``
+    leaves after its distances.  An even width sums the two middle values
+    and halves them, as np.median's mean of them does.
+
+    A row holding a NaN needs no other path: the partition puts it last, so
+    the median may be a number where np.median gives NaN, but the NaN also
+    enters its branch's Silverman spread, which makes that KDE, the log
+    ratio and so the decision the same whatever the median is."""
+    m, n = d.shape
+    part = work[m * n:2 * m * n].reshape(m, n)
+    np.copyto(part, d)
+    h = n // 2
+    part.partition(h, axis=1)
+    if n % 2:
+        return part[:, h].copy()
+    return (part[:, :h].max(axis=1) + part[:, h]) / 2.0
 
 
 def kd_tree(X):
@@ -418,8 +441,9 @@ class TreeClassifier:
 
         Returns an object array of decisions: left / right / stop / outlier.
         The k-nearest screen decides the outlier and dominance rules; only
-        the rows still open get full distance rows, for the median and the
-        two branch KDEs, in row blocks that share one work buffer."""
+        the rows still open get full distance rows, for the median (one
+        partition, in the buffer's scratch) and the two branch KDEs, in row
+        blocks that share one work buffer."""
         tree, cfg = self.tree, self.cfg
         if tree.is_leaf(node):
             raise DataError("node %d is a leaf, nothing to compete" % node)
@@ -450,7 +474,7 @@ class TreeClassifier:
         for block in blocks:
             rows = open_[block]
             d = distance_rows(Z[rows], R, work)
-            m = np.median(d, axis=1)
+            m = median_rows(d, work)
             log_ratio = log_gaussian_kde(d[:, :n_left], m) - log_gaussian_kde(d[:, n_left:], m)
             if cfg.pl_lower == cfg.pl_upper:
                 # degenerate band: force a winner at every node

@@ -576,6 +576,20 @@ def test_out_of_range_config_values_are_config_errors(request, tmp_path, capsys,
     assert_one_error_line(capsys, "%s must be an integer " % path, "got %r" % value)
 
 
+@pytest.mark.parametrize("path,value", [
+    ("rma.ols.response", "nope"), ("rma.ols.covariates", ["spin_dir", "nope"]), ("mce.k_groups", 9)])
+def test_config_values_the_data_rules_out_fail_before_any_artifact(request, tmp_path, capsys, path, value):
+    # an ols feature the dataset lacks, or more groups than the two usable
+    # features of clouds_csv
+    command = path.split(".")[0]
+    assert run_with_config_value(request, tmp_path, command, path, value) == 1
+    if command == "mce":
+        assert_one_error_line(capsys, "mce.k_groups must be an integer in [1, 2], the usable feature count, got 9")
+    else:
+        assert_one_error_line(capsys, path, "unknown feature 'nope'")
+    assert not (tmp_path / "out").exists()
+
+
 def test_running_out_of_memory_is_a_computation_error(monkeypatch, capsys):
     def exhausted(args, cfg):
         raise MemoryError

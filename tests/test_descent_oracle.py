@@ -17,8 +17,10 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from ceda.chain import ChainLink, FeatureChain, chain_categories, knn_baseline_predict
@@ -31,6 +33,7 @@ from ceda.predictive_map import (
     distance_rows,
     k_nearest,
     kd_tree,
+    median_rows,
 )
 
 # the package exports a function of the same name
@@ -454,6 +457,79 @@ def test_gram_screen_keeps_every_row_at_the_kth_value():
     Q, R = np.zeros((2, 3)), np.zeros((5, 3))
     dist, idx = k_nearest(Q, R, 2)
     assert idx.tolist() == [[0, 1], [0, 1]] and dist.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+# --- the median of the open rows -------------------------------------------
+
+# distances: non-negative, so never -0.0; small integers tie, and pairs of
+# the largest values overflow to inf when the two middle ones are summed
+distance_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf]),
+    st.floats(0.0, 1e-300),
+    st.floats(1e300, np.finfo(float).max),
+    st.floats(0.0, math.inf),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 69)), elements=distance_values),
+       spare=st.integers(0, 9))
+def test_median_rows_has_the_bits_of_np_median(d, spare):
+    # d is the head of a larger work buffer, as distance_rows leaves it
+    m, n = d.shape
+    work = np.full(2 * m * n + spare, 7.0)
+    head = work[:m * n].reshape(m, n)
+    head[...] = d
+    with np.errstate(over="ignore"):
+        got = median_rows(head, work)
+        want = np.median(d, axis=1)
+        per_row = np.array([np.median(row) for row in d])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got.view(np.int64).tolist() == per_row.view(np.int64).tolist()
+    assert head.tobytes() == d.tobytes()
+    assert np.all(work[2 * m * n:] == 7.0)
+
+
+def np_median_rows(d, work):
+    return np.median(d, axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("band", [(0.65, 100.0 / 65.0), (1.0, 1.0)])
+def test_nan_distances_decide_as_with_np_median(dim, band):
+    # a NaN in the first distance of every open row but the first: the
+    # partition puts it last and gives a number where np.median gives NaN,
+    # but the NaN also makes the left branch's KDE NaN, so the decisions agree
+    rng = np.random.default_rng(dim)
+    train = dataset(np.vstack([rng.normal(0.0, 1.0, (30, dim)), rng.normal(0.8, 1.0, (30, dim))]),
+                    ["a"] * 30 + ["b"] * 30)
+    tree = tree_from_training(train, train.feature_names())
+    cfg = CompetitionConfig(pl_lower=band[0], pl_upper=band[1])
+    clf = TreeClassifier(tree, train, train.feature_names(), cfg)
+    Z = clf.zstats.transform(rng.normal(0.4, 1.0, (12, dim)))
+    if dim > 2:
+        Z[0, 0] = np.nan  # the KD tree of one or two features refuses a NaN query
+    medians = []
+
+    def with_nan(median):
+        def inject(d, work):
+            d[1:, 0] = np.nan
+            medians.append(median(d, work))
+            return medians[-1]
+        return inject
+
+    with np.errstate(all="ignore"):
+        plain = clf.competition(Z, tree.root)
+        with mock.patch.object(predictive_map, "median_rows", np_median_rows):
+            assert clf.competition(Z, tree.root).tolist() == plain.tolist()
+        with mock.patch.object(predictive_map, "median_rows", with_nan(median_rows)):
+            got = clf.competition(Z, tree.root)
+        with mock.patch.object(predictive_map, "median_rows", with_nan(np_median_rows)):
+            want = clf.competition(Z, tree.root)
+    assert got.tolist() == want.tolist()
+    # one block each; every open row but the first holds the NaN
+    helper, reference = medians
+    assert len(helper) > 1 and np.isfinite(helper[1:]).all() and np.isnan(reference[1:]).all()
 
 
 # --- hand-made ties --------------------------------------------------------
