@@ -228,17 +228,18 @@ def mce_matrix(table, binnings=None, features=None):
     return MceMatrix(features=ordered, values=reindexed, dendro=dendro_ordered)
 
 
-def rank_features_by_label_association(ds, binnings=None, direction="label_to_feature"):
-    """Per-feature directed conditional entropy against the label column.
+def rank_features_by_label_association(ds, binnings=None):
+    """Per-feature directed conditional entropy against the label column,
+    both ways.
 
-    ``label_to_feature`` conditions on the label (lower = the label tells
-    more about the feature).  Returns (feature, value) pairs sorted
-    ascending, ties broken by name.  As in ``mce_matrix``, the label and
-    each feature are coded once and the tables of one shape are scored as
-    one stack; unusable features are skipped with a warning.
+    Returns (feature, label_to_feature, feature_to_label) rows sorted by
+    label_to_feature ascending, ties broken by name.  label_to_feature
+    conditions on the label (lower = the label tells more about the
+    feature), feature_to_label on the feature.  As in ``mce_matrix``, the
+    label and each feature are coded once and the tables of one shape are
+    scored as one stack, in both directions; unusable features are skipped
+    with one warning each.
     """
-    if direction not in ("label_to_feature", "feature_to_label"):
-        raise DataError("unknown direction '%s'" % direction)
     label, names = ds.label_column, ds.feature_names()
     label_codes, label_cats = category_codes(ds.table, label)
     coded, skipped = {}, {}
@@ -260,18 +261,16 @@ def rank_features_by_label_association(ds, binnings=None, direction="label_to_fe
     value = {}
     for group in by_shape.values():
         stack = np.stack([cross_counts(label_codes, len(label_cats), *coded[name]) for name in group])
-        if direction == "feature_to_label":
-            stack = stack.transpose(0, 2, 1)
-        value.update(zip(group, directed_values(stack)))
+        value.update(zip(group, zip(directed_values(stack), directed_values(stack.transpose(0, 2, 1)))))
     out = []
     for name in names:
         if name in skipped:
             log.warning("skipping feature '%s': %s", name, skipped[name])
-        elif np.isnan(value[name]):
-            target = name if direction == "label_to_feature" else label
+        elif np.isnan(value[name]).any():
+            target = name if np.isnan(value[name][0]) else label
             log.warning("skipping feature '%s': degenerate target '%s': zero entropy", name, target)
         else:
-            out.append((name, value[name]))
+            out.append((name, *value[name]))
     if not out:
         raise DataError("no usable features to rank")
-    return sorted(out, key=lambda kv: (kv[1], kv[0]))
+    return sorted(out, key=lambda row: (row[1], row[0]))

@@ -34,6 +34,7 @@ import json
 import logging
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,7 @@ from .label_tree import (
 )
 from .predictive_map import CompetitionConfig, predictive_map
 from .rma import (
+    FLAGS,
     MAJOR_SCORE_THRESHOLD,
     ResponseSpec,
     build_locality_lattice,
@@ -371,10 +373,8 @@ def cmd_mce(args, cfg):
         "k": k, "order": matrix.features, "groups": matrix.groups(k),
     })
     rows = [["feature", "label_to_feature", "feature_to_label"]]
-    fwd = dict(rank_features_by_label_association(ds, binnings, "label_to_feature"))
-    bwd = dict(rank_features_by_label_association(ds, binnings, "feature_to_label"))
-    for name, value in sorted(fwd.items(), key=lambda kv: (kv[1], kv[0])):
-        rows.append([name, "%.10g" % value, "%.10g" % bwd[name]])
+    rows += [[name, "%.10g" % fwd, "%.10g" % bwd]
+             for name, fwd, bwd in rank_features_by_label_association(ds, binnings)]
     run.write_text("feature_rank.csv", csv_text(rows))
     run.finish()
     i, j = np.unravel_index(
@@ -546,16 +546,8 @@ def cmd_rma(args, cfg):
     binnings = _binnings_for(train.table, needed, cfg)
     bins_per_major = setting(cfg, "rma.bins_per_major")
     threshold = setting(cfg, "rma.threshold")
-    run = Run("rma", cfg)
-    scores = []
-    for cand in candidates:
-        scores.append(score_major_candidate(train.table, spec, cand, binnings, threshold))
-    if scores:
-        rows = [["feature", "score", "threshold", "is_major"]]
-        rows += [[s.feature, "%.10g" % s.score, "%.10g" % s.threshold, int(s.is_major)] for s in scores]
-        run.write_text("rma_scores.csv", csv_text(rows))
-        run.write_json("rma_dispersion.json", {
-            s.feature: s.per_bin_dispersion for s in scores})
+    # every step that can fail runs before the out dir is made
+    scores = [score_major_candidate(train.table, spec, cand, binnings, threshold) for cand in candidates]
     if not majors:
         majors = [s.feature for s in scores if s.is_major]
         if not majors:
@@ -565,27 +557,34 @@ def cmd_rma(args, cfg):
         major_binnings.update(default_binnings(train.table, majors, bins_per_major))
     lattice = build_locality_lattice(train.table, spec, majors, major_binnings,
                                      bin_subset=setting(cfg, "rma.bin_subset"))
-    run.write_json("rma_binnings.json", {
-        n: b.to_report() for n, b in sorted(major_binnings.items()) if n in majors or n in minors})
-    run.write_json("rma_lattice.json", lattice.to_json_dict())
     minor_cands = minors or [c for c in candidates if c not in majors]
-    if minor_cands:
-        run.write_text("rma_minor_entropy.csv",
-                       minor_feature_entropy(lattice, train.table, minor_cands, binnings).to_csv_text())
-    k_star = setting(cfg, "rma.k_star")
+    entropy = minor_feature_entropy(lattice, train.table, minor_cands, binnings) if minor_cands else None
     Xte = np.column_stack([np.asarray(test.table.values(m), dtype=float) for m in majors])
     truths = np.column_stack([np.asarray(test.table.values(r), dtype=float) for r in responses])
     predictions = rma_predict_rows(Xte, {m: test.table.values(m) for m in minors}, lattice,
-                                   train.table, k_star=k_star, minor_binnings=binnings)
+                                   train.table, k_star=setting(cfg, "rma.k_star"), minor_binnings=binnings)
     report = error_metrics(predictions, truths, lattice, train.table)
+    fits = ols_fit(train, ols_response, ols_covariates, per_label=per_label) if ols else None
+    run = Run("rma", cfg)
+    if scores:
+        rows = [["feature", "score", "threshold", "is_major"]]
+        rows += [[s.feature, "%.10g" % s.score, "%.10g" % s.threshold, int(s.is_major)] for s in scores]
+        run.write_text("rma_scores.csv", csv_text(rows))
+        run.write_json("rma_dispersion.json", {
+            s.feature: s.per_bin_dispersion for s in scores})
+    run.write_json("rma_binnings.json", {
+        n: b.to_report() for n, b in sorted(major_binnings.items()) if n in majors or n in minors})
+    run.write_json("rma_lattice.json", lattice.to_json_dict())
+    if entropy is not None:
+        run.write_text("rma_minor_entropy.csv", entropy.to_csv_text())
     run.write_text("rma_errors.csv", report.to_csv_text())
     rows = [["row", "patch", "flags"] + ["pred_%s" % r for r in responses] + ["true_%s" % r for r in responses]]
-    for i, p in enumerate(predictions):
-        rows.append([i, lattice.cell_name(p.cell), "|".join(sorted(p.flags))]
-                    + ["%.10g" % v for v in p.values] + ["%.10g" % v for v in truths[i]])
+    for i, (cell, flags, pred, true) in enumerate(zip(predictions.cells.tolist(), predictions.flags.tolist(),
+                                                      predictions.values.tolist(), truths.tolist())):
+        rows.append([i, lattice.cell_name(cell), "|".join(compress(FLAGS, flags))]
+                    + ["%.10g" % v for v in pred] + ["%.10g" % v for v in true])
     run.write_text("rma_plotdata.csv", csv_text(rows))
-    if ols:
-        fits = ols_fit(train, ols_response, ols_covariates, per_label=per_label)
+    if fits is not None:
         run.write_text("rma_ols.csv", ols_report_text(fits, ols_covariates))
     run.finish()
     pooled = report.patches[-1]

@@ -16,15 +16,16 @@ feature equality, and returns the mean response vector of the focal rows.
 Queries are predicted together (``rma_predict_rows``): every row is located
 in one pass, and the rows that share a rectangle get their k* nearest
 training rows, z-scored as the rectangle is predicted, from one call to the
-blocked kernel of the predictive map (``predictive_map.k_nearest``), with
-the same focal rows and means as one query at a time.
+blocked kernel of the predictive map (``predictive_map.k_nearest``).  Each
+rectangle's block of queries writes its means and flags into the arrays of
+one ``RmaPredictions`` record, with the bits of one query at a time.
 """
 
 import logging
 import math
 import string
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import product
 
 import numpy as np
 
@@ -305,17 +306,19 @@ def minor_feature_entropy(lattice, table, candidates, binnings=None):
     )
 
 
+# the flag columns of RmaPredictions, in the sorted order reports join them
+FLAGS = ("adjacent_fallback", "out_of_range", "sieve_fallback", "underfilled")
+
+
 @dataclass(frozen=True)
-class RmaPrediction:
-    values: np.ndarray     # mean response vector over the focal rows
-    cell: tuple
-    flags: frozenset       # subset of {out_of_range, adjacent_fallback, underfilled, sieve_fallback}
-    focal_rows: tuple
-    k_used: int
+class RmaPredictions:
+    values: np.ndarray     # (n, responses) mean response vector over each query's focal rows
+    cells: np.ndarray      # (n, majors) rectangle codes
+    flags: np.ndarray      # (n, len(FLAGS)) bool, one column per flag
 
     @property
     def flagged(self):
-        return bool(self.flags)
+        return self.flags.any(axis=1)
 
 
 def rma_predict(x, z, lattice, table, k_star=20, minor_binnings=None):
@@ -332,11 +335,12 @@ def rma_predict(x, z, lattice, table, k_star=20, minor_binnings=None):
         x = [float(x[m]) for m in lattice.majors]
     return rma_predict_rows(np.asarray(x, dtype=float).reshape(1, -1),
                             {minor: [value] for minor, value in (z or {}).items()},
-                            lattice, table, k_star, minor_binnings)[0]
+                            lattice, table, k_star, minor_binnings)
 
 
 def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
-    """Predict the response vector of every row of X, one RmaPrediction per row.
+    """Predict the response vector of every row of X: one RmaPredictions
+    record, row i for query i.
 
     X: (n, majors) raw major values in lattice major order.
     minors: mapping minor feature -> its n query values; may be empty.
@@ -356,19 +360,17 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
     for minor, values in minors.items():
         if len(values) != len(X):
             raise DataError("minor '%s' has %d values for %d query rows" % (minor, len(values), len(X)))
-    if len(X) == 0:
-        return []
     codes, oor = lattice.locate_rows(X)
     sieve = [_sieve_keys(table, minor, values, minor_binnings) for minor, values in minors.items()]
     Xtr = feature_matrix(table, lattice.majors)
     Zq = lattice.zstats.transform(X)
     resp = feature_matrix(table, lattice.responses)
-    out = [None] * len(X)
+    values = np.empty((len(X), resp.shape[1]))
+    adjacent, unsieved, underfilled = (np.zeros(len(X), dtype=bool) for _ in range(3))
     # cells in order of their first query row, so that an uncovered region
     # is reported for the first row that falls in one
     for cell, rows in sorted(rows_by_cell(codes, lattice.dims).items(), key=lambda item: item[1][0]):
         members = lattice.cells.get(cell)
-        cell_flags = set()
         if members is None or len(members) == 0:
             neighbors = lattice.adjacent_cells(cell)
             if not neighbors:
@@ -376,36 +378,24 @@ def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
                     "uncovered covariate region: rectangle %s and all adjacent rectangles are empty"
                     % (cell,))
             members = np.sort(np.concatenate([lattice.cells[n] for n in neighbors]))
-            cell_flags.add("adjacent_fallback")
+            adjacent[rows] = True
         k = min(int(k_star), len(members))
-        if k < k_star:
-            cell_flags.add("underfilled")
+        underfilled[rows] = k < k_star
         # members ascend, so (distance, member) order is (distance, row)
         focal = members[k_nearest(Zq[rows], lattice.zstats.transform(Xtr[members]), k)[1]]
         keep = np.ones(focal.shape, dtype=bool)
         for table_key, query_key in sieve:
             keep &= table_key[focal] == query_key[rows, None]
-        sieved = keep.any(axis=1)
-        keep[~sieved] = True  # an empty sieve keeps every focal row
+        unsieved[rows] = ~keep.any(axis=1)
+        keep[unsieved[rows]] = True  # an empty sieve keeps every focal row
         n_kept = np.count_nonzero(keep, axis=1)
-        values = np.empty((len(rows), resp.shape[1]))
         for c in np.unique(n_kept):
             same = n_kept == c
             # a mean over axis 1 adds each row's focal responses in the
             # order, and to the bits, of a one-query mean over axis 0
-            values[same] = resp[focal[same][keep[same]].reshape(-1, c)].mean(axis=1)
-        focal_rows, kept = focal.tolist(), keep.tolist()
-        for i, row in enumerate(rows.tolist()):
-            flags = set(cell_flags)
-            if oor[row]:
-                flags.add("out_of_range")
-            if not sieved[i]:
-                flags.add("sieve_fallback")
-            out[row] = RmaPrediction(
-                values=values[i], cell=cell, flags=frozenset(flags),
-                focal_rows=tuple(compress(focal_rows[i], kept[i])), k_used=int(n_kept[i]),
-            )
-    return out
+            values[rows[same]] = resp[focal[same][keep[same]].reshape(-1, c)].mean(axis=1)
+    return RmaPredictions(values=values, cells=codes,
+                          flags=np.column_stack([adjacent, oor, unsieved, underfilled]))  # FLAGS order
 
 
 def _sieve_keys(table, minor, values, minor_binnings):
@@ -487,16 +477,15 @@ def error_metrics(predictions, truths, lattice, table):
     use the n-1 denominator; near-singular matrices get a flagged ridge of
     RIDGE_SCALE * trace / m instead of aborting.
     """
-    if len(predictions) == 0:
+    if len(predictions.values) == 0:
         raise DataError("no predictions to score")
-    truths = np.asarray(truths, dtype=float)
-    E = np.vstack([p.values for p in predictions]) - truths
+    E = predictions.values - np.asarray(truths, dtype=float)
     if E.shape[1] != len(lattice.responses):
         raise DataError("truths shape does not match the response list")
     resp_all = feature_matrix(table, lattice.responses)
     global_cov = np.atleast_2d(np.cov(resp_all, rowvar=False, ddof=1))
     patches = []
-    for cell, idx in rows_by_cell(np.array([p.cell for p in predictions]), lattice.dims).items():
+    for cell, idx in rows_by_cell(predictions.cells, lattice.dims).items():
         Ep = E[idx]
         mg, rg = _quadratic_form_rows(global_cov, Ep)
         members = lattice.cells.get(cell, np.empty(0, dtype=int))

@@ -43,14 +43,16 @@ from ceda.hclust import agglomerate
 from ceda.label_tree import tree_from_training
 from ceda.predictive_map import CompetitionConfig, TreeClassifier
 from ceda.rma import (
+    FLAGS,
     LocalityLattice,
     ResponseSpec,
-    RmaPrediction,
+    RmaPredictions,
     build_locality_lattice,
     error_metrics,
     ols_fit,
     ols_report_text,
     rma_predict,
+    rma_predict_rows,
 )
 
 NO_SCREEN = CompetitionConfig(outlier_quantile=None)
@@ -353,29 +355,26 @@ def test_c08_manifold_prediction_and_locality():
                              qs[:, 1] * np.cos(qs[:, 0])])
 
     table, lattice = _magnus_lattice(5000, seed=11)
-    preds = [rma_predict(q, {}, lattice, table, k_star=20) for q in qs]
-    E = np.vstack([p.values for p in preds]) - truth
+    preds = rma_predict_rows(qs, {}, lattice, table, k_star=20)
+    E = preds.values - truth
     mae = float(np.mean(np.abs(E)))
     assert mae < 0.05
 
     rmses = []
     for n in (1000, 2000, 4000, 8000):
         tbl_n, lat_n = _magnus_lattice(n, seed=11)
-        pn = [rma_predict(q, {}, lat_n, tbl_n, k_star=20) for q in qs]
-        En = np.vstack([p.values for p in pn]) - truth
+        En = rma_predict_rows(qs, {}, lat_n, tbl_n, k_star=20).values - truth
         rmses.append(float(np.sqrt(np.mean(En ** 2))))
     for bigger, smaller in zip(rmses, rmses[1:]):
         assert smaller < bigger * 1.05
 
     checked = 0
     for i in range(40):
-        p = preds[i]
-        if p.flagged:
+        if preds.flagged[i]:
             continue
-        shifted = _shift_rows_outside(table, lattice.cells[p.cell])
+        shifted = _shift_rows_outside(table, lattice.cells[tuple(preds.cells[i].tolist())])
         p2 = rma_predict(qs[i], {}, lattice, shifted, k_star=20)
-        assert p2.focal_rows == p.focal_rows
-        assert np.array_equal(p2.values, p.values)
+        assert np.array_equal(p2.values, preds.values[i:i + 1])
         checked += 1
     assert checked >= 10
     finish("c08", t0, 60, "mean abs error %.4f < 0.05; rmse over doubling N %s "
@@ -396,6 +395,11 @@ def _hand_lattice(table, cells):
     )
 
 
+def _unflagged_in_first_cell(values):
+    return RmaPredictions(values=np.asarray(values, dtype=float), cells=np.zeros((len(values), 1), dtype=int),
+                          flags=np.zeros((len(values), len(FLAGS)), dtype=bool))
+
+
 def test_c09_identity_covariance_and_ridge_guard():
     t0 = time.perf_counter()
     # zero-mean, orthogonal responses whose squares sum to n - 1: the
@@ -408,9 +412,7 @@ def test_c09_identity_covariance_and_ridge_guard():
     Y = np.column_stack([table.values("y1"), table.values("y2")])
     assert np.cov(Y, rowvar=False, ddof=1).tolist() == np.eye(2).tolist()
     lattice = _hand_lattice(table, {(0,): np.arange(4), (1,): np.array([4, 5])})
-    preds = [RmaPrediction(values=np.asarray(v, dtype=float), cell=(0,),
-                           flags=frozenset(), focal_rows=(), k_used=1)
-             for v in ([0, 1], [1, 0], [2, 2], [3, 3])]
+    preds = _unflagged_in_first_cell([[0, 1], [1, 0], [2, 2], [3, 3]])
     report = error_metrics(preds, np.zeros((4, 2)), lattice, table)
     pooled = report.patches[-1]
     assert pooled.name == "ALL"
@@ -423,9 +425,7 @@ def test_c09_identity_covariance_and_ridge_guard():
         Column("y2", "continuous", 2.0 * np.arange(6, dtype=float)),
     ])
     rlattice = _hand_lattice(flat, {(0,): np.arange(6)})
-    rpreds = [RmaPrediction(values=np.array([1.0, 0.0]), cell=(0,),
-                            flags=frozenset(), focal_rows=(), k_used=1)
-              for _ in range(4)]
+    rpreds = _unflagged_in_first_cell([[1.0, 0.0]] * 4)
     rreport = error_metrics(rpreds, np.zeros((4, 2)), rlattice, flat)
     patch = rreport.patches[0]
     assert patch.ridged_global and patch.ridged_patch

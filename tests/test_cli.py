@@ -386,6 +386,28 @@ def test_rma_artifacts(tmp_path, magnus_csv):
     assert ols[1].startswith("ALL,")
 
 
+def test_rma_plotdata_joins_every_flag_in_sorted_order(tmp_path):
+    # at this seed u = 0..39 falls in four bins of the training rows. Test
+    # rows in the third bin, which the lattice leaves out, borrow its
+    # neighbours; the last bin holds 7 training rows, fewer than k* = 8;
+    # u = 39 lies above every training row; and every seventh row has a
+    # minor value that no other row shares, so its sieve comes up empty
+    lines = ["label,u,y,g"]
+    lines += ["%s,%d,%d,%s" % ("ab"[i % 2], i, i, "z%d" % i if i % 7 == 3 else "pq"[i % 2]) for i in range(40)]
+    dataset = tmp_path / "flags.csv"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rma"
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(dataset), label_column="label", out_dir=str(out), seed=4,
+                    split={"train_fraction": 0.75},
+                    rma={"responses": ["y"], "majors": ["u"], "minors": ["g"], "bins_per_major": 4,
+                         "bin_subset": {"u": [0, 1, 3]}, "k_star": 8})
+    assert run_cli("rma", "--config", cfg) == 0
+    with open(out / "rma_plotdata.csv", newline="") as f:
+        flags = [row["flags"] for row in csv.DictReader(f)]
+    assert flags == ["", "", "adjacent_fallback", "adjacent_fallback", "adjacent_fallback", "adjacent_fallback",
+                     "underfilled", "sieve_fallback|underfilled", "underfilled", "out_of_range|underfilled"]
+
+
 def test_rma_requires_section(tmp_path, magnus_csv):
     cfg = write_cfg(tmp_path / "c.json", dataset=str(magnus_csv), label_column="label",
                     out_dir=str(tmp_path / "x"))
@@ -577,16 +599,24 @@ def test_out_of_range_config_values_are_config_errors(request, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("path,value", [
-    ("rma.ols.response", "nope"), ("rma.ols.covariates", ["spin_dir", "nope"]), ("mce.k_groups", 9)])
-def test_config_values_the_data_rules_out_fail_before_any_artifact(request, tmp_path, capsys, path, value):
-    # an ols feature the dataset lacks, or more groups than the two usable
-    # features of clouds_csv
-    command = path.split(".")[0]
-    assert run_with_config_value(request, tmp_path, command, path, value) == 1
-    if command == "mce":
-        assert_one_error_line(capsys, "mce.k_groups must be an integer in [1, 2], the usable feature count, got 9")
-    else:
-        assert_one_error_line(capsys, path, "unknown feature 'nope'")
+    ("rma.ols.response", "nope"), ("rma.ols.covariates", ["spin_dir", "nope"]), ("mce.k_groups", 9),
+    ("rma.threshold", 0.999), ("rma.bin_subset", {"spin_dir": [99]})])
+def test_config_values_the_data_rules_out_fail_before_any_artifact(request, tmp_path, capsys, monkeypatch,
+                                                                   path, value):
+    # an ols feature the dataset lacks, more groups than the two usable
+    # features of clouds_csv, a threshold that no candidate of magnus_csv
+    # reaches when no majors are pinned, or a bin that spin_dir lacks
+    code, *needles = {
+        "rma.ols.response": (1, path, "unknown feature 'nope'"),
+        "rma.ols.covariates": (1, path, "unknown feature 'nope'"),
+        "mce.k_groups": (1, "mce.k_groups must be an integer in [1, 2], the usable feature count, got 9"),
+        "rma.threshold": (2, "no candidate reached the major-feature threshold 0.999"),
+        "rma.bin_subset": (1, "bin_subset['spin_dir'] holds bin id 99"),
+    }[path]
+    if path == "rma.threshold":
+        monkeypatch.delitem(RMA_SECTION, "majors")
+    assert run_with_config_value(request, tmp_path, path.split(".")[0], path, value) == code
+    assert_one_error_line(capsys, *needles)
     assert not (tmp_path / "out").exists()
 
 

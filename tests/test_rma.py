@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, synth_generate
+from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matrix, synth_generate
 from ceda.discretize import build_histogram, default_binnings
 from ceda.errors import ConfigError, DataError
 from ceda.rma import (
+    FLAGS,
     MAJOR_SCORE_THRESHOLD,
     LocalityLattice,
     ResponseSpec,
-    RmaPrediction,
+    RmaPredictions,
     build_locality_lattice,
     error_metrics,
     joint_response_codes,
@@ -378,7 +379,8 @@ def line_fixture():
     table = num_table(
         u=("continuous", u),
         y1=("continuous", 2.0 * u),
-        y2=("continuous", 100.0 - u),
+        # each row its own power of two: the sum over a set of rows names the set
+        y2=("continuous", 2.0 ** u),
         g=("categorical", ["p", "q"] * 20),
         m=("discrete", np.arange(40) % 3),
         c=("continuous", u.copy()),
@@ -389,24 +391,32 @@ def line_fixture():
     return table, spec, binnings, lat
 
 
+def mean_of(table, rows):
+    """The response means of exactly these rows of line_fixture's table, as
+    a one-row prediction's values list; no other set of as many rows has
+    the same y2 mean, and every sum is exact in any order."""
+    return [feature_matrix(table, ["y1", "y2"])[list(rows)].mean(axis=0).tolist()]
+
+
+def flag_set(pred, i=0):
+    return {flag for flag, on in zip(FLAGS, pred.flags[i]) if on}
+
+
 def test_predict_full_cell_mean():
     table, _, _, lat = line_fixture()
     p = rma_predict({"u": 5.0}, {}, lat, table, k_star=50)
-    assert sorted(p.focal_rows) == list(range(10))
-    assert p.k_used == 10
-    assert p.flags == frozenset({"underfilled"})
-    assert p.values.tolist() == [9.0, 95.5]
-    assert p.cell == (0,)
-    assert p.flagged
+    assert p.values.tolist() == mean_of(table, range(10))
+    assert flag_set(p) == {"underfilled"}
+    assert p.cells.tolist() == [[0]]
+    assert p.flagged.tolist() == [True]
 
 
 def test_predict_takes_k_nearest():
     table, _, _, lat = line_fixture()
     p = rma_predict({"u": 5.2}, {}, lat, table, k_star=3)
-    assert p.focal_rows == (5, 6, 4)
-    assert p.values.tolist() == [10.0, 95.0]
-    assert p.flags == frozenset()
-    assert not p.flagged
+    assert p.values.tolist() == mean_of(table, [5, 6, 4])
+    assert flag_set(p) == set()
+    assert p.flagged.tolist() == [False]
 
 
 def test_predict_distance_tie_prefers_smaller_row():
@@ -415,29 +425,32 @@ def test_predict_distance_tie_prefers_smaller_row():
     binnings = {"u": build_histogram(np.array([0.0, 1.0, 1.0, 2.0]), target_bins=3, feature="u")}
     lat = build_locality_lattice(table, ResponseSpec(("y",), ("u",)), ["u"], binnings)
     p = rma_predict({"u": 1.0}, {}, lat, table, k_star=1)
-    assert p.focal_rows == (1,)
-    assert p.values.tolist() == [10.0]
+    assert p.values.tolist() == [[10.0]]
+    # rows 0 and 4 tie at distance 2 from u = 2: row 0 fills the fourth place
+    table, _, _, lat = line_fixture()
+    p = rma_predict({"u": 2.0}, {}, lat, table, k_star=4)
+    assert p.values.tolist() == mean_of(table, [2, 1, 3, 0])
 
 
 def test_predict_out_of_range_clamps():
     table, _, _, lat = line_fixture()
     p = rma_predict({"u": -5.0}, {}, lat, table, k_star=10)
-    assert p.cell == (0,)
-    assert "out_of_range" in p.flags
-    assert p.values.tolist() == [9.0, 95.5]
+    assert p.cells.tolist() == [[0]]
+    assert "out_of_range" in flag_set(p)
+    assert p.values.tolist() == mean_of(table, range(10))
     hi = rma_predict({"u": 100.0}, {}, lat, table, k_star=10)
-    assert hi.cell == (3,)
-    assert "out_of_range" in hi.flags
+    assert hi.cells.tolist() == [[3]]
+    assert "out_of_range" in flag_set(hi)
+    assert hi.values.tolist() == mean_of(table, range(30, 40))
 
 
 def test_predict_empty_cell_borrows_neighbors():
     table, spec, binnings, _ = line_fixture()
     lat = build_locality_lattice(table, spec, ["u"], binnings, bin_subset={"u": [0, 2]})
     p = rma_predict({"u": 15.0}, {}, lat, table, k_star=100)
-    assert p.cell == (1,)
-    assert "adjacent_fallback" in p.flags and "underfilled" in p.flags
-    assert sorted(p.focal_rows) == list(range(10)) + list(range(20, 30))
-    assert p.values.tolist() == [29.0, 85.5]
+    assert p.cells.tolist() == [[1]]
+    assert flag_set(p) == {"adjacent_fallback", "underfilled"}
+    assert p.values.tolist() == mean_of(table, list(range(10)) + list(range(20, 30)))
 
 
 def test_predict_uncovered_region_raises():
@@ -451,26 +464,21 @@ def test_predict_uncovered_region_raises():
 def test_predict_categorical_sieve():
     table, _, _, lat = line_fixture()
     p = rma_predict({"u": 2.0}, {"g": "p"}, lat, table, k_star=5)
-    assert sorted(p.focal_rows) == [0, 2, 4]
-    assert p.k_used == 3
-    assert p.values.tolist() == [4.0, 98.0]
-    assert p.flags == frozenset()
+    assert p.values.tolist() == mean_of(table, [0, 2, 4])
+    assert flag_set(p) == set()
 
 
 def test_predict_empty_sieve_falls_back():
     table, _, _, lat = line_fixture()
     p = rma_predict({"u": 2.0}, {"g": "zzz"}, lat, table, k_star=5)
-    assert "sieve_fallback" in p.flags
-    assert p.k_used == 5
-    assert sorted(p.focal_rows) == [0, 1, 2, 3, 4]
-    assert p.values.tolist() == [4.0, 98.0]
+    assert flag_set(p) == {"sieve_fallback"}
+    assert p.values.tolist() == mean_of(table, range(5))
 
 
 def test_predict_discrete_sieve():
     table, _, _, lat = line_fixture()
     p = rma_predict({"u": 2.0}, {"m": 2.0}, lat, table, k_star=5)
-    assert p.focal_rows == (2,)
-    assert p.values.tolist() == [4.0, 98.0]
+    assert p.values.tolist() == mean_of(table, [2])
 
 
 def test_predict_continuous_sieve_needs_binning():
@@ -479,8 +487,7 @@ def test_predict_continuous_sieve_needs_binning():
         rma_predict({"u": 2.0}, {"c": 3.0}, lat, table, k_star=5)
     mb = {"c": build_histogram(np.arange(40, dtype=float), target_bins=20, feature="c")}
     p = rma_predict({"u": 2.0}, {"c": 3.0}, lat, table, k_star=5, minor_binnings=mb)
-    assert sorted(p.focal_rows) == [2, 3]
-    assert p.values.tolist() == [5.0, 97.5]
+    assert p.values.tolist() == mean_of(table, [2, 3])
 
 
 def test_predict_input_validation():
@@ -499,11 +506,12 @@ def test_predict_rows_matches_one_row_calls():
     X = np.array([[5.2], [2.0], [-5.0], [100.0], [2.0]])
     minors = {"g": ["p", "q", "zzz", "p", "q"], "c": [3.0, 1.0, 0.0, 39.0, 30.0]}
     got = rma_predict_rows(X, minors, lat, table, k_star=5, minor_binnings=mb)
-    for i, p in enumerate(got):
+    for i in range(len(X)):
         one = rma_predict(X[i], {m: v[i] for m, v in minors.items()}, lat, table, k_star=5, minor_binnings=mb)
-        assert (p.values.tobytes(), p.cell, p.flags, p.focal_rows, p.k_used) == \
-            (one.values.tobytes(), one.cell, one.flags, one.focal_rows, one.k_used)
-    assert rma_predict_rows(np.empty((0, 1)), {}, lat, table) == []
+        assert (got.values[i].tobytes(), got.cells[i].tolist(), got.flags[i].tolist()) == \
+            (one.values[0].tobytes(), one.cells[0].tolist(), one.flags[0].tolist())
+    none = rma_predict_rows(np.empty((0, 1)), {}, lat, table)
+    assert (none.values.shape, none.cells.shape, none.flags.shape) == ((0, 2), (0, 1), (0, len(FLAGS)))
 
 
 def non_finite_fixture():
@@ -561,9 +569,11 @@ def test_predict_rows_input_validation():
 # --- error metrics -------------------------------------------------------
 
 
-def pred_at(values, cell):
-    return RmaPrediction(values=np.asarray(values, dtype=float), cell=cell,
-                         flags=frozenset(), focal_rows=(), k_used=1)
+def preds_at(values, cells):
+    """Unflagged predictions with these values in these cells, row by row."""
+    values = np.asarray(values, dtype=float)
+    return RmaPredictions(values=values, cells=np.array(cells),
+                          flags=np.zeros((len(values), len(FLAGS)), dtype=bool))
 
 
 def metrics_fixture():
@@ -585,7 +595,7 @@ def metrics_fixture():
 
 def test_identity_covariance_sums_squared_errors():
     table, lat = metrics_fixture()
-    preds = [pred_at(v, (0,)) for v in ([0, 1], [1, 0], [2, 2], [3, 3])]
+    preds = preds_at([[0, 1], [1, 0], [2, 2], [3, 3]], [(0,)] * 4)
     truths = np.zeros((4, 2))
     Y = np.column_stack([table.values("y1"), table.values("y2")])
     assert np.cov(Y, rowvar=False, ddof=1).tolist() == np.eye(2).tolist()
@@ -602,10 +612,10 @@ def test_mahalanobis_matches_hand_inverse():
     table, lat = metrics_fixture()
     rng = np.random.default_rng(21)
     cells = [(0,), (0,), (0,), (1,), (1,)]
-    preds = [pred_at(rng.normal(size=2), c) for c in cells]
+    preds = preds_at(rng.normal(size=(5, 2)), cells)
     truths = rng.normal(size=(5, 2))
     report = error_metrics(preds, truths, lat, table)
-    E = np.vstack([p.values for p in preds]) - truths
+    E = preds.values - truths
     Y = np.column_stack([table.values("y1"), table.values("y2")]).astype(float)
     inv_g = np.linalg.inv(np.cov(Y, rowvar=False, ddof=1))
     for patch, idx in [(report.patches[0], [0, 1, 2]), (report.patches[1], [3, 4])]:
@@ -631,7 +641,7 @@ def test_singular_covariance_gets_flagged_ridge():
         cell_regions={}, responses=["y1", "y2"],
         zstats=ZStats.fit(u.reshape(-1, 1)), n_rows=6,
     )
-    preds = [pred_at([1.0, 0.0], (0,)) for _ in range(4)]
+    preds = preds_at([[1.0, 0.0]] * 4, [(0,)] * 4)
     report = error_metrics(preds, np.zeros((4, 2)), lat, table)
     patch = report.patches[0]
     assert patch.ridged_global and patch.ridged_patch
@@ -641,7 +651,7 @@ def test_singular_covariance_gets_flagged_ridge():
 
 def test_patches_sorted_with_pooled_last():
     table, lat = metrics_fixture()
-    preds = [pred_at([0, 0], (1,)), pred_at([0, 0], (0,)), pred_at([1, 1], (1,))]
+    preds = preds_at([[0, 0], [0, 0], [1, 1]], [(1,), (0,), (1,)])
     report = error_metrics(preds, np.zeros((3, 2)), lat, table)
     assert [p.name for p in report.patches] == ["0", "1", "ALL"]
     assert [p.n for p in report.patches] == [1, 2, 3]
@@ -650,15 +660,15 @@ def test_patches_sorted_with_pooled_last():
 def test_error_metrics_validation():
     table, lat = metrics_fixture()
     with pytest.raises(DataError, match="no predictions"):
-        error_metrics([], np.zeros((0, 2)), lat, table)
-    bad = [pred_at([0, 0, 0], (0,))]
+        error_metrics(preds_at(np.zeros((0, 2)), np.zeros((0, 1), dtype=int)), np.zeros((0, 2)), lat, table)
+    bad = preds_at([[0, 0, 0]], [(0,)])
     with pytest.raises(DataError, match="does not match the response list"):
         error_metrics(bad, np.zeros((1, 3)), lat, table)
 
 
 def test_error_report_csv_layout():
     table, lat = metrics_fixture()
-    preds = [pred_at([0, 0], (1,)), pred_at([0, 0], (0,))]
+    preds = preds_at([[0, 0], [0, 0]], [(1,), (0,)])
     lines = error_metrics(preds, np.zeros((2, 2)), lat, table).to_csv_text().strip().split("\n")
     assert lines[0] == "patch,n,mse_y1,mse_y2,mahal_global,mahal_patch,ridged_global,ridged_patch"
     # the 2-member patch and the pooled row leave mahal_patch blank

@@ -4,9 +4,11 @@ The reference below locates one query, rebuilds the z-scored major matrix
 of the training table, orders the rectangle's rows with a full ``lexsort``
 by (distance, row), sieves the first k* by minor equality and averages
 their responses, as the package did before prediction was batched.  The
-batched ``rma_predict_rows`` must return the same predictions to the bit,
-including distance ties (duplicated rows), out-of-range and snapped queries,
-empty rectangles, emptied sieves and k* above the rectangle size.
+batched ``rma_predict_rows`` must return the same value bits, cells and
+flags, including distance ties (rows with duplicated covariates),
+out-of-range and snapped queries, empty rectangles, emptied sieves and k*
+above the rectangle size.  Every training row has responses of its own, so
+equal value bits mean the same focal rows.
 
 The cell groupings are held to the code they replaced: ``rows_by_cell`` to
 a per-row dict, the lattice's rectangles and response regions to the
@@ -27,6 +29,7 @@ from ceda.dataset import Column, DataTable, feature_matrix
 from ceda.discretize import build_histogram, categorize_many
 from ceda.errors import DataError
 from ceda.rma import (
+    FLAGS,
     ResponseSpec,
     build_locality_lattice,
     joint_response_codes,
@@ -96,11 +99,12 @@ def ref_predict(xvals, z, lattice, table, k_star, minor_binnings):
         else:
             flags.add("sieve_fallback")
     resp = feature_matrix(table, lattice.responses)[focal]
-    return resp.mean(axis=0), cell, frozenset(flags), tuple(int(r) for r in focal), len(focal)
+    return resp.mean(axis=0).tobytes(), list(cell), [flag in flags for flag in FLAGS]
 
 
-def fields(pred):
-    return pred.values.tobytes(), pred.cell, pred.flags, pred.focal_rows, pred.k_used
+def fields(preds):
+    """(value bytes, cell, flags) of each query row of an RmaPredictions."""
+    return [(v.tobytes(), c, f) for v, c, f in zip(preds.values, preds.cells.tolist(), preds.flags.tolist())]
 
 
 # --- random problems -------------------------------------------------------
@@ -109,8 +113,9 @@ def fields(pred):
 @st.composite
 def lattice_inputs(draw):
     """A small table with 1-3 numeric majors, 1-3 responses and one minor of
-    each kind, duplicated rows, and sometimes a bin subset of the first
-    major.  Returns (rng, columns, table, spec, majors, binnings, bin_subset)."""
+    each kind, rows with duplicated covariates, and sometimes a bin subset of
+    the first major.  Returns (rng, columns, table, spec, majors, binnings,
+    bin_subset)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(4, 40))
     major_kinds = draw(st.lists(st.sampled_from(["continuous", "discrete"]), min_size=1, max_size=3))
@@ -128,7 +133,10 @@ def lattice_inputs(draw):
     columns["m"] = ("discrete", rng.integers(0, 3, n).astype(float))
     columns["c"] = ("continuous", rng.uniform(-1.0, 1.0, n))
     dup = rng.integers(0, n, draw(st.integers(0, 10)))
-    columns = {name: (kind, np.concatenate([v, v[dup]])) for name, (kind, v) in columns.items()}
+    # a duplicated row repeats every covariate but gets responses of its own,
+    # so the mean of a query's focal rows tells which of two tied rows it took
+    columns = {name: (kind, np.concatenate([v, rng.normal(0.0, 10.0, len(dup)) if name in responses else v[dup]]))
+               for name, (kind, v) in columns.items()}
     # constant columns cannot be binned
     for name, (kind, v) in columns.items():
         if kind == "continuous":
@@ -202,8 +210,8 @@ def test_batched_rma_matches_one_query_reference(problem, k_star, block_bytes):
         got = rma_predict_rows(Xq, minors, lattice, table, k_star, binnings)
         one = [rma_predict(Xq[i], {name: vals[i] for name, vals in minors.items()},
                            lattice, table, k_star, binnings) for i in range(0, len(Xq), 5)]
-    assert [fields(p) for p in got] == [(v.tobytes(), *rest) for v, *rest in want]
-    assert [fields(p) for p in one] == [fields(p) for p in got[::5]]
+    assert fields(got) == want
+    assert [row for p in one for row in fields(p)] == fields(got)[::5]
 
 
 # --- cell groupings against the per-row code they replaced -----------------
