@@ -16,10 +16,13 @@ default and range, as does the README's table; unknown keys draw a warning.
 Command line --seed/--out override the config; --threads is accepted and
 ignored.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 computation
-error (running out of memory included).
+Exit codes: 0 success, 1 configuration error (an out dir that cannot be
+written included), 2 data error, 3 computation error (running out of memory
+included).
 
-Every run writes a manifest.json recording the command, package version,
+A command computes every report before anything touches the disk; only
+once it has succeeded does Run.finish make the out dir and write the
+reports, then a manifest.json recording the command, package version,
 seed, a sha256 of the effective config and the artifact list.  Reports are
 byte-identical across reruns with the same config and seed, except for the
 manifest timestamp.  Stage seeds derive from the global seed through
@@ -293,46 +296,49 @@ def _feature_sets(cfg, ds):
 
 
 class Run:
-    """Collects artifacts for one command and writes the manifest."""
+    """Holds one command's artifacts, name -> text or DataTable, until
+    finish writes them and the manifest."""
 
     def __init__(self, command, cfg):
         self.command = command
         self.cfg = cfg
         self.out = Path(cfg["out_dir"])
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.artifacts = []
+        self.artifacts = {}
 
     def write_text(self, name, text):
-        (self.out / name).write_text(text)
-        self.artifacts.append(name)
-        log.info("wrote %s", self.out / name)
+        self.artifacts[name] = text
 
     def write_json(self, name, obj):
         self.write_text(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
-    def path_for(self, name):
-        self.artifacts.append(name)
-        return self.out / name
-
     def finish(self):
+        """Make the out dir and write every artifact, the manifest last."""
         canonical = json.dumps(self.cfg, sort_keys=True, separators=(",", ":"))
-        manifest = {
+        self.write_json("manifest.json", {
             "command": self.command,
             "version": VERSION,
             "seed": int(self.cfg["seed"]),
             "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
             "artifacts": sorted(self.artifacts),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        }
-        (self.out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        log.info("wrote %s", self.out / "manifest.json")
+        })
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+            for name, content in self.artifacts.items():
+                if isinstance(content, str):
+                    (self.out / name).write_text(content)
+                else:
+                    write_csv(content, self.out / name)
+                log.info("wrote %s", self.out / name)
+        except OSError as exc:
+            raise ConfigError("cannot write out_dir %s: %s" % (self.out, exc.strerror or exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_synth(args, cfg):
+def cmd_synth(args, cfg, run):
     kind = args.kind or setting(cfg, "synth.kind")
     if not kind:
         raise ConfigError("synth requires --kind or config synth.kind")
@@ -344,19 +350,16 @@ def cmd_synth(args, cfg):
             raise ConfigError("--params is not valid JSON: %s" % exc)
     seed = stage_seed(cfg["seed"], "synth")
     ds = synth_generate(kind, params, seed=seed)
-    run = Run("synth", cfg)
-    write_csv(ds.table, run.path_for("dataset.csv"))
+    run.artifacts["dataset.csv"] = ds.table
     run.write_json("dataset_truth.json", {
         "kind": kind, "params": params, "stage_seed": seed,
         "labels": list(ds.labels), "n_rows": ds.n_rows,
         "columns": {c.name: c.kind for c in ds.table.columns},
     })
-    run.finish()
-    print("synth: %d rows, %d labels -> %s" % (ds.n_rows, len(ds.labels), run.out / "dataset.csv"))
-    return 0
+    return "synth: %d rows, %d labels -> %s" % (ds.n_rows, len(ds.labels), run.out / "dataset.csv")
 
 
-def cmd_mce(args, cfg):
+def cmd_mce(args, cfg, run):
     ds = _load_dataset(cfg, "mce")
     features = setting(cfg, "features") or ds.feature_names()
     _check_features(ds, features, "features")
@@ -366,7 +369,6 @@ def cmd_mce(args, cfg):
     if k > len(matrix.features):
         raise ConfigError("mce.k_groups must be an integer in [1, %d], the usable feature count, got %d"
                           % (len(matrix.features), k))
-    run = Run("mce", cfg)
     run.write_json("binning_report.json", {n: b.to_report() for n, b in sorted(binnings.items())})
     run.write_text("mce_matrix.csv", matrix.to_csv_text())
     run.write_json("mce_groups.json", {
@@ -376,12 +378,10 @@ def cmd_mce(args, cfg):
     rows += [[name, "%.10g" % fwd, "%.10g" % bwd]
              for name, fwd, bwd in rank_features_by_label_association(ds, binnings)]
     run.write_text("feature_rank.csv", csv_text(rows))
-    run.finish()
     i, j = np.unravel_index(
         np.argmin(matrix.values + np.eye(len(matrix.features))), matrix.values.shape)
-    print("mce: %d features; closest pair (%s, %s) at %.4f"
-          % (len(matrix.features), matrix.features[i], matrix.features[j], matrix.values[i, j]))
-    return 0
+    return "mce: %d features; closest pair (%s, %s) at %.4f" % (
+        len(matrix.features), matrix.features[i], matrix.features[j], matrix.values[i, j])
 
 
 def _split_with_feature_set(cfg, command):
@@ -397,11 +397,10 @@ def _split_with_feature_set(cfg, command):
     return train, test, chosen, sets[chosen]
 
 
-def cmd_let(args, cfg):
+def cmd_let(args, cfg, run):
     train, _, set_name_, features = _split_with_feature_set(cfg, "let")
     T = setting(cfg, "let.samples_per_triplet")
     seed = stage_seed(cfg["seed"], "let")
-    run = Run("let", cfg)
     if len(train.labels) >= 3:
         dm = sample_triplet_orderings(train, features, samples_per_triplet=T, seed=seed)
         run.write_text("dominance.csv", dm.to_csv_text())
@@ -414,12 +413,10 @@ def cmd_let(args, cfg):
         tree = tree_from_training(train, features, samples_per_triplet=T, seed=seed)
     run.write_text("tree.newick", tree.to_newick() + "\n")
     run.write_json("tree.json", tree.to_json_dict())
-    run.finish()
-    print("let: %d labels on feature set '%s' -> %s" % (len(train.labels), set_name_, tree.to_newick()))
-    return 0
+    return "let: %d labels on feature set '%s' -> %s" % (len(train.labels), set_name_, tree.to_newick())
 
 
-def cmd_pmap(args, cfg):
+def cmd_pmap(args, cfg, run):
     train, test, set_name_, features = _split_with_feature_set(cfg, "pmap")
     comp = _competition_config(cfg)
     tree = tree_from_training(train, features, samples_per_triplet=setting(cfg, "let.samples_per_triplet"),
@@ -433,15 +430,12 @@ def cmd_pmap(args, cfg):
          "stop_node": int(pred.stop_node), "path": [[int(n), dec] for n, dec in pred.path]}
         for row, (pred, true) in enumerate(zip(preds, test.label_values))
     ])
-    run = Run("pmap", cfg)
-    write_csv(test.table, run.path_for("split_test.csv"))
+    run.artifacts["split_test.csv"] = test.table
     run.write_text("pmap_%s.csv" % set_name_, table.to_csv_text())
     run.write_json("pmap_%s.json" % set_name_, doc)
     run.write_json("pies.json", table.per_label_proportions())
-    run.finish()
-    print("pmap: %d test points, %.1f%% singleton, %d categories"
-          % (test.n_rows, 100 * table.singleton_fraction(), len(table.categories)))
-    return 0
+    return "pmap: %d test points, %.1f%% singleton, %d categories" % (
+        test.n_rows, 100 * table.singleton_fraction(), len(table.categories))
 
 
 def _chain_from_config(cfg, ds):
@@ -475,10 +469,9 @@ def _run_chain(cfg, command):
     return train, test, result
 
 
-def cmd_chain(args, cfg):
+def cmd_chain(args, cfg, run):
     _, test, result = _run_chain(cfg, "chain")
-    run = Run("chain", cfg)
-    write_csv(test.table, run.path_for("split_test.csv"))
+    run.artifacts["split_test.csv"] = test.table
     for depth, table in enumerate(result.tables, start=1):
         doc = table.to_json_dict()
         for entry, cat in zip(doc["categories"], table.categories):
@@ -493,16 +486,13 @@ def cmd_chain(args, cfg):
         "final_certain_fraction": sum(
             1 for c in result.final_category_per_row if c.certain) / test.n_rows,
     })
-    run.finish()
-    print("chain: %d depths, conservation %s" % (
-        len(result.tables), "ok" if result.verify_conservation() else "VIOLATED"))
-    return 0
+    return "chain: %d depths, conservation %s" % (
+        len(result.tables), "ok" if result.verify_conservation() else "VIOLATED")
 
 
-def cmd_dissect(args, cfg):
+def cmd_dissect(args, cfg, run):
     train, test, result = _run_chain(cfg, "dissect")
-    run = Run("dissect", cfg)
-    write_csv(test.table, run.path_for("split_test.csv"))
+    run.artifacts["split_test.csv"] = test.table
     source = setting(cfg, "dissect.external")
     if source:
         external = load_external_predictions(source)
@@ -517,13 +507,11 @@ def cmd_dissect(args, cfg):
     report = dissect_external(external, result)
     run.write_text("dissection.csv", report.to_csv_text())
     run.write_json("dissection.json", {"source": source, **report.to_json_dict()})
-    run.finish()
     totals = report.to_json_dict()["totals"]
-    print("dissect: " + ", ".join("%s=%d" % (k, v) for k, v in sorted(totals.items())))
-    return 0
+    return "dissect: " + ", ".join("%s=%d" % (k, v) for k, v in sorted(totals.items()))
 
 
-def cmd_rma(args, cfg):
+def cmd_rma(args, cfg, run):
     ds = _load_dataset(cfg, "rma")
     responses, candidates, minors, majors = (
         setting(cfg, "rma." + key) for key in ("responses", "major_candidates", "minors", "majors"))
@@ -546,7 +534,6 @@ def cmd_rma(args, cfg):
     binnings = _binnings_for(train.table, needed, cfg)
     bins_per_major = setting(cfg, "rma.bins_per_major")
     threshold = setting(cfg, "rma.threshold")
-    # every step that can fail runs before the out dir is made
     scores = [score_major_candidate(train.table, spec, cand, binnings, threshold) for cand in candidates]
     if not majors:
         majors = [s.feature for s in scores if s.is_major]
@@ -565,7 +552,6 @@ def cmd_rma(args, cfg):
                                    train.table, k_star=setting(cfg, "rma.k_star"), minor_binnings=binnings)
     report = error_metrics(predictions, truths, lattice, train.table)
     fits = ols_fit(train, ols_response, ols_covariates, per_label=per_label) if ols else None
-    run = Run("rma", cfg)
     if scores:
         rows = [["feature", "score", "threshold", "is_major"]]
         rows += [[s.feature, "%.10g" % s.score, "%.10g" % s.threshold, int(s.is_major)] for s in scores]
@@ -586,12 +572,9 @@ def cmd_rma(args, cfg):
     run.write_text("rma_plotdata.csv", csv_text(rows))
     if fits is not None:
         run.write_text("rma_ols.csv", ols_report_text(fits, ols_covariates))
-    run.finish()
     pooled = report.patches[-1]
-    print("rma: majors %s, %d patches, pooled mse %s" % (
-        "+".join(majors), len(lattice.cells),
-        ", ".join("%s=%.4g" % (r, pooled.mse[r]) for r in responses)))
-    return 0
+    return "rma: majors %s, %d patches, pooled mse %s" % (
+        "+".join(majors), len(lattice.cells), ", ".join("%s=%.4g" % (r, pooled.mse[r]) for r in responses))
 
 
 COMMANDS = {
@@ -609,13 +592,18 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args, _load_config(args))
+        cfg = _load_config(args)
+        run = Run(args.command, cfg)
+        summary = COMMANDS[args.command](args, cfg, run)
+        run.finish()
     except CedaError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return ComputationError.exit_code
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """End-to-end command line runs: artifacts, exit codes, reproducibility."""
 
 import csv
+import errno
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -145,13 +147,15 @@ def test_invalid_config_json(tmp_path):
     assert run_cli("mce", "--config", lst) == 1
 
 
-def test_persistent_ties_are_computation_errors(tmp_path):
+def test_persistent_ties_are_computation_errors(tmp_path, capsys):
     data = tmp_path / "flat.csv"
     data.write_text("f0,label\n" + "".join("0,%s\n0,%s\n" % (l, l) for l in "abc"))
     cfg = write_cfg(tmp_path / "c.json", dataset=str(data), label_column="label",
                     out_dir=str(tmp_path / "out"),
                     **{"let": {"samples_per_triplet": 5}})
     assert run_cli("let", "--config", cfg) == 3
+    assert_one_error_line(capsys, "persistent distance ties while sampling labels (a, b, c)")
+    assert not (tmp_path / "out").exists()
 
 
 # --- per-command artifacts ------------------------------------------------
@@ -311,7 +315,17 @@ def test_dissect_unknown_external_label_is_data_error(tmp_path, ortho_csv, capsy
     assert run_cli("dissect", "--config", cfg) == 2
     err = capsys.readouterr().err
     assert "'zz'" in err and "rows 3" in err
-    assert not (tmp_path / "disbad" / "dissection.csv").exists()
+    assert not (tmp_path / "disbad").exists()
+
+
+def test_dissect_external_file_lacking_rows_writes_nothing(tmp_path, ortho_csv, capsys):
+    # the chain has run when the external rows are checked against the test rows
+    ext = tmp_path / "ext.csv"
+    ext.write_text("row_id,predicted_label\n0,a\n")
+    cfg = ortho_cfg(tmp_path, ortho_csv, "dismiss", dissect={"external": str(ext)})
+    assert run_cli("dissect", "--config", cfg) == 2
+    assert_one_error_line(capsys, "external predictions missing rows")
+    assert not (tmp_path / "dismiss").exists()
 
 
 def test_report_csvs_quote_labels_with_commas(tmp_path):
@@ -620,8 +634,48 @@ def test_config_values_the_data_rules_out_fail_before_any_artifact(request, tmp_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("under_a_file,reason", [(False, errno.EEXIST), (True, errno.ENOTDIR)],
+                         ids=["a-file", "under-a-file"])
+def test_an_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, under_a_file, reason):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under_a_file else blocker
+    assert run_cli("synth", "--kind", "gauss-clouds", "--params", '{"centers": [[0, 0], [3, 0]]}',
+                   "--out", out) == 1
+    assert_one_error_line(capsys, "out_dir %s" % out, os.strerror(reason))
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", sorted(ceda.cli.COMMANDS))
+def test_manifest_lists_every_file_written_and_the_summary_comes_last(request, tmp_path, capsys, caplog, command):
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["--kind", "gauss-clouds", "--params", '{"centers": [[0, 0], [3, 0]]}']
+    elif command in ("chain", "dissect"):
+        argv = ["--config", ortho_cfg(tmp_path, request.getfixturevalue("ortho_csv"), "out")]
+    else:
+        dataset = request.getfixturevalue("magnus_csv" if command == "rma" else "clouds_csv")
+        argv = ["--config", write_cfg(tmp_path / "c.json", dataset=str(dataset), label_column="label",
+                                      **({"rma": RMA_SECTION} if command == "rma" else {}))]
+    capsys.readouterr()
+    caplog.set_level(logging.INFO, logger="ceda")
+    # the log's "wrote" lines go to stdout too, so the order of the two shows
+    handler = logging.StreamHandler(sys.stdout)
+    logging.getLogger("ceda").addHandler(handler)
+    try:
+        assert run_cli(command, *argv, "--out", out) == 0
+    finally:
+        logging.getLogger("ceda").removeHandler(handler)
+    artifacts = read_json(out / "manifest.json")["artifacts"]
+    assert artifacts == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    *wrote, manifest, summary = capsys.readouterr().out.splitlines()
+    assert sorted(wrote) == ["wrote %s" % (out / name) for name in artifacts]
+    assert manifest == "wrote %s" % (out / "manifest.json")
+    assert summary.startswith(command + ": ")
+
+
 def test_running_out_of_memory_is_a_computation_error(monkeypatch, capsys):
-    def exhausted(args, cfg):
+    def exhausted(args, cfg, run):
         raise MemoryError
 
     monkeypatch.setitem(ceda.cli.COMMANDS, "mce", exhausted)
