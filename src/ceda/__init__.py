@@ -31,7 +31,6 @@ from .errors import CedaError, ComputationError, ConfigError, DataError
 from .hclust import Dendrogram, agglomerate, cut
 from .label_tree import (
     DominanceMatrix,
-    LabelTree,
     build_label_tree,
     dominance_to_distance,
     sample_triplet_orderings,

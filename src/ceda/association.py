@@ -163,11 +163,15 @@ def mutual_conditional_entropy(t):
 class MceMatrix:
     features: list        # in clustered display order
     values: np.ndarray    # symmetric, zero diagonal, same order as features
-    dendro: object        # Dendrogram over the features (leaf_names = features)
+    dendro: object        # Dendrogram over the features, leaf names in input order
 
     def groups(self, k):
-        """The k feature groups of the clustering, as lists of names."""
-        return [[self.dendro.leaf_names[i] for i in group] for group in hclust.cut(self.dendro, k)]
+        """The k feature groups of the clustering, as lists of names: each in
+        display order, and the groups in the display order of their first."""
+        pos = {name: i for i, name in enumerate(self.features)}
+        groups = [sorted((self.dendro.leaf_names[i] for i in group), key=pos.get)
+                  for group in hclust.cut(self.dendro, k)]
+        return sorted(groups, key=lambda group: pos[group[0]])
 
     def to_csv_text(self):
         rows = [["feature"] + list(self.features)]
@@ -215,17 +219,9 @@ def mce_matrix(table, binnings=None, features=None):
         for (i, j), v in zip(pairs, mce):
             values[i, j] = values[j, i] = v
     dendro = hclust.agglomerate(values)
+    dendro.leaf_names = usable
     order = dendro.leaf_order()
-    ordered = [usable[i] for i in order]
-    reindexed = values[np.ix_(order, order)]
-    # re-express the dendrogram over the reordered leaves for display
-    pos = {old: new for new, old in enumerate(order)}
-    remapped = []
-    for left, right, h in dendro.merges:
-        remap = lambda node: pos[node] if node < k else node
-        remapped.append((remap(left), remap(right), h))
-    dendro_ordered = hclust.Dendrogram(n_leaves=k, merges=remapped, leaf_names=ordered)
-    return MceMatrix(features=ordered, values=reindexed, dendro=dendro_ordered)
+    return MceMatrix(features=[usable[i] for i in order], values=values[np.ix_(order, order)], dendro=dendro)
 
 
 def rank_features_by_label_association(ds, binnings=None):

@@ -62,7 +62,7 @@ class ChainResult:
     tables: list
     final_category_per_row: list = field(default_factory=list)
     true_value_per_row: list = field(default_factory=list)
-    trees: dict = field(default_factory=dict)
+    labels: list = field(default_factory=list)   # the training labels
 
     def verify_conservation(self):
         """Each refined parent's count must equal the sum of its children."""
@@ -92,7 +92,6 @@ def chain_categories(test, train, chain, samples_per_triplet=200, seed=0):
     n = test.n_rows
     keys = {row: () for row in range(n)}
     tables = []
-    trees = {}
     final = [None] * n
     active_rows = list(range(n))
     for depth, link in enumerate(chain.links, start=1):
@@ -101,7 +100,6 @@ def chain_categories(test, train, chain, samples_per_triplet=200, seed=0):
             samples_per_triplet=samples_per_triplet,
             seed=_seed_for_link(seed, depth - 1),
         )
-        trees[link.name] = tree
         clf = TreeClassifier(tree, train, list(link.features), link.cfg)
         X = feature_matrix(test.table, list(link.features))
         for row, pred in zip(active_rows, clf.classify(X[active_rows])):
@@ -119,7 +117,7 @@ def chain_categories(test, train, chain, samples_per_triplet=200, seed=0):
             break
     return ChainResult(chain=chain, tables=tables,
                        final_category_per_row=final,
-                       true_value_per_row=[str(v) for v in true_values], trees=trees)
+                       true_value_per_row=[str(v) for v in true_values], labels=universe)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +161,7 @@ def dissect_external(external, result):
     unknown = sorted(set(external) - set(range(n)))
     if unknown:
         raise DataError("external predictions for unknown rows: %s" % unknown[:10])
-    # the training labels: every link's tree spans all of them
-    universe = set(result.trees[result.chain.links[0].name].labels)
+    universe = set(result.labels)
     stray = {}
     for row in range(n):
         if external[row] not in universe:

@@ -52,7 +52,7 @@ from .chain import (
     knn_baseline_predict,
     load_external_predictions,
 )
-from .dataset import SplitSpec, csv_text, load_csv, split_train_test, synth_generate, write_csv
+from .dataset import SplitSpec, csv_text, feature_matrix, load_csv, split_train_test, synth_generate, write_csv
 from .discretize import (
     build_histogram,  # noqa: F401  (bench/spans.py wraps ceda.cli.build_histogram by name)
     default_binnings,
@@ -546,8 +546,8 @@ def cmd_rma(args, cfg, run):
                                      bin_subset=setting(cfg, "rma.bin_subset"))
     minor_cands = minors or [c for c in candidates if c not in majors]
     entropy = minor_feature_entropy(lattice, train.table, minor_cands, binnings) if minor_cands else None
-    Xte = np.column_stack([np.asarray(test.table.values(m), dtype=float) for m in majors])
-    truths = np.column_stack([np.asarray(test.table.values(r), dtype=float) for r in responses])
+    Xte = feature_matrix(test.table, majors)
+    truths = feature_matrix(test.table, responses)
     predictions = rma_predict_rows(Xte, {m: test.table.values(m) for m in minors}, lattice,
                                    train.table, k_star=setting(cfg, "rma.k_star"), minor_binnings=binnings)
     report = error_metrics(predictions, truths, lattice, train.table)

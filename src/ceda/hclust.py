@@ -1,10 +1,16 @@
-"""Agglomerative hierarchical clustering on a precomputed distance matrix.
+"""Agglomerative hierarchical clustering on a precomputed distance matrix,
+and the one tree type both the label tree and the mce clustering use.
 
-Average linkage only, which both the label tree and the mce matrix use, via
-Lance-Williams updates.  Ties are broken by the lexicographically smallest
-(i, j) node-id pair, so results are fully deterministic.  Leaves are 0..n-1,
-internal nodes n..2n-2 in merge order, matching the usual dendrogram
-convention.
+Average linkage only, via Lance-Williams updates.  Ties are broken by the
+lexicographically smallest (i, j) node-id pair, so results are fully
+deterministic.  Leaves are 0..n-1, internal nodes n..2n-2 in merge order,
+matching the usual dendrogram convention; the root is 2n-2, the one leaf
+of a one-leaf tree.
+
+A Dendrogram is navigated by node id: ``is_leaf``, ``children`` (the two
+nodes a merge joined), ``members`` (the leaf indices under a node) and
+``node_labels`` (their names, sorted).  ``leaf_names`` names the leaves in
+the order of the distance matrix's rows.
 """
 
 from dataclasses import dataclass, field
@@ -20,27 +26,49 @@ class Dendrogram:
     merges: list                      # (left_node, right_node, height), length n_leaves - 1
     leaf_names: list = field(default=None)
 
+    @property
+    def root(self):
+        return 2 * self.n_leaves - 2
+
+    def is_leaf(self, node):
+        return node < self.n_leaves
+
+    def children(self, node):
+        left, right, _ = self.merges[node - self.n_leaves]
+        return left, right
+
     def members(self, node):
         """Leaf indices under a node id."""
-        n = self.n_leaves
-        if node < n:
+        if self.is_leaf(node):
             return [node]
-        left, right, _ = self.merges[node - n]
+        left, right = self.children(node)
         return self.members(left) + self.members(right)
+
+    def node_labels(self, node):
+        """Sorted tuple of the leaf names under a node."""
+        return tuple(sorted(self.leaf_names[i] for i in self.members(node)))
 
     def leaf_order(self):
         """Left-to-right leaf ordering for heatmap display."""
-        return self.members(2 * self.n_leaves - 2)
+        return self.members(self.root)
 
     def to_newick(self):
         """Newick-style text; internal nodes annotated with merge height."""
         def render(node):
-            if node < self.n_leaves:
+            if self.is_leaf(node):
                 return str(self.leaf_names[node]) if self.leaf_names else str(node)
             left, right, h = self.merges[node - self.n_leaves]
             return "(%s,%s):%.6g" % (render(left), render(right), h)
 
-        return render(2 * self.n_leaves - 2 if self.n_leaves > 1 else 0) + ";"
+        return render(self.root) + ";"
+
+    def to_json_dict(self):
+        """The leaf names, and each merge with its node id, children, height
+        and the sorted names under it."""
+        merges = [{"node": node, "left": left, "right": right, "height": float(h),
+                   "labels": list(self.node_labels(node))}
+                  for node, (left, right, h) in enumerate(self.merges, start=self.n_leaves)]
+        return {"labels": list(self.leaf_names), "merges": merges}
 
 
 def _validate_distance_matrix(d):

@@ -8,7 +8,8 @@ pair as dominated by the other two.  Tallying who dominates whom over all
 triples gives each label pair a relative distance: the fraction of its
 exposures in which it dominated some other pair.  Labels whose pair is
 rarely a dominator sit close together.  Average-linkage clustering of the
-resulting label-by-label matrix yields the tree.
+resulting label-by-label matrix yields the tree, an ``hclust.Dendrogram``
+whose leaf names are the labels.
 
 Sampling is the costly step, and it is seeded, so it runs once per tree: the
 ``let`` command builds its tree from the dominance matrix it writes, and
@@ -35,7 +36,7 @@ import numpy as np
 
 from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ComputationError, DataError, check_kind
-from .hclust import Dendrogram, agglomerate
+from .hclust import agglomerate
 from .predictive_map import _gram_margin
 
 log = logging.getLogger(__name__)
@@ -256,61 +257,20 @@ def dominance_to_distance(dm):
     return out + out.T
 
 
-@dataclass
-class LabelTree:
-    """Binary tree over labels; node ids follow the Dendrogram convention."""
-
-    labels: list
-    dendro: Dendrogram
-
-    @property
-    def n_labels(self):
-        return len(self.labels)
-
-    @property
-    def root(self):
-        return 0 if self.n_labels == 1 else 2 * self.n_labels - 2
-
-    def is_leaf(self, node):
-        return node < self.n_labels
-
-    def children(self, node):
-        left, right, _ = self.dendro.merges[node - self.n_labels]
-        return left, right
-
-    def node_labels(self, node):
-        """Sorted tuple of label names under a node."""
-        return tuple(sorted(self.labels[i] for i in self.dendro.members(node)))
-
-    def to_newick(self):
-        return self.dendro.to_newick()
-
-    def to_json_dict(self):
-        nodes = []
-        for k, (left, right, h) in enumerate(self.dendro.merges):
-            nodes.append({
-                "node": self.n_labels + k,
-                "left": left,
-                "right": right,
-                "height": float(h),
-                "labels": list(self.node_labels(self.n_labels + k)),
-            })
-        return {"labels": list(self.labels), "merges": nodes}
-
-
 def build_label_tree(distance, labels):
-    """Average-linkage tree over a label-by-label relative distance matrix."""
+    """Average-linkage tree over a label-by-label relative distance matrix: a
+    Dendrogram whose leaf names are the labels."""
     labels = list(labels)
     distance = np.asarray(distance, dtype=float)
     if distance.shape != (len(labels), len(labels)):
         raise DataError("distance matrix shape does not match labels")
-    dendro = agglomerate(distance)
-    dendro.leaf_names = list(labels)
-    return LabelTree(labels=labels, dendro=dendro)
+    tree = agglomerate(distance)
+    tree.leaf_names = labels
+    return tree
 
 
 def tree_from_training(train, features, samples_per_triplet=200, seed=0):
-    """Convenience route from training data to a LabelTree.
+    """The label tree of training data on the given features.
 
     One or two labels skip dominance sampling: the tree is then trivially a
     single leaf or a single join.

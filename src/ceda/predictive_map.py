@@ -398,7 +398,7 @@ class TreeClassifier:
         self.X = self.zstats.transform(X)
         y = train.label_values
         self.leaf = np.full(len(y), -1)  # each training row's leaf; -1 outside the tree
-        for leaf, lab in enumerate(tree.labels):
+        for leaf, lab in enumerate(tree.leaf_names):
             of_label = y == lab
             if not np.any(of_label):
                 raise DataError("label '%s' has zero training rows" % lab)
@@ -447,10 +447,9 @@ class TreeClassifier:
         tree, cfg = self.tree, self.cfg
         if tree.is_leaf(node):
             raise DataError("node %d is a leaf, nothing to compete" % node)
-        members = tree.dendro.members
-        in_node = np.isin(self.leaf, members(node))
+        in_node = np.isin(self.leaf, tree.members(node))
         R = self.X[in_node]
-        is_left = np.isin(self.leaf[in_node], members(tree.children(node)[0]))
+        is_left = np.isin(self.leaf[in_node], tree.members(tree.children(node)[0]))
         kd = kd_tree(R)
         k = min(cfg.k_star, len(R))
         if k < cfg.k_star and not self._warned_small_k:
@@ -650,6 +649,6 @@ def predictive_map(test, tree, train, features, cfg=None):
     preds = clf.classify_rows(test.table)
     table = tabulate_predictions(
         [(pred.labels,) for pred in preds], range(len(preds)),
-        test.label_values, list(test.labels), tree.labels,
+        test.label_values, list(test.labels), tree.leaf_names,
     )
     return table, preds

@@ -428,6 +428,19 @@ def test_rma_requires_section(tmp_path, magnus_csv):
     assert run_cli("rma", "--config", cfg) == 1
 
 
+def test_rma_categorical_response_is_data_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    dataset = tmp_path / "cat.csv"
+    dataset.write_text("f0,f1,label\n" + "".join(
+        "%s,%.6f,%s\n" % ("uv"[i % 2], rng.normal(), "ab"[i % 3 == 0]) for i in range(60)))
+    out = tmp_path / "rma"
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(dataset), label_column="label", out_dir=str(out),
+                    rma={"responses": ["f0"], "major_candidates": ["f1"], "threshold": 0.0})
+    assert run_cli("rma", "--config", cfg) == 2
+    assert_one_error_line(capsys, "'f0'")
+    assert not out.exists()
+
+
 # --- manifest and reproducibility ----------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Agglomeration against a brute-force oracle and scipy's linkage, and cuts."""
+"""Agglomeration against a brute-force oracle and scipy's linkage, cuts, and
+navigation of the one tree type."""
 
 import itertools
 
@@ -174,3 +175,57 @@ def test_dendrogram_members():
     dendro = Dendrogram(n_leaves=3, merges=[(0, 1, 0.5), (3, 2, 1.0)])
     assert dendro.members(3) == [0, 1]
     assert sorted(dendro.members(4)) == [0, 1, 2]
+
+
+def test_cut_groups_follow_the_display_order():
+    # leaves 2, 3 join first, then 0, 1, then the two pairs, and 4 last: the
+    # display order e, c, d, a, b differs from the input order a..e
+    d = np.full((5, 5), 0.9)
+    d[np.ix_([0, 1], [2, 3])] = d[np.ix_([2, 3], [0, 1])] = 0.3
+    d[0, 1] = d[1, 0] = 0.2
+    d[2, 3] = d[3, 2] = 0.1
+    np.fill_diagonal(d, 0.0)
+    names = ["a", "b", "c", "d", "e"]
+    dendro = agglomerate(d)
+    dendro.leaf_names = names
+    order = dendro.leaf_order()
+    assert order == [4, 2, 3, 0, 1]
+    m = MceMatrix([names[i] for i in order], d[np.ix_(order, order)], dendro)
+    assert m.groups(2) == [["e"], ["c", "d", "a", "b"]]
+    assert m.groups(3) == [["e"], ["c", "d"], ["a", "b"]]
+    assert m.groups(5) == [["e"], ["c"], ["d"], ["a"], ["b"]]
+
+
+def test_one_leaf_tree():
+    tree = agglomerate(np.zeros((1, 1)))
+    tree.leaf_names = ["a"]
+    assert tree.root == 0
+    assert tree.is_leaf(tree.root)
+    assert tree.node_labels(0) == ("a",)
+    assert tree.to_json_dict() == {"labels": ["a"], "merges": []}
+    assert tree.to_newick() == "a;"
+
+
+def test_two_leaf_tree():
+    tree = agglomerate(1.0 - np.eye(2))
+    tree.leaf_names = ["b", "a"]
+    assert tree.root == 2
+    assert [tree.is_leaf(node) for node in range(3)] == [True, True, False]
+    assert tree.children(2) == (0, 1)
+    assert tree.node_labels(2) == ("a", "b")
+    assert tree.to_json_dict() == {"labels": ["b", "a"], "merges": [
+        {"node": 2, "left": 0, "right": 1, "height": 1.0, "labels": ["a", "b"]}]}
+    assert tree.to_newick() == "(b,a):1;"
+
+
+def test_three_leaf_tree():
+    tree = Dendrogram(n_leaves=3, merges=[(0, 2, 0.5), (1, 3, 1.0)], leaf_names=["x", "y", "z"])
+    assert tree.root == 4
+    assert [tree.is_leaf(node) for node in range(5)] == [True, True, True, False, False]
+    assert tree.children(4) == (1, 3)
+    assert tree.children(3) == (0, 2)
+    assert tree.node_labels(3) == ("x", "z")
+    assert tree.node_labels(4) == ("x", "y", "z")
+    assert tree.leaf_order() == [1, 0, 2]
+    assert tree.to_newick() == "(y,(x,z):0.5):1;"
+    assert [m["labels"] for m in tree.to_json_dict()["merges"]] == [["x", "z"], ["x", "y", "z"]]
