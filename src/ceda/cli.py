@@ -257,11 +257,13 @@ def _load_dataset(cfg, command):
                     schema=setting(cfg, "schema"))
 
 
-def _check_features(ds, names, where):
+def _check_features(ds, names, where, numeric=False):
     known = set(ds.table.names)
     for n in names:
         if not isinstance(n, str) or n not in known:
             raise ConfigError("%s: unknown feature '%s'" % (where, n))
+        if numeric and ds.table.kind(n) == "categorical":
+            raise DataError("%s: feature '%s' is categorical, not numeric" % (where, n))
 
 
 def _binnings_for(table, features, cfg):
@@ -515,16 +517,16 @@ def cmd_rma(args, cfg, run):
     ds = _load_dataset(cfg, "rma")
     responses, candidates, minors, majors = (
         setting(cfg, "rma." + key) for key in ("responses", "major_candidates", "minors", "majors"))
-    _check_features(ds, responses, "rma.responses")
+    _check_features(ds, responses, "rma.responses", numeric=True)
     _check_features(ds, candidates, "rma.major_candidates")
     _check_features(ds, minors, "rma.minors")
-    _check_features(ds, majors or [], "rma.majors")
+    _check_features(ds, majors or [], "rma.majors", numeric=True)
     ols = setting(cfg, "rma.ols")
     if ols:
         ols_response, ols_covariates, per_label = (
             setting(cfg, "rma.ols." + key) for key in ("response", "covariates", "per_label"))
-        _check_features(ds, [ols_response], "rma.ols.response")
-        _check_features(ds, ols_covariates, "rma.ols.covariates")
+        _check_features(ds, [ols_response], "rma.ols.response", numeric=True)
+        _check_features(ds, ols_covariates, "rma.ols.covariates", numeric=True)
     covariates = list(dict.fromkeys(candidates + (majors or []) + minors))
     if not covariates:
         raise ConfigError("rma needs major_candidates, majors or minors")

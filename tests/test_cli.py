@@ -428,7 +428,15 @@ def test_rma_requires_section(tmp_path, magnus_csv):
     assert run_cli("rma", "--config", cfg) == 1
 
 
-def test_rma_categorical_response_is_data_error(tmp_path, capsys):
+def refuse_scoring(monkeypatch):
+    """Make scoring a major candidate fail the test: column kinds are checked first."""
+    def score_major_candidate(*args, **kwargs):
+        raise AssertionError("a major candidate was scored before the column kinds were checked")
+    monkeypatch.setattr(ceda.cli, "score_major_candidate", score_major_candidate)
+
+
+def test_rma_categorical_response_is_data_error(tmp_path, capsys, monkeypatch):
+    refuse_scoring(monkeypatch)
     rng = np.random.default_rng(0)
     dataset = tmp_path / "cat.csv"
     dataset.write_text("f0,f1,label\n" + "".join(
@@ -438,6 +446,27 @@ def test_rma_categorical_response_is_data_error(tmp_path, capsys):
                     rma={"responses": ["f0"], "major_candidates": ["f1"], "threshold": 0.0})
     assert run_cli("rma", "--config", cfg) == 2
     assert_one_error_line(capsys, "'f0'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["responses", "majors", "ols.response", "ols.covariates"])
+def test_rma_categorical_numeric_setting_is_data_error(tmp_path, capsys, monkeypatch, key):
+    # each of these settings names columns that must be numbers; here one of
+    # them names c, whose values are u and v
+    refuse_scoring(monkeypatch)
+    rng = np.random.default_rng(1)
+    dataset = tmp_path / "mixed.csv"
+    dataset.write_text("f0,f1,f2,c,label\n" + "".join(
+        "%.6f,%.6f,%.6f,%s,%s\n" % (*rng.normal(size=3), "uv"[i % 2], "ab"[i % 3 == 0]) for i in range(90)))
+    rma = {"responses": ["f0"], "major_candidates": ["f1"], "majors": ["f1"], "threshold": 0.0,
+           "ols": {"response": "f2", "covariates": ["f1"]}}
+    section, _, field = ("rma." + key).rpartition(".")
+    target = rma["ols"] if section == "rma.ols" else rma
+    target[field] = "c" if field == "response" else ["c"]
+    out = tmp_path / "rma"
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(dataset), label_column="label", out_dir=str(out), rma=rma)
+    assert run_cli("rma", "--config", cfg) == 2
+    assert_one_error_line(capsys, "rma.%s" % key, "'c'")
     assert not out.exists()
 
 
@@ -818,14 +847,19 @@ def test_stage_seed_derivation():
     assert stage_seed(3, "let") != stage_seed(4, "let")
 
 
+def run_fresh(code, *args):
+    """Standard output of code run in a fresh interpreter that imports this ceda."""
+    src = str(Path(ceda.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def modules_loaded_by_cli_import(prefix):
     """Names starting with prefix in sys.modules of a fresh interpreter after
     ``import ceda.cli``."""
-    src = str(Path(ceda.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, ceda.cli; print(sorted(m for m in sys.modules if m.startswith(%r)))" % prefix
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    return run_fresh(code).strip()
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
@@ -834,8 +868,7 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 
 def test_importing_the_cli_leaves_scipy_special_unloaded():
-    # only rma's OLS p-values need it, and importing scipy.special costs
-    # about 0.28 s
+    # no command needs it, and importing scipy.special costs about 0.28 s
     assert modules_loaded_by_cli_import("scipy.special") == "[]"
 
 
@@ -843,3 +876,46 @@ def test_importing_the_cli_leaves_scipy_spatial_unloaded():
     # only a one- or two-feature node needs the KD tree, for its k-nearest
     # and outlier screens, and importing scipy.spatial costs about 0.16 s
     assert modules_loaded_by_cli_import("scipy.spatial") == "[]"
+
+
+SCIPY_PER_COMMAND = """
+import json, sys
+from ceda.cli import main
+
+loaded = {}
+for name, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, name
+    loaded[name] = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_two_feature_pmap_loads_scipy(tmp_path):
+    # numpy serves every command; scipy.spatial's KD tree serves the k-nearest
+    # and outlier screens of a one- or two-feature node. The commands run in
+    # one fresh interpreter, in this order, so each sees only what the earlier
+    # ones loaded
+    clouds3 = json.dumps({"centers": [[0, 0, 0], [3, 0, 0], [0, 3, 0]], "n_per_label": 30})
+    clouds2 = json.dumps({"centers": [[0, 0], [3, 0], [0, 3]], "n_per_label": 30})
+
+    def cfg(name, dataset, **extra):
+        return str(write_cfg(tmp_path / (name + ".json"), dataset=str(tmp_path / dataset / "dataset.csv"),
+                             label_column="label", out_dir=str(tmp_path / name), **extra))
+
+    rma = {"responses": ["pfx_x", "pfx_z"], "majors": ["spin_dir", "spin_rate"],
+           "ols": {"response": "pfx_x", "covariates": ["spin_dir", "spin_rate"]}}
+    steps = [
+        ("synth", ["synth", "--kind", "gauss-clouds", "--params", clouds3, "--out", str(tmp_path / "s3")]),
+        ("mce", ["mce", "--config", cfg("mce", "s3")]),
+        ("let", ["let", "--config", cfg("let", "s3", let={"samples_per_triplet": 20})]),
+        ("pmap3", ["pmap", "--config", cfg("pmap3", "s3")]),
+        ("synth_magnus", ["synth", "--kind", "magnus-manifold", "--params", json.dumps({"n_per_label": 60}),
+                          "--out", str(tmp_path / "mag")]),
+        ("rma", ["rma", "--config", cfg("rma", "mag", rma=rma)]),
+        ("synth2", ["synth", "--kind", "gauss-clouds", "--params", clouds2, "--out", str(tmp_path / "s2")]),
+        ("pmap2", ["pmap", "--config", cfg("pmap2", "s2")]),
+    ]
+    loaded = json.loads(run_fresh(SCIPY_PER_COMMAND, json.dumps(steps)).splitlines()[-1])
+    assert {name: loaded[name] for name, _ in steps[:-1]} == {name: [] for name, _ in steps[:-1]}
+    assert "scipy.spatial" in loaded["pmap2"]
+    assert (tmp_path / "rma" / "rma_ols.csv").exists()

@@ -2,9 +2,14 @@
 prediction with minor sieving, error metrics, per-label least squares."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matrix, synth_generate
@@ -16,6 +21,7 @@ from ceda.rma import (
     LocalityLattice,
     ResponseSpec,
     RmaPredictions,
+    _collinear_columns,
     build_locality_lattice,
     error_metrics,
     joint_response_codes,
@@ -25,6 +31,7 @@ from ceda.rma import (
     rma_predict,
     rma_predict_rows,
     score_major_candidate,
+    t_two_sided_pvalue,
 )
 
 
@@ -697,8 +704,9 @@ def test_ols_matches_normal_equations():
             assert fit.coef[nm] == pytest.approx(b[i], rel=1e-9, abs=1e-12)
             assert fit.se[nm] == pytest.approx(se[i], rel=1e-9, abs=1e-12)
             assert fit.pvalue[nm] == pytest.approx(pv[i], rel=1e-6, abs=1e-12)
-            # the p-value is exactly the two-sided tail of the t distribution
-            assert fit.pvalue[nm] == 2.0 * scipy_stats.t.sf(abs(fit.coef[nm] / fit.se[nm]), df)
+            # the p-value is the two-sided tail of the t distribution
+            tail = 2.0 * scipy_special.stdtr(df, -abs(fit.coef[nm] / fit.se[nm]))
+            assert fit.pvalue[nm] == pytest.approx(tail, rel=1e-8)
         assert fit.resid_se == pytest.approx(rse, rel=1e-9)
         assert fit.df == df
         assert fit.label == "ALL"
@@ -742,8 +750,125 @@ def test_ols_collinear_columns_named():
     x0 = rng.normal(size=20)
     table = num_table(x0=("continuous", x0), x1=("continuous", 2.0 * x0),
                       y=("continuous", x0 + rng.normal(size=20)))
-    with pytest.raises(DataError, match="collinear design columns"):
+    # the larger of two proportional columns is taken first, so x0 is named
+    with pytest.raises(DataError, match="collinear design columns: x0$"):
         ols_fit(one_label(table), "y", ["x0", "x1"], per_label=False)
+
+
+@pytest.mark.parametrize("x1,named", [
+    (lambda x0: np.full_like(x0, 3.0), "intercept"),  # the constant's norm beats the intercept's
+    (lambda x0: x0.copy(), "x1"),                      # a tie takes the first copy
+])
+def test_ols_names_the_dependent_column(x1, named):
+    rng = np.random.default_rng(2)
+    x0 = rng.normal(size=20)
+    table = num_table(x0=("continuous", x0), x1=("continuous", x1(x0)),
+                      y=("continuous", x0 + rng.normal(size=20)))
+    with pytest.raises(DataError, match="collinear design columns: %s$" % named):
+        ols_fit(one_label(table), "y", ["x0", "x1"], per_label=False)
+
+
+def scipy_collinear_columns(X, names):
+    """The design columns a pivoted Householder QR finds dependent."""
+    _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = diag.max() * max(X.shape) * np.finfo(float).eps
+    return sorted(names[piv[i]] for i in range(len(diag)) if diag[i] <= tol)
+
+
+@st.composite
+def dependent_designs(draw):
+    """A small-integer design with an intercept column, free columns and
+    columns that are integer combinations of earlier ones, in any order."""
+    n_free = draw(st.integers(0, 3))
+    n_dep = draw(st.integers(1, 3))
+    n = draw(st.integers(n_free + n_dep + 1, 10))
+    cols = [np.ones(n)]
+    for _ in range(n_free):
+        cols.append(np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=float))
+    for _ in range(n_dep):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=len(cols), max_size=len(cols)))
+        cols.append(sum(c * col for c, col in zip(coefs, cols)))
+    order = draw(st.permutations(range(len(cols))))
+    return np.column_stack([cols[j] for j in order])
+
+
+def exact_collinear_columns(X, names):
+    """Gram-Schmidt with column pivoting in rational arithmetic: the largest
+    remaining residual first, the first index on a tie, and the columns whose
+    residual is exactly zero named.  Also whether two residuals ever tied."""
+    cols = [[Fraction(int(v)) for v in X[:, j]] for j in range(X.shape[1])]
+    left = list(range(len(cols)))
+    tied = False
+    while left:
+        sq = [sum(v * v for v in cols[j]) for j in left]
+        best = max(sq)
+        if best == 0:
+            break
+        tied = tied or sq.count(best) > 1
+        q = cols[left.pop(sq.index(best))]
+        for j in left:
+            f = sum(a * b for a, b in zip(q, cols[j])) / best
+            cols[j] = [a - f * b for a, b in zip(cols[j], q)]
+    return sorted(names[j] for j in left), tied
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=dependent_designs())
+def test_collinear_columns_match_pivoted_qr(X):
+    names = ["c%d" % j for j in range(X.shape[1])]
+    named = _collinear_columns(X, names)
+    exact, tied = exact_collinear_columns(X, names)
+    assert named == exact
+    assert len(named) == X.shape[1] - np.linalg.matrix_rank(X)
+    # on a tie the rounding of the Householder steps picks the pivot
+    if not tied:
+        assert named == scipy_collinear_columns(X, names)
+
+
+def test_ols_zero_standard_errors():
+    # a zero response fits exactly with zero estimates: t = 0 and p = 1
+    x = np.arange(12, dtype=float)
+    table = num_table(x=("continuous", x), y=("continuous", np.zeros(12)))
+    fit = ols_fit(one_label(table), "y", ["x"], per_label=False)[0]
+    assert fit.se == {"intercept": 0.0, "x": 0.0}
+    assert fit.pvalue == {"intercept": 1.0, "x": 1.0}
+    assert not any(fit.significant.values())
+
+
+@pytest.mark.parametrize("df", [1, 2, 7, 10 ** 6])
+def test_t_pvalue_edges(df):
+    # a zero standard error gives t = +-inf for a nonzero estimate, t = 0 for a zero one
+    assert t_two_sided_pvalue(math.inf, df) == 0.0
+    assert t_two_sided_pvalue(-math.inf, df) == 0.0
+    assert t_two_sided_pvalue(0.0, df) == 1.0
+    assert t_two_sided_pvalue(-0.0, df) == 1.0
+    assert math.isnan(t_two_sided_pvalue(math.nan, df))
+
+
+@settings(max_examples=500, deadline=None)
+@given(df=st.integers(1, 10 ** 6),
+       t=st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1e-300, 3e-161, math.inf, math.nan])),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_t_pvalue_matches_scipy(df, t, sign):
+    got = t_two_sided_pvalue(sign * t, df)
+    want = float(2.0 * scipy_special.stdtr(df, -t))
+    if math.isnan(t):
+        assert math.isnan(got)
+        return
+    if want >= 1e-300:
+        assert abs(got - want) <= 1e-8 * want
+    else:
+        assert got < 1e-299
+    if abs(want - 0.05) > 1e-8 * 0.05:
+        assert (got < 0.05) == (want < 0.05)
+
+
+def test_ols_categorical_response_is_data_error():
+    x = np.arange(6, dtype=float)
+    table = num_table(x=("continuous", x), c=("categorical", ["u", "v"] * 3))
+    with pytest.raises(DataError, match="'c' is categorical"):
+        ols_fit(one_label(table), "c", ["x"], per_label=False)
 
 
 def test_ols_too_few_rows():
