@@ -52,7 +52,6 @@ from .rma import (
     error_metrics,
     minor_feature_entropy,
     ols_fit,
-    rma_predict,
     rma_predict_rows,
     score_major_candidate,
 )

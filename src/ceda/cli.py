@@ -74,10 +74,12 @@ from .rma import (
     minor_feature_entropy,
     ols_fit,
     ols_report_text,
-    rma_predict,  # noqa: F401  (bench/spans.py wraps ceda.cli.rma_predict by name)
     rma_predict_rows,
     score_major_candidate,
 )
+
+# the name bench/spans.py wraps; cmd_rma calls rma_predict_rows, so the span never fires
+rma_predict = rma_predict_rows
 
 log = logging.getLogger("ceda")
 
@@ -124,6 +126,7 @@ SETTINGS = {
     "rma.threshold": (float, MAJOR_SCORE_THRESHOLD, None),
     "rma.bins_per_major": (int, None, (1, None)),
     "rma.bin_subset": (dict, None, None),
+    "rma.bin_subset.*": (list, [], None),
     "rma.k_star": (int, 20, (1, None)),
     "rma.ols": (dict, None, None),
     "rma.ols.response": (str, REQUIRED, None),
@@ -517,10 +520,12 @@ def cmd_rma(args, cfg, run):
     ds = _load_dataset(cfg, "rma")
     responses, candidates, minors, majors = (
         setting(cfg, "rma." + key) for key in ("responses", "major_candidates", "minors", "majors"))
-    _check_features(ds, responses, "rma.responses", numeric=True)
-    _check_features(ds, candidates, "rma.major_candidates")
-    _check_features(ds, minors, "rma.minors")
-    _check_features(ds, majors or [], "rma.majors", numeric=True)
+    for key, names, numeric in (("responses", responses, True), ("major_candidates", candidates, False),
+                                ("minors", minors, False), ("majors", majors or [], True)):
+        _check_features(ds, names, "rma." + key, numeric)
+        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if repeated is not None:
+            raise ConfigError("rma.%s repeats the feature '%s'" % (key, repeated))
     ols = setting(cfg, "rma.ols")
     if ols:
         ols_response, ols_covariates, per_label = (

@@ -13,10 +13,10 @@ a new covariate point finds its rectangle, takes the k* nearest training
 rows inside it (z-scored major coordinates), optionally sieves them by minor
 feature equality, and returns the mean response vector of the focal rows.
 
-Queries are predicted together (``rma_predict_rows``): every row is located
-in one pass, and the rows that share a rectangle get their k* nearest
-training rows, z-scored as the rectangle is predicted, from one call to the
-blocked kernel of the predictive map (``predictive_map.k_nearest``).  Each
+Queries are predicted together by ``rma_predict_rows``, the one entry point:
+every row is located in one pass, and the rows that share a rectangle get
+their k* nearest training rows, z-scored as the rectangle is predicted, from
+one call to the blocked kernel of the predictive map (``k_nearest``).  Each
 rectangle's block of queries writes its means and flags into the arrays of
 one ``RmaPredictions`` record, with the bits of one query at a time.
 """
@@ -30,13 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .association import (
-    ContingencyTable,
-    category_codes,
-    cross_counts,
-    directed_conditional_entropy,
-    row_entropies,
-)
+from .association import category_codes, cross_counts, directed_values, row_entropies
 from .dataset import ZStats, csv_text, feature_matrix
 from .discretize import categorize_many
 from .errors import ConfigError, DataError
@@ -56,6 +50,8 @@ class ResponseSpec:
     def __post_init__(self):
         if not self.responses:
             raise ConfigError("at least one response is required")
+        if len(set(self.responses)) < len(self.responses):
+            raise DataError("responses repeat a name: %s" % list(self.responses))
         overlap = set(self.responses) & set(self.covariates)
         if overlap:
             raise ConfigError("responses and covariates overlap: %s" % sorted(overlap))
@@ -115,9 +111,8 @@ def score_major_candidate(table, spec, candidate, binnings, threshold=MAJOR_SCOR
     cand_codes, cand_cats = category_codes(table, candidate, binnings)
     if len(cell_names) < 2:
         raise DataError("joint response categorization is degenerate (one cell)")
-    counts = cross_counts(cand_codes, len(cand_cats), joint, len(cell_names))
-    t = ContingencyTable(candidate, "joint-response", list(cand_cats), cell_names, counts)
-    score = 1.0 - directed_conditional_entropy(t, "row_to_col")
+    # two or more joint cells hold rows, so the target entropy is positive
+    score = 1.0 - directed_values(cross_counts(cand_codes, len(cand_cats), joint, len(cell_names))[None])[0]
     resp_vals = {r: np.asarray(table.values(r), dtype=float) for r in spec.responses
                  if table.kind(r) != "categorical"}
     dispersion = {str(cand_cats[b]): {r: float(v[rows].std()) for r, v in resp_vals.items()}
@@ -216,6 +211,8 @@ def build_locality_lattice(table, spec, majors, binnings, bin_subset=None):
     majors = list(majors)
     if not majors:
         raise DataError("at least one major feature is required")
+    if len(set(majors)) < len(majors):
+        raise DataError("majors repeat a name: %s" % majors)
     for m in majors:
         if m not in spec.covariates:
             raise DataError("major '%s' is not a declared covariate" % m)
@@ -320,23 +317,6 @@ class RmaPredictions:
     @property
     def flagged(self):
         return self.flags.any(axis=1)
-
-
-def rma_predict(x, z, lattice, table, k_star=20, minor_binnings=None):
-    """Predict the response vector at one covariate point: the one-row case
-    of rma_predict_rows.
-
-    x: mapping major -> value (or a sequence in lattice major order).
-    z: mapping minor feature -> value; may be empty.
-    """
-    if hasattr(x, "keys"):
-        missing = [m for m in lattice.majors if m not in x]
-        if missing:
-            raise DataError("missing major values: %s" % missing)
-        x = [float(x[m]) for m in lattice.majors]
-    return rma_predict_rows(np.asarray(x, dtype=float).reshape(1, -1),
-                            {minor: [value] for minor, value in (z or {}).items()},
-                            lattice, table, k_star, minor_binnings)
 
 
 def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
@@ -486,28 +466,22 @@ def error_metrics(predictions, truths, lattice, table):
     resp_all = feature_matrix(table, lattice.responses)
     global_cov = np.atleast_2d(np.cov(resp_all, rowvar=False, ddof=1))
     patches = []
-    for cell, idx in rows_by_cell(predictions.cells, lattice.dims).items():
+    # the pooled row "ALL" comes last: every prediction, and no patch covariance
+    for cell, idx in [*rows_by_cell(predictions.cells, lattice.dims).items(), (None, slice(None))]:
         Ep = E[idx]
         mg, rg = _quadratic_form_rows(global_cov, Ep)
-        members = lattice.cells.get(cell, np.empty(0, dtype=int))
+        members = lattice.cells.get(cell, ())
         mp, rp = None, False
         if len(members) >= 3:
             local_cov = np.cov(resp_all[members], rowvar=False, ddof=1)
             vals, rp = _quadratic_form_rows(np.atleast_2d(local_cov), Ep)
             mp = float(vals.mean())
         patches.append(PatchErrors(
-            name=lattice.cell_name(cell), n=len(idx),
+            name="ALL" if cell is None else lattice.cell_name(cell), n=len(Ep),
             mse={r: float(np.mean(Ep[:, j] ** 2)) for j, r in enumerate(lattice.responses)},
             mahal_global=float(mg.mean()), mahal_patch=mp,
             ridged_global=rg, ridged_patch=rp,
         ))
-    mg_all, rg_all = _quadratic_form_rows(global_cov, E)
-    patches.append(PatchErrors(
-        name="ALL", n=len(E),
-        mse={r: float(np.mean(E[:, j] ** 2)) for j, r in enumerate(lattice.responses)},
-        mahal_global=float(mg_all.mean()), mahal_patch=None,
-        ridged_global=rg_all, ridged_patch=False,
-    ))
     return ErrorReport(responses=list(lattice.responses), patches=patches)
 
 
@@ -540,10 +514,12 @@ def ols_fit(ds, response, covariates, per_label=True):
     false) over all rows as "ALL": estimates, residual standard error with
     df = n - p - 1, and two-sided t-test stars at the 0.05 level.
 
-    The response and covariates must be numeric columns.  ``pvalue`` holds
-    ``t_two_sided_pvalue`` of each estimate's t statistic; a zero standard
-    error gives t = inf (p = 0) for a nonzero estimate and t = 0 (p = 1) for
-    a zero one."""
+    The response and covariates must be numeric columns.  The rank that
+    ``lstsq`` reports decides collinearity: a design of rank r < p + 1 is a
+    DataError naming p + 1 - r columns (``_collinear_columns``).  ``pvalue``
+    holds ``t_two_sided_pvalue`` of each estimate's t statistic; a zero
+    standard error gives t = inf (p = 0) for a nonzero estimate and t = 0
+    (p = 1) for a zero one."""
     covariates = list(covariates)
     if not covariates:
         raise ConfigError("at least one covariate is required")
@@ -563,16 +539,21 @@ def ols_fit(ds, response, covariates, per_label=True):
                             % (label, n, p + 1))
         X = np.column_stack([np.ones(n), X_all[rows]])
         y = y_all[rows]
-        rank = np.linalg.matrix_rank(X)
+        beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
         if rank < p + 1:
-            bad = _collinear_columns(X, design_names)
+            bad = _collinear_columns(X, design_names, rank)
             raise DataError("label '%s': collinear design columns: %s" % (label, ", ".join(bad)))
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
         resid = y - X @ beta
         df = n - p - 1
         rss = float(resid @ resid)
         s2 = rss / df
-        xtx_inv = np.linalg.inv(X.T @ X)
+        try:
+            xtx_inv = np.linalg.inv(X.T @ X)
+        except np.linalg.LinAlgError:
+            # X'X squares the condition number: a design of full rank can
+            # still make it singular
+            raise DataError("label '%s': X'X is singular; the design columns are nearly collinear"
+                            % label) from None
         se = np.sqrt(np.maximum(s2 * np.diag(xtx_inv), 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             tvals = np.where(se > 0, beta / se, np.where(beta != 0, np.inf, 0.0))
@@ -663,27 +644,24 @@ def _beta_continued_fraction(a, b, x):
     return h
 
 
-def _collinear_columns(X, names):
-    """Names of the design columns that Gram-Schmidt with column pivoting finds
-    dependent on the others: each step takes the remaining column of largest
-    residual norm (the first on a tie) and projects it out of the rest.  The
-    columns whose residual norm is within diag.max() * max(X.shape) * eps of
-    zero, where diag.max() is the largest column norm of X, are named.
+def _collinear_columns(X, names, rank):
+    """Names of the design columns left dependent on the others after rank
+    steps of Gram-Schmidt with column pivoting: each step takes the
+    remaining column of largest residual norm (the first on a tie) and
+    projects it out of the rest.  rank is the design's rank, as ``ols_fit``
+    takes it from ``lstsq``, so exactly X.shape[1] - rank columns are named.
 
     These are the columns a pivoted Householder QR
-    (``scipy.linalg.qr(pivoting=True)``) names, with the same tolerance,
-    unless two residual norms tie after a projection: there its rounding
-    picks the pivot, and here the first column does."""
+    (``scipy.linalg.qr(pivoting=True)``) leaves after rank pivots, unless two
+    residual norms tie after a projection: there its rounding picks the
+    pivot, and here the first column does."""
     R = np.array(X, dtype=float)
-    tol = np.linalg.norm(R, axis=0).max() * max(R.shape) * np.finfo(float).eps
     left = list(range(R.shape[1]))
-    while left:
+    for _ in range(rank):
         rest = R[:, left]
         norms = np.linalg.norm(rest, axis=0)
         # norms within rounding of the largest tie
         k = int(np.argmax(norms >= norms.max() * (1.0 - 1e-10)))
-        if norms[k] <= tol:
-            break
         q = rest[:, k] / norms[k]
         del left[k]
         R[:, left] -= np.outer(q, q @ R[:, left])

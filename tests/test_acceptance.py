@@ -51,7 +51,6 @@ from ceda.rma import (
     error_metrics,
     ols_fit,
     ols_report_text,
-    rma_predict,
     rma_predict_rows,
 )
 
@@ -373,7 +372,7 @@ def test_c08_manifold_prediction_and_locality():
         if preds.flagged[i]:
             continue
         shifted = _shift_rows_outside(table, lattice.cells[tuple(preds.cells[i].tolist())])
-        p2 = rma_predict(qs[i], {}, lattice, shifted, k_star=20)
+        p2 = rma_predict_rows(qs[i:i + 1], {}, lattice, shifted, k_star=20)
         assert np.array_equal(p2.values, preds.values[i:i + 1])
         checked += 1
     assert checked >= 10

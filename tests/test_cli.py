@@ -470,6 +470,25 @@ def test_rma_categorical_numeric_setting_is_data_error(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["responses", "major_candidates", "majors", "minors"])
+def test_rma_repeated_feature_is_config_error(request, tmp_path, capsys, monkeypatch, key):
+    # a name given twice would reach the cell grid as two code columns
+    # under one key; it is refused before any candidate is scored
+    refuse_scoring(monkeypatch)
+    value = {"responses": ["pfx_x", "pfx_x"], "major_candidates": ["spin_dir", "spin_dir", "spin_rate"],
+             "majors": ["spin_dir", "spin_dir"], "minors": ["noise", "noise"]}[key]
+    assert run_with_config_value(request, tmp_path, "rma", "rma." + key, value) == 1
+    assert_one_error_line(capsys, "rma.%s repeats the feature '%s'" % (key, value[0]))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [3, None, "0"])
+def test_rma_bin_subset_member_must_be_a_list(request, tmp_path, capsys, value):
+    assert run_with_config_value(request, tmp_path, "rma", "rma.bin_subset", {"spin_dir": value}) == 1
+    assert_one_error_line(capsys, "rma.bin_subset.spin_dir must be a list, got %r" % value)
+    assert not (tmp_path / "out").exists()
+
+
 # --- manifest and reproducibility ----------------------------------------
 
 

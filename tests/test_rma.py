@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as scipy_special
 from scipy import stats as scipy_stats
@@ -28,7 +28,6 @@ from ceda.rma import (
     minor_feature_entropy,
     ols_fit,
     ols_report_text,
-    rma_predict,
     rma_predict_rows,
     score_major_candidate,
     t_two_sided_pvalue,
@@ -182,6 +181,15 @@ def uniform_fixture(seed=5, n=900):
         "v": build_histogram(v, target_bins=3, feature="v"),
     }
     return table, spec, binnings
+
+
+def test_repeated_responses_and_majors_are_data_errors():
+    # a name given twice would be two code columns under one key of the grid
+    with pytest.raises(DataError, match="responses repeat a name"):
+        ResponseSpec(("y", "y"), ("u",))
+    table, spec, binnings = uniform_fixture(n=90)
+    with pytest.raises(DataError, match="majors repeat a name"):
+        build_locality_lattice(table, spec, ["u", "v", "u"], binnings)
 
 
 def test_lattice_cell_counts_near_uniform():
@@ -411,7 +419,7 @@ def flag_set(pred, i=0):
 
 def test_predict_full_cell_mean():
     table, _, _, lat = line_fixture()
-    p = rma_predict({"u": 5.0}, {}, lat, table, k_star=50)
+    p = rma_predict_rows(np.array([[5.0]]), {}, lat, table, k_star=50)
     assert p.values.tolist() == mean_of(table, range(10))
     assert flag_set(p) == {"underfilled"}
     assert p.cells.tolist() == [[0]]
@@ -420,7 +428,7 @@ def test_predict_full_cell_mean():
 
 def test_predict_takes_k_nearest():
     table, _, _, lat = line_fixture()
-    p = rma_predict({"u": 5.2}, {}, lat, table, k_star=3)
+    p = rma_predict_rows(np.array([[5.2]]), {}, lat, table, k_star=3)
     assert p.values.tolist() == mean_of(table, [5, 6, 4])
     assert flag_set(p) == set()
     assert p.flagged.tolist() == [False]
@@ -431,21 +439,21 @@ def test_predict_distance_tie_prefers_smaller_row():
                       y=("continuous", [0.0, 10.0, 20.0, 30.0]))
     binnings = {"u": build_histogram(np.array([0.0, 1.0, 1.0, 2.0]), target_bins=3, feature="u")}
     lat = build_locality_lattice(table, ResponseSpec(("y",), ("u",)), ["u"], binnings)
-    p = rma_predict({"u": 1.0}, {}, lat, table, k_star=1)
+    p = rma_predict_rows(np.array([[1.0]]), {}, lat, table, k_star=1)
     assert p.values.tolist() == [[10.0]]
     # rows 0 and 4 tie at distance 2 from u = 2: row 0 fills the fourth place
     table, _, _, lat = line_fixture()
-    p = rma_predict({"u": 2.0}, {}, lat, table, k_star=4)
+    p = rma_predict_rows(np.array([[2.0]]), {}, lat, table, k_star=4)
     assert p.values.tolist() == mean_of(table, [2, 1, 3, 0])
 
 
 def test_predict_out_of_range_clamps():
     table, _, _, lat = line_fixture()
-    p = rma_predict({"u": -5.0}, {}, lat, table, k_star=10)
+    p = rma_predict_rows(np.array([[-5.0]]), {}, lat, table, k_star=10)
     assert p.cells.tolist() == [[0]]
     assert "out_of_range" in flag_set(p)
     assert p.values.tolist() == mean_of(table, range(10))
-    hi = rma_predict({"u": 100.0}, {}, lat, table, k_star=10)
+    hi = rma_predict_rows(np.array([[100.0]]), {}, lat, table, k_star=10)
     assert hi.cells.tolist() == [[3]]
     assert "out_of_range" in flag_set(hi)
     assert hi.values.tolist() == mean_of(table, range(30, 40))
@@ -454,7 +462,7 @@ def test_predict_out_of_range_clamps():
 def test_predict_empty_cell_borrows_neighbors():
     table, spec, binnings, _ = line_fixture()
     lat = build_locality_lattice(table, spec, ["u"], binnings, bin_subset={"u": [0, 2]})
-    p = rma_predict({"u": 15.0}, {}, lat, table, k_star=100)
+    p = rma_predict_rows(np.array([[15.0]]), {}, lat, table, k_star=100)
     assert p.cells.tolist() == [[1]]
     assert flag_set(p) == {"adjacent_fallback", "underfilled"}
     assert p.values.tolist() == mean_of(table, list(range(10)) + list(range(20, 30)))
@@ -465,46 +473,49 @@ def test_predict_uncovered_region_raises():
     fine = {"u": build_histogram(np.arange(40, dtype=float), target_bins=8, feature="u")}
     lat = build_locality_lattice(table, spec, ["u"], fine, bin_subset={"u": [0, 7]})
     with pytest.raises(DataError, match="uncovered covariate region"):
-        rma_predict({"u": 17.0}, {}, lat, table, k_star=5)
+        rma_predict_rows(np.array([[17.0]]), {}, lat, table, k_star=5)
 
 
 def test_predict_categorical_sieve():
     table, _, _, lat = line_fixture()
-    p = rma_predict({"u": 2.0}, {"g": "p"}, lat, table, k_star=5)
+    p = rma_predict_rows(np.array([[2.0]]), {"g": ["p"]}, lat, table, k_star=5)
     assert p.values.tolist() == mean_of(table, [0, 2, 4])
     assert flag_set(p) == set()
 
 
 def test_predict_empty_sieve_falls_back():
     table, _, _, lat = line_fixture()
-    p = rma_predict({"u": 2.0}, {"g": "zzz"}, lat, table, k_star=5)
+    p = rma_predict_rows(np.array([[2.0]]), {"g": ["zzz"]}, lat, table, k_star=5)
     assert flag_set(p) == {"sieve_fallback"}
     assert p.values.tolist() == mean_of(table, range(5))
 
 
 def test_predict_discrete_sieve():
     table, _, _, lat = line_fixture()
-    p = rma_predict({"u": 2.0}, {"m": 2.0}, lat, table, k_star=5)
+    p = rma_predict_rows(np.array([[2.0]]), {"m": [2.0]}, lat, table, k_star=5)
     assert p.values.tolist() == mean_of(table, [2])
 
 
 def test_predict_continuous_sieve_needs_binning():
     table, _, _, lat = line_fixture()
     with pytest.raises(DataError, match="needs a binning"):
-        rma_predict({"u": 2.0}, {"c": 3.0}, lat, table, k_star=5)
+        rma_predict_rows(np.array([[2.0]]), {"c": [3.0]}, lat, table, k_star=5)
     mb = {"c": build_histogram(np.arange(40, dtype=float), target_bins=20, feature="c")}
-    p = rma_predict({"u": 2.0}, {"c": 3.0}, lat, table, k_star=5, minor_binnings=mb)
+    p = rma_predict_rows(np.array([[2.0]]), {"c": [3.0]}, lat, table, k_star=5, minor_binnings=mb)
     assert p.values.tolist() == mean_of(table, [2, 3])
 
 
 def test_predict_input_validation():
+    # a one-row query is checked like any other: k_star, then the major count
     table, _, _, lat = line_fixture()
     with pytest.raises(ConfigError, match="k_star"):
-        rma_predict({"u": 2.0}, {}, lat, table, k_star=0)
-    with pytest.raises(DataError, match="missing major values"):
-        rma_predict({"w": 2.0}, {}, lat, table)
-    with pytest.raises(DataError, match="expected 1 major values"):
-        rma_predict([1.0, 2.0], {}, lat, table)
+        rma_predict_rows(np.array([[2.0]]), {}, lat, table, k_star=0)
+    with pytest.raises(ConfigError, match="k_star"):
+        rma_predict_rows(np.array([[2.0, 3.0]]), {}, lat, table, k_star=-1)
+    with pytest.raises(DataError, match="expected 1 major values, got 0"):
+        rma_predict_rows(np.empty((1, 0)), {}, lat, table)
+    with pytest.raises(DataError, match="expected 1 major values, got 2"):
+        rma_predict_rows(np.array([[1.0, 2.0]]), {}, lat, table)
 
 
 def test_predict_rows_matches_one_row_calls():
@@ -514,7 +525,8 @@ def test_predict_rows_matches_one_row_calls():
     minors = {"g": ["p", "q", "zzz", "p", "q"], "c": [3.0, 1.0, 0.0, 39.0, 30.0]}
     got = rma_predict_rows(X, minors, lat, table, k_star=5, minor_binnings=mb)
     for i in range(len(X)):
-        one = rma_predict(X[i], {m: v[i] for m, v in minors.items()}, lat, table, k_star=5, minor_binnings=mb)
+        one = rma_predict_rows(X[i:i + 1], {m: v[i:i + 1] for m, v in minors.items()}, lat, table, k_star=5,
+                               minor_binnings=mb)
         assert (got.values[i].tobytes(), got.cells[i].tolist(), got.flags[i].tolist()) == \
             (one.values[0].tobytes(), one.cells[0].tolist(), one.flags[0].tolist())
     none = rma_predict_rows(np.empty((0, 1)), {}, lat, table)
@@ -534,9 +546,9 @@ def test_predict_rejects_non_finite_major_values(bad):
     table, lat = non_finite_fixture()
     # a discrete major used to snap NaN to its last value, flagged only as out of range
     with pytest.raises(DataError, match="major 'du' has a non-finite value in query row 0"):
-        rma_predict({"du": bad, "u": 1.0}, {}, lat, table)
+        rma_predict_rows(np.array([[bad, 1.0]]), {}, lat, table)
     with pytest.raises(DataError, match="major 'u' has a non-finite value in query row 0"):
-        rma_predict([2.0, bad], {}, lat, table)
+        rma_predict_rows(np.array([[2.0, bad]]), {}, lat, table)
     with pytest.raises(DataError, match="major 'du' has a non-finite value in query row 2"):
         rma_predict_rows(np.array([[1.0, 1.0], [2.0, 2.0], [bad, 3.0], [bad, 4.0]]), {}, lat, table)
     with pytest.raises(DataError, match="major 'u'"):
@@ -555,7 +567,7 @@ def test_predict_rows_uncovered_region_names_the_first_row():
         rma_predict_rows(np.array([[6.0], [22.0], [17.0]]), {}, lat, table)
     assert str(info.value) == message
     with pytest.raises(DataError) as info:
-        rma_predict({"u": 22.0}, {}, lat, table)
+        rma_predict_rows(np.array([[22.0]]), {}, lat, table)
     assert str(info.value) == message
     with pytest.raises(DataError, match=r"rectangle \(3,\)"):
         rma_predict_rows(np.array([[17.0], [22.0]]), {}, lat, table)
@@ -768,6 +780,44 @@ def test_ols_names_the_dependent_column(x1, named):
         ols_fit(one_label(table), "y", ["x0", "x1"], per_label=False)
 
 
+def test_ols_near_duplicate_column_named():
+    # x1 is x0 within rounding: the SVD rank flags the design, and the
+    # pivoting, limited to that rank, must name x1
+    rng = np.random.default_rng(2)
+    x0 = rng.normal(size=12)
+    x1 = x0 + 1e-14 * rng.normal(size=12)
+    table = num_table(x0=("continuous", x0), x1=("continuous", x1), y=("continuous", rng.normal(size=12)))
+    with pytest.raises(DataError, match="collinear design columns: x1$"):
+        ols_fit(one_label(table), "y", ["x0", "x1"], per_label=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 4), n_extra=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       copies=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-9])),
+                       max_size=3))
+# full rank by the SVD, yet X'X is singular: a DataError, not a LinAlgError
+@example(p=1, n_extra=1, seed=0, copies=[(0, 1e-14)])
+def test_ols_collinear_error_names_the_rank_deficit(p, n_extra, seed, copies):
+    # covariates near-duplicating earlier ones, at scales on both sides of
+    # the rank tolerance
+    rng = np.random.default_rng(seed)
+    n = p + 1 + len(copies) + n_extra
+    cols = [rng.normal(size=n) for _ in range(p)]
+    for source, eps in copies:
+        cols.append(cols[source % len(cols)] + eps * rng.normal(size=n))
+    names = ["x%d" % j for j in range(len(cols))]
+    table = num_table(y=("continuous", rng.normal(size=n)), **{nm: ("continuous", c) for nm, c in zip(names, cols)})
+    rank = np.linalg.lstsq(np.column_stack([np.ones(n)] + cols), np.zeros(n), rcond=None)[2]
+    try:
+        ols_fit(one_label(table), "y", names, per_label=False)
+    except DataError as exc:
+        if "X'X is singular" not in str(exc):
+            named = str(exc).split("collinear design columns: ")[1].split(", ")
+            assert len(named) == len(cols) + 1 - rank >= 1
+    else:
+        assert rank == len(cols) + 1
+
+
 def scipy_collinear_columns(X, names):
     """The design columns a pivoted Householder QR finds dependent."""
     _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
@@ -817,10 +867,11 @@ def exact_collinear_columns(X, names):
 @given(X=dependent_designs())
 def test_collinear_columns_match_pivoted_qr(X):
     names = ["c%d" % j for j in range(X.shape[1])]
-    named = _collinear_columns(X, names)
+    rank = np.linalg.matrix_rank(X)
+    named = _collinear_columns(X, names, rank)
     exact, tied = exact_collinear_columns(X, names)
     assert named == exact
-    assert len(named) == X.shape[1] - np.linalg.matrix_rank(X)
+    assert len(named) == X.shape[1] - rank
     # on a tie the rounding of the Householder steps picks the pivot
     if not tied:
         assert named == scipy_collinear_columns(X, names)

@@ -33,7 +33,6 @@ from ceda.rma import (
     ResponseSpec,
     build_locality_lattice,
     joint_response_codes,
-    rma_predict,
     rma_predict_rows,
     rows_by_cell,
 )
@@ -208,8 +207,8 @@ def test_batched_rma_matches_one_query_reference(problem, k_star, block_bytes):
             assert str(info.value) == error
             return
         got = rma_predict_rows(Xq, minors, lattice, table, k_star, binnings)
-        one = [rma_predict(Xq[i], {name: vals[i] for name, vals in minors.items()},
-                           lattice, table, k_star, binnings) for i in range(0, len(Xq), 5)]
+        one = [rma_predict_rows(Xq[i:i + 1], {name: vals[i:i + 1] for name, vals in minors.items()},
+                                lattice, table, k_star, binnings) for i in range(0, len(Xq), 5)]
     assert fields(got) == want
     assert [row for p in one for row in fields(p)] == fields(got)[::5]
 
