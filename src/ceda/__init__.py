@@ -40,7 +40,6 @@ from .predictive_map import (
     Category,
     CategoryTable,
     CompetitionConfig,
-    PredictedLabelSet,
     predictive_map,
     tabulate_predictions,
 )

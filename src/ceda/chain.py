@@ -25,7 +25,7 @@ from .association import cross_counts
 from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError
 from .label_tree import tree_from_training
-from .predictive_map import CompetitionConfig, TreeClassifier, k_nearest, kd_tree, tabulate_predictions
+from .predictive_map import CompetitionConfig, TreeClassifier, k_nearest, kd_tree, predicted_sets, tabulate_predictions
 
 log = logging.getLogger(__name__)
 
@@ -101,9 +101,9 @@ def chain_categories(test, train, chain, samples_per_triplet=200, seed=0):
             seed=_seed_for_link(seed, depth - 1),
         )
         clf = TreeClassifier(tree, train, list(link.features), link.cfg)
-        X = feature_matrix(test.table, list(link.features))
-        for row, pred in zip(active_rows, clf.classify(X[active_rows])):
-            keys[row] += (pred.labels,)
+        stop, outlier, _ = clf.classify(feature_matrix(test.table, list(link.features))[active_rows])
+        for row, labels in zip(active_rows, predicted_sets(tree, stop, outlier)):
+            keys[row] += (labels,)
         table = tabulate_predictions(keys, active_rows, true_values, list(test.labels), universe)
         tables.append(table)
         next_rows = []
@@ -221,7 +221,7 @@ def knn_baseline_predict(train, test, features, k=20):
     if k < 1:
         raise ConfigError("k must be >= 1")
     Xtr = feature_matrix(train.table, features)
-    zs = ZStats.fit(Xtr)
+    zs = ZStats.fit(Xtr, features)
     Ztr = zs.transform(Xtr)
     Zte = zs.transform(feature_matrix(test.table, features))
     y = train.label_values

@@ -64,7 +64,7 @@ from .label_tree import (
     sample_triplet_orderings,
     tree_from_training,
 )
-from .predictive_map import CompetitionConfig, predictive_map
+from .predictive_map import CompetitionConfig, predicted_sets, predictive_map
 from .rma import (
     FLAGS,
     MAJOR_SCORE_THRESHOLD,
@@ -314,7 +314,12 @@ class Run:
         self.artifacts[name] = text
 
     def write_json(self, name, obj):
-        self.write_text(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        try:
+            text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            # NaN and Infinity are not JSON (RFC 8259)
+            raise ComputationError("%s cannot be written: %s" % (name, exc)) from None
+        self.write_text(name, text + "\n")
 
     def finish(self):
         """Make the out dir and write every artifact, the manifest last."""
@@ -426,14 +431,18 @@ def cmd_pmap(args, cfg, run):
     comp = _competition_config(cfg)
     tree = tree_from_training(train, features, samples_per_triplet=setting(cfg, "let.samples_per_triplet"),
                               seed=stage_seed(cfg["seed"], "let"))
-    table, preds = predictive_map(test, tree, train, features, cfg=comp)
+    table, (stop, outlier, steps) = predictive_map(test, tree, train, features, cfg=comp)
     doc = table.to_json_dict()
     for entry, cat in zip(doc["categories"], table.categories):
         entry["labels"] = list(cat.labels)
+    paths = [[] for _ in range(test.n_rows)]
+    for node, rows, decisions in steps:
+        for row, decision in zip(rows.tolist(), decisions.tolist()):
+            paths[row].append([node, decision])
     doc.update(feature_set=set_name_, config=dataclasses.asdict(comp), points=[
-        {"row": row, "true": str(true), "predicted": [str(l) for l in pred.labels],
-         "stop_node": int(pred.stop_node), "path": [[int(n), dec] for n, dec in pred.path]}
-        for row, (pred, true) in enumerate(zip(preds, test.label_values))
+        {"row": row, "true": str(true), "predicted": list(labels), "stop_node": node, "path": path}
+        for row, (labels, node, path, true) in enumerate(zip(
+            predicted_sets(tree, stop, outlier), stop.tolist(), paths, test.label_values))
     ])
     run.artifacts["split_test.csv"] = test.table
     run.write_text("pmap_%s.csv" % set_name_, table.to_csv_text())

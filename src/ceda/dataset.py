@@ -150,10 +150,17 @@ class ZStats:
     sds: np.ndarray
 
     @classmethod
-    def fit(cls, X):
+    def fit(cls, X, names=None):
+        """Column means and sds of X; a column whose values spread too far
+        for them to be finite is a DataError naming it (names[j], or j)."""
         X = np.asarray(X, dtype=float)
-        means = X.mean(axis=0)
-        sds = X.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = X.mean(axis=0)
+            sds = X.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(sds)))
+        if len(bad):
+            raise DataError("feature '%s' spreads too far to z-score: its mean or sd is not finite"
+                            % (names[bad[0]] if names is not None else bad[0]))
         # constant features carry no geometry; unit scale keeps them inert
         sds = np.where(sds > 0, sds, 1.0)
         return cls(means=means, sds=sds)

@@ -60,6 +60,10 @@ def build_histogram(values, target_bins=None, feature=""):
     vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
         raise DataError("column '%s' is constant, cannot bin" % feature)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = (float(values.mean()), float(values.std()), vmin, vmax)
+    if not (math.isfinite(stats[0]) and math.isfinite(stats[1])):
+        raise DataError("column '%s' spreads too far to bin: its mean or sd is not finite" % feature)
     m = default_bin_count(len(values)) if target_bins is None else int(target_bins)
     if m < 1:
         raise DataError("target_bins must be >= 1")
@@ -81,7 +85,6 @@ def build_histogram(values, target_bins=None, feature=""):
             gaps.append(True)
     edges.append(raw_edges[-1])
     gaps.append(False)
-    stats = (float(values.mean()), float(values.std()), vmin, vmax)
     return Binning(
         feature=feature,
         edges=np.asarray(edges),

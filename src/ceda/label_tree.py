@@ -193,7 +193,7 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
         if len(r) == 0:
             raise DataError("label '%s' has zero training rows" % lab)
     X = feature_matrix(train.table, features)
-    zstats = ZStats.fit(X)
+    zstats = ZStats.fit(X, features)
     X = X[np.concatenate(rows)]
     X = zstats.transform(X)   # z-scored; label i's rows are X[start[i]:start[i + 1]]
     sizes = [len(r) for r in rows]

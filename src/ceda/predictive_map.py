@@ -18,8 +18,8 @@ compete for it:
    node.
 
 The stop node's label set is the prediction: a singleton at a leaf, several
-labels at an internal stop, empty for outliers.  Tabulating predicted sets
-against true labels gives the predictive map.
+labels at an internal stop, empty for outliers.  A descent returns the stop
+nodes, outlier flags and a log of its (node, rows, decisions) competitions.
 
 Points descend together, one tree level at a time: each node decides all
 the points that reached it in one competition, with the same decisions a
@@ -76,13 +76,6 @@ class CompetitionConfig:
             raise ConfigError("competition.dominant_fraction must lie in (0.5, 1]")
         if self.outlier_quantile is not None and not 0.0 < self.outlier_quantile < 1.0:
             raise ConfigError("competition.outlier_quantile must lie in (0, 1) or be None")
-
-
-@dataclass(frozen=True)
-class PredictedLabelSet:
-    labels: tuple          # sorted label names; empty tuple means outlier
-    stop_node: int
-    path: tuple            # (node_id, decision) pairs from the root down
 
 
 def silverman_bandwidth(samples):
@@ -232,7 +225,8 @@ def kd_tree(X):
     screen."""
     if X.shape[1] > 2:
         return None
-    # imported here: scipy.spatial adds about 0.16 s to importing the CLI
+    # imported here: after ``import ceda.cli`` it takes 0.34-0.37 s and 31 MB
+    # more (2-vCPU machine), which commands with more features never pay
     from scipy.spatial import cKDTree
 
     return cKDTree(X)
@@ -394,7 +388,7 @@ class TreeClassifier:
         self.features = list(features)
         self.cfg = cfg or CompetitionConfig()
         X = feature_matrix(train.table, self.features)
-        self.zstats = ZStats.fit(X)
+        self.zstats = ZStats.fit(X, self.features)
         self.X = self.zstats.transform(X)
         y = train.label_values
         self.leaf = np.full(len(y), -1)  # each training row's leaf; -1 outside the tree
@@ -485,31 +479,29 @@ class TreeClassifier:
 
     def classify(self, X_raw):
         """Descend from the root with every row of X_raw, one tree level at a
-        time; return one PredictedLabelSet per row, where its descent stops."""
+        time.  Returns each row's stop node, its outlier flag, and one (node,
+        rows, decisions) step per competition in the order they ran."""
         tree = self.tree
         Z = self.zstats.transform(X_raw)
-        paths = [[] for _ in range(len(Z))]
-        preds = [None] * len(Z)
+        stop = np.full(len(Z), tree.root)
+        outlier = np.zeros(len(Z), dtype=bool)
+        steps = []
         level = [(tree.root, np.arange(len(Z)))]
         while level:
             next_level = []
             for node, idx in level:
-                labels = tree.node_labels(node)
+                stop[idx] = node
                 if tree.is_leaf(node):
-                    for row in idx.tolist():
-                        preds[row] = PredictedLabelSet(labels, node, tuple(paths[row]))
                     continue
                 decision = self.competition(Z[idx], node)
-                for row, dec in zip(idx.tolist(), decision.tolist()):
-                    paths[row].append((node, dec))
-                    if dec in ("outlier", "stop"):
-                        preds[row] = PredictedLabelSet(() if dec == "outlier" else labels, node, tuple(paths[row]))
+                steps.append((node, idx, decision))
+                outlier[idx] = decision == "outlier"
                 for child, side in zip(tree.children(node), ("left", "right")):
                     chosen = decision == side
                     if np.any(chosen):
                         next_level.append((child, idx[chosen]))
             level = next_level
-        return preds
+        return stop, outlier, steps
 
     def classify_rows(self, table):
         return self.classify(feature_matrix(table, self.features))
@@ -641,14 +633,18 @@ def tabulate_predictions(keys_per_row, rows, true_values, true_labels, universe)
     return CategoryTable(true_labels=list(true_labels), categories=categories)
 
 
+def predicted_sets(tree, stop, outlier):
+    """Each row's predicted label set: its stop node's labels, looked up once
+    per node, or () where the outlier screen stopped it."""
+    labels = {node: tree.node_labels(node) for node in set(stop.tolist())}
+    return [() if out else labels[node] for node, out in zip(stop.tolist(), outlier.tolist())]
+
+
 def predictive_map(test, tree, train, features, cfg=None):
     """Classify every test row and tabulate predicted sets against true labels.
 
-    Returns the one-link CategoryTable and the per-row PredictedLabelSets."""
-    clf = TreeClassifier(tree, train, features, cfg)
-    preds = clf.classify_rows(test.table)
-    table = tabulate_predictions(
-        [(pred.labels,) for pred in preds], range(len(preds)),
-        test.label_values, list(test.labels), tree.leaf_names,
-    )
-    return table, preds
+    Returns the one-link CategoryTable and classify's (stop, outlier, steps)."""
+    descent = TreeClassifier(tree, train, features, cfg).classify_rows(test.table)
+    keys = [(labels,) for labels in predicted_sets(tree, *descent[:2])]
+    table = tabulate_predictions(keys, range(len(keys)), test.label_values, list(test.labels), tree.leaf_names)
+    return table, descent

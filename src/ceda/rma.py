@@ -257,7 +257,7 @@ def build_locality_lattice(table, spec, majors, binnings, bin_subset=None):
             for m, cats in zip(majors, cats_per_major)]
     empty = [c for c in product(*grid) if c not in cells] if math.prod(map(len, grid)) <= 10000 else None
     X = feature_matrix(table, majors)
-    zstats = ZStats.fit(X)
+    zstats = ZStats.fit(X, majors)
     return LocalityLattice(
         majors=majors, cats_per_major=cats_per_major, binnings=used_binnings,
         discrete_values=discrete_values, cells=cells, cell_regions=regions,

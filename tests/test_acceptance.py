@@ -41,7 +41,7 @@ from ceda.dataset import (
 from ceda.discretize import build_histogram, default_binnings
 from ceda.hclust import agglomerate
 from ceda.label_tree import tree_from_training
-from ceda.predictive_map import CompetitionConfig, TreeClassifier
+from ceda.predictive_map import CompetitionConfig, TreeClassifier, predicted_sets
 from ceda.rma import (
     FLAGS,
     LocalityLattice,
@@ -239,8 +239,8 @@ def test_c05_predictive_map_behavior():
     train, test = split_train_test(ds, SplitSpec(0.7, seed=1))
     tree = tree_from_training(train, ["f0", "f1"], seed=5)
     clf = TreeClassifier(tree, train, ["f0", "f1"], cfg)
-    preds = clf.classify_rows(test.table)
-    correct = sum(p.labels == (str(t),) for p, t in zip(preds, test.label_values))
+    correct = sum(labels == (str(t),) for labels, t in zip(
+        predicted_sets(tree, *clf.classify_rows(test.table)[:2]), test.label_values))
     assert correct / test.n_rows >= 0.99
 
     both = synth_generate("gauss-clouds",
@@ -249,15 +249,13 @@ def test_c05_predictive_map_behavior():
     btrain, btest = split_train_test(both, SplitSpec(0.7, seed=2))
     btree = tree_from_training(btrain, ["f0", "f1"], seed=2)
     bclf = TreeClassifier(btree, btrain, ["f0", "f1"], cfg)
-    bpreds = bclf.classify_rows(btest.table)
-    stopped = sum(p.labels == ("a", "b") for p in bpreds)
+    stopped = sum(labels == ("a", "b") for labels in predicted_sets(btree, *bclf.classify_rows(btest.table)[:2]))
     assert stopped / btest.n_rows >= 0.80
 
     forced = TreeClassifier(btree, btrain, ["f0", "f1"],
                             CompetitionConfig(pl_lower=1.0, pl_upper=1.0,
                                               outlier_quantile=None))
-    fpreds = forced.classify_rows(btest.table)
-    assert all(len(p.labels) == 1 for p in fpreds)
+    assert all(len(labels) == 1 for labels in predicted_sets(btree, *forced.classify_rows(btest.table)[:2]))
     finish("c05", t0, 30, "separable >= 99% singleton-correct; overlap >= 80% "
            "stop at {a,b}; (1,1) band forces 100% singletons")
 

@@ -744,6 +744,31 @@ def test_running_out_of_memory_is_a_computation_error(monkeypatch, capsys):
     assert_one_error_line(capsys, "out of memory")
 
 
+@pytest.mark.parametrize("command", ["mce", "pmap"])
+def test_a_column_whose_spread_overflows_is_a_data_error(tmp_path, capsys, command):
+    # |f0| near 1e307: its sd overflows to inf, which wrote "sd": Infinity
+    # into binning_report.json and z-scored every f0 value to 0.0
+    rows = [["f0", "f1", "label"]]
+    rows += [[repr((-1) ** i * (1000 + i) * 1e304), i, "abc"[i % 3]] for i in range(60)]
+    dataset = tmp_path / "wide.csv"
+    dataset.write_text("\n".join(",".join(map(str, row)) for row in rows) + "\n")
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(dataset), label_column="label")
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
+    assert_one_error_line(capsys, "'f0'", "not finite")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_report_holding_nan_is_a_computation_error(tmp_path, monkeypatch, capsys):
+    def nan_report(args, cfg, run):
+        run.write_json("bad.json", {"value": float("nan")})
+        return "never printed"
+
+    monkeypatch.setitem(ceda.cli.COMMANDS, "mce", nan_report)
+    assert run_cli("mce", "--out", tmp_path / "out") == 3
+    assert_one_error_line(capsys, "bad.json", "JSON compliant")
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_table_matches_settings():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Config format")[1].split("\n### ")[0]

@@ -582,3 +582,15 @@ def test_zstats_roundtrip_mean_zero():
     Z = ZStats.fit(X).transform(X)
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
+
+
+def test_zstats_names_a_column_whose_sd_or_mean_overflows():
+    # an sd above about 1e154 squares past the float range; a mean of 60
+    # values of 1e307 sums past it
+    wide = (-1.0) ** np.arange(60) * (1000 + np.arange(60)) * 1e304
+    for bad in (wide, np.full(60, 1e307) + np.arange(60) * 1e291):
+        X = np.column_stack([np.arange(60.0), bad])
+        with pytest.raises(DataError, match="feature 'f1' spreads too far"):
+            ZStats.fit(X, ["f0", "f1"])
+        with pytest.raises(DataError, match="feature '1' spreads too far"):
+            ZStats.fit(X)

@@ -13,6 +13,7 @@ to every other row, whatever the feature count.
 
 import importlib
 import math
+from collections import namedtuple
 from types import SimpleNamespace
 from unittest import mock
 
@@ -28,7 +29,6 @@ from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matr
 from ceda.label_tree import build_label_tree, tree_from_training
 from ceda.predictive_map import (
     CompetitionConfig,
-    PredictedLabelSet,
     TreeClassifier,
     distance_rows,
     k_nearest,
@@ -59,6 +59,20 @@ def ref_log_kde(sample, x):
 
 def ref_exact_nearest_neighbor_distances(Z):
     return np.array([np.delete(np.linalg.norm(Z - Z[i], axis=1), i).min() for i in range(len(Z))])
+
+
+# one point's descent: labels is () for an outlier, path its (node,
+# decision) pairs from the root down
+Descent = namedtuple("Descent", "labels stop_node path")
+
+
+def paths_from_steps(n, steps):
+    """Each row's (node, decision) path, from classify's competition log."""
+    paths = [[] for _ in range(n)]
+    for node, rows, decisions in steps:
+        for row, decision in zip(rows.tolist(), decisions.tolist()):
+            paths[row].append((node, decision))
+    return [tuple(path) for path in paths]
 
 
 class ReferenceClassifier:
@@ -109,12 +123,12 @@ class ReferenceClassifier:
             decision = self.competition(x_raw, node)
             path.append((node, decision))
             if decision == "outlier":
-                return PredictedLabelSet(labels=(), stop_node=node, path=tuple(path))
+                return Descent(labels=(), stop_node=node, path=tuple(path))
             if decision == "stop":
-                return PredictedLabelSet(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
+                return Descent(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
             left, right = tree.children(node)
             node = left if decision == "left" else right
-        return PredictedLabelSet(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
+        return Descent(labels=tree.node_labels(node), stop_node=node, path=tuple(path))
 
 
 def ref_knn(train, test, features, k):
@@ -190,8 +204,10 @@ def test_batched_classify_matches_per_point_reference(problem, k_star, band, out
     ref = ReferenceClassifier(tree, train, features, cfg)
     want = [ref.classify(x) for x in feature_matrix(test.table, features)]
     with mock.patch.object(predictive_map, "BLOCK_BYTES", block_bytes):
-        got = TreeClassifier(tree, train, features, cfg).classify_rows(test.table)
-    assert got == want
+        stop, outlier, steps = TreeClassifier(tree, train, features, cfg).classify_rows(test.table)
+    assert stop.tolist() == [d.stop_node for d in want]
+    assert outlier.tolist() == [d.labels == () for d in want]
+    assert paths_from_steps(len(want), steps) == [d.path for d in want]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -210,9 +226,16 @@ def test_classify_runs_one_competition_per_internal_node_visited(problem, k_star
 
     with mock.patch.object(predictive_map, "BLOCK_BYTES", block_bytes), \
             mock.patch.object(clf, "competition", side_effect=count):
-        preds = clf.classify_rows(test.table)
-    visited = {node for pred in preds for node, _ in pred.path}
-    assert sorted(nodes) == sorted(visited)
+        _, _, steps = clf.classify_rows(test.table)
+    visited = [node for node, _, _ in steps]
+    assert nodes == visited
+    # each node at most once, and level by level: a node's parent ran before it
+    assert len(set(visited)) == len(visited)
+    depth = {tree.root: 0}
+    for node in visited:
+        for child in tree.children(node):
+            depth[child] = depth[node] + 1
+    assert [depth[node] for node in visited] == sorted(depth[node] for node in visited)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -304,8 +327,8 @@ def test_training_list_is_built_once_and_only_for_the_outlier_screen():
     for quantile, lists in ((None, 0), (0.99, 1)):
         clf = TreeClassifier(tree, train, features, CompetitionConfig(outlier_quantile=quantile))
         with mock.patch.object(predictive_map, "k_nearest", wraps=k_nearest) as calls:
-            preds = clf.classify_rows(train.table)
-        assert len({node for pred in preds for node, _ in pred.path}) > 1
+            _, _, steps = clf.classify_rows(train.table)
+        assert len(steps) > 1
         assert sum(call.args[0] is clf.X for call in calls.call_args_list) == lists
 
 

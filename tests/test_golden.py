@@ -11,6 +11,7 @@ and why, and record the new digest here.
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -129,13 +130,22 @@ def walkthrough(tmp_path_factory):
         out = root / out_name
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         digests.update(_digests(out))
-    return digests
+    return root, digests
 
 
 def test_golden_artifact_set(walkthrough):
-    assert sorted(walkthrough) == sorted(GOLDEN)
+    assert sorted(walkthrough[1]) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("artifact", sorted(GOLDEN))
 def test_golden_artifact_bytes(walkthrough, artifact):
-    assert walkthrough[artifact] == GOLDEN[artifact]
+    assert walkthrough[1][artifact] == GOLDEN[artifact]
+
+
+@pytest.mark.parametrize("report", ["pmap/pmap_kin.json", "pmap_wide/pmap_all.json"])
+def test_golden_maps_hold_every_ending(walkthrough, report):
+    # each point's path is rebuilt from the descent's competition log; the
+    # byte gate checks that for every ending only while each one occurs
+    points = json.loads((walkthrough[0] / report).read_text())["points"]
+    endings = Counter(p["path"][-1][1] if p["path"][-1][1] in ("stop", "outlier") else "leaf" for p in points)
+    assert min(endings[e] for e in ("leaf", "stop", "outlier")) >= 1, endings

@@ -21,6 +21,7 @@ from ceda.predictive_map import (
     TreeClassifier,
     _logsumexp_rows,
     log_gaussian_kde,
+    predicted_sets,
     predictive_map,
     set_name,
     silverman_bandwidth,
@@ -163,20 +164,24 @@ def test_overlapping_clouds_stop_at_the_shared_node():
     ds = two_clouds(sd=0.5, spacing=0.0, n=80, seed=3)
     tree = tree_from_training(ds, ["f0", "f1"])
     clf = TreeClassifier(tree, ds, ["f0", "f1"], CompetitionConfig(outlier_quantile=None))
-    [pred] = clf.classify([[0.0, 0.0]])
-    assert pred.labels == ("a", "b")
-    assert pred.stop_node == tree.root
-    assert pred.path[-1] == (tree.root, "stop")
+    stop, outlier, steps = clf.classify([[0.0, 0.0]])
+    assert stop.tolist() == [tree.root] and outlier.tolist() == [False]
+    assert tree.node_labels(tree.root) == ("a", "b")
+    node, rows, decisions = steps[-1]
+    assert (node, rows.tolist(), decisions.tolist()) == (tree.root, [0], ["stop"])
 
 
 def test_outlier_screen_empties_the_prediction():
     ds = two_clouds()
     tree = tree_from_training(ds, ["f0", "f1"])
     clf = TreeClassifier(tree, ds, ["f0", "f1"])
-    [pred] = clf.classify([[100.0, 100.0]])
-    assert pred.labels == ()
+    stop, outlier, _ = clf.classify([[100.0, 100.0]])
+    assert outlier.tolist() == [True]
+    assert predicted_sets(tree, stop, outlier) == [()]
     no_screen = TreeClassifier(tree, ds, ["f0", "f1"], CompetitionConfig(outlier_quantile=None))
-    assert no_screen.classify([[100.0, 100.0]])[0].labels != ()
+    stop, outlier, _ = no_screen.classify([[100.0, 100.0]])
+    assert outlier.tolist() == [False]
+    assert predicted_sets(tree, stop, outlier) != [()]
 
 
 def test_degenerate_band_forces_singletons():
@@ -184,8 +189,8 @@ def test_degenerate_band_forces_singletons():
     tree = tree_from_training(ds, ["f0", "f1"])
     cfg = CompetitionConfig(pl_lower=1.0, pl_upper=1.0, outlier_quantile=None)
     clf = TreeClassifier(tree, ds, ["f0", "f1"], cfg)
-    preds = clf.classify_rows(ds.table)
-    assert all(len(p.labels) == 1 for p in preds)
+    stop, outlier, _ = clf.classify_rows(ds.table)
+    assert all(len(labels) == 1 for labels in predicted_sets(tree, stop, outlier))
 
 
 def test_small_node_warns_once_per_classifier(caplog, monkeypatch):
@@ -206,9 +211,19 @@ def test_separable_clouds_classify_correctly():
     ds = two_clouds(n=30, seed=9)
     tree = tree_from_training(ds, ["f0", "f1"])
     clf = TreeClassifier(tree, ds, ["f0", "f1"], CompetitionConfig(outlier_quantile=None))
-    preds = clf.classify_rows(ds.table)
+    stop, outlier, _ = clf.classify_rows(ds.table)
     truth = ds.label_values
-    assert all(p.labels == (t,) for p, t in zip(preds, truth))
+    assert all(labels == (t,) for labels, t in zip(predicted_sets(tree, stop, outlier), truth))
+
+
+def test_one_label_tree_runs_no_competition():
+    ds = synth_generate("gauss-clouds", {"centers": [[0, 0]], "sd": 1.0, "n_per_label": 12}, seed=4)
+    tree = tree_from_training(ds, ["f0", "f1"])
+    assert tree.root == 0 and tree.is_leaf(tree.root)
+    stop, outlier, steps = TreeClassifier(tree, ds, ["f0", "f1"]).classify_rows(ds.table)
+    assert stop.tolist() == [0] * ds.n_rows
+    assert outlier.tolist() == [False] * ds.n_rows
+    assert steps == []
 
 
 # --- naming and tabulation ----------------------------------------------
@@ -288,10 +303,11 @@ def test_tabulate_composite_keys_sort_per_link():
 def test_predictive_map_end_to_end_records():
     ds = two_clouds(n=25, seed=13)
     tree = tree_from_training(ds, ["f0", "f1"])
-    table, preds = predictive_map(ds, tree, ds, ["f0", "f1"],
-                                  cfg=CompetitionConfig(outlier_quantile=None))
+    table, (stop, outlier, steps) = predictive_map(ds, tree, ds, ["f0", "f1"],
+                                                   cfg=CompetitionConfig(outlier_quantile=None))
     assert table.total() == ds.n_rows
-    assert len(preds) == ds.n_rows
+    assert len(stop) == len(outlier) == ds.n_rows
     assert table.true_labels == ["a", "b"]
+    sets = predicted_sets(tree, stop, outlier)
     for cat in table.categories:
-        assert all(preds[row].labels == cat.labels for row in cat.rows)
+        assert all(sets[row] == cat.labels for row in cat.rows)
