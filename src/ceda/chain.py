@@ -142,7 +142,8 @@ class DissectionReport:
         return csv_text([fields] + [[r[f] for f in fields] for r in self.records])
 
     def to_json_dict(self):
-        return {"totals": {c: int(self.totals.get(c, 0)) for c in CASES}, "points": self.records}
+        """The summary; the per-row records are in to_csv_text."""
+        return {"totals": {c: int(self.totals.get(c, 0)) for c in CASES}}
 
 
 def dissect_external(external, result):

@@ -64,7 +64,7 @@ from .label_tree import (
     sample_triplet_orderings,
     tree_from_training,
 )
-from .predictive_map import CompetitionConfig, predicted_sets, predictive_map
+from .predictive_map import CompetitionConfig, predictive_map
 from .rma import (
     FLAGS,
     MAJOR_SCORE_THRESHOLD,
@@ -431,22 +431,22 @@ def cmd_pmap(args, cfg, run):
     comp = _competition_config(cfg)
     tree = tree_from_training(train, features, samples_per_triplet=setting(cfg, "let.samples_per_triplet"),
                               seed=stage_seed(cfg["seed"], "let"))
-    table, (stop, outlier, steps) = predictive_map(test, tree, train, features, cfg=comp)
+    table, (stop, _, steps) = predictive_map(test, tree, train, features, cfg=comp)
     doc = table.to_json_dict()
     for entry, cat in zip(doc["categories"], table.categories):
         entry["labels"] = list(cat.labels)
+    doc.update(feature_set=set_name_, config=dataclasses.asdict(comp))
     paths = [[] for _ in range(test.n_rows)]
     for node, rows, decisions in steps:
         for row, decision in zip(rows.tolist(), decisions.tolist()):
-            paths[row].append([node, decision])
-    doc.update(feature_set=set_name_, config=dataclasses.asdict(comp), points=[
-        {"row": row, "true": str(true), "predicted": list(labels), "stop_node": node, "path": path}
-        for row, (labels, node, path, true) in enumerate(zip(
-            predicted_sets(tree, stop, outlier), stop.tolist(), paths, test.label_values))
-    ])
+            paths[row].append("%d:%s" % (node, decision))
+    points = [["row", "true", "category", "stop_node", "path"]]
+    points += [[row, true, category, node, " ".join(path)] for row, (true, category, node, path) in enumerate(
+        zip(test.label_values, table.row_names(test.n_rows), stop.tolist(), paths))]
     run.artifacts["split_test.csv"] = test.table
     run.write_text("pmap_%s.csv" % set_name_, table.to_csv_text())
     run.write_json("pmap_%s.json" % set_name_, doc)
+    run.write_text("pmap_%s_points.csv" % set_name_, csv_text(points))
     run.write_json("pies.json", table.per_label_proportions())
     return "pmap: %d test points, %.1f%% singleton, %d categories" % (
         test.n_rows, 100 * table.singleton_fraction(), len(table.categories))
@@ -489,10 +489,15 @@ def cmd_chain(args, cfg, run):
     for depth, table in enumerate(result.tables, start=1):
         doc = table.to_json_dict()
         for entry, cat in zip(doc["categories"], table.categories):
-            entry.update(path=[list(s) for s in cat.key], rows=[int(r) for r in cat.rows])
+            entry["path"] = [list(s) for s in cat.key]
         doc.update(depth=depth, links=[l.name for l in result.chain.links[:depth]])
         run.write_text("chain_depth%d.csv" % depth, table.to_csv_text())
         run.write_json("chain_depth%d.json" % depth, doc)
+    # each row's category at every depth, blank once it has stopped refining
+    rows = [["row", "true"] + ["depth%d" % d for d in range(1, len(result.tables) + 1)]]
+    rows += [[row, *cells] for row, cells in enumerate(
+        zip(test.label_values, *(table.row_names(test.n_rows) for table in result.tables)))]
+    run.write_text("chain_rows.csv", csv_text(rows))
     run.write_json("chain_summary.json", {
         "depths": len(result.tables),
         "links": [l.name for l in result.chain.links],
@@ -520,9 +525,9 @@ def cmd_dissect(args, cfg, run):
                        csv_text([["row_id", "predicted_label"]] + [[i, p] for i, p in enumerate(preds)]))
     report = dissect_external(external, result)
     run.write_text("dissection.csv", report.to_csv_text())
-    run.write_json("dissection.json", {"source": source, **report.to_json_dict()})
-    totals = report.to_json_dict()["totals"]
-    return "dissect: " + ", ".join("%s=%d" % (k, v) for k, v in sorted(totals.items()))
+    summary = {"source": source, **report.to_json_dict()}
+    run.write_json("dissection.json", summary)
+    return "dissect: " + ", ".join("%s=%d" % (k, v) for k, v in sorted(summary["totals"].items()))
 
 
 def cmd_rma(args, cfg, run):

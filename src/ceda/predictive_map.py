@@ -577,6 +577,15 @@ class CategoryTable:
             } if col_total else {}
         return out
 
+    def row_names(self, n):
+        """The display name of each of n rows' category, "" for a row in none."""
+        names = [""] * n
+        for cat in self.categories:
+            name = cat.display_name
+            for row in cat.rows.tolist():
+                names[row] = name
+        return names
+
     def to_csv_text(self):
         rows = [["category"] + [str(l) for l in self.true_labels]]
         rows += [[cat.display_name] + [int(c) for c in cat.counts] for cat in self.categories]

@@ -238,10 +238,14 @@ def test_pmap_artifacts(tmp_path, clouds_csv):
                     feature_sets={"s1": ["f0", "f1"]},
                     competition={"outlier_quantile": None})
     assert run_cli("pmap", "--config", cfg) == 0
-    for name in ("split_test.csv", "pmap_s1.csv", "pmap_s1.json", "pies.json"):
+    for name in ("split_test.csv", "pmap_s1.csv", "pmap_s1.json", "pmap_s1_points.csv", "pies.json"):
         assert (out / name).exists(), name
     lines = (out / "pmap_s1.csv").read_text().strip().split("\n")
     assert lines[0] == "category,a,b,c"
+    assert "points" not in read_json(out / "pmap_s1.json")
+    points = (out / "pmap_s1_points.csv").read_text().strip().split("\n")
+    assert points[0] == "row,true,category,stop_node,path"
+    assert len(points) == len((out / "split_test.csv").read_text().strip().split("\n"))
     pies = read_json(out / "pies.json")
     assert set(pies) == {"a", "b", "c"}
 
@@ -260,6 +264,10 @@ def test_chain_artifacts_and_conservation(tmp_path, ortho_csv):
     assert (out / "split_test.csv").exists()
     depth1 = read_json(out / "chain_depth1.json")
     assert depth1["links"] == ["front"]
+    assert all("rows" not in cat for cat in depth1["categories"])
+    rows = (out / "chain_rows.csv").read_text().strip().split("\n")
+    assert rows[0] == "row,true,depth1,depth2"
+    assert len(rows) == len((out / "split_test.csv").read_text().strip().split("\n"))
 
 
 def test_dissect_builtin_baseline(tmp_path, ortho_csv):
@@ -267,6 +275,7 @@ def test_dissect_builtin_baseline(tmp_path, ortho_csv):
     assert run_cli("dissect", "--config", cfg) == 0
     out = tmp_path / "dis"
     report = read_json(out / "dissection.json")
+    assert sorted(report) == ["source", "totals"]
     assert report["source"] == "builtin-knn(k=5)"
     totals = report["totals"]
     assert set(totals) == {"certainty-coherent", "certainty-incoherent",

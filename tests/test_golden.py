@@ -9,6 +9,7 @@ that moves any of these digests must say in CHANGES.md which artifact moved
 and why, and record the new digest here.
 """
 
+import csv
 import hashlib
 import json
 from collections import Counter
@@ -64,18 +65,19 @@ WIDE_COMMANDS = ("pmap", "dissect")
 
 GOLDEN = {
     "chain/chain_depth1.csv": "24ebbb7995195e0531bcd5687e907ad5e3e0f2a15f266a2f74cd06ffc6740eb9",
-    "chain/chain_depth1.json": "67e2b10b66c900dff3e8902fc2aef88e47ba776e01c82782bc856e3c72f41d9a",
+    "chain/chain_depth1.json": "0b1d87419642857f48df938c3957f4ac36ffdd8635956433105cc1ea99b4aa34",
     "chain/chain_depth2.csv": "6c1bf7a0452b8323e6f81e9d83defe11e46dd243b62f8d4901195dac07ac32ea",
-    "chain/chain_depth2.json": "208d6bda54c7a81a7d39282a522d2d5012096ef80227d8f2c904a603b4714432",
+    "chain/chain_depth2.json": "760da0a80be95d43123f1244f8b7a6878a38f4f251086b3e5998c396add0b9c9",
+    "chain/chain_rows.csv": "7de8903bb71642939950f4ba4abb495beb43242768ff06fa60c60e313d06d047",
     "chain/chain_summary.json": "8de0c28364df831dd3990ee5bffd798d4f629579261f8bdbbabf00206e61f17c",
     "chain/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
     "dissect/baseline_predictions.csv": "337823a62e333010fc5b8944e7b7942e47e9ee8a403e6718e483d381ca672ced",
     "dissect/dissection.csv": "16893d15d34244e84c2c772a98ad8e8ead15b09b58c160d7cbd7bd963de717af",
-    "dissect/dissection.json": "a6416eb1f06179f3fbfbf56c96ef3aaf3ed8eab8f8322f13694e7ed1cbe486ca",
+    "dissect/dissection.json": "b330ef231e961847e5d7a608a5fa5a96e06a93653096ce3b33fe1321067ee592",
     "dissect/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
     "dissect_wide/baseline_predictions.csv": "0deaa8094dc9ed4b4f0295afae71b0e46bb51abb25f9dd270f3cf35e0abb3c7e",
     "dissect_wide/dissection.csv": "24cf2cf35a268bf0b1c0d6ac1e1aaa89ac2ae44f583f430c1018c56a044491b4",
-    "dissect_wide/dissection.json": "43496bff450a24db79e0d77cfafdb9170dca448d8c2dea4dead85d56c6c1a9ab",
+    "dissect_wide/dissection.json": "fd8c0e877489b52c23b9f3d6a183f2f7bf0ce16366b87450ae3bb26290f54655",
     "dissect_wide/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
     "let/dominance.csv": "68a2cd563c9770844d650fe37cd74f205244fa94277bbaefb7e5b4a6d1d3803a",
     "let/label_distance.csv": "12232aa284127372c6360ac3097fe5bc06cd2b7aed52c55fcdbb220f5f52c152",
@@ -87,11 +89,13 @@ GOLDEN = {
     "mce/mce_matrix.csv": "42bd3f529dfda9e9ed2972d7db4448cc9efb53af65b888dc2278f75c873204b3",
     "pmap/pies.json": "598ff358851891b472e0b6610e3616eacccc71a4c4a62372b32d6ec5578e53e0",
     "pmap/pmap_kin.csv": "24ebbb7995195e0531bcd5687e907ad5e3e0f2a15f266a2f74cd06ffc6740eb9",
-    "pmap/pmap_kin.json": "d35b4b7dc13e46ff3b7aa2f9fdf614319c245cb03b9ee8257aff1f9cb35c8a53",
+    "pmap/pmap_kin.json": "bd79994d0ffdbfeb412794d15d0ce50aba9ac39a8ff9228315866a29e7777f26",
+    "pmap/pmap_kin_points.csv": "b42c860ad27b3384a88d18bfaa7e97f38166446d7377bf61cd52b52783860b80",
     "pmap/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
     "pmap_wide/pies.json": "1a0e45c17c5c8d76b9172c4a58855636d53ac00a92f00712fc262a76ba1bf73a",
     "pmap_wide/pmap_all.csv": "b5e65ae36a615abd4190b0adfa1fa45b8f965df791e04fdb52a41269029ca5a8",
-    "pmap_wide/pmap_all.json": "547d2b839ac1d7bb4f3ad2c2bd264183e58a3fa5d5919f35015dd59e01fe89fb",
+    "pmap_wide/pmap_all.json": "313fce7bb684823717f73339e01dcb310c407baa031d4e6322a1a4d8d5816817",
+    "pmap_wide/pmap_all_points.csv": "468fbd339a17aca1ddd33f5209bbfc93b8eefb3cc5ed94a5458446a8d7f46141",
     "pmap_wide/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
     "rma/rma_binnings.json": "16ffb9c6d5814f79c9f47bb04665d8fb9b740a9832a56ac92d8ba01f3f5fccf9",
     "rma/rma_dispersion.json": "3747fc99a49f8d358b8129e9cc61967bc263792d7926df307bb04558e82dc59c",
@@ -142,10 +146,56 @@ def test_golden_artifact_bytes(walkthrough, artifact):
     assert walkthrough[1][artifact] == GOLDEN[artifact]
 
 
-@pytest.mark.parametrize("report", ["pmap/pmap_kin.json", "pmap_wide/pmap_all.json"])
+def _records(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _tallies(path):
+    """(category, true label) -> count from a category-by-label table."""
+    return Counter({(r["category"], lab): int(n) for r in _records(path) for lab, n in r.items() if lab != "category"})
+
+
+@pytest.mark.parametrize("report", ["pmap/pmap_kin_points.csv", "pmap_wide/pmap_all_points.csv"])
 def test_golden_maps_hold_every_ending(walkthrough, report):
     # each point's path is rebuilt from the descent's competition log; the
     # byte gate checks that for every ending only while each one occurs
-    points = json.loads((walkthrough[0] / report).read_text())["points"]
-    endings = Counter(p["path"][-1][1] if p["path"][-1][1] in ("stop", "outlier") else "leaf" for p in points)
+    last = [p["path"].split()[-1].split(":")[1] for p in _records(walkthrough[0] / report)]
+    endings = Counter(d if d in ("stop", "outlier") else "leaf" for d in last)
     assert min(endings[e] for e in ("leaf", "stop", "outlier")) >= 1, endings
+
+
+# out dir -> its per-row CSV and the summary that CSV must tally to
+PER_ROW = {
+    "pmap": ("pmap_kin_points.csv", "pmap_kin.csv"),
+    "pmap_wide": ("pmap_all_points.csv", "pmap_all.csv"),
+    "chain": ("chain_rows.csv", "chain_depth%d.csv"),
+    "dissect": ("dissection.csv", "dissection.json"),
+    "dissect_wide": ("dissection.csv", "dissection.json"),
+}
+
+
+@pytest.mark.parametrize("out_dir", sorted(PER_ROW))
+def test_golden_per_row_reports_conserve(walkthrough, out_dir):
+    # a per-row CSV holds one line per split_test.csv row, in row order, and
+    # tallies to the summary written beside it
+    out = walkthrough[0] / out_dir
+    name, summary = PER_ROW[out_dir]
+    rows = _records(out / name)
+    assert [int(r["row"]) for r in rows] == list(range(len(rows)))
+    assert [r["true"] for r in rows] == [r["label"] for r in _records(out / "split_test.csv")]
+    if out_dir.startswith("pmap"):
+        assert Counter((r["category"], r["true"]) for r in rows) == _tallies(out / summary)
+    elif out_dir == "chain":
+        depths = ["depth%d" % d for d in range(1, len(list(out.glob("chain_depth*.csv"))) + 1)]
+        assert list(rows[0]) == ["row", "true"] + depths
+        for d, column in enumerate(depths, start=1):
+            assert Counter((r[column], r["true"]) for r in rows if r[column]) == _tallies(out / (summary % d))
+        for r in rows:
+            cells = [r[column] for column in depths]
+            assert cells[0], r
+            # a row goes on refining exactly while its category is uncertain
+            assert all(bool(after) == before.startswith("*") for before, after in zip(cells, cells[1:])), r
+    else:
+        totals = json.loads((out / summary).read_text())["totals"]
+        assert Counter(r["case"] for r in rows) == Counter(totals)
