@@ -71,6 +71,7 @@ from .rma import (
     ResponseSpec,
     build_locality_lattice,
     error_metrics,
+    joint_response_codes,
     minor_feature_entropy,
     ols_fit,
     ols_report_text,
@@ -555,7 +556,8 @@ def cmd_rma(args, cfg, run):
     binnings = _binnings_for(train.table, needed, cfg)
     bins_per_major = setting(cfg, "rma.bins_per_major")
     threshold = setting(cfg, "rma.threshold")
-    scores = [score_major_candidate(train.table, spec, cand, binnings, threshold) for cand in candidates]
+    joint = joint_response_codes(train.table, spec, binnings) if candidates else None
+    scores = [score_major_candidate(train.table, spec, cand, binnings, threshold, joint) for cand in candidates]
     if not majors:
         majors = [s.feature for s in scores if s.is_major]
         if not majors:

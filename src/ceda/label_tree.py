@@ -15,16 +15,18 @@ Sampling is the costly step, and it is seeded, so it runs once per tree: the
 ``let`` command builds its tree from the dominance matrix it writes, and
 ``tree_from_training`` is the route for callers that need only the tree.
 
-The sampler draws as a per-triple loop would: each triple has its own
-spawned stream and draws its three labels' rows in turn.  It measures
-differently.  One Gram block per label pair (or, for a pair whose block
-would far outnumber its samples, dot products of gathered rows) gives every
-sample the squared-distance screens ||x||^2 + ||y||^2 - 2 x.y of its three
-pairs.  A sample whose smallest screen leads the other two by more than a
-rounding margin is decided: its exact distances have that same strict
-minimum.  Only the other samples get exact distances, and only exact ties
-redraw, from their triple's stream after its first round.  So the counts
-keep every bit of the loop, at a fraction of its row gathers.
+The sampler draws as a per-triple loop would: triple t draws its three
+labels' rows in turn from the stream of ``root.spawn(n)[t]``, round one read
+from raw PCG64 words by numpy's Lemire rule (``Generator.integers`` for
+redraws and one-row labels).  It measures differently.  One Gram block per
+label pair (or, for a pair whose block would far outnumber its samples, dot
+products of gathered rows) gives every sample the squared-distance screens
+||x||^2 + ||y||^2 - 2 x.y of its three pairs.  A sample whose smallest
+screen leads the other two by more than a rounding margin is decided: its
+exact distances have that same strict minimum.  Only the other samples get
+exact distances, and only exact ties redraw, from their triple's stream
+after its first round.  So the counts keep every bit of the loop, at a
+fraction of its row gathers.
 """
 
 import itertools
@@ -72,6 +74,8 @@ BLOCK_ENTRIES_PER_SAMPLE = 16
 # the screen's mark on a sample whose exact distances must decide it
 UNDECIDED = 3
 
+LEMIRE_CHUNK = 2 ** 15   # round one maps about this many draws at a time: whole triples, or pieces of rows
+
 # positions in a triple x < y < z of the two labels of slot 0 (x, y),
 # 1 (x, z) and 2 (y, z), and of the third label
 SLOT_POSITIONS = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
@@ -80,6 +84,32 @@ SLOT_POSITIONS = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
 def _draw(rng, sizes, m):
     """m local row indices into each label of a triple, in draw order."""
     return [rng.integers(0, size, m) for size in sizes]
+
+
+def _round_one(seeds, sizes, T):
+    """Round one, (n, 3, T) row indices as ``_draw`` gives them, of triples
+    with SeedSequences ``seeds`` and label sizes ``sizes`` (n, 3).  numpy maps
+    each 32-bit half of a PCG64 word, low half first, to (u * size) >> 32 and
+    redraws while the low 32 bits of u * size fall below (2^32 - size) % size
+    (Lemire's rule); a triple that would redraw goes through ``_draw``."""
+    sizes = np.asarray(sizes, dtype=np.uint64)
+    out = np.empty((len(sizes), 3, T), dtype=np.min_scalar_type(sizes.max(initial=0)))
+    redraw = (sizes == 1).any(axis=1)   # numpy draws nothing for a one-row label
+    # uint32 products wrap to the low 32 bits of u * size
+    size32, floor32 = (v.astype(np.uint32)[..., None] for v in (sizes, (2 ** 32 - sizes) % sizes))
+    step, width = max(1, LEMIRE_CHUNK // (3 * T)), LEMIRE_CHUNK // 3
+    for i in range(0, len(sizes), step):
+        words = np.stack([np.random.PCG64(s).random_raw(-(-3 * T // 2)) for s in seeds[i:i + step]])
+        u = words.astype("<u8", copy=False).view("<u4")[:, :3 * T].reshape(-1, 3, T)
+        for j in range(0, T, width):
+            uj = u[..., j:j + width]
+            redraw[i:i + step] |= (uj * size32[i:i + step] < floor32[i:i + step]).any(axis=(1, 2))
+            m = uj * sizes[i:i + step, :, None]
+            m >>= 32
+            out[i:i + step, :, j:j + width] = m
+    for i in np.flatnonzero(redraw).tolist():
+        out[i] = _draw(np.random.default_rng(seeds[i]), sizes[i].tolist(), T)
+    return out
 
 
 def _exact_order(pa, pb, pc):
@@ -101,12 +131,12 @@ def _screen(X, start, triples, pair_ids, round_one, T):
 
     A sample's screens are s = ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j over its
     three pairs.  The pairs are visited in lexicographic order, so a triple
-    x < y < z sees its slots (x, y), (x, z), (y, z) in turn.  It draws its
-    round one, ``round_one(t)``, when it opens, and until it closes it holds
-    a row of ``draws``, of ``best`` (the slot of its smallest screen so far,
-    or UNDECIDED) and of ``low`` (that screen, rounded to float32).  Each
-    later screen must lead or trail ``low`` by more than the sample's margin
-    plus that rounding, or the sample is undecided for good.
+    x < y < z sees its slots (x, y), (x, z), (y, z) in turn.  The triples t a
+    pair opens draw round one in one ``round_one(t)`` call; until it closes,
+    a triple holds a row of ``draws``, of ``best`` (the slot of its smallest
+    screen so far, or UNDECIDED) and of ``low`` (that screen, rounded to
+    float32).  Each later screen must lead or trail ``low`` by more than the
+    sample's margin plus that rounding, or the sample is undecided for good.
 
     The margin is twice _gram_margin times the three points' squared norms.
     By the bounds derived there, a gap above it between two screens gives
@@ -133,9 +163,8 @@ def _screen(X, start, triples, pair_ids, round_one, T):
     for (a, b), t, slot in zip(pairs.tolist(), *np.divmod(entries, 3)):
         k = b - 1   # entries before k compare, entries from k open
         cut = len(free) - (len(t) - k)
-        for tri, r in zip(t[k:].tolist(), free[cut:]):
-            row[tri] = r
-            draws[r] = round_one(tri)
+        row[t[k:]] = free[cut:]
+        draws[free[cut:]] = round_one(t[k:])
         del free[cut:]
         r = row[t]
         pos = SLOT_POSITIONS[slot]
@@ -201,24 +230,24 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
 
     L = len(labels)
     triples = np.array(list(itertools.combinations(range(L), 3)))
-    triple_sizes = [[sizes[i] for i in triple] for triple in triples.tolist()]
+    triple_sizes = np.array(sizes)[triples]
     pair_index = np.zeros((L, L), dtype=np.intp)
     pair_index[np.triu_indices(L, 1)] = np.arange(math.comb(L, 2))
     pair_ids = pair_index[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]]
     root = np.random.SeedSequence(seed)
 
     def stream(t):
-        # triple t's generator: that of root.spawn(len(triples))[t], made when needed
-        return np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
+        # triple t's seed: that of root.spawn(len(triples))[t], made when needed
+        return np.random.SeedSequence(root.entropy, spawn_key=(t,))
 
     tally, ut, local = _screen(
-        X, start, triples, pair_ids, lambda t: _draw(stream(t), triple_sizes[t], T), T)
+        X, start, triples, pair_ids, lambda t: _round_one(list(map(stream, t.tolist())), triple_sizes[t], T), T)
     slot, unique_min = _exact_order(*(X[start[triples[ut, j]] + local[:, j]] for j in range(3)))
     tally += np.bincount(3 * ut[unique_min] + slot[unique_min], minlength=tally.size).reshape(-1, 3)
     # exact ties redraw from their triple's stream, after its round one
     ties = np.bincount(ut[~unique_min], minlength=len(triples))
     for t in np.flatnonzero(ties).tolist():
-        rng = stream(t)
+        rng = np.random.default_rng(stream(t))
         _draw(rng, triple_sizes[t], T)
         pending = ties[t]
         for _ in range(MAX_TIE_ROUNDS - 1):

@@ -103,11 +103,11 @@ class MajorFeatureScore:
         return self.score >= self.threshold
 
 
-def score_major_candidate(table, spec, candidate, binnings, threshold=MAJOR_SCORE_THRESHOLD):
-    """Score one candidate covariate against the joint response cells."""
+def score_major_candidate(table, spec, candidate, binnings, threshold=MAJOR_SCORE_THRESHOLD, joint=None):
+    """Score one candidate covariate against the joint response cells (coded here unless given)."""
     if candidate in spec.responses:
         raise ConfigError("candidate '%s' is a response" % candidate)
-    joint, cell_names = joint_response_codes(table, spec, binnings)
+    joint, cell_names = joint or joint_response_codes(table, spec, binnings)
     cand_codes, cand_cats = category_codes(table, candidate, binnings)
     if len(cell_names) < 2:
         raise DataError("joint response categorization is degenerate (one cell)")

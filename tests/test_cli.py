@@ -16,6 +16,7 @@ import pytest
 import ceda
 import ceda.cli
 import ceda.label_tree
+import ceda.rma
 from ceda.cli import REQUIRED, SETTINGS, STAGE_OFFSETS, main, stage_seed
 from ceda.label_tree import tree_from_training
 
@@ -372,7 +373,11 @@ def magnus_csv(tmp_path):
     return out / "dataset.csv"
 
 
-def test_rma_artifacts(tmp_path, magnus_csv):
+def test_rma_artifacts(tmp_path, magnus_csv, monkeypatch):
+    coded = []
+    code = ceda.rma.joint_response_codes
+    for module in (ceda.cli, ceda.rma):
+        monkeypatch.setattr(module, "joint_response_codes", lambda *args: coded.append(args) or code(*args))
     out = tmp_path / "rma"
     cfg = write_cfg(
         tmp_path / "c.json", dataset=str(magnus_csv), label_column="label",
@@ -388,6 +393,7 @@ def test_rma_artifacts(tmp_path, magnus_csv):
         },
     )
     assert run_cli("rma", "--config", cfg) == 0
+    assert len(coded) == 1   # once per command, not once per major candidate
     for name in ("rma_scores.csv", "rma_dispersion.json", "rma_binnings.json",
                  "rma_lattice.json", "rma_minor_entropy.csv", "rma_errors.csv",
                  "rma_plotdata.csv", "rma_ols.csv", "manifest.json"):

@@ -4,14 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import ceda.label_tree
 from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matrix, synth_generate
 from ceda.errors import ComputationError, ConfigError, DataError
 from ceda.label_tree import (
+    LEMIRE_CHUNK,
     MAX_TIE_ROUNDS,
     DominanceMatrix,
+    _round_one,
     build_label_tree,
     dominance_to_distance,
     sample_triplet_orderings,
@@ -172,11 +175,24 @@ def sampling_problems(draw):
         X = rng.integers(0, levels, (n, n_features)) * rng.uniform(0.5, 3.0, n_features)
     if copies_of is not None:
         X = X[rng.integers(0, min(copies_of, n), n)]
-    names = np.repeat(np.array(list("abcdef"[:n_labels]), dtype=object), sizes)
-    order = rng.permutation(n)
-    columns = [Column("f%d" % j, "continuous", X[order, j]) for j in range(n_features)]
+    return (*shuffled_labels(X, sizes, rng), draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def shuffled_labels(X, sizes, rng):
+    """A LabeledDataset of X's rows, the first sizes[0] labelled a, the
+    next sizes[1] b and so on, in shuffled order; and its feature names."""
+    names = np.repeat(np.array(list("abcdef"[:len(sizes)]), dtype=object), sizes)
+    order = rng.permutation(len(X))
+    columns = [Column("f%d" % j, "continuous", X[order, j]) for j in range(X.shape[1])]
     train = LabeledDataset(DataTable(columns + [Column("label", "categorical", names[order])]), "label")
-    return train, [c.name for c in columns], draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 32 - 1))
+    return train, [c.name for c in columns]
+
+
+def one_row_label(T):
+    """Four labels, one of a single row: the triples holding it draw round
+    one through ``_draw``, the others from raw words."""
+    rng = np.random.default_rng(T)
+    return (*shuffled_labels(rng.standard_normal((20, 3)), [6, 1, 9, 4], rng), T, 7)
 
 
 def outcome(sampler, train, features, T, seed):
@@ -188,6 +204,8 @@ def outcome(sampler, train, features, T, seed):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(problem=sampling_problems())
+@example(problem=one_row_label(5))
+@example(problem=one_row_label(1))
 def test_screened_sampler_matches_the_per_triple_loop(problem):
     train, features, T, seed = problem
     want = outcome(reference_orderings, train, features, T, seed)
@@ -196,6 +214,25 @@ def test_screened_sampler_matches_the_per_triple_loop(problem):
         assert isinstance(got, str) and got == want
     else:
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 200, LEMIRE_CHUNK + 1])
+def test_round_one_matches_generator_integers(monkeypatch, T):
+    # every ordered triple of the sizes: 2 ** 31 + 1 redraws about half its
+    # words, 2 ** 32 - 1 almost none, and a size of 1 draws nothing
+    sizes = np.array(list(itertools.product([1, 2, 2 ** 31 + 1, 2 ** 32 - 1], repeat=3)), dtype=np.uint64)
+    seeds = [np.random.SeedSequence(2024, spawn_key=(t,)) for t in range(len(sizes))]
+    fallbacks = []
+    draw = ceda.label_tree._draw
+    monkeypatch.setattr(ceda.label_tree, "_draw", lambda *args: fallbacks.append(args) or draw(*args))
+    got = _round_one(seeds, sizes, T)
+    for s, triple, drawn in zip(seeds, sizes.tolist(), got):
+        rng = np.random.Generator(np.random.PCG64(s))
+        assert np.array_equal(drawn, [rng.integers(0, size, T) for size in triple])
+    # a one-row label always falls back; only it and redraws do
+    fell = [triple for _, triple, _ in fallbacks]
+    assert all(1 in triple or 2 ** 31 + 1 in triple for triple in fell)
+    assert all(triple in fell for triple in sizes.tolist() if 1 in triple)
 
 
 # --- distances -----------------------------------------------------------
