@@ -142,6 +142,25 @@ def feature_matrix(table, features):
     return np.column_stack(cols)
 
 
+def column_stats(X, names=None):
+    """Means and sds (ddof=0) of X's columns, taken on each column scaled by
+    the power of two that brings its largest |x| into [0.5, 1).  The scaling
+    is exact and keeps X's layout, hence numpy's summation order, so no spread
+    is too small to measure and statistics that are normal floats keep their
+    bits.  A column whose (max - min)^2 is not finite is a DataError naming it."""
+    X = np.asarray(X, dtype=float)
+    cols = np.ascontiguousarray(X.T)  # numpy takes a narrow row-major matrix's column extremes slowly
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~np.isfinite((hi - lo) ** 2))
+    if len(bad):
+        raise DataError("feature '%s' spreads too far: its squared range is not finite"
+                        % (names[bad[0]] if names is not None else bad[0]))
+    _, e = np.frexp(np.maximum(-lo, hi))
+    S = np.ldexp(X, -e)
+    return np.ldexp(S.mean(axis=0), e), np.ldexp(S.std(axis=0), e)
+
+
 @dataclass(frozen=True)
 class ZStats:
     """Per-feature mean and standard deviation frozen from a training matrix."""
@@ -151,19 +170,10 @@ class ZStats:
 
     @classmethod
     def fit(cls, X, names=None):
-        """Column means and sds of X; a column whose values spread too far
-        for them to be finite is a DataError naming it (names[j], or j)."""
-        X = np.asarray(X, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = X.mean(axis=0)
-            sds = X.std(axis=0)
-        bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(sds)))
-        if len(bad):
-            raise DataError("feature '%s' spreads too far to z-score: its mean or sd is not finite"
-                            % (names[bad[0]] if names is not None else bad[0]))
+        """Column means and sds of X, as column_stats gives them."""
+        means, sds = column_stats(X, names)
         # constant features carry no geometry; unit scale keeps them inert
-        sds = np.where(sds > 0, sds, 1.0)
-        return cls(means=means, sds=sds)
+        return cls(means=means, sds=np.where(sds > 0, sds, 1.0))
 
     def transform(self, X):
         return (np.asarray(X, dtype=float) - self.means) / self.sds

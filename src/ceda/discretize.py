@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import column_stats
 from .errors import DataError
 
 
@@ -26,7 +27,7 @@ class Binning:
     edges: np.ndarray      # ascending, length n_bins + 1
     gap_flags: np.ndarray  # bool per edge; True where an empty run was collapsed
     counts: np.ndarray     # training occupancy per bin
-    train_stats: tuple     # (mean, sd, min, max) of the training values
+    train_stats: tuple     # (mean, sd, min, max); mean and sd from column_stats, exact under 2^k scaling
 
     @property
     def n_bins(self):
@@ -60,10 +61,7 @@ def build_histogram(values, target_bins=None, feature=""):
     vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
         raise DataError("column '%s' is constant, cannot bin" % feature)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = (float(values.mean()), float(values.std()), vmin, vmax)
-    if not (math.isfinite(stats[0]) and math.isfinite(stats[1])):
-        raise DataError("column '%s' spreads too far to bin: its mean or sd is not finite" % feature)
+    (mean,), (sd,) = column_stats(values[:, None], [feature])
     m = default_bin_count(len(values)) if target_bins is None else int(target_bins)
     if m < 1:
         raise DataError("target_bins must be >= 1")
@@ -90,7 +88,7 @@ def build_histogram(values, target_bins=None, feature=""):
         edges=np.asarray(edges),
         gap_flags=np.asarray(gaps, dtype=bool),
         counts=occupancy[occupied].copy(),
-        train_stats=stats,
+        train_stats=(float(mean), float(sd), vmin, vmax),
     )
 
 

@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .association import category_codes, cross_counts, directed_values, row_entropies
-from .dataset import ZStats, csv_text, feature_matrix
+from .dataset import ZStats, column_stats, csv_text, feature_matrix
 from .discretize import categorize_many
 from .errors import ConfigError, DataError
 from .predictive_map import k_nearest
@@ -113,9 +113,10 @@ def score_major_candidate(table, spec, candidate, binnings, threshold=MAJOR_SCOR
         raise DataError("joint response categorization is degenerate (one cell)")
     # two or more joint cells hold rows, so the target entropy is positive
     score = 1.0 - directed_values(cross_counts(cand_codes, len(cand_cats), joint, len(cell_names))[None])[0]
-    resp_vals = {r: np.asarray(table.values(r), dtype=float) for r in spec.responses
-                 if table.kind(r) != "categorical"}
-    dispersion = {str(cand_cats[b]): {r: float(v[rows].std()) for r, v in resp_vals.items()}
+    numeric = [r for r in spec.responses if table.kind(r) != "categorical"]
+    # each bin's responses as contiguous columns, which numpy sums pairwise
+    R = np.array([table.values(r) for r in numeric], dtype=float).reshape(len(numeric), table.n_rows)
+    dispersion = {str(cand_cats[b]): dict(zip(numeric, column_stats(R.take(rows, axis=1).T, numeric)[1].tolist()))
                   for (b,), rows in rows_by_cell(cand_codes[:, None], {candidate: len(cand_cats)}).items()}
     return MajorFeatureScore(feature=candidate, score=float(score),
                              threshold=threshold, per_bin_dispersion=dispersion)

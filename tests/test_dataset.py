@@ -24,6 +24,7 @@ from ceda.dataset import (
     LabeledDataset,
     SplitSpec,
     ZStats,
+    column_stats,
     feature_matrix,
     load_csv,
     split_train_test,
@@ -582,6 +583,33 @@ def test_zstats_roundtrip_mean_zero():
     Z = ZStats.fit(X).transform(X)
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
+
+
+def test_zstats_measures_a_column_spread_below_1e_154():
+    # the squared deviations of i * 1e-170 underflowed to an sd of 0.0, so the
+    # column was taken as constant and kept unit scale
+    X = np.arange(60.0)[:, None] * 1e-170
+    up = np.ldexp(X, 560)
+    z = ZStats.fit(X)
+    assert z.means[0] == np.ldexp(up.mean(axis=0), -560)[0]
+    assert z.sds[0] == np.ldexp(up.std(axis=0), -560)[0] != 1.0
+
+
+@pytest.mark.parametrize("k", [-1000, -540, -1, 1, 300, 505])
+def test_column_stats_scale_exactly_by_a_power_of_two(k):
+    X = np.random.default_rng(3).normal([5.0, -2.0, 0.0], [3.0, 0.5, 1.0], size=(200, 3))
+    means, sds = column_stats(X)
+    assert np.array_equal(means, X.mean(axis=0)) and np.array_equal(sds, X.std(axis=0))
+    got = column_stats(np.ldexp(X, k))
+    assert np.array_equal(got[0], np.ldexp(means, k)) and np.array_equal(got[1], np.ldexp(sds, k))
+
+
+def test_column_stats_name_a_column_whose_squared_range_overflows():
+    X = np.column_stack([np.arange(60.0), np.ldexp(np.arange(60.0), 510)])
+    with pytest.raises(DataError, match="feature 'f1' spreads too far: its squared range is not finite"):
+        column_stats(X, ["f0", "f1"])
+    with pytest.raises(DataError, match="feature '1' spreads too far"):
+        column_stats(X)
 
 
 def test_zstats_names_a_column_whose_sd_or_mean_overflows():

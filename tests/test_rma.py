@@ -128,6 +128,24 @@ def test_score_dispersion_skips_empty_bins():
     assert score.per_bin_dispersion == {"bin0": {"r1": 0.0}, "bin2": {"r1": 0.5}}
 
 
+@pytest.mark.parametrize("k", [-540, -300, 300, 500])
+def test_score_dispersion_scales_exactly_by_a_power_of_two(k):
+    # at 2^-540 the squared deviations underflowed and every sd read 0.0
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 4, 200)
+    r1, r2 = rng.normal(3.0, 1.0, 200), rng.normal(-2.0, 0.5, 200)
+
+    def dispersion(k):
+        table = num_table(x=("discrete", x), r1=("continuous", np.ldexp(r1, k)),
+                          r2=("continuous", np.ldexp(r2, k)))
+        spec = ResponseSpec(("r1", "r2"), ("x",))
+        return score_major_candidate(table, spec, "x", default_binnings(table, ["r1", "r2"])).per_bin_dispersion
+
+    base = dispersion(0)
+    assert dispersion(k) == {b: {r: math.ldexp(sd, k) for r, sd in sds.items()} for b, sds in base.items()}
+    assert all(sd > 0 for sds in base.values() for sd in sds.values())
+
+
 def test_score_rejects_response_candidate():
     table, spec = score_fixture()
     with pytest.raises(ConfigError, match="is a response"):
