@@ -113,8 +113,9 @@ SETTINGS = {
     "binning.per_feature.*": (int, None, (1, None)),
     **{"competition." + f.name: (f.type, f.default, None) for f in dataclasses.fields(CompetitionConfig)},
     "let.feature_set": (str, None, None),
-    # the sampler's held screen state grows with samples x open triples (about
-    # 10 bytes each): 10^8 samples on three labels ran out of memory
+    # the sampler holds screen state for every sample of every triple (about
+    # 8 bytes each, 11 past 255 rows a label): 10^8 samples on three labels
+    # ran out of memory
     "let.samples_per_triplet": (int, 200, (1, 100_000)),
     "pmap.feature_set": (str, None, None),
     "mce.k_groups": (int, None, (1, None)),

@@ -52,7 +52,6 @@ class DominanceMatrix:
     pairs: list          # label-name tuples, C(L,2) of them in index order
     counts: np.ndarray   # counts[p, q]: times pair q's distance exceeded pair p's
     samples_per_triplet: int
-    seed: int
 
     @property
     def exposure(self):
@@ -124,19 +123,19 @@ def _exact_order(pa, pb, pc):
     return np.argmin(D, axis=1), unique_min
 
 
-def _screen(X, start, triples, pair_ids, round_one, T):
-    """Screen every triple's round one: per triple, how many samples the
-    screen decides for each slot; and the undecided samples' triples and
+def _screen(X, start, triples, pair_ids, draws):
+    """The screen's decision on every round-one sample: a (triples, T) array
+    holding the slot of the sample's smallest screen, or UNDECIDED where its
+    exact distances must decide it.  ``draws`` is round one, (triples, 3, T)
     local row indices.
 
     A sample's screens are s = ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j over its
     three pairs.  The pairs are visited in lexicographic order, so a triple
-    x < y < z sees its slots (x, y), (x, z), (y, z) in turn.  The triples t a
-    pair opens draw round one in one ``round_one(t)`` call; until it closes,
-    a triple holds a row of ``draws``, of ``best`` (the slot of its smallest
-    screen so far, or UNDECIDED) and of ``low`` (that screen, rounded to
-    float32).  Each later screen must lead or trail ``low`` by more than the
-    sample's margin plus that rounding, or the sample is undecided for good.
+    x < y < z sees its slots (x, y), (x, z), (y, z) in turn.  Each triple
+    holds a row of ``best`` (the slot of its smallest screen so far, or
+    UNDECIDED) and of ``low`` (that screen, rounded to float32).  Each later
+    screen must lead or trail ``low`` by more than the sample's margin plus
+    that rounding, or the sample is undecided for good.
 
     The margin is twice _gram_margin times the three points' squared norms.
     By the bounds derived there, a gap above it between two screens gives
@@ -150,25 +149,12 @@ def _screen(X, start, triples, pair_ids, round_one, T):
     # each pair's (triple, slot) entries, 3 * triple + slot, in triple order:
     # the triples it closes (slot 2), passes (slot 1), then opens (slot 0)
     entries = np.argsort(pair_ids.ravel(), kind="stable").reshape(-1, L - 2)
-    pairs = np.array(list(itertools.combinations(range(L), 2)))
-    opened, closed = L - 1 - pairs[:, 1], pairs[:, 0]
-    n_open = (np.cumsum(opened - closed) + closed).max()
-    draws = np.empty((n_open, 3, T), dtype=np.min_scalar_type(np.diff(start).max()))
-    best = np.empty((n_open, T), dtype=np.uint8)
-    low = np.empty((n_open, T), dtype=np.float32)
-    free = list(range(n_open))
-    row = np.empty(len(triples), dtype=np.intp)
-    tally = np.zeros((len(triples), 3), dtype=np.int64)
-    undecided = [(np.empty(0, dtype=np.intp), np.empty((0, 3), dtype=draws.dtype))]
-    for (a, b), t, slot in zip(pairs.tolist(), *np.divmod(entries, 3)):
+    best = np.empty((len(triples), draws.shape[2]), dtype=np.uint8)
+    low = np.empty(best.shape, dtype=np.float32)
+    for (a, b), t, slot in zip(itertools.combinations(range(L), 2), *np.divmod(entries, 3)):
         k = b - 1   # entries before k compare, entries from k open
-        cut = len(free) - (len(t) - k)
-        row[t[k:]] = free[cut:]
-        draws[free[cut:]] = round_one(t[k:])
-        del free[cut:]
-        r = row[t]
         pos = SLOT_POSITIONS[slot]
-        local = draws[r[:, None], pos]   # the pair's two labels, then the third
+        local = draws[t[:, None], pos]   # the pair's two labels, then the third
         sq3 = sq[start[triples[t[:, None], pos]][..., None] + local]
         ia, ib = local[:, 0].astype(np.intp), local[:, 1].astype(np.intp)
         Xa, Xb = X[start[a]:start[a + 1]], X[start[b]:start[b + 1]]
@@ -178,28 +164,17 @@ def _screen(X, start, triples, pair_ids, round_one, T):
             pa, pb = Xa.take(ia.ravel(), axis=0), Xb.take(ib.ravel(), axis=0)
             dot = np.einsum("ij,ij->i", pa, pb).reshape(ia.shape)
         s = (sq3[:, 0] + sq3[:, 1]) - 2 * dot
-        low[r[k:]] = s[k:]
-        best[r[k:]] = 0
-        r, s = r[:k], s[:k]
-        held, settled = low[r].astype(float), best[r]
+        low[t[k:]] = s[k:]
+        best[t[k:]] = 0
+        t, s = t[:k], s[:k]
+        held, settled = low[t].astype(float), best[t]
         # the sample's margin, plus the float32 rounding of held
         margin = scale * (sq3[:k].sum(axis=1) + np.finfo(float).tiny)
         margin += np.abs(held) * 2.0 ** -23 + 2.0 ** -149
         lead = (np.abs(s - held) > margin) & (settled != UNDECIDED)
-        best[r] = np.where(lead, np.where(s < held, slot[:k, None], settled), UNDECIDED)
-        low[r] = np.minimum(held, s)
-        if a:
-            # the triples this pair closes count their decided samples and hand back their rows
-            done = best[r[:a]]
-            per_slot = np.bincount((4 * np.arange(a)[:, None] + done).ravel(), minlength=4 * a)
-            per_slot = per_slot.reshape(a, 4)
-            tally[t[:a]] = per_slot[:, :3]
-            if per_slot[:, UNDECIDED].any():
-                ui, uk = np.nonzero(done == UNDECIDED)
-                undecided.append((t[ui], draws[r[ui], :, uk]))
-            free.extend(r[:a].tolist())
-    ut, local = (np.concatenate(parts) for parts in zip(*undecided))
-    return tally, ut, local
+        best[t] = np.where(lead, np.where(s < held, slot[:k, None], settled), UNDECIDED)
+        low[t] = np.minimum(held, s)
+    return best
 
 
 def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
@@ -234,20 +209,20 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     pair_index = np.zeros((L, L), dtype=np.intp)
     pair_index[np.triu_indices(L, 1)] = np.arange(math.comb(L, 2))
     pair_ids = pair_index[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]]
+    # triple t's seed is that of root.spawn(len(triples))[t]
     root = np.random.SeedSequence(seed)
-
-    def stream(t):
-        # triple t's seed: that of root.spawn(len(triples))[t], made when needed
-        return np.random.SeedSequence(root.entropy, spawn_key=(t,))
-
-    tally, ut, local = _screen(
-        X, start, triples, pair_ids, lambda t: _round_one(list(map(stream, t.tolist())), triple_sizes[t], T), T)
+    seeds = [np.random.SeedSequence(root.entropy, spawn_key=(t,)) for t in range(len(triples))]
+    draws = _round_one(seeds, triple_sizes, T)
+    best = _screen(X, start, triples, pair_ids, draws)
+    tally = np.stack([np.count_nonzero(best == slot, axis=1) for slot in range(3)], axis=1)
+    ut, uk = np.nonzero(best == UNDECIDED)
+    local = draws[ut, :, uk]
     slot, unique_min = _exact_order(*(X[start[triples[ut, j]] + local[:, j]] for j in range(3)))
     tally += np.bincount(3 * ut[unique_min] + slot[unique_min], minlength=tally.size).reshape(-1, 3)
     # exact ties redraw from their triple's stream, after its round one
     ties = np.bincount(ut[~unique_min], minlength=len(triples))
     for t in np.flatnonzero(ties).tolist():
-        rng = np.random.default_rng(stream(t))
+        rng = np.random.default_rng(seeds[t])
         _draw(rng, triple_sizes[t], T)
         pending = ties[t]
         for _ in range(MAX_TIE_ROUNDS - 1):
@@ -268,8 +243,7 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     counts = np.zeros((math.comb(L, 2),) * 2, dtype=np.int64)
     counts[pair_ids[:, dominated_slot], pair_ids[:, other_slot]] = tally[:, dominated_slot]
     return DominanceMatrix(
-        labels=labels, pairs=list(itertools.combinations(labels, 2)), counts=counts,
-        samples_per_triplet=T, seed=seed,
+        labels=labels, pairs=list(itertools.combinations(labels, 2)), counts=counts, samples_per_triplet=T,
     )
 
 

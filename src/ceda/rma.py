@@ -465,6 +465,11 @@ def error_metrics(predictions, truths, lattice, table):
     if E.shape[1] != len(lattice.responses):
         raise DataError("truths shape does not match the response list")
     resp_all = feature_matrix(table, lattice.responses)
+    # errors and responses scaled by the power of two that brings the largest
+    # |response| into [0.5, 1): the squares and covariances neither underflow
+    # nor overflow, the quadratic forms keep their bits, and each mse scales back
+    _, e = np.frexp(np.abs(resp_all).max())
+    E, resp_all = np.ldexp(E, -e), np.ldexp(resp_all, -e)
     global_cov = np.atleast_2d(np.cov(resp_all, rowvar=False, ddof=1))
     patches = []
     # the pooled row "ALL" comes last: every prediction, and no patch covariance
@@ -479,7 +484,7 @@ def error_metrics(predictions, truths, lattice, table):
             mp = float(vals.mean())
         patches.append(PatchErrors(
             name="ALL" if cell is None else lattice.cell_name(cell), n=len(Ep),
-            mse={r: float(np.mean(Ep[:, j] ** 2)) for j, r in enumerate(lattice.responses)},
+            mse={r: float(np.ldexp(np.mean(Ep[:, j] ** 2), 2 * e)) for j, r in enumerate(lattice.responses)},
             mahal_global=float(mg.mean()), mahal_patch=mp,
             ridged_global=rg, ridged_patch=rp,
         ))

@@ -195,6 +195,15 @@ def one_row_label(T):
     return (*shuffled_labels(rng.standard_normal((20, 3)), [6, 1, 9, 4], rng), T, 7)
 
 
+def round_one_in_chunks():
+    """Six labels, one of a single row, and T at which round one maps three
+    triples per chunk: its one call spans seven chunks, and the triples
+    holding the one-row label fall back to ``_draw`` between them."""
+    T = LEMIRE_CHUNK // 9
+    rng = np.random.default_rng(T)
+    return (*shuffled_labels(rng.standard_normal((30, 3)), [6, 1, 9, 4, 5, 5], rng), T, 7)
+
+
 def outcome(sampler, train, features, T, seed):
     try:
         return sampler(train, features, T, seed)
@@ -206,6 +215,7 @@ def outcome(sampler, train, features, T, seed):
 @given(problem=sampling_problems())
 @example(problem=one_row_label(5))
 @example(problem=one_row_label(1))
+@example(problem=round_one_in_chunks())
 def test_screened_sampler_matches_the_per_triple_loop(problem):
     train, features, T, seed = problem
     want = outcome(reference_orderings, train, features, T, seed)
@@ -246,7 +256,7 @@ def test_distance_from_hand_tally():
     counts[1, 0] = counts[1, 2] = 3
     counts[2, 0] = counts[2, 1] = 1
     dm = DominanceMatrix(labels=["a", "b", "c"], pairs=pairs, counts=counts,
-                         samples_per_triplet=10, seed=0)
+                         samples_per_triplet=10)
     d = dominance_to_distance(dm)
     assert d[0, 1] == pytest.approx(0.4)   # column sum 3+1 over exposure 10
     assert d[0, 2] == pytest.approx(0.7)

@@ -5,7 +5,9 @@ statistic taken of a column (``dataset.column_stats``) scales with it.  So
 z-scores, bins and every decision keep their bits: each report of ``mce``,
 ``let``, ``pmap``, ``chain`` and ``dissect`` on the scaled input is
 byte-identical to the unscaled one, except the reports that hold raw feature
-values, whose values are the unscaled ones times 2^k.
+values, whose values are the unscaled ones times 2^k.  ``rma``'s error
+report keeps its Mahalanobis means and ridge flags, and its mse scales by
+2^2k where that stays a normal float.
 """
 
 import csv
@@ -46,12 +48,18 @@ def k_range():
 K_LOW, K_HIGH = k_range()
 
 
-def run_all(root, k, commands=COMMANDS):
-    """Each command's reports, name -> bytes, on the input scaled by 2^k."""
+def write_scaled(table, k, root):
+    """root/data.csv: the table with every numeric column times 2^k."""
     root.mkdir()
     data = root / "data.csv"
     write_csv(DataTable([Column(c.name, c.kind, np.ldexp(np.asarray(c.values, dtype=float), k))
-                         if c.kind != "categorical" else c for c in SOURCE.columns]), data)
+                         if c.kind != "categorical" else c for c in table.columns]), data)
+    return data
+
+
+def run_all(root, k, commands=COMMANDS):
+    """Each command's reports, name -> bytes, on the input scaled by 2^k."""
+    data = write_scaled(SOURCE, k, root)
     out = {}
     for command in commands:
         cfg = root / (command + ".json")
@@ -111,3 +119,30 @@ def test_a_spread_below_1e_154_keeps_its_geometry(tmp_path, unscaled):
     # chain and dissect stopped on "persistent distance ties"
     reports = run_all(tmp_path / "k", -540, ("let", "pmap", "chain", "dissect"))
     assert_scaled_by(reports, unscaled, -540)
+
+
+RMA_SOURCE = synth_generate("magnus-manifold", {"n_per_label": 200}, seed=1).table
+
+
+def rma_errors(root, k):
+    """rma_errors.csv's rows on the magnus-manifold input scaled by 2^k."""
+    data = write_scaled(RMA_SOURCE, k, root)
+    cfg = root / "rma.json"
+    cfg.write_text(json.dumps({"dataset": str(data), "label_column": "label", "seed": 3, "out_dir": str(root / "out"),
+                               "rma": {"responses": ["pfx_x", "pfx_z"], "majors": ["spin_dir", "spin_rate"]}}))
+    assert main(["rma", "--config", str(cfg)]) == 0
+    return list(csv.DictReader((root / "out" / "rma_errors.csv").read_text().splitlines()))
+
+
+@pytest.mark.parametrize("k", [-540, 400])
+def test_rma_error_quadratic_forms_are_invariant_under_power_of_two_scaling(tmp_path, k):
+    # at 2^-540 the covariances underflowed: both ridge flags read 1 and the
+    # Mahalanobis means about 2e-319
+    base, got = rma_errors(tmp_path / "0", 0), rma_errors(tmp_path / "k", k)
+    assert len(got) == len(base) > 1
+    for g, b in zip(got, base):
+        for col in ("mahal_global", "mahal_patch", "ridged_global", "ridged_patch"):
+            assert g[col] == b[col], (g["patch"], col)
+        if k > 0:
+            for col in ("mse_pfx_x", "mse_pfx_z"):
+                assert float(g[col]) == pytest.approx(math.ldexp(float(b[col]), 2 * k), rel=1e-9)
