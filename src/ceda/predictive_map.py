@@ -27,18 +27,16 @@ point-at-a-time descent makes, and builds the node's rows, left branch and
 KD tree as it runs.  Rules 1 and 2 need only each point's k* nearest rows
 and its nearest distance, which ``k_nearest`` finds: the node's KD tree for
 one or two features, a Gram screen with a proven rounding margin for more,
-both exact to the bit.  The outlier screen's distances are exact too: the
-node's KD tree for one or two features, and for more one k-nearest list
-over all training rows, with a direct query of the node's rows for a row
-whose list holds fewer than two of them.  Only the points rule 3 decides
-get their distances to every node member (``distance_rows``), with the
-node's left-branch rows first, so each branch's sample is a column slice;
-their median is one in-place partition of a copy in the scratch the
-distances leave free (``median_rows``).  Each KDE takes its log-sum-exp in
-one in-place exponential (``_logsumexp_rows``) with the bits of scipy's
-``logsumexp``.  The kernels cut their query rows into blocks of bounded
-size (``row_blocks``) that reuse one work buffer, so callers hand over all
-their rows at once."""
+both exact to the bit.  The outlier quantile is exact too: own-label upper
+bounds and exact distances for the few rows that can reach it.  Only the
+points rule 3 decides get their distances to every node member
+(``distance_rows``), with the node's left-branch rows first, so each
+branch's sample is a column slice; their median is one in-place partition
+of a copy in the scratch the distances leave free (``median_rows``).  Each
+KDE takes its log-sum-exp in one in-place exponential (``_logsumexp_rows``)
+with the bits of scipy's ``logsumexp``.  The kernels cut their query rows
+into blocks of bounded size (``row_blocks``) that reuse one work buffer, so
+callers hand over all their rows at once."""
 
 import logging
 import math
@@ -373,13 +371,6 @@ def k_nearest(Q, R, k, tree=None):
     return dist, cols
 
 
-# Neighbours per training row in the list that gives the outlier thresholds
-# of three or more features.  On the six 32-feature wide-labels benchmark
-# inputs of seeds 0 and 81, 3 already leave no node row to the direct query;
-# 8 keeps a margin at 2880 x 8 entries
-TRAIN_NEAREST_K = 8
-
-
 class TreeClassifier:
     """Prepared state for classifying many points against one label tree."""
 
@@ -398,37 +389,43 @@ class TreeClassifier:
                 raise DataError("label '%s' has zero training rows" % lab)
             self.leaf[of_label] = leaf
         self._warned_small_k = False
-        self._train_nearest = None  # k_nearest(X, X, TRAIN_NEAREST_K), built on first use
+        self._bound = None  # each row's distance to its own label's nearest other row, built on first use
 
     def _outlier_threshold(self, R, in_node, kd):
-        """The outlier_quantile of the distances, with the bits of
-        ``distance_rows``, from each node row R (the training rows in_node
-        selects) to its nearest other row: the second of its two nearest, as
-        it is its own nearest at exactly 0.
+        """The outlier_quantile of the distances from each node row R (the
+        training rows in_node selects) to its nearest other row, 0.0 for a
+        duplicate, with the bits of ``np.quantile`` over all of them.
 
-        With one or two features the node's KD tree kd answers.  With more,
-        one k-nearest list over all training rows serves every node.  A
-        row's list is its first TRAIN_NEAREST_K training rows by (distance,
-        row); a distance has the same bits whichever node asks, and R keeps
-        the training order, so the list's in-node entries are the first
-        entries of the row's order within the node.  Its second in-node
-        entry is therefore the second of ``k_nearest(R, R, 2)``, 0.0 for a
-        duplicate.  Rows whose list holds fewer than two in-node entries ask
-        the node's rows directly."""
-        if kd is not None:
-            nn = kd.query(R, k=2)[0][:, 1]
-        else:
-            if self._train_nearest is None:
-                self._train_nearest = k_nearest(self.X, self.X, TRAIN_NEAREST_K)
-            dist, cols = self._train_nearest
-            rows = np.flatnonzero(in_node)
-            # the first column where the count of in-node entries reaches 2
-            second = np.cumsum(in_node[cols[rows]], axis=1) == 2
-            nn = dist[rows, second.argmax(axis=1)]
-            miss = ~second.any(axis=1)
-            if np.any(miss):
-                nn[miss] = k_nearest(R[miss], R, 2)[0][:, 1]
-        return float(np.quantile(nn, self.cfg.outlier_quantile))
+        A node holds whole labels, so a row's distance to the nearest other
+        row of its own label (inf for a one-row label) bounds it from above
+        in every node, in the same bits.  The quantile reads order
+        statistics j and j + 1 of n, j = floor((n - 1) q), so only the n - j
+        largest (one more covers np.quantile's index rounding one lower).
+        The rows of largest bound ask the node (its KD tree kd, if any) in
+        doubling batches until that many exact distances reach every bound
+        left; the bounds, the asked rows' replaced, then give the quantile."""
+        q = self.cfg.outlier_quantile
+        if self._bound is None:
+            self._bound = np.full(len(self.X), np.inf)
+            for leaf in range(len(self.tree.leaf_names)):
+                rows = np.flatnonzero(self.leaf == leaf)
+                if len(rows) > 1:
+                    X = self.X[rows]
+                    self._bound[rows] = k_nearest(X, X, 2, kd_tree(X))[0][:, 1]
+        nn = self._bound[in_node]
+        n = len(nn)
+        need = n - math.floor((n - 1) * q) + 1
+        order = np.argsort(nn)[::-1]
+        asked, batch = 0, 2 * need + 16
+        while asked < n:
+            new = order[asked:asked + batch]
+            unasked = nn[order[asked + batch]] if asked + batch < n else -np.inf
+            nn[new] = k_nearest(R[new], R, 2, kd)[0][:, 1]
+            asked += len(new)
+            if np.count_nonzero(nn[order[:asked]] >= unasked) >= need:
+                break
+            batch = asked
+        return float(np.quantile(nn, q))
 
     def competition(self, Z, node):
         """Decide one internal-node competition for each z-scored row of Z.

@@ -248,88 +248,91 @@ def test_batched_knn_matches_per_point_vote(problem, k, block_bytes):
     assert got == ref_knn(train, test, features, k)
 
 
-def outlier_threshold_input(X, in_node, kd):
-    """The nearest-other-row distances ``TreeClassifier._outlier_threshold``
-    takes its quantile of at the node of training rows X[in_node], with the
-    threshold it returns and the node rows it asked ``k_nearest`` for
-    directly (outside the training list)."""
-    seen = []
-    quantile = np.quantile
-
-    def record(a, q):
-        seen.append(np.array(a))
-        return quantile(a, q)
-
-    clf = SimpleNamespace(cfg=CompetitionConfig(), X=X, _train_nearest=None)
-    with mock.patch.object(np, "quantile", side_effect=record), \
-            mock.patch.object(predictive_map, "k_nearest", wraps=k_nearest) as calls:
-        threshold = TreeClassifier._outlier_threshold(clf, X[in_node], in_node, kd)
-    asked = [call.args[0] for call in calls.call_args_list if call.args[0] is not X]
-    return seen[0], threshold, sum(len(Q) for Q in asked)
+def outlier_threshold(X, leaf, in_node, q):
+    """``TreeClassifier._outlier_threshold`` at the node of training rows
+    X[in_node], each row of label leaf[row], with the node rows it asked
+    ``k_nearest`` for their exact distance (not counting the KD screen's
+    own call for rows tied at the k-th distance, which passes no tree)."""
+    R = X[in_node]
+    clf = SimpleNamespace(cfg=CompetitionConfig(outlier_quantile=q), X=X, leaf=leaf,
+                          tree=SimpleNamespace(leaf_names=list(range(leaf.max() + 1))), _bound=None)
+    with mock.patch.object(predictive_map, "k_nearest", wraps=k_nearest) as calls:
+        threshold = TreeClassifier._outlier_threshold(clf, R, in_node, kd_tree(R))
+    asks = [call.args[0] for call in calls.call_args_list if call.args[1] is R and len(call.args) == 4]
+    return threshold, sum(len(Q) for Q in asks)
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 600), dim=st.sampled_from([1, 2, 3, 9, 32]),
        n_dup=st.integers(0, 40), grid=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]),
-       n_labels=st.integers(1, 4), list_k=st.sampled_from([1, 2, 3, predictive_map.TRAIN_NEAREST_K]))
-def test_outlier_precompute_is_exact_for_one_or_two_features(seed, n, dim, n_dup, grid, scale, n_labels, list_k):
-    # every feature count, with the node's KD tree (one or two features:
-    # kd_tree gives None for more) and from the training list; the node is
-    # a random set of labels drawn row by row, so a row's nearest training
-    # rows often lie outside it, and a short list forces the direct query
+       n_labels=st.integers(1, 40), n_single=st.integers(0, 3))
+def test_outlier_threshold_has_the_bits_of_the_exact_quantile(seed, n, dim, n_dup, grid, scale, n_labels, n_single):
+    # every feature count, with the node's KD tree (one or two features)
+    # and the Gram screen (more).  Labels are drawn row by row, so a row's
+    # own-label bound is often far above its distance in the node and the
+    # high quantiles ask in several batches; the first n_single rows are
+    # one-row labels, whose bound is inf
     rng = np.random.default_rng(seed)
     X = scale * rng.normal(size=(n, dim))
     if grid:
         X = np.round(X / scale, 1) * scale  # equal distances between many pairs
     X[rng.integers(0, n, n_dup)] = X[rng.integers(0, n, n_dup)]
-    label = rng.integers(0, n_labels, n)
-    in_node = np.isin(label, rng.choice(n_labels, int(rng.integers(1, n_labels + 1)), replace=False))
+    leaf = rng.integers(0, n_labels, n)
+    leaf[:n_single] = n_labels + np.arange(min(n_single, n))
+    labels = np.unique(leaf)
+    in_node = np.isin(leaf, rng.choice(labels, int(rng.integers(1, len(labels) + 1)), replace=False))
     if np.count_nonzero(in_node) < 2:
-        in_node[:2] = True
-    Z = X[in_node]
-    want = ref_exact_nearest_neighbor_distances(Z)
-    _, inverse, counts = np.unique(Z, axis=0, return_inverse=True, return_counts=True)
-    duplicated = counts[inverse.ravel()] > 1
-    with mock.patch.object(predictive_map, "TRAIN_NEAREST_K", list_k):
-        for tree in (None, kd_tree(Z)):
-            got, threshold, asked = outlier_threshold_input(X, in_node, tree)
-            assert got.tobytes() == want.tobytes()
-            assert np.all(got[duplicated] == 0.0) and np.all(got[~duplicated] > 0.0)
-            assert threshold == float(np.quantile(want, CompetitionConfig().outlier_quantile))
-            if tree is not None:
-                assert asked == 0
-            elif list_k == 1:
-                assert asked == len(Z)  # a one-entry list never holds a second node row
+        in_node[:] = True
+    want = ref_exact_nearest_neighbor_distances(X[in_node])
+    for q in (0.01, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999):
+        threshold, asked = outlier_threshold(X, leaf, in_node, q)
+        assert np.float64(threshold).tobytes() == np.quantile(want, q).tobytes()
+        assert asked <= len(want)
 
 
-def test_outlier_threshold_asks_the_node_only_for_rows_its_list_misses():
-    # three features on a line.  Node row 0 has seven rows of another label
-    # nearer than any row of its own, so its 8-entry list holds no second
-    # node row and it is asked directly; rows 1 and 2 are each other's
-    # nearest and the list serves them
-    xs = [0.0, 10.0, 11.0] + [0.01 * j for j in range(1, 9)]
-    X = np.array([[x, 0.0, 0.0] for x in xs])
-    in_node = np.arange(len(X)) < 3
-    got, threshold, asked = outlier_threshold_input(X, in_node, None)
-    assert predictive_map.TRAIN_NEAREST_K == 8 and asked == 1
-    assert got.tolist() == [10.0, 1.0, 1.0]
-    assert got.tobytes() == ref_exact_nearest_neighbor_distances(X[in_node]).tobytes()
-    assert threshold == float(np.quantile(got, CompetitionConfig().outlier_quantile))
+@pytest.mark.parametrize("n, q", [(61, 0.95), (101, 0.7)])
+def test_outlier_threshold_reads_the_index_np_quantile_rounds_down(n, q):
+    # at these node sizes np.quantile's index n q + (1 - q) - 1 rounds
+    # below floor((n - 1) q), so it reads one order statistic lower, and
+    # several of these nodes stop asking exactly when that one is exact
+    assert math.floor(n * q + (1 - q) - 1) == math.floor((n - 1) * q) - 1
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 2))
+        threshold, _ = outlier_threshold(X, rng.integers(0, 6, n), np.ones(n, dtype=bool), q)
+        assert threshold == float(np.quantile(ref_exact_nearest_neighbor_distances(X), q))
 
 
-def test_training_list_is_built_once_and_only_for_the_outlier_screen():
+@pytest.mark.parametrize("dim", [2, 3])
+def test_outlier_threshold_asks_one_batch_when_the_bounds_are_exact(dim):
+    # labels 1000 apart: each row's nearest other node row is of its own
+    # label, so every bound is exact and the first batch of 2 need + 16
+    # rows already holds the need largest distances
+    rng = np.random.default_rng(5)
+    leaf = np.repeat(np.arange(10), 120)
+    X = rng.normal(size=(len(leaf), dim)) + 1000.0 * rng.normal(size=(10, dim))[leaf]
+    in_node = leaf < 9
+    n = np.count_nonzero(in_node)
+    need = n - math.floor((n - 1) * 0.99) + 1
+    threshold, asked = outlier_threshold(X, leaf, in_node, 0.99)
+    assert n >= 1000 and 0 < asked <= 2 * need + 16
+    assert threshold == float(np.quantile(ref_exact_nearest_neighbor_distances(X[in_node]), 0.99))
+
+
+def test_outlier_bounds_are_built_once_and_only_for_the_outlier_screen():
     rng = np.random.default_rng(7)
     labels = list("abcd")
     y = np.repeat(labels, 15)
     train = dataset(rng.normal(size=(len(y), 3)) + 3.0 * np.repeat(np.arange(4), 15)[:, None], y)
     tree = build_label_tree(np.array([[0.0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]), labels)
     features = train.feature_names()
-    for quantile, lists in ((None, 0), (0.99, 1)):
+    for quantile, bound_calls in ((None, 0), (0.99, len(labels))):
         clf = TreeClassifier(tree, train, features, CompetitionConfig(outlier_quantile=quantile))
         with mock.patch.object(predictive_map, "k_nearest", wraps=k_nearest) as calls:
             _, _, steps = clf.classify_rows(train.table)
         assert len(steps) > 1
-        assert sum(call.args[0] is clf.X for call in calls.call_args_list) == lists
+        # a label's bounds are its rows' nearest among themselves
+        assert sum(call.args[0] is call.args[1] for call in calls.call_args_list) == bound_calls
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
