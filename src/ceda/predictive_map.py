@@ -27,7 +27,9 @@ point-at-a-time descent makes, and builds the node's rows, left branch and
 KD tree as it runs.  Rules 1 and 2 need only each point's k* nearest rows
 and its nearest distance, which ``k_nearest`` finds: the node's KD tree for
 one or two features, a Gram screen with a proven rounding margin for more,
-both exact to the bit.  The outlier quantile is exact too: own-label upper
+both exact to the bit.  A point's k* nearest go down the tree with it, so
+a child searches only the points whose parent's k* do not all lie in it.
+The outlier quantile is exact too: own-label upper
 bounds and exact distances for the few rows that can reach it.  Only the
 points rule 3 decides get their distances to every node member
 (``distance_rows``), with the node's left-branch rows first, so each
@@ -427,14 +429,24 @@ class TreeClassifier:
             batch = asked
         return float(np.quantile(nn, q))
 
-    def competition(self, Z, node):
+    def competition(self, Z, node, near=None):
         """Decide one internal-node competition for each z-scored row of Z.
 
         Returns an object array of decisions: left / right / stop / outlier.
         The k-nearest screen decides the outlier and dominance rules; only
         the rows still open get full distance rows, for the median (one
         partition, in the buffer's scratch) and the two branch KDEs, in row
-        blocks that share one work buffer."""
+        blocks that share one work buffer.
+
+        ``near``, if given, is a (distances, training rows) pair of (len(Z),
+        k_star) arrays: each row's k* nearest training rows in the parent
+        node, training row -1 where unknown.  A row whose k* all lie in this
+        node keeps them: the node's rows are a subset of its parent's in the
+        same order, so the parent's first k* by (distance, row) are also
+        the node's, with the same distance bits.  The other rows are
+        searched here, and the pair is filled in with this node's k*
+        nearest.  A node of fewer than k* rows searches every row and fills
+        in nothing, as every node below it holds fewer still."""
         tree, cfg = self.tree, self.cfg
         if tree.is_leaf(node):
             raise DataError("node %d is a leaf, nothing to compete" % node)
@@ -446,7 +458,19 @@ class TreeClassifier:
         if k < cfg.k_star and not self._warned_small_k:
             log.warning("only %d training rows at node %d, k* reduced from %d", len(R), node, cfg.k_star)
             self._warned_small_k = True
-        dist, nearest = k_nearest(Z, R, k, kd)
+        if near is None or k < cfg.k_star:
+            dist, nearest = k_nearest(Z, R, k, kd)
+        else:
+            dist, train_rows = near
+            # each training row's column in R, -1 outside the node; the
+            # spare last entry maps an unknown row (-1) outside too
+            column = np.full(len(self.X) + 1, -1)
+            column[:-1][in_node] = np.arange(len(R))
+            nearest = column[train_rows]
+            miss = np.flatnonzero((nearest < 0).any(axis=1))
+            if len(miss):
+                dist[miss], nearest[miss] = k_nearest(Z[miss], R, k, kd)
+                train_rows[miss] = np.flatnonzero(in_node)[nearest[miss]]
         left_count = np.count_nonzero(is_left[nearest], axis=1)
         need = cfg.dominant_fraction * k - 1e-9
         decision = np.full(len(Z), "stop", dtype=object)
@@ -455,6 +479,8 @@ class TreeClassifier:
         if cfg.outlier_quantile is not None:
             decision[dist[:, 0] > self._outlier_threshold(R, in_node, kd)] = "outlier"
         open_ = np.flatnonzero(decision == "stop")
+        if not len(open_):
+            return decision
         # left rows first, each branch in its own order: a branch's sample
         # is then a column slice of the distance rows
         R = R[np.argsort(~is_left, kind="stable")]
@@ -477,26 +503,34 @@ class TreeClassifier:
     def classify(self, X_raw):
         """Descend from the root with every row of X_raw, one tree level at a
         time.  Returns each row's stop node, its outlier flag, and one (node,
-        rows, decisions) step per competition in the order they ran."""
+        rows, decisions) step per competition in the order they ran.
+
+        Each row's k* nearest training rows go down with it, from a
+        competition to the child it chose, so a row is searched again only
+        where they do not all lie in the child (see ``competition``)."""
         tree = self.tree
         Z = self.zstats.transform(X_raw)
         stop = np.full(len(Z), tree.root)
         outlier = np.zeros(len(Z), dtype=bool)
         steps = []
-        level = [(tree.root, np.arange(len(Z)))]
+        # a node of fewer than k* rows never reads near, so k* above the
+        # training rows needs no wider arrays
+        k = min(self.cfg.k_star, len(self.X))
+        near = (np.empty((len(Z), k)), np.full((len(Z), k), -1))
+        level = [(tree.root, np.arange(len(Z)), near)]
         while level:
             next_level = []
-            for node, idx in level:
+            for node, idx, near in level:
                 stop[idx] = node
                 if tree.is_leaf(node):
                     continue
-                decision = self.competition(Z[idx], node)
+                decision = self.competition(Z[idx], node, near)
                 steps.append((node, idx, decision))
                 outlier[idx] = decision == "outlier"
                 for child, side in zip(tree.children(node), ("left", "right")):
                     chosen = decision == side
                     if np.any(chosen):
-                        next_level.append((child, idx[chosen]))
+                        next_level.append((child, idx[chosen], (near[0][chosen], near[1][chosen])))
             level = next_level
         return stop, outlier, steps
 

@@ -5,7 +5,8 @@ The reference code below decides one point at a time with a full
 the package did before the descent was batched.  The batched code must
 return exactly the same predictions on any input, including distance ties
 (from duplicated rows), k* above the node size, the degenerate threshold
-band and a disabled outlier screen.
+band and a disabled outlier screen.  A descent that passes each point's k*
+nearest down the tree must decide as one where every node searches afresh.
 
 The outlier thresholds of a node come from the exact distance of each row
 to every other row, whatever the feature count.
@@ -177,14 +178,18 @@ def clouds(draw):
     ])
     train = dataset(X, y)
     test = dataset(Xte, rng.choice(labels, len(Xte)))
-    if n_labels < 3:
-        tree = tree_from_training(train, train.feature_names())
-    else:
-        dist = rng.uniform(0.1, 1.0, (n_labels, n_labels))
-        dist = dist + dist.T
-        np.fill_diagonal(dist, 0.0)
-        tree = build_label_tree(dist, labels)
-    return train, test, tree
+    return train, test, random_tree(rng, train, labels)
+
+
+def random_tree(rng, train, labels):
+    """A label tree from random label distances, or from the training rows
+    for fewer than three labels."""
+    if len(labels) < 3:
+        return tree_from_training(train, train.feature_names())
+    dist = rng.uniform(0.1, 1.0, (len(labels), len(labels)))
+    dist = dist + dist.T
+    np.fill_diagonal(dist, 0.0)
+    return build_label_tree(dist, labels)
 
 
 bands = st.sampled_from([(0.65, 100.0 / 65.0), (1.0, 1.0), (0.2, 1.0), (0.9, 3.0)])
@@ -220,9 +225,9 @@ def test_classify_runs_one_competition_per_internal_node_visited(problem, k_star
     nodes = []
     competition = clf.competition
 
-    def count(Z, node):
+    def count(Z, node, near=None):
         nodes.append(node)
-        return competition(Z, node)
+        return competition(Z, node, near)
 
     with mock.patch.object(predictive_map, "BLOCK_BYTES", block_bytes), \
             mock.patch.object(clf, "competition", side_effect=count):
@@ -236,6 +241,62 @@ def test_classify_runs_one_competition_per_internal_node_visited(problem, k_star
         for child in tree.children(node):
             depth[child] = depth[node] + 1
     assert [depth[node] for node in visited] == sorted(depth[node] for node in visited)
+
+
+@st.composite
+def deep_trees(draw):
+    """Up to six labels of uneven sizes (some below k*, so deep nodes may
+    hold fewer than k* rows) on one to six features, with duplicated rows
+    relabelled and, on an integer grid, rows that tie at the k-th distance
+    across a branch boundary."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_labels = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 6))
+    labels = np.array(list("abcdef"[:n_labels]))
+    leaf = np.repeat(np.arange(n_labels), rng.integers(1, draw(st.integers(2, 40)), n_labels))
+    centers = rng.normal(0.0, draw(st.sampled_from([0.5, 3.0])), (n_labels, dim))
+    X = centers[leaf] + rng.normal(size=(len(leaf), dim))
+    Xte = np.vstack([X[rng.integers(0, len(X), 8)], centers[rng.integers(0, n_labels, 12)] + rng.normal(size=(12, dim))])
+    if draw(st.booleans()):
+        X, Xte = np.round(X), np.round(Xte)
+    dup = rng.integers(0, len(X), draw(st.integers(0, 20)))
+    train = dataset(np.vstack([X, X[dup]]), np.concatenate([labels[leaf], rng.choice(labels, len(dup))]))
+    test = dataset(Xte, rng.choice(labels, len(Xte)))
+    return train, test, random_tree(rng, train, labels.tolist())
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=deep_trees(), k_star=st.integers(1, 40), outlier_quantile=st.sampled_from([None, 0.5, 0.99]))
+def test_passed_down_neighbours_decide_as_a_fresh_search(problem, k_star, outlier_quantile):
+    train, test, tree = problem
+    cfg = CompetitionConfig(k_star=k_star, outlier_quantile=outlier_quantile)
+    clf = TreeClassifier(tree, train, train.feature_names(), cfg)
+    stop, outlier, steps = clf.classify_rows(test.table)
+    competition = clf.competition
+    with mock.patch.object(clf, "competition", side_effect=lambda Z, node, near=None: competition(Z, node)):
+        want_stop, want_outlier, want_steps = clf.classify_rows(test.table)
+    assert stop.tolist() == want_stop.tolist()
+    assert outlier.tolist() == want_outlier.tolist()
+    assert [(node, rows.tolist(), decisions.tolist()) for node, rows, decisions in steps] == \
+        [(node, rows.tolist(), decisions.tolist()) for node, rows, decisions in want_steps]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_competitions_below_the_root_search_no_row_of_well_separated_clouds(dim):
+    # clouds 100 apart: a row's k* nearest at the root are of its own label,
+    # so they lie in every node down to its leaf and only the root searches
+    rng = np.random.default_rng(11)
+    labels = list("abcdef")
+    leaf = np.repeat(np.arange(6), 50)
+    centers = 100.0 * rng.normal(size=(6, dim))
+    train = dataset(centers[leaf] + rng.normal(size=(len(leaf), dim)), np.array(labels)[leaf])
+    test = dataset(centers[leaf[::5]] + rng.normal(size=(len(leaf[::5]), dim)), np.array(labels)[leaf[::5]])
+    tree = tree_from_training(train, train.feature_names())
+    clf = TreeClassifier(tree, train, train.feature_names(), CompetitionConfig(outlier_quantile=None))
+    with mock.patch.object(predictive_map, "k_nearest", wraps=k_nearest) as calls:
+        stop, _, steps = clf.classify_rows(test.table)
+    assert len(steps) >= 5 and all(tree.is_leaf(node) for node in stop.tolist())
+    assert [len(call.args[0]) for call in calls.call_args_list] == [len(test.label_values)]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

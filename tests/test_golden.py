@@ -7,16 +7,27 @@ artifact except manifest.json (which carries a timestamp and a hash of the
 absolute config paths) is compared by SHA-256 against the digests recorded below.  A change
 that moves any of these digests must say in CHANGES.md which artifact moved
 and why, and record the new digest here.
+
+The same digests must hold on numpy's AVX2 loops where it dispatches
+AVX-512 ones, and a canary pins the numpy Generator calls whose draws
+reach a report, so that a numpy release that changes one is named.
 """
 
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ceda
 from ceda.cli import main
+from ceda.label_tree import _draw
 
 SYNTH = {
     "kind": "magnus-manifold",
@@ -117,9 +128,9 @@ def _digests(out_dir):
     }
 
 
-@pytest.fixture(scope="module")
-def walkthrough(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def run_walkthrough(root):
+    """Run every command of the walkthrough into its own out_dir under
+    root; returns the digest of every artifact."""
     synth_cfg = root / "synth.json"
     synth_cfg.write_text(json.dumps({"seed": 5, "out_dir": str(root / "synth"), "synth": SYNTH}))
     assert main(["synth", "--config", str(synth_cfg)]) == 0
@@ -134,7 +145,13 @@ def walkthrough(tmp_path_factory):
         out = root / out_name
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         digests.update(_digests(out))
-    return root, digests
+    return digests
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    return root, run_walkthrough(root)
 
 
 def test_golden_artifact_set(walkthrough):
@@ -199,3 +216,79 @@ def test_golden_per_row_reports_conserve(walkthrough, out_dir):
     else:
         totals = json.loads((out / summary).read_text())["totals"]
         assert Counter(r["case"] for r in rows) == Counter(totals)
+
+
+# --- the same bytes on other SIMD levels and numpy releases ----------------
+
+
+def avx512_loops():
+    """The AVX-512 targets among numpy's dispatched loops that this process
+    runs, by numpy's own names."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if (name.startswith("AVX512") or name == "X86_V4") and umath.__cpu_features__.get(name)]
+
+
+AVX2_WALKTHROUGH = """
+import json, pathlib, sys
+import test_golden
+out = pathlib.Path(sys.argv[1])
+digests = test_golden.run_walkthrough(out)
+(out / "result.json").write_text(json.dumps({"avx512": test_golden.avx512_loops(), "digests": digests}))
+"""
+
+
+def test_golden_digests_hold_without_avx512_loops(tmp_path):
+    # numpy picks its float64 exp, log and log1p loops by CPU, and its
+    # AVX-512 and AVX2 loops differ in the last bit of some results; the
+    # reports must not.  Naming a loop numpy does not dispatch warns on
+    # import, which fails the run
+    disable = avx512_loops()
+    if not disable:
+        pytest.skip("numpy dispatches no AVX-512 loop on this CPU, so the AVX2 loops already ran")
+    paths = [str(Path(ceda.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disable),
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c", AVX2_WALKTHROUGH, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-3000:]
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["avx512"] == [], "NPY_DISABLE_CPU_FEATURES=%s left %s on" % (" ".join(disable), result["avx512"])
+    assert sorted(result["digests"]) == sorted(GOLDEN)
+    moved = [name for name in sorted(GOLDEN) if result["digests"][name] != GOLDEN[name]]
+    assert not moved, "on numpy's AVX2 loops these artifacts moved: %s" % moved
+
+
+# What numpy 2.4 draws in the two Generator calls whose results reach a
+# report.  NEP 19 keeps SeedSequence and the raw PCG64 words stable across
+# numpy releases, but not Generator methods: a release that changes one
+# moves every split- or sample-dependent digest above, and this test names
+# the call.
+PERMUTATIONS = [
+    [1, 0],
+    [7, 6, 1, 3, 2, 4, 0, 8, 5],
+    [29, 15, 2, 6, 22, 26, 10, 25, 7, 12, 4, 11, 17, 0, 19, 9, 23, 3, 24, 8, 28, 13, 27, 1, 16, 5, 20, 21, 14, 18],
+]
+DRAWS = {
+    # spawn key: (label sizes, round one of 6 samples, then 2 more)
+    0: ([1, 2, 150], [[0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0], [68, 3, 140, 18, 58, 84]], [[0, 0], [1, 0], [117, 45]]),
+    7: ([7, 60, 3000], [[4, 3, 4, 0, 3, 6], [27, 55, 43, 34, 8, 41], [1268, 1533, 20, 2678, 2566, 972]],
+        [[1, 5], [55, 39], [58, 197]]),
+}
+
+
+def test_numpy_generator_calls_that_reach_reports_draw_as_recorded():
+    # split_train_test: one permutation per label from one seeded Generator
+    rng = np.random.default_rng(5)
+    assert [rng.permutation(n).tolist() for n in (2, 9, 30)] == PERMUTATIONS, \
+        "numpy's Generator.permutation changed: every train/test split, and so every report, moves"
+    # the triple sampler: _draw's Generator.integers on a spawned SeedSequence,
+    # round one and then a tie redraw from the same stream
+    for key, (sizes, first, again) in DRAWS.items():
+        rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(key,)))
+        got = [[a.tolist() for a in _draw(rng, sizes, m)] for m in (6, 2)]
+        assert got == [first, again], \
+            "numpy's Generator.integers changed: the triple samples, and so let, pmap and chain, move"
