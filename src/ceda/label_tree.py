@@ -4,15 +4,15 @@ empirical distance dominance.
 For every triple of labels, point triples are sampled (one training point
 per label, uniform with replacement, features z-scored on train) and the
 strictly smallest of the three pairwise Euclidean distances marks its label
-pair as dominated by the other two.  Tallying who dominates whom over all
-triples gives each label pair a relative distance: the fraction of its
-exposures in which it dominated some other pair.  Labels whose pair is
-rarely a dominator sit close together.  Average-linkage clustering of the
-resulting label-by-label matrix yields the tree, an ``hclust.Dendrogram``
-whose leaf names are the labels.
+pair as dominated by the other two.  The tally of each triple's three pairs
+gives each label pair a relative distance: the fraction of its exposures in
+which some other pair of the triple was the minimum, that is, in which it
+dominated.  Labels whose pair is rarely a dominator sit close together.
+Average-linkage clustering of the resulting label-by-label matrix yields
+the tree, an ``hclust.Dendrogram`` whose leaf names are the labels.
 
 Sampling is the costly step, and it is seeded, so it runs once per tree: the
-``let`` command builds its tree from the dominance matrix it writes, and
+``let`` command builds its tree from the dominance tally it writes, and
 ``tree_from_training`` is the route for callers that need only the tree.
 
 The sampler draws as a per-triple loop would: triple t draws its three
@@ -49,8 +49,8 @@ MAX_TIE_ROUNDS = 100
 @dataclass
 class DominanceMatrix:
     labels: list
-    pairs: list          # label-name tuples, C(L,2) of them in index order
-    counts: np.ndarray   # counts[p, q]: times pair q's distance exceeded pair p's
+    triples: np.ndarray   # (C(L,3), 3) label indices x < y < z, in itertools.combinations order
+    tally: np.ndarray     # tally[t]: samples in which pair xy, xz, yz of triple t was the strict minimum
     samples_per_triplet: int
 
     @property
@@ -59,9 +59,8 @@ class DominanceMatrix:
         return (len(self.labels) - 2) * self.samples_per_triplet
 
     def to_csv_text(self):
-        names = ["|".join(p) for p in self.pairs]
-        rows = [["dominated\\dominator"] + names]
-        rows += [[name] + [int(v) for v in row] for name, row in zip(names, self.counts)]
+        rows = [["x", "y", "z", "xy", "xz", "yz"]]
+        rows += [[self.labels[i] for i in t] + c for t, c in zip(self.triples.tolist(), self.tally.tolist())]
         return csv_text(rows)
 
 
@@ -178,7 +177,8 @@ def _screen(X, start, triples, pair_ids, draws):
 
 
 def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
-    """Build the pairwise dominance matrix from sampled point triples.
+    """Tally, for every label triple, how often each of its three pairs was
+    the strict minimum over sampled point triples.
 
     Exact distance ties discard the sample and redraw (bounded rounds); a
     persistent tie is a computation error.  Each label triple consumes its
@@ -238,25 +238,21 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
                 % tuple(labels[i] for i in triples[t])
             )
 
-    # each dominated pair counts against the other two pairs of its triple
-    dominated_slot, other_slot = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]
-    counts = np.zeros((math.comb(L, 2),) * 2, dtype=np.int64)
-    counts[pair_ids[:, dominated_slot], pair_ids[:, other_slot]] = tally[:, dominated_slot]
-    return DominanceMatrix(
-        labels=labels, pairs=list(itertools.combinations(labels, 2)), counts=counts, samples_per_triplet=T,
-    )
+    return DominanceMatrix(labels=labels, triples=triples, tally=tally, samples_per_triplet=T)
 
 
 def dominance_to_distance(dm):
-    """Label-by-label relative distance matrix from dominance column sums
-    divided by the exposure (L-2)*T, so every value lies in [0, 1]."""
+    """Label-by-label relative distance matrix: each pair's count of samples
+    in which another pair of its triple was the minimum, summed over its
+    triples and divided by the exposure (L-2)*T, so every value lies in
+    [0, 1]."""
     L = len(dm.labels)
     if L < 3:
-        raise DataError("dominance matrix needs at least 3 labels")
-    colsums = dm.counts.sum(axis=0) / dm.exposure
-    # the pairs run in index order, as np.triu_indices does
-    out = np.zeros((L, L))
-    out[np.triu_indices(L, 1)] = colsums
+        raise DataError("dominance tally needs at least 3 labels")
+    dominator = dm.tally.sum(axis=1, keepdims=True) - dm.tally
+    sums = np.zeros((L, L), dtype=np.int64)
+    np.add.at(sums, (dm.triples[:, [0, 0, 1]], dm.triples[:, [1, 2, 2]]), dominator)
+    out = sums / dm.exposure
     return out + out.T
 
 

@@ -3,6 +3,7 @@
 import csv
 import errno
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -188,11 +189,36 @@ def test_let_artifacts(tmp_path, clouds_csv):
     newick = (out / "tree.newick").read_text().strip()
     assert newick.endswith(";") and "(" in newick
     dom_lines = (out / "dominance.csv").read_text().strip().split("\n")
-    assert dom_lines[0].startswith("dominated\\dominator,")
+    assert dom_lines[0] == "x,y,z,xy,xz,yz"
+    assert len(dom_lines) == 2 and dom_lines[1].startswith("a,b,c,")
     dist_lines = (out / "label_distance.csv").read_text().strip().split("\n")
     assert dist_lines[0] == "label,a,b,c"
     tree = read_json(out / "tree.json")
     assert sorted(tree["labels"]) == ["a", "b", "c"]
+
+
+def test_let_dominance_rows_name_their_triples(tmp_path):
+    # with "|"-joined pair names, (a, b|c) and (a|b, c) both printed a|b|c
+    labels = ["a", "a|b", "b|c", "c", "c,d"]
+    rng = np.random.default_rng(0)
+    data = tmp_path / "labels.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "label"])
+        for i, lab in enumerate(labels):
+            writer.writerows([x, y, lab] for x, y in rng.normal(i, 0.5, (10, 2)).tolist())
+    out = tmp_path / "let"
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(data), label_column="label",
+                    out_dir=str(out), **{"let": {"samples_per_triplet": 25}})
+    assert run_cli("let", "--config", cfg) == 0
+    with open(out / "label_distance.csv", newline="") as fh:
+        order = next(csv.reader(fh))[1:]
+    assert sorted(order) == sorted(labels)
+    with open(out / "dominance.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "y", "z", "xy", "xz", "yz"]
+    assert [row[:3] for row in rows[1:]] == [list(t) for t in itertools.combinations(order, 3)]
+    assert all(sum(int(v) for v in row[3:]) == 25 for row in rows[1:])
 
 
 def test_let_samples_once(tmp_path, clouds_csv, monkeypatch):

@@ -90,7 +90,7 @@ GOLDEN = {
     "dissect_wide/dissection.csv": "24cf2cf35a268bf0b1c0d6ac1e1aaa89ac2ae44f583f430c1018c56a044491b4",
     "dissect_wide/dissection.json": "fd8c0e877489b52c23b9f3d6a183f2f7bf0ce16366b87450ae3bb26290f54655",
     "dissect_wide/split_test.csv": "009568f7406d506c812af75cc4b9791fd68a2704bd185af7549576c649165c6b",
-    "let/dominance.csv": "68a2cd563c9770844d650fe37cd74f205244fa94277bbaefb7e5b4a6d1d3803a",
+    "let/dominance.csv": "840721415dd9038b3bb9b08e835fc397bc1bab8beb18646302815b08a664c6dd",
     "let/label_distance.csv": "12232aa284127372c6360ac3097fe5bc06cd2b7aed52c55fcdbb220f5f52c152",
     "let/tree.json": "c15e2b3302f5444fd5adebe99d33cd36065212d5e45a05f2b4d0fe17669662e5",
     "let/tree.newick": "c687abda5b6370f27bea0a12c85b4f0cf82d62712b468f1d39121fbd0b414e97",

@@ -38,33 +38,39 @@ def test_counts_total_is_two_per_sample():
     ds = clouds(THREE)
     dm = sample_triplet_orderings(ds, ["f0", "f1"], samples_per_triplet=50, seed=1)
     # one triple, 50 samples, each sample charges the two non-smallest pairs
-    assert dm.counts.sum() == 2 * 50
-    assert np.all(np.diag(dm.counts) == 0)
+    assert dm.triples.tolist() == [[0, 1, 2]]
+    assert dm.tally.sum() == 50
+    d = dominance_to_distance(dm)
+    assert np.round(np.triu(d) * dm.exposure).sum() == 2 * 50
+    assert np.all(np.diag(d) == 0)
     assert dm.exposure == 50
 
 
 def test_counts_total_with_four_labels():
     ds = clouds([[0, 0], [4, 0], [0, 4], [4, 4]], sd=0.5, n=25, seed=3)
     dm = sample_triplet_orderings(ds, ["f0", "f1"], samples_per_triplet=30, seed=2)
-    assert len(dm.pairs) == 6
-    assert dm.counts.sum() == 2 * 30 * 4  # C(4,3) triples
+    assert dm.triples.tolist() == [list(t) for t in itertools.combinations(range(4), 3)]
+    assert dm.tally.dtype == np.int64
+    assert np.all(dm.tally.sum(axis=1) == 30)
     assert dm.exposure == 2 * 30
-    assert np.all(dm.counts.sum(axis=0) <= dm.exposure)
+    d = dominance_to_distance(dm)
+    assert np.round(np.triu(d) * dm.exposure).sum() == 2 * 30 * 4  # C(4,3) triples
+    assert np.all(d <= 1)
 
 
 def test_same_seed_reproduces_counts():
     ds = clouds(THREE)
     a = sample_triplet_orderings(ds, ["f0", "f1"], samples_per_triplet=40, seed=9)
     b = sample_triplet_orderings(ds, ["f0", "f1"], samples_per_triplet=40, seed=9)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.tally, b.tally)
 
 
 def test_different_seed_changes_counts():
-    # the count matrix is a coarse statistic, so two seeds can tie by
+    # the tally is a coarse statistic, so two seeds can tie by
     # chance; require variation somewhere across several seeds instead
     ds = clouds([[0, 0], [0.5, 0], [1, 0]], sd=0.5)
     results = [
-        sample_triplet_orderings(ds, ["f0", "f1"], samples_per_triplet=60, seed=s).counts
+        sample_triplet_orderings(ds, ["f0", "f1"], samples_per_triplet=60, seed=s).tally
         for s in range(1, 7)
     ]
     assert any(not np.array_equal(results[0], r) for r in results[1:])
@@ -110,21 +116,19 @@ def test_persistent_ties_raise():
 
 def reference_orderings(train, features, samples_per_triplet, seed):
     """The per-triple sampler the screen replaced: every sample's three
-    exact distances, ties redrawn in rounds from the triple's stream."""
+    exact distances, ties redrawn in rounds from the triple's stream.
+    Returns the (triples, 3) tally."""
     labels = list(train.labels)
     T = samples_per_triplet
     rows = {lab: train.rows_with_label(lab) for lab in labels}
     X = feature_matrix(train.table, features)
     X = ZStats.fit(X).transform(X)
-    pairs = list(itertools.combinations(range(len(labels)), 2))
-    pair_id = {p: k for k, p in enumerate(pairs)}
-    counts = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
+    tallies = []
     triples = list(itertools.combinations(range(len(labels)), 3))
     streams = np.random.SeedSequence(seed).spawn(len(triples))
     for t_idx, (a, b, c) in enumerate(triples):
         rng = np.random.default_rng(streams[t_idx])
         ra, rb, rc = rows[labels[a]], rows[labels[b]], rows[labels[c]]
-        local = np.array([pair_id[(a, b)], pair_id[(a, c)], pair_id[(b, c)]])
         dominated = np.full(T, -1, dtype=int)
         pending = np.arange(T)
         for _ in range(MAX_TIE_ROUNDS):
@@ -148,9 +152,8 @@ def reference_orderings(train, features, samples_per_triplet, seed):
                 "persistent distance ties while sampling labels (%s, %s, %s)"
                 % (labels[a], labels[b], labels[c])
             )
-        tally = np.bincount(dominated, minlength=3)
-        counts[np.ix_(local, local)] += tally[:, None] - np.diag(tally)
-    return counts
+        tallies.append(np.bincount(dominated, minlength=3))
+    return np.array(tallies)
 
 
 @st.composite
@@ -219,7 +222,7 @@ def outcome(sampler, train, features, T, seed):
 def test_screened_sampler_matches_the_per_triple_loop(problem):
     train, features, T, seed = problem
     want = outcome(reference_orderings, train, features, T, seed)
-    got = outcome(lambda *args: sample_triplet_orderings(*args).counts, train, features, T, seed)
+    got = outcome(lambda *args: sample_triplet_orderings(*args).tally, train, features, T, seed)
     if isinstance(want, str):
         assert isinstance(got, str) and got == want
     else:
@@ -249,27 +252,51 @@ def test_round_one_matches_generator_integers(monkeypatch, T):
 
 
 def test_distance_from_hand_tally():
-    pairs = [("a", "b"), ("a", "c"), ("b", "c")]
-    counts = np.zeros((3, 3), dtype=np.int64)
     # (a,b) smallest 6 times, (a,c) 3 times, (b,c) once; T = 10
-    counts[0, 1] = counts[0, 2] = 6
-    counts[1, 0] = counts[1, 2] = 3
-    counts[2, 0] = counts[2, 1] = 1
-    dm = DominanceMatrix(labels=["a", "b", "c"], pairs=pairs, counts=counts,
-                         samples_per_triplet=10)
+    dm = DominanceMatrix(labels=["a", "b", "c"], triples=np.array([[0, 1, 2]]),
+                         tally=np.array([[6, 3, 1]]), samples_per_triplet=10)
     d = dominance_to_distance(dm)
-    assert d[0, 1] == pytest.approx(0.4)   # column sum 3+1 over exposure 10
+    assert d[0, 1] == pytest.approx(0.4)   # 3+1 samples over exposure 10
     assert d[0, 2] == pytest.approx(0.7)
     assert d[1, 2] == pytest.approx(0.9)
     assert np.array_equal(d, d.T)
 
 
+def dense_distance(dm):
+    """The distance as the dense dominance matrix gave it: counts[p, q]
+    holds, for each triple, the samples in which pair p was the minimum,
+    against each other pair q; then column sums over the exposure."""
+    L = len(dm.labels)
+    pair_index = np.zeros((L, L), dtype=np.intp)
+    pair_index[np.triu_indices(L, 1)] = np.arange(L * (L - 1) // 2)
+    pair_ids = pair_index[dm.triples[:, [0, 0, 1]], dm.triples[:, [1, 2, 2]]]
+    counts = np.zeros((L * (L - 1) // 2,) * 2, dtype=np.int64)
+    dominated_slot, other_slot = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]
+    counts[pair_ids[:, dominated_slot], pair_ids[:, other_slot]] = dm.tally[:, dominated_slot]
+    out = np.zeros((L, L))
+    out[np.triu_indices(L, 1)] = counts.sum(axis=0) / dm.exposure
+    return out + out.T
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.integers(3, 9), T=st.integers(1, 10 ** 6), data=st.data())
+def test_distance_from_the_tally_keeps_the_dense_matrix_bits(L, T, data):
+    # any tally, rows need not sum to T
+    triples = np.array(list(itertools.combinations(range(L), 3)))
+    tally = np.array(data.draw(st.lists(st.lists(st.integers(0, T), min_size=3, max_size=3),
+                                        min_size=len(triples), max_size=len(triples))), dtype=np.int64)
+    dm = DominanceMatrix(labels=["l%d" % i for i in range(L)], triples=triples, tally=tally,
+                         samples_per_triplet=T)
+    assert dominance_to_distance(dm).tobytes() == dense_distance(dm).tobytes()
+
+
 def test_dominance_csv_header():
-    ds = clouds(THREE)
+    ds = clouds([[0, 0], [4, 0], [0, 4], [4, 4]], sd=0.5, n=25, seed=3)
     dm = sample_triplet_orderings(ds, ["f0", "f1"], samples_per_triplet=10, seed=0)
     lines = dm.to_csv_text().strip().split("\n")
-    assert lines[0].startswith("dominated\\dominator,a|b,a|c,b|c")
-    assert len(lines) == 4
+    assert lines[0] == "x,y,z,xy,xz,yz"
+    assert [line.split(",")[:3] for line in lines[1:]] == [list(t) for t in itertools.combinations("abcd", 3)]
+    assert [[int(v) for v in line.split(",")[3:]] for line in lines[1:]] == dm.tally.tolist()
 
 
 # --- trees ---------------------------------------------------------------
