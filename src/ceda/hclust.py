@@ -53,10 +53,14 @@ class Dendrogram:
         return self.members(self.root)
 
     def to_newick(self):
-        """Newick-style text; internal nodes annotated with merge height."""
+        """Newick-style text; internal nodes annotated with merge height.  A leaf
+        name holding whitespace or any of ,():;[]' is single-quoted, ' doubled."""
         def render(node):
             if self.is_leaf(node):
-                return str(self.leaf_names[node]) if self.leaf_names else str(node)
+                name = str(self.leaf_names[node]) if self.leaf_names else str(node)
+                if any(c in ",():;[]'" or c.isspace() for c in name):
+                    return "'%s'" % name.replace("'", "''")
+                return name
             left, right, h = self.merges[node - self.n_leaves]
             return "(%s,%s):%.6g" % (render(left), render(right), h)
 

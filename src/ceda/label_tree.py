@@ -18,7 +18,9 @@ Sampling is the costly step, and it is seeded, so it runs once per tree: the
 The sampler draws as a per-triple loop would: triple t draws its three
 labels' rows in turn from the stream of ``root.spawn(n)[t]``, round one read
 from raw PCG64 words by numpy's Lemire rule (``Generator.integers`` for
-redraws and one-row labels).  It measures differently.  One Gram block per
+redraws and one-row labels).  ``spawn_states`` hashes the seed words of all
+n streams at once, 32 bytes per triple, as numpy's SeedSequence would one
+child at a time.  The sampler measures differently.  One Gram block per
 label pair (or, for a pair whose block would far outnumber its samples, dot
 products of gathered rows) gives every sample the squared-distance screens
 ||x||^2 + ||y||^2 - 2 x.y of its three pairs.  A sample whose smallest
@@ -79,14 +81,61 @@ LEMIRE_CHUNK = 2 ** 15   # round one maps about this many draws at a time: whole
 SLOT_POSITIONS = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
 
 
+# numpy's SeedSequence hash constants: hashmix of entropy (A) and of output (B), and mix
+INIT_A, MULT_A, INIT_B, MULT_B, MIX_L, MIX_R = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715
+
+
+def spawn_states(root, n):
+    """The PCG64 seed words of ``root.spawn(n)``, an (n, 4) uint64 array: numpy's
+    SeedSequence hash (``mix_entropy``, then ``generate_state(4, np.uint64)``)
+    on uint32 arrays, one lane per child.  Only the last spawn-key word, t,
+    differs between lanes; arrays wrap silently where numpy scalars warn."""
+    def words(ints):   # each int little-endian, 0 as one word
+        return [v >> s & 0xFFFFFFFF for v in map(int, ints) for s in range(0, max(v.bit_length(), 1), 32)]
+
+    def hashmix(x, h, mult):   # h: the one-word hash constant, advanced in place
+        x = x ^ np.uint32(h[0])
+        h[0] = h[0] * mult & 0xFFFFFFFF
+        x = x * np.uint32(h[0])
+        return x ^ (x >> np.uint32(16))
+
+    def mix(x, y):
+        out = x * np.uint32(MIX_L) - y * np.uint32(MIX_R)
+        return out ^ (out >> np.uint32(16))
+
+    P, run = root.pool_size, words(np.ravel(root.entropy))
+    entropy = [np.array([w], dtype=np.uint32) for w in run + [0] * (P - len(run)) + words(root.spawn_key)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    h = [INIT_A]
+    pool = [hashmix(w, h, MULT_A) for w in entropy[:P]]
+    for src, dst in itertools.permutations(range(P), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], h, MULT_A))
+    for w, dst in itertools.product(entropy[P:], range(P)):
+        pool[dst] = mix(pool[dst], hashmix(w, h, MULT_A))
+    h = [INIT_B]
+    state = np.stack([hashmix(pool[i % P], h, MULT_B) for i in range(8)], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Child:
+    """A ``spawn_states`` row as PCG64 reads a seed sequence; registered as
+    an ``ISeedSequence`` when the sampler runs, so import skips numpy.random."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype):   # PCG64 asks for 4 uint64 words
+        return self.state
+
+
 def _draw(rng, sizes, m):
     """m local row indices into each label of a triple, in draw order."""
     return [rng.integers(0, size, m) for size in sizes]
 
 
-def _round_one(seeds, sizes, T):
+def _round_one(states, sizes, T):
     """Round one, (n, 3, T) row indices as ``_draw`` gives them, of triples
-    with SeedSequences ``seeds`` and label sizes ``sizes`` (n, 3).  numpy maps
+    with ``spawn_states`` rows ``states`` and label sizes ``sizes`` (n, 3).  numpy maps
     each 32-bit half of a PCG64 word, low half first, to (u * size) >> 32 and
     redraws while the low 32 bits of u * size fall below (2^32 - size) % size
     (Lemire's rule); a triple that would redraw goes through ``_draw``."""
@@ -97,7 +146,7 @@ def _round_one(seeds, sizes, T):
     size32, floor32 = (v.astype(np.uint32)[..., None] for v in (sizes, (2 ** 32 - sizes) % sizes))
     step, width = max(1, LEMIRE_CHUNK // (3 * T)), LEMIRE_CHUNK // 3
     for i in range(0, len(sizes), step):
-        words = np.stack([np.random.PCG64(s).random_raw(-(-3 * T // 2)) for s in seeds[i:i + step]])
+        words = np.stack([np.random.PCG64(_Child(s)).random_raw(-(-3 * T // 2)) for s in states[i:i + step]])
         u = words.astype("<u8", copy=False).view("<u4")[:, :3 * T].reshape(-1, 3, T)
         for j in range(0, T, width):
             uj = u[..., j:j + width]
@@ -106,7 +155,7 @@ def _round_one(seeds, sizes, T):
             m >>= 32
             out[i:i + step, :, j:j + width] = m
     for i in np.flatnonzero(redraw).tolist():
-        out[i] = _draw(np.random.default_rng(seeds[i]), sizes[i].tolist(), T)
+        out[i] = _draw(np.random.default_rng(_Child(states[i])), sizes[i].tolist(), T)
     return out
 
 
@@ -209,10 +258,10 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     pair_index = np.zeros((L, L), dtype=np.intp)
     pair_index[np.triu_indices(L, 1)] = np.arange(math.comb(L, 2))
     pair_ids = pair_index[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]]
-    # triple t's seed is that of root.spawn(len(triples))[t]
-    root = np.random.SeedSequence(seed)
-    seeds = [np.random.SeedSequence(root.entropy, spawn_key=(t,)) for t in range(len(triples))]
-    draws = _round_one(seeds, triple_sizes, T)
+    # triple t's stream is that of root.spawn(len(triples))[t]
+    np.random.bit_generator.ISeedSequence.register(_Child)
+    states = spawn_states(np.random.SeedSequence(seed), len(triples))
+    draws = _round_one(states, triple_sizes, T)
     best = _screen(X, start, triples, pair_ids, draws)
     tally = np.stack([np.count_nonzero(best == slot, axis=1) for slot in range(3)], axis=1)
     ut, uk = np.nonzero(best == UNDECIDED)
@@ -222,7 +271,7 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     # exact ties redraw from their triple's stream, after its round one
     ties = np.bincount(ut[~unique_min], minlength=len(triples))
     for t in np.flatnonzero(ties).tolist():
-        rng = np.random.default_rng(seeds[t])
+        rng = np.random.default_rng(_Child(states[t]))
         _draw(rng, triple_sizes[t], T)
         pending = ties[t]
         for _ in range(MAX_TIE_ROUNDS - 1):

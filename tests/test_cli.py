@@ -20,6 +20,7 @@ import ceda.label_tree
 import ceda.rma
 from ceda.cli import REQUIRED, SETTINGS, STAGE_OFFSETS, main, stage_seed
 from ceda.label_tree import tree_from_training
+from test_hclust import newick_leaves
 
 
 def run_cli(*argv):
@@ -219,6 +220,7 @@ def test_let_dominance_rows_name_their_triples(tmp_path):
     assert rows[0] == ["x", "y", "z", "xy", "xz", "yz"]
     assert [row[:3] for row in rows[1:]] == [list(t) for t in itertools.combinations(order, 3)]
     assert all(sum(int(v) for v in row[3:]) == 25 for row in rows[1:])
+    assert sorted(newick_leaves((out / "tree.newick").read_text())) == sorted(labels)
 
 
 def test_let_samples_once(tmp_path, clouds_csv, monkeypatch):
@@ -961,6 +963,12 @@ def test_importing_the_cli_leaves_scipy_spatial_unloaded():
     # only a one- or two-feature node needs the KD tree, for its k-nearest
     # and outlier screens, and importing scipy.spatial costs about 0.16 s
     assert modules_loaded_by_cli_import("scipy.spatial") == "[]"
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # the triple sampler registers its seed wrapper with numpy.random only
+    # when it first runs; importing numpy.random costs about 11 ms of setup
+    assert modules_loaded_by_cli_import("numpy.random") == "[]"
 
 
 SCIPY_PER_COMMAND = """

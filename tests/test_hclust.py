@@ -2,6 +2,7 @@
 navigation of the one tree type."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,26 @@ def test_newick_named_leaves():
     text = dendro.to_newick()
     assert text.endswith(";")
     assert "(a,b)" in text
+
+
+def newick_leaves(text):
+    """The leaf names of Newick text, in order, quoted names unquoted."""
+    tokens = re.findall(r"(?<=[(,])(?:'((?:[^']|'')*)'|([^,():;\[\]'\s]+))", "(" + text)
+    return [bare or quoted.replace("''", "'") for quoted, bare in tokens]
+
+
+def test_newick_quotes_leaf_names_that_newick_would_split():
+    names = ["a", "a|b", "b|c", "c", "c,d", "e(f", "g:h", "it's", "x y", "[z];"]
+    rng = np.random.default_rng(5)
+    dendro = agglomerate(random_distance_matrix(rng, len(names)))
+    dendro.leaf_names = names
+    text = dendro.to_newick()
+    assert sorted(newick_leaves(text)) == sorted(names)
+    for bare in ["a", "a|b", "b|c", "c"]:
+        assert re.search(r"[(,]%s[,)]" % re.escape(bare), text)
+    assert "'c,d'" in text and "'it''s'" in text and "'x y'" in text
+    one = Dendrogram(n_leaves=1, merges=[], leaf_names=["p;q"])
+    assert one.to_newick() == "'p;q';" and newick_leaves(one.to_newick()) == ["p;q"]
 
 
 def test_cut_two_tight_pairs():

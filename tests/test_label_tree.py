@@ -14,10 +14,12 @@ from ceda.label_tree import (
     LEMIRE_CHUNK,
     MAX_TIE_ROUNDS,
     DominanceMatrix,
+    _Child,
     _round_one,
     build_label_tree,
     dominance_to_distance,
     sample_triplet_orderings,
+    spawn_states,
     tree_from_training,
 )
 
@@ -238,7 +240,8 @@ def test_round_one_matches_generator_integers(monkeypatch, T):
     fallbacks = []
     draw = ceda.label_tree._draw
     monkeypatch.setattr(ceda.label_tree, "_draw", lambda *args: fallbacks.append(args) or draw(*args))
-    got = _round_one(seeds, sizes, T)
+    np.random.bit_generator.ISeedSequence.register(_Child)
+    got = _round_one(spawn_states(np.random.SeedSequence(2024), len(sizes)), sizes, T)
     for s, triple, drawn in zip(seeds, sizes.tolist(), got):
         rng = np.random.Generator(np.random.PCG64(s))
         assert np.array_equal(drawn, [rng.integers(0, size, T) for size in triple])
@@ -246,6 +249,42 @@ def test_round_one_matches_generator_integers(monkeypatch, T):
     fell = [triple for _, triple, _ in fallbacks]
     assert all(1 in triple or 2 ** 31 + 1 in triple for triple in fell)
     assert all(triple in fell for triple in sizes.tolist() if 1 in triple)
+
+
+# --- the seed hash against numpy's SeedSequence -------------------------
+
+
+def numpy_children(root, n):
+    return [np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (t,)) for t in range(n)]
+
+
+SEED_HASH_FAILED = "spawn_states no longer matches numpy's SeedSequence hash (mix_entropy, generate_state)"
+
+
+# run entropies of 1, 2, 4, 5 and 9 uint32 words, and a root with a spawn key
+@pytest.mark.parametrize("root", [
+    np.random.SeedSequence(0),
+    np.random.SeedSequence(2 ** 32 - 1),
+    np.random.SeedSequence(2 ** 32),
+    np.random.SeedSequence(2 ** 128 - 3),
+    np.random.SeedSequence(2 ** 128 + 5),
+    np.random.SeedSequence([3, 2 ** 32 - 1, 0, 7, 11, 2 ** 31, 1, 5, 9]),
+    np.random.SeedSequence(17, spawn_key=(4, 2 ** 40)),
+], ids=["0", "2^32-1", "2^32", "2^128-3", "2^128+5", "list", "spawned"])
+def test_spawn_states_hash_as_numpy_seed_sequence(root):
+    for n in (0, 1, 301):
+        got = spawn_states(root, n)
+        want = np.array([c.generate_state(4, np.uint64) for c in numpy_children(root, n)], dtype=np.uint64)
+        assert got.shape == (n, 4) and got.dtype == np.uint64
+        assert np.array_equal(got, want.reshape(n, 4)), SEED_HASH_FAILED
+    np.random.bit_generator.ISeedSequence.register(_Child)
+    for t in (0, 1, 300):
+        child, state = numpy_children(root, t + 1)[t], spawn_states(root, t + 1)[t]
+        raw = np.random.PCG64(_Child(state)).random_raw(7)
+        assert np.array_equal(raw, np.random.PCG64(child).random_raw(7)), SEED_HASH_FAILED
+        drawn = np.random.default_rng(_Child(state)).integers(0, [3, 2 ** 31 + 1, 2 ** 40], (5, 3))
+        assert np.array_equal(drawn, np.random.default_rng(child).integers(0, [3, 2 ** 31 + 1, 2 ** 40], (5, 3))), \
+            SEED_HASH_FAILED
 
 
 # --- distances -----------------------------------------------------------
