@@ -20,19 +20,17 @@ labels' rows in turn from the stream of ``root.spawn(n)[t]``, round one read
 from raw PCG64 words by numpy's Lemire rule (``Generator.integers`` for
 redraws and one-row labels).  ``spawn_states`` hashes the seed words of all
 n streams at once, 32 bytes per triple, as numpy's SeedSequence would one
-child at a time.  The sampler measures differently.  One Gram block per
-label pair (or, for a pair whose block would far outnumber its samples, dot
-products of gathered rows) gives every sample the squared-distance screens
-||x||^2 + ||y||^2 - 2 x.y of its three pairs.  A sample whose smallest
-screen leads the other two by more than a rounding margin is decided: its
-exact distances have that same strict minimum.  Only the other samples get
-exact distances, and only exact ties redraw, from their triple's stream
-after its first round.  So the counts keep every bit of the loop, at a
-fraction of its row gathers.
+child at a time.  The sampler measures differently.  A label pair's samples
+get their squared-distance screens ||x||^2 + ||y||^2 - 2 x.y from one Gram
+block (or, where it would far outnumber them, from gathered rows), and a
+triple is decided once, when its last pair is screened: a sample whose
+smallest screen leads the other two by more than the triple's rounding
+margin has that strict minimum in its exact distances too.  Only the other
+samples get exact distances, and only exact ties redraw, from their
+triple's stream after its first round: the counts keep every bit.
 """
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -42,8 +40,6 @@ from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ComputationError, DataError, check_kind
 from .hclust import agglomerate
 from .predictive_map import _gram_margin
-
-log = logging.getLogger(__name__)
 
 MAX_TIE_ROUNDS = 100
 
@@ -61,9 +57,11 @@ class DominanceMatrix:
         return (len(self.labels) - 2) * self.samples_per_triplet
 
     def to_csv_text(self):
-        rows = [["x", "y", "z", "xy", "xz", "yz"]]
-        rows += [[self.labels[i] for i in t] + c for t, c in zip(self.triples.tolist(), self.tally.tolist())]
-        return csv_text(rows)
+        """``csv_text`` of the header and one row per triple, a column at a time."""
+        quoted = [csv_text([[label, ""]])[:-2] for label in self.labels]   # csv quotes a lone empty field
+        columns = [[quoted[i] for i in col] for col in self.triples.T.tolist()]
+        columns += [list(map(str, col)) for col in self.tally.T.tolist()]
+        return "".join(",".join(row) + "\n" for row in [("x", "y", "z", "xy", "xz", "yz"), *zip(*columns)])
 
 
 # A label pair's screen values come from one Gram block X_a @ X_b.T when the
@@ -76,9 +74,8 @@ UNDECIDED = 3
 
 LEMIRE_CHUNK = 2 ** 15   # round one maps about this many draws at a time: whole triples, or pieces of rows
 
-# positions in a triple x < y < z of the two labels of slot 0 (x, y),
-# 1 (x, z) and 2 (y, z), and of the third label
-SLOT_POSITIONS = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
+# positions in a triple x < y < z of the labels of its slots 0 (x, y), 1 (x, z) and 2 (y, z)
+SLOT_POSITIONS = np.array([[0, 1], [0, 2], [1, 2]])
 
 
 # numpy's SeedSequence hash constants: hashmix of entropy (A) and of output (B), and mix
@@ -162,66 +159,68 @@ def _round_one(states, sizes, T):
 def _exact_order(pa, pb, pc):
     """The dominated slot (argmin of the three exact distances) of each
     sample, and whether that minimum is unique."""
-    D = np.column_stack([
-        np.linalg.norm(pa - pb, axis=1),
-        np.linalg.norm(pa - pc, axis=1),
-        np.linalg.norm(pb - pc, axis=1),
-    ])
+    D = np.column_stack([np.linalg.norm(p - q, axis=1) for p, q in [(pa, pb), (pa, pc), (pb, pc)]])
     unique_min = (D == D.min(axis=1)[:, None]).sum(axis=1) == 1
     return np.argmin(D, axis=1), unique_min
 
 
-def _screen(X, start, triples, pair_ids, draws):
+def _pair_screens(Xa, Xb, sqa, sqb, ia, ib):
+    """The screens fl(fl(sqa + sqb) - 2 x.y) of the row pairs (Xa[ia], Xb[ib]),
+    x.y from the Gram block or gathered rows (see BLOCK_ENTRIES_PER_SAMPLE).
+    ia and ib may be as narrow as uint8, so the block index is widened first."""
+    if len(Xa) * len(Xb) > BLOCK_ENTRIES_PER_SAMPLE * ia.size:
+        dot = np.einsum("ij,ij->i", Xa.take(ia.ravel(), axis=0), Xb.take(ib.ravel(), axis=0)).reshape(ia.shape)
+    else:
+        dot = (Xa @ Xb.T).take(ia.astype(np.intp) * len(Xb) + ib)
+    return (sqa.take(ia) + sqb.take(ib)) - 2 * dot
+
+
+def _decide(s0, s1, s2, margin):
+    """The slot of each sample's smallest screen, or UNDECIDED unless the second
+    smallest exceeds it by more than margin and the float32 rounding of both."""
+    s1, s2 = s1.astype(float), s2.astype(float)
+    low01 = np.minimum(s0, s1)
+    low = np.minimum(low01, s2)
+    second = np.maximum(low01, np.minimum(np.maximum(s0, s1), s2))
+    decided = second - low > margin + (np.abs(low) + np.abs(second)) * 2.0 ** -23
+    return np.where(decided, np.add(s0 > low, s2 == low, dtype=np.uint8), UNDECIDED)
+
+
+def _screen(X, start, triples, draws):
     """The screen's decision on every round-one sample: a (triples, T) array
     holding the slot of the sample's smallest screen, or UNDECIDED where its
     exact distances must decide it.  ``draws`` is round one, (triples, 3, T)
     local row indices.
 
-    A sample's screens are s = ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j over its
-    three pairs.  The pairs are visited in lexicographic order, so a triple
-    x < y < z sees its slots (x, y), (x, z), (y, z) in turn.  Each triple
-    holds a row of ``best`` (the slot of its smallest screen so far, or
-    UNDECIDED) and of ``low`` (that screen, rounded to float32).  Each later
-    screen must lead or trail ``low`` by more than the sample's margin plus
-    that rounding, or the sample is undecided for good.
-
-    The margin is twice _gram_margin times the three points' squared norms.
-    By the bounds derived there, a gap above it between two screens gives
-    the two exact distances, as ``_exact_order`` computes them, the same
-    strict order: a pair's points have squared norms summing to at most that
-    total, and a squared distance at most twice their sum.  ``tiny`` in the
-    total covers products that underflow."""
-    L = len(start) - 1
+    Pairs are visited by first label, then by second, last first.  So when
+    pair (x, y) opens the triples x < y < z as slot 0, their (x, z) and (y, z)
+    screens are held in float32, which rounds f by at most |f| 2^-23, or
+    2^-149 below its normal range: (y, z) for every triple, (x, z) for those
+    of first label x.  A triple's margin is twice _gram_margin times the sum
+    of its labels' largest squared norms, above each sample's own.  By the
+    bounds derived there, two screens further apart give the exact distances,
+    as ``_exact_order`` computes them, the same strict order (a pair's
+    squared norms sum to at most that total, a squared distance to at most
+    twice their sum); 2^-148 covers float32's and products' underflow.  So a
+    decided sample has a strict exact minimum in its slot, any other gets
+    exact distances, and any valid screen gives the same tally."""
+    L, T = len(start) - 1, draws.shape[2]
     sq = np.einsum("ij,ij->i", X, X)
-    scale = 2 * _gram_margin(X.shape[1])
+    margin = 2 * _gram_margin(X.shape[1]) * np.maximum.reduceat(sq, start[:-1])[triples].sum(axis=1) + 2.0 ** -148
+    Xs, sqs = np.split(X, start[1:-1]), np.split(sq, start[1:-1])   # by label
     # each pair's (triple, slot) entries, 3 * triple + slot, in triple order:
     # the triples it closes (slot 2), passes (slot 1), then opens (slot 0)
-    entries = np.argsort(pair_ids.ravel(), kind="stable").reshape(-1, L - 2)
-    best = np.empty((len(triples), draws.shape[2]), dtype=np.uint8)
-    low = np.empty(best.shape, dtype=np.float32)
-    for (a, b), t, slot in zip(itertools.combinations(range(L), 2), *np.divmod(entries, 3)):
-        k = b - 1   # entries before k compare, entries from k open
-        pos = SLOT_POSITIONS[slot]
-        local = draws[t[:, None], pos]   # the pair's two labels, then the third
-        sq3 = sq[start[triples[t[:, None], pos]][..., None] + local]
-        ia, ib = local[:, 0].astype(np.intp), local[:, 1].astype(np.intp)
-        Xa, Xb = X[start[a]:start[a + 1]], X[start[b]:start[b + 1]]
-        if len(Xa) * len(Xb) <= BLOCK_ENTRIES_PER_SAMPLE * ia.size:
-            dot = (Xa @ Xb.T).take(ia * len(Xb) + ib)
-        else:
-            pa, pb = Xa.take(ia.ravel(), axis=0), Xb.take(ib.ravel(), axis=0)
-            dot = np.einsum("ij,ij->i", pa, pb).reshape(ia.shape)
-        s = (sq3[:, 0] + sq3[:, 1]) - 2 * dot
-        low[t[k:]] = s[k:]
-        best[t[k:]] = 0
-        t, s = t[:k], s[:k]
-        held, settled = low[t].astype(float), best[t]
-        # the sample's margin, plus the float32 rounding of held
-        margin = scale * (sq3[:k].sum(axis=1) + np.finfo(float).tiny)
-        margin += np.abs(held) * 2.0 ** -23 + 2.0 ** -149
-        lead = (np.abs(s - held) > margin) & (settled != UNDECIDED)
-        best[t] = np.where(lead, np.where(s < held, slot[:k, None], settled), UNDECIDED)
-        low[t] = np.minimum(held, s)
+    entries = np.argsort((triples[:, [0, 0, 1]] * L + triples[:, [1, 2, 2]]).ravel(), kind="stable").reshape(-1, L - 2)
+    best = np.empty((len(triples), T), dtype=np.uint8)
+    held = np.empty(best.shape, dtype=np.float32)   # (y, z) screens
+    passed = np.empty((math.comb(L - 1, 2), T), dtype=np.float32)   # (x, z) screens, from x's first triple
+    for (a, b), e in zip(reversed(list(itertools.combinations(range(L), 2))), entries[::-1]):
+        t, slot = np.divmod(e, 3)
+        s = _pair_screens(Xs[a], Xs[b], sqs[a], sqs[b], *draws[t[:, None], SLOT_POSITIONS[slot]].transpose(1, 0, 2))
+        first = math.comb(L, 3) - math.comb(L - a, 3)
+        held[t[:a]], passed[t[a:b - 1] - first] = s[:a], s[a:b - 1]
+        i, j = t[-1] + 2 + b - L, t[-1] + 1   # the triples (a, b, z) it opens
+        best[i:j] = _decide(s[b - 1:], passed[i - first:j - first], held[i:j], margin[i:j, None])
     return best
 
 
@@ -255,14 +254,11 @@ def sample_triplet_orderings(train, features, samples_per_triplet=200, seed=0):
     L = len(labels)
     triples = np.array(list(itertools.combinations(range(L), 3)))
     triple_sizes = np.array(sizes)[triples]
-    pair_index = np.zeros((L, L), dtype=np.intp)
-    pair_index[np.triu_indices(L, 1)] = np.arange(math.comb(L, 2))
-    pair_ids = pair_index[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]]
     # triple t's stream is that of root.spawn(len(triples))[t]
     np.random.bit_generator.ISeedSequence.register(_Child)
     states = spawn_states(np.random.SeedSequence(seed), len(triples))
     draws = _round_one(states, triple_sizes, T)
-    best = _screen(X, start, triples, pair_ids, draws)
+    best = _screen(X, start, triples, draws)
     tally = np.stack([np.count_nonzero(best == slot, axis=1) for slot in range(3)], axis=1)
     ut, uk = np.nonzero(best == UNDECIDED)
     local = draws[ut, :, uk]

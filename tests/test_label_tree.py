@@ -1,6 +1,7 @@
 """Dominance sampling tallies and the label tree built from them."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ceda.label_tree
-from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matrix, synth_generate
+from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, csv_text, feature_matrix, synth_generate
 from ceda.errors import ComputationError, ConfigError, DataError
 from ceda.label_tree import (
     LEMIRE_CHUNK,
     MAX_TIE_ROUNDS,
+    UNDECIDED,
     DominanceMatrix,
     _Child,
+    _pair_screens,
     _round_one,
+    _screen,
     build_label_tree,
     dominance_to_distance,
     sample_triplet_orderings,
@@ -160,14 +164,16 @@ def reference_orderings(train, features, samples_per_triplet, seed):
 
 @st.composite
 def sampling_problems(draw):
-    """3-6 labels of 1-40 rows in shuffled order, 1-40 features, and T.
+    """3-9 labels of 1-40 rows in shuffled order, 1-40 features, and T.
 
     Rows are continuous, or on a grid of one to three levels per feature
     (a single level makes every distance 0, so ties persist), and may be
     copies of a few rows, so that screens fail to decide, exact distances
     tie and redraw rounds run.  With T up to 12, label pairs fall on both
-    sides of the block/gather crossover."""
-    n_labels = draw(st.integers(3, 6))
+    sides of the block/gather crossover, and blocks on both sides of the
+    block-sized sums.  The screen decides the triples of one first label at
+    a time, in groups of 1 to 28 triples."""
+    n_labels = draw(st.integers(3, 9))
     sizes = draw(st.lists(st.integers(1, 40), min_size=n_labels, max_size=n_labels))
     n_features = draw(st.integers(1, 40))
     levels = draw(st.sampled_from([None, 1, 2, 3]))
@@ -186,7 +192,7 @@ def sampling_problems(draw):
 def shuffled_labels(X, sizes, rng):
     """A LabeledDataset of X's rows, the first sizes[0] labelled a, the
     next sizes[1] b and so on, in shuffled order; and its feature names."""
-    names = np.repeat(np.array(list("abcdef"[:len(sizes)]), dtype=object), sizes)
+    names = np.repeat(np.array(list("abcdefghi"[:len(sizes)]), dtype=object), sizes)
     order = rng.permutation(len(X))
     columns = [Column("f%d" % j, "continuous", X[order, j]) for j in range(X.shape[1])]
     train = LabeledDataset(DataTable(columns + [Column("label", "categorical", names[order])]), "label")
@@ -198,6 +204,19 @@ def one_row_label(T):
     one through ``_draw``, the others from raw words."""
     rng = np.random.default_rng(T)
     return (*shuffled_labels(rng.standard_normal((20, 3)), [6, 1, 9, 4], rng), T, 7)
+
+
+def three_labels(T):
+    """Three labels: one triple, the screen's only first-label group."""
+    rng = np.random.default_rng(T)
+    return (*shuffled_labels(rng.standard_normal((15, 4)), [5, 4, 6], rng), T, 3)
+
+
+def one_row_label_last(T):
+    """Seven labels, the last of a single row: the screen visits its pairs
+    first, and its triples draw round one through ``_draw``."""
+    rng = np.random.default_rng(T)
+    return (*shuffled_labels(rng.standard_normal((40, 3)), [6, 9, 4, 5, 8, 7, 1], rng), T, 11)
 
 
 def round_one_in_chunks():
@@ -221,6 +240,8 @@ def outcome(sampler, train, features, T, seed):
 @example(problem=one_row_label(5))
 @example(problem=one_row_label(1))
 @example(problem=round_one_in_chunks())
+@example(problem=three_labels(9))
+@example(problem=one_row_label_last(6))
 def test_screened_sampler_matches_the_per_triple_loop(problem):
     train, features, T, seed = problem
     want = outcome(reference_orderings, train, features, T, seed)
@@ -229,6 +250,59 @@ def test_screened_sampler_matches_the_per_triple_loop(problem):
         assert isinstance(got, str) and got == want
     else:
         assert np.array_equal(got, want)
+
+
+def wide_labels_screen(n_labels, rows, T, seed=0):
+    """``_screen``'s inputs on the wide-labels geometry: n_labels Gaussian
+    clouds of ``rows`` rows in 32 features, centres drawn N(0, 1.5^2), sd 1,
+    z-scored; and T random round-one draws per triple."""
+    rng = np.random.default_rng(seed)
+    X = np.repeat(rng.normal(0.0, 1.5, (n_labels, 32)), rows, axis=0) + rng.standard_normal((n_labels * rows, 32))
+    triples = np.array(list(itertools.combinations(range(n_labels), 3)))
+    draws = rng.integers(0, rows, (len(triples), 3, T)).astype(np.min_scalar_type(rows))
+    return ZStats.fit(X).transform(X), np.arange(n_labels + 1) * rows, triples, draws
+
+
+def test_screen_leaves_only_float32_near_ties_undecided():
+    # a valid but loose margin would send samples to the exact distances:
+    # the tally would not change, only the time.  The held screens are
+    # float32, so a sample whose two smallest squared distances lie within
+    # 2^-21 of each other may stay undecided (one of these 101 200 does)
+    X, start, triples, draws = wide_labels_screen(24, 40, 50)
+    best = _screen(X, start, triples, draws)
+    assert best.shape == (2024, 50) and best.max() <= UNDECIDED
+    t, k = np.nonzero(best == UNDECIDED)
+    points = [X[start[triples[t, j]] + draws[t, j, k]] for j in range(3)]
+    d2 = np.sort([((points[i] - points[j]) ** 2).sum(axis=1) for i, j in [(0, 1), (0, 2), (1, 2)]], axis=0)
+    assert len(t) <= 2
+    assert np.all(d2[1] - d2[0] <= d2[1] * 2.0 ** -21)
+
+
+@pytest.mark.parametrize("m", [5, 400])
+def test_pair_screens_index_narrow_draws_without_wrapping(m):
+    # 40-row labels keep round one in uint8 and a block index a * 40 + b
+    # passes 255: under numpy 1.x's value-based casting it would wrap
+    # unless widened.  m = 5 gathers rows, m = 400 takes the Gram block
+    rng = np.random.default_rng(m)
+    Xa, Xb = rng.standard_normal((40, 32)), rng.standard_normal((40, 32))
+    ia, ib = rng.integers(0, 40, (2, 3, m)).astype(np.uint8)
+    sqa, sqb = np.einsum("ij,ij->i", Xa, Xa), np.einsum("ij,ij->i", Xb, Xb)
+    want = (sqa[ia] + sqb[ib]) - 2 * np.einsum("ijk,ijk->ij", Xa[ia], Xb[ib])
+    np.testing.assert_allclose(_pair_screens(Xa, Xb, sqa, sqb, ia, ib), want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("T", [200, 2000])
+def test_screen_holds_at_most_seven_bytes_per_sample(T):
+    # the (triples, T) decisions, one float32 screen per sample, one first
+    # label's second screens, and one label pair's temporaries
+    inputs = wide_labels_screen(24, 120, T)
+    tracemalloc.start()
+    try:
+        _screen(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2024 * T
 
 
 @pytest.mark.parametrize("T", [1, 2, 7, 200, LEMIRE_CHUNK + 1])
@@ -336,6 +410,18 @@ def test_dominance_csv_header():
     assert lines[0] == "x,y,z,xy,xz,yz"
     assert [line.split(",")[:3] for line in lines[1:]] == [list(t) for t in itertools.combinations("abcd", 3)]
     assert [[int(v) for v in line.split(",")[3:]] for line in lines[1:]] == dm.tally.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(labels=st.lists(st.text(), min_size=3, max_size=6, unique=True))
+@example(labels=["a,b", 'q"x', "", "line\nbreak", " x"])
+def test_dominance_csv_is_csv_text_of_its_rows(labels):
+    triples = np.array(list(itertools.combinations(range(len(labels)), 3)))
+    tally = np.arange(3 * len(triples)).reshape(-1, 3) * 37 % 201
+    dm = DominanceMatrix(labels=labels, triples=triples, tally=tally, samples_per_triplet=200)
+    rows = [["x", "y", "z", "xy", "xz", "yz"]]
+    rows += [[labels[i] for i in t] + c for t, c in zip(triples.tolist(), tally.tolist())]
+    assert dm.to_csv_text() == csv_text(rows)
 
 
 # --- trees ---------------------------------------------------------------
