@@ -64,7 +64,7 @@ from .label_tree import (
     sample_triplet_orderings,
     tree_from_training,
 )
-from .predictive_map import CompetitionConfig, predictive_map
+from .predictive_map import DECISIONS, CompetitionConfig, predictive_map
 from .rma import (
     FLAGS,
     MAJOR_SCORE_THRESHOLD,
@@ -441,7 +441,7 @@ def cmd_pmap(args, cfg, run):
     paths = [[] for _ in range(test.n_rows)]
     for node, rows, decisions in steps:
         for row, decision in zip(rows.tolist(), decisions.tolist()):
-            paths[row].append("%d:%s" % (node, decision))
+            paths[row].append("%d:%s" % (node, DECISIONS[decision]))
     points = [["row", "true", "category", "stop_node", "path"]]
     points += [[row, true, category, node, " ".join(path)] for row, (true, category, node, path) in enumerate(
         zip(test.label_values, table.row_names(test.n_rows), stop.tolist(), paths))]

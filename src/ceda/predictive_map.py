@@ -19,7 +19,8 @@ compete for it:
 
 The stop node's label set is the prediction: a singleton at a leaf, several
 labels at an internal stop, empty for outliers.  A descent returns the stop
-nodes, outlier flags and a log of its (node, rows, decisions) competitions.
+nodes, outlier flags and a log of its (node, rows, decisions) competitions,
+each decision an int8 code into ``DECISIONS``.
 
 Points descend together, one tree level at a time: each node decides all
 the points that reached it in one competition, with the same decisions a
@@ -34,11 +35,16 @@ bounds and exact distances for the few rows that can reach it.  Only the
 points rule 3 decides get their distances to every node member
 (``distance_rows``), with the node's left-branch rows first, so each
 branch's sample is a column slice; their median is one in-place partition
-of a copy in the scratch the distances leave free (``median_rows``).  Each
-KDE takes its log-sum-exp in one in-place exponential (``_logsumexp_rows``)
-with the bits of scipy's ``logsumexp``.  The kernels cut their query rows
-into blocks of bounded size (``row_blocks``) that reuse one work buffer, so
-callers hand over all their rows at once."""
+of a copy in the scratch the distances leave free (``median_rows``).  Rule
+3 reads only the side of each threshold the log ratio lies on, so a
+one-pass estimate of it in that same scratch decides every row farther than
+a proven rounding margin from both thresholds (``_screened_log_ratio``,
+``_kde_margin``).  The few rows within it, or whose estimate the margin
+does not cover, take the exact KDEs, whose log-sum-exp is one in-place
+exponential (``_logsumexp_rows``) with the bits of scipy's ``logsumexp``.
+The kernels cut their query rows into blocks of bounded size
+(``row_blocks``) that reuse one work buffer, so callers hand over all their
+rows at once."""
 
 import logging
 import math
@@ -50,6 +56,10 @@ from .dataset import ZStats, csv_text, feature_matrix
 from .errors import ConfigError, DataError, check_kind
 
 log = logging.getLogger(__name__)
+
+# a competition's decision for each row, as an int8 code into this tuple
+DECISIONS = ("left", "right", "stop", "outlier")
+LEFT, RIGHT, STOP, OUTLIER = range(len(DECISIONS))
 
 
 @dataclass(frozen=True)
@@ -219,6 +229,42 @@ def median_rows(d, work):
     return (part[:, :h].max(axis=1) + part[:, h]) / 2.0
 
 
+# bandwidths the screened log ratio takes; with h outside, a row takes the
+# exact KDEs (see ``_kde_margin``)
+_SCREEN_H = (2.0 ** -100, 2.0 ** 100)
+# smallest branch kernel sum the screened log ratio takes
+_SCREEN_SUM = 2.0 ** -900
+
+
+def _screened_log_ratio(d, x, n_left, work):
+    """An estimate of log_gaussian_kde(d[:, :n_left], x) - log_gaussian_kde(
+    d[:, n_left:], x) per row, within ``_kde_margin(d.shape[1])`` of it, in
+    five passes over work[d.size:2 * d.size], the scratch ``median_rows``
+    leaves: the squared differences, each branch's scale by its -0.5 / h^2,
+    one exponential and one sum per branch, with no shift by the row's
+    largest exponent.  NaN where the margin does not cover the estimate: a
+    branch sum below _SCREEN_SUM or a bandwidth outside _SCREEN_H."""
+    m, n = d.shape
+    t = work[m * n:2 * m * n].reshape(m, n)
+    h_left, h_right = silverman_bandwidth(d[:, :n_left]), silverman_bandwidth(d[:, n_left:])
+    # h^2 and -0.5 / h^2 may overflow beyond _SCREEN_H, as may a huge t^2,
+    # 0 * inf is NaN and an underflowed sum's log -inf: all rows NaN below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.subtract(d, x[:, None], out=t)
+        np.multiply(t, t, out=t)
+        t[:, :n_left] *= (-0.5 / (h_left * h_left))[:, None]
+        t[:, n_left:] *= (-0.5 / (h_right * h_right))[:, None]
+        np.exp(t, out=t)
+        s_left, s_right = t[:, :n_left].sum(axis=1), t[:, n_left:].sum(axis=1)
+        est = np.log(s_left * (n - n_left) * h_right) - np.log(s_right * n_left * h_left)
+    # with both sums and bandwidths in range, s n h and so est are finite
+    lo, hi = _SCREEN_H
+    covered = ((s_left >= _SCREEN_SUM) & (s_right >= _SCREEN_SUM)
+               & (h_left >= lo) & (h_left <= hi) & (h_right >= lo) & (h_right <= hi))
+    est[~covered] = np.nan
+    return est
+
+
 def kd_tree(X):
     """A ``scipy.spatial.cKDTree`` over the rows of X for ``k_nearest`` when
     X has one or two features; None with more, where it takes the Gram
@@ -301,6 +347,46 @@ def _pair_distances(Q, R, qi, rj, work):
 # of t + margin themselves.
 def _gram_margin(n_features):
     return 8 * (n_features + 2) * (np.finfo(float).eps / 2)
+
+
+# Rounding margin of the screened log ratio, per node size n = n_L + n_R.
+# Both forms take the same d, x and bandwidths h (the bits of
+# ``silverman_bandwidth``) and approximate the real log ratio
+#     L = log(S_L / (n_L h_L)) - log(S_R / (n_R h_R)),
+#     S = sum_j exp(a_j),  a_j = -(x - d_j)^2 / (2 h^2) <= 0,
+# so a row whose estimate lies farther than both forms' errors together from
+# log(pl_upper) and log(pl_lower) (the same floats in both) falls on the same
+# side of each in the exact form, and takes the same decision.  Assume numpy's
+# exp, log and log1p and math.log each err by at most 4 ulp, a relative 8u
+# with u = 2^-53 (numpy's own accuracy tests hold its float64 exp, log and
+# log1p to 1 ulp), and let gamma_n = n*u / (1 - n*u).  To first order:
+#  - each exponent errs by a few u relative: the screen's a_j(1 + delta_j)
+#    has |delta_j| <= 6u (the difference, its square, h^2, -0.5 / h^2, the
+#    product), and the exact form's 5u, plus u |a_j - M| for its shift by
+#    its largest exponent M, so at most 6u |a_j| in either;
+#  - the screen is trusted only where both branch sums are >= 2^-900 and
+#    both h lie in [2^-100, 2^100].  As S <= n_b exp(M), the sum bound gives
+#    |M| <= A = 900 ln 2 + ln n, and an exponent that under- or overflows in
+#    either form errs by under 2^-600 absolutely or has a true term that
+#    rounds to 0 (|t| >= 2^512 > 2^412 h);
+#  - errors eta_j in the exponents move log S by at most the softmax-
+#    weighted sum of |eta_j|, weights exp(a_j) / S <= exp(a_j - M), and
+#    with |a_j| = |M| + (M - a_j) and y exp(-y) <= 1/e that is at most
+#    6u (|M| + n_b / e) per branch, 6u (2A + n / e) for the ratio;
+#  - the sums err by at most gamma_n (any order), the exponentials by 8u
+#    each, plus an absolute few 2^-1074 per subnormal term against a sum of
+#    at least 2^-900, and the screen's products s n h by 2u;
+#  - the logs err by 8u times their result: the screen's two by at most
+#    8u (1000 ln 2 + 2 ln n) each, as s n h lies in [2^-1000, n^2 2^100];
+#    the exact form's log1p and log of the count by 8u ln n, and its
+#    log(n h sqrt(2 pi)) by 8u (70 + ln n) (the sqrt(2 pi) cancels);
+#  - the additions and final subtractions round relative to results below
+#    2 (A + 700 + 2 ln n) in magnitude.
+# That sums to about u (34000 + 130 ln n + 6.5 n) for both forms; the
+# constant below is over twice that, which also covers the second-order
+# terms (an exponent error scales its term by exp(eta_j), not 1 + eta_j).
+def _kde_margin(n):
+    return 16 * (np.finfo(float).eps / 2) * (5000 + 20 * math.log(n) + n)
 
 
 def _gram_screen(Q, R, k, work):
@@ -432,11 +518,13 @@ class TreeClassifier:
     def competition(self, Z, node, near=None):
         """Decide one internal-node competition for each z-scored row of Z.
 
-        Returns an object array of decisions: left / right / stop / outlier.
-        The k-nearest screen decides the outlier and dominance rules; only
-        the rows still open get full distance rows, for the median (one
-        partition, in the buffer's scratch) and the two branch KDEs, in row
-        blocks that share one work buffer.
+        Returns an int8 array of codes into ``DECISIONS``.  The k-nearest
+        screen decides the outlier and dominance rules; only the rows still
+        open get full distance rows, for the median (one partition, in the
+        buffer's scratch) and the log ratio of the two branch KDEs, in row
+        blocks that share one work buffer.  The ratio's screened estimate
+        decides a row beyond ``_kde_margin`` of both thresholds, and the
+        exact KDEs the rest.
 
         ``near``, if given, is a (distances, training rows) pair of (len(Z),
         k_star) arrays: each row's k* nearest training rows in the parent
@@ -473,31 +561,38 @@ class TreeClassifier:
                 train_rows[miss] = np.flatnonzero(in_node)[nearest[miss]]
         left_count = np.count_nonzero(is_left[nearest], axis=1)
         need = cfg.dominant_fraction * k - 1e-9
-        decision = np.full(len(Z), "stop", dtype=object)
-        decision[k - left_count >= need] = "right"
-        decision[left_count >= need] = "left"
+        decision = np.full(len(Z), STOP, dtype=np.int8)
+        decision[k - left_count >= need] = RIGHT
+        decision[left_count >= need] = LEFT
         if cfg.outlier_quantile is not None:
-            decision[dist[:, 0] > self._outlier_threshold(R, in_node, kd)] = "outlier"
-        open_ = np.flatnonzero(decision == "stop")
+            decision[dist[:, 0] > self._outlier_threshold(R, in_node, kd)] = OUTLIER
+        open_ = np.flatnonzero(decision == STOP)
         if not len(open_):
             return decision
         # left rows first, each branch in its own order: a branch's sample
         # is then a column slice of the distance rows
         R = R[np.argsort(~is_left, kind="stable")]
         n_left = np.count_nonzero(is_left)
+        upper, lower = math.log(cfg.pl_upper), math.log(cfg.pl_lower)
+        margin = _kde_margin(len(R))
         blocks, size = row_blocks(len(open_), len(R), row_cells(R.shape[1]))
         work = np.empty(size)
         for block in blocks:
             rows = open_[block]
             d = distance_rows(Z[rows], R, work)
             m = median_rows(d, work)
-            log_ratio = log_gaussian_kde(d[:, :n_left], m) - log_gaussian_kde(d[:, n_left:], m)
+            log_ratio = _screened_log_ratio(d, m, n_left, work)
+            # the exact KDEs for the rows the estimate may not decide (NaN
+            # fails both tests)
+            exact = ~((np.abs(log_ratio - upper) > margin) & (np.abs(log_ratio - lower) > margin))
+            if np.any(exact):
+                log_ratio[exact] = log_gaussian_kde(d[exact, :n_left], m[exact]) - \
+                    log_gaussian_kde(d[exact, n_left:], m[exact])
             if cfg.pl_lower == cfg.pl_upper:
                 # degenerate band: force a winner at every node
-                decision[rows] = np.where(log_ratio >= math.log(cfg.pl_upper), "left", "right")
+                decision[rows] = np.where(log_ratio >= upper, LEFT, RIGHT)
             else:
-                decision[rows] = np.where(log_ratio > math.log(cfg.pl_upper), "left",
-                                          np.where(log_ratio < math.log(cfg.pl_lower), "right", "stop"))
+                decision[rows] = np.where(log_ratio > upper, LEFT, np.where(log_ratio < lower, RIGHT, STOP))
         return decision
 
     def classify(self, X_raw):
@@ -526,8 +621,8 @@ class TreeClassifier:
                     continue
                 decision = self.competition(Z[idx], node, near)
                 steps.append((node, idx, decision))
-                outlier[idx] = decision == "outlier"
-                for child, side in zip(tree.children(node), ("left", "right")):
+                outlier[idx] = decision == OUTLIER
+                for child, side in zip(tree.children(node), (LEFT, RIGHT)):
                     chosen = decision == side
                     if np.any(chosen):
                         next_level.append((child, idx[chosen], (near[0][chosen], near[1][chosen])))

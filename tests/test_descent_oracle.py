@@ -6,7 +6,8 @@ the package did before the descent was batched.  The batched code must
 return exactly the same predictions on any input, including distance ties
 (from duplicated rows), k* above the node size, the degenerate threshold
 band and a disabled outlier screen.  A descent that passes each point's k*
-nearest down the tree must decide as one where every node searches afresh.
+nearest down the tree must decide as one where every node searches afresh,
+and the screened log ratio as the exact KDEs of every open row.
 
 The outlier thresholds of a node come from the exact distance of each row
 to every other row, whatever the feature count.
@@ -29,6 +30,7 @@ from ceda.chain import ChainLink, FeatureChain, chain_categories, knn_baseline_p
 from ceda.dataset import Column, DataTable, LabeledDataset, ZStats, feature_matrix
 from ceda.label_tree import build_label_tree, tree_from_training
 from ceda.predictive_map import (
+    DECISIONS,
     CompetitionConfig,
     TreeClassifier,
     distance_rows,
@@ -68,11 +70,11 @@ Descent = namedtuple("Descent", "labels stop_node path")
 
 
 def paths_from_steps(n, steps):
-    """Each row's (node, decision) path, from classify's competition log."""
+    """Each row's (node, decision name) path, from classify's competition log."""
     paths = [[] for _ in range(n)]
     for node, rows, decisions in steps:
         for row, decision in zip(rows.tolist(), decisions.tolist()):
-            paths[row].append((node, decision))
+            paths[row].append((node, DECISIONS[decision]))
     return [tuple(path) for path in paths]
 
 
@@ -279,6 +281,76 @@ def test_passed_down_neighbours_decide_as_a_fresh_search(problem, k_star, outlie
     assert outlier.tolist() == want_outlier.tolist()
     assert [(node, rows.tolist(), decisions.tolist()) for node, rows, decisions in steps] == \
         [(node, rows.tolist(), decisions.tolist()) for node, rows, decisions in want_steps]
+
+
+def descent_lists(descent):
+    stop, outlier, steps = descent
+    return stop.tolist(), outlier.tolist(), [(node, rows.tolist(), d.tolist()) for node, rows, d in steps]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=st.one_of(clouds(), deep_trees()), k_star=st.integers(1, 40), band=bands,
+       outlier_quantile=st.sampled_from([None, 0.9]))
+def test_screened_log_ratio_decides_as_the_exact_kdes(problem, k_star, band, outlier_quantile):
+    # an infinite margin sends every open row to the exact KDEs
+    train, test, tree = problem
+    cfg = CompetitionConfig(k_star=k_star, pl_lower=band[0], pl_upper=band[1], outlier_quantile=outlier_quantile)
+    clf = TreeClassifier(tree, train, train.feature_names(), cfg)
+    shipped = descent_lists(clf.classify_rows(test.table))
+    with mock.patch.object(predictive_map, "_kde_margin", lambda n: math.inf):
+        assert descent_lists(clf.classify_rows(test.table)) == shipped
+
+
+def exact_kde_rows(clf, test):
+    """classify's steps, with the decision names, and each open row's
+    screened log ratio and whether it took the exact KDEs."""
+    estimates, exact = [], []
+    screen, kde = predictive_map._screened_log_ratio, predictive_map.log_gaussian_kde
+
+    def screened(d, x, n_left, work):
+        estimates.append(screen(d, x, n_left, work))
+        return estimates[-1].copy()
+
+    def counted(samples, x):
+        exact.append(len(x))
+        return kde(samples, x)
+
+    with mock.patch.object(predictive_map, "_screened_log_ratio", screened), \
+            mock.patch.object(predictive_map, "log_gaussian_kde", counted):
+        _, _, steps = clf.classify_rows(test.table)
+    paths = paths_from_steps(test.n_rows, steps)
+    return paths, np.concatenate(estimates), sum(exact) // 2
+
+
+def test_an_underflowing_branch_takes_the_exact_kdes():
+    # 'a' packed in [0, 0.009], 'b' spread over [-5, 5]: from 0.5 the k*
+    # nearest mix both labels, and at the median distance every kernel term
+    # of 'a' underflows, so the screen leaves the row to the exact KDEs
+    X = np.concatenate([np.arange(10) * 1e-3, np.linspace(-5.0, 5.0, 40)])[:, None]
+    train = dataset(X, ["a"] * 10 + ["b"] * 40)
+    test = dataset(np.array([[0.5]]), ["a"])
+    tree = tree_from_training(train, ["f0"])
+    cfg = CompetitionConfig(outlier_quantile=None)
+    paths, estimates, exact = exact_kde_rows(TreeClassifier(tree, train, ["f0"], cfg), test)
+    assert np.isnan(estimates).all() and exact == 1
+    assert paths == [ReferenceClassifier(tree, train, ["f0"], cfg).classify([0.5]).path]
+
+
+@pytest.mark.parametrize("band,decision", [((0.65, 1.0), "stop"), ((1.0, 1.0), "left")])
+def test_a_log_ratio_on_the_threshold_takes_the_exact_kdes(band, decision):
+    # integer rows mirrored about 0 z-score to mirrored values, so from 0 both
+    # branches hold the same distances: the exact log ratio is 0.0, and
+    # pl_upper = exp(0.0) = 1.0.  The strict band stops there and the
+    # degenerate band sends the row left
+    p = np.arange(1.0, 13.0)
+    train = dataset(np.concatenate([p, -p])[:, None], ["a"] * 12 + ["b"] * 12)
+    test = dataset(np.array([[0.0]]), ["a"])
+    tree = tree_from_training(train, ["f0"])
+    cfg = CompetitionConfig(pl_lower=band[0], pl_upper=band[1], outlier_quantile=None)
+    paths, estimates, exact = exact_kde_rows(TreeClassifier(tree, train, ["f0"], cfg), test)
+    assert estimates.tolist() == [0.0] and exact == 1
+    want = ReferenceClassifier(tree, train, ["f0"], cfg).classify([0.0]).path
+    assert paths == [want] == [((tree.root, decision),)]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -636,10 +708,10 @@ def test_ties_at_the_kth_distance_keep_the_lowest_rows():
     R = clf.X  # the root holds every training row
     for screen in screens(R):
         assert k_nearest(Z, R, 3, **screen)[1].tolist() == [[2, 0, 1]]
-    assert clf.competition(Z, tree.root).tolist() == ["left"]  # left leaf is 'a'
+    assert clf.competition(Z, tree.root).tolist() == [DECISIONS.index("left")]  # left leaf is 'a'
     assert knn_baseline_predict(train, test, ["f0"], k=3) == ["a"]
     # the same rows in reverse order: the lowest tied rows now carry 'b'
     flipped = dataset(np.array(xs[::-1])[:, None], ys[::-1])
     clf = TreeClassifier(tree_from_training(flipped, ["f0"]), flipped, ["f0"], cfg)
-    assert clf.competition(clf.zstats.transform([[0.0]]), tree.root).tolist() == ["right"]
+    assert clf.competition(clf.zstats.transform([[0.0]]), tree.root).tolist() == [DECISIONS.index("right")]
     assert knn_baseline_predict(flipped, test, ["f0"], k=3) == ["b"]

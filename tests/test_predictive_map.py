@@ -17,10 +17,14 @@ from ceda.dataset import synth_generate
 from ceda.errors import ConfigError, DataError
 from ceda.label_tree import build_label_tree, tree_from_training
 from ceda.predictive_map import (
+    DECISIONS,
     CompetitionConfig,
     TreeClassifier,
+    _kde_margin,
     _logsumexp_rows,
+    _screened_log_ratio,
     log_gaussian_kde,
+    median_rows,
     predicted_sets,
     predictive_map,
     set_name,
@@ -119,6 +123,70 @@ def test_log_kde_rows_match_one_sample_calls(seed, n_rows, n_cols, scale):
     assert rows.tobytes() == ones.tobytes()
 
 
+@st.composite
+def distance_blocks(draw):
+    """Open rows' distances as the competition holds them: the first n_left
+    columns the left branch's, each branch drawn about its own centre with
+    its own spread (zero gives the Silverman floor, 1e-40 a bandwidth below
+    the screen's range), with duplicated distances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 80))
+    n_left = draw(st.integers(1, n - 1))
+    d = np.empty((m, n))
+    for cols in (slice(0, n_left), slice(n_left, n)):
+        centre = draw(st.sampled_from([0.0, 0.5, 3.0]))
+        spread = draw(st.sampled_from([0.0, 1e-40, 1e-9, 1e-3, 0.3, 2.0]))
+        d[:, cols] = centre + spread * np.abs(rng.standard_normal(d[:, cols].shape))
+    n_dup = draw(st.integers(0, n))
+    d[:, rng.integers(0, n, n_dup)] = d[:, rng.integers(0, n, n_dup)]
+    return d * draw(st.sampled_from([1e-6, 1.0, 1e6])), n_left
+
+
+@settings(max_examples=400, deadline=None)
+@given(block=distance_blocks())
+def test_screened_log_ratio_lies_within_the_margin_of_the_exact_one(block):
+    d, n_left = block
+    m, n = d.shape
+    # d is the head of a larger work buffer, as distance_rows leaves it
+    work = np.full(2 * m * n + 3, 7.0)
+    head = work[:m * n].reshape(m, n)
+    head[...] = d
+    x = median_rows(head, work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = _screened_log_ratio(head, x, n_left, work)
+    exact = log_gaussian_kde(d[:, :n_left], x) - log_gaussian_kde(d[:, n_left:], x)
+    covered = ~np.isnan(est)
+    assert np.all(np.abs(est[covered] - exact[covered]) <= _kde_margin(n)), (est, exact)
+    assert head.tobytes() == d.tobytes() and np.all(work[2 * m * n:] == 7.0)
+    # NaN only where the margin does not hold: a branch's kernel sum below
+    # 2^-900, or a bandwidth outside [2^-100, 2^100]
+    clear = np.ones(m, dtype=bool)
+    for sample in (d[:, :n_left], d[:, n_left:]):
+        h = silverman_bandwidth(sample)
+        with np.errstate(over="ignore"):
+            log_sum = logsumexp(-0.5 * ((x[:, None] - sample) / h[:, None]) ** 2, axis=1)
+        clear &= (log_sum > -899.0 * math.log(2.0)) & (h >= 2.0 ** -100) & (h <= 2.0 ** 100)
+    assert covered[clear].all()
+
+
+@pytest.mark.parametrize("bandwidths", [38.5, 60.0])
+def test_screened_log_ratio_leaves_an_underflowing_branch_to_the_exact_kdes(bandwidths):
+    # the median lies that many left bandwidths beyond the left sample, so
+    # the left kernel sum is subnormal (1.4e-322, a few digits) at 38.5 and
+    # 0 at 60, while the exact log ratio stays finite
+    h = float(silverman_bandwidth([0.0, 1.0]))
+    work = np.empty(14)
+    d = work[:7].reshape(1, 7)
+    d[0] = [0.0, 1.0] + [1.0 + bandwidths * h] * 5
+    x = median_rows(d, work)
+    exact = log_gaussian_kde(d[:, :2], x) - log_gaussian_kde(d[:, 2:], x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = _screened_log_ratio(d, x, 2, work)
+    assert np.isnan(est).all() and np.isfinite(exact).all() and exact[0] < -700.0
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         CompetitionConfig(k_star=0)
@@ -156,8 +224,8 @@ def test_dominant_neighborhood_decides_without_kde():
     clf = TreeClassifier(tree, ds, ["f0", "f1"])
     # children of the two-label root are leaves 0='a', 1='b'
     left, right = clf.competition(clf.zstats.transform([[0.0, 0.0], [4.0, 4.0]]), 2)
-    assert left == "left"
-    assert right == "right"
+    assert DECISIONS[left] == "left"
+    assert DECISIONS[right] == "right"
 
 
 def test_overlapping_clouds_stop_at_the_shared_node():
@@ -168,7 +236,7 @@ def test_overlapping_clouds_stop_at_the_shared_node():
     assert stop.tolist() == [tree.root] and outlier.tolist() == [False]
     assert tree.node_labels(tree.root) == ("a", "b")
     node, rows, decisions = steps[-1]
-    assert (node, rows.tolist(), decisions.tolist()) == (tree.root, [0], ["stop"])
+    assert (node, rows.tolist(), [DECISIONS[d] for d in decisions]) == (tree.root, [0], ["stop"])
 
 
 def test_outlier_screen_empties_the_prediction():
