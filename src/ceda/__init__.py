@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 from .association import (
     ContingencyTable,
     contingency_table,
-    directed_conditional_entropy,
     mce_matrix,
-    mutual_conditional_entropy,
     rank_features_by_label_association,
 )
 from .chain import (

@@ -31,8 +31,6 @@ from .errors import DataError
 
 log = logging.getLogger(__name__)
 
-DIRECTIONS = ("row_to_col", "col_to_row")
-
 
 @dataclass
 class ContingencyTable:
@@ -41,19 +39,6 @@ class ContingencyTable:
     row_cats: list
     col_cats: list
     counts: np.ndarray  # shape (len(row_cats), len(col_cats)), non-negative ints
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts)
-        if self.counts.shape != (len(self.row_cats), len(self.col_cats)):
-            raise DataError("contingency counts shape does not match categories")
-        if np.any(self.counts < 0):
-            raise DataError("contingency counts must be non-negative")
-        if self.counts.sum() == 0:
-            raise DataError("contingency table is empty")
-
-    @property
-    def n(self):
-        return int(self.counts.sum())
 
 
 def category_codes(table, name, binnings=None):
@@ -135,28 +120,6 @@ def directed_values(stack):
     weighted = totals / totals.sum(axis=1, keepdims=True) * h
     acc = np.add.accumulate(np.column_stack([np.zeros(n_tables), weighted]), axis=1)[:, -1]
     return np.divide(acc, h_target, out=np.full(n_tables, np.nan), where=h_target != 0)
-
-
-def directed_conditional_entropy(t, direction="row_to_col"):
-    """Directed association of a contingency table, in [0, 1].
-
-    Raises DataError when the target variable is degenerate (zero entropy).
-    """
-    if direction not in DIRECTIONS:
-        raise DataError("unknown direction '%s'" % direction)
-    counts = t.counts if direction == "row_to_col" else t.counts.T
-    value = directed_values(counts[None])[0]
-    if np.isnan(value):
-        name = t.col_var if direction == "row_to_col" else t.row_var
-        raise DataError("degenerate target '%s': zero entropy" % name)
-    return value
-
-
-def mutual_conditional_entropy(t):
-    """Average of the two directed values; symmetric in the two variables."""
-    forward = directed_conditional_entropy(t, "row_to_col")
-    backward = directed_conditional_entropy(t, "col_to_row")
-    return 0.5 * (forward + backward)
 
 
 @dataclass

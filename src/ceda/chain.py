@@ -129,14 +129,6 @@ class DissectionReport:
     records: list   # dicts: row, true, external, category, depth, case
     totals: dict    # case -> count
 
-    def rate_in_uncertain(self, correct):
-        """Fraction of correct (or incorrect) external predictions that fall
-        in uncertainty cases."""
-        sel = [r for r in self.records if (r["external"] == r["true"]) == correct]
-        if not sel:
-            return float("nan")
-        return sum(1 for r in sel if r["case"].startswith("uncertainty")) / len(sel)
-
     def to_csv_text(self):
         fields = ["row", "true", "external", "category", "depth", "case"]
         return csv_text([fields] + [[r[f] for f in fields] for r in self.records])

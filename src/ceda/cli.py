@@ -269,11 +269,17 @@ def _check_features(ds, names, where, numeric=False):
             raise ConfigError("%s: unknown feature '%s'" % (where, n))
         if numeric and ds.table.kind(n) == "categorical":
             raise DataError("%s: feature '%s' is categorical, not numeric" % (where, n))
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise ConfigError("%s repeats the feature '%s'" % (where, repeated))
 
 
 def _binnings_for(table, features, cfg):
-    return default_binnings(table, features, setting(cfg, "binning.target_bins"),
-                            setting(cfg, "binning.per_feature"))
+    target_bins, per_feature = setting(cfg, "binning.target_bins"), setting(cfg, "binning.per_feature")
+    unknown = next((n for n in per_feature if n not in table.names), None)
+    if unknown is not None:
+        raise ConfigError("binning.per_feature.%s: unknown feature '%s'" % (unknown, unknown))
+    return default_binnings(table, features, target_bins, per_feature)
 
 
 def _split(ds, cfg):
@@ -539,9 +545,6 @@ def cmd_rma(args, cfg, run):
     for key, names, numeric in (("responses", responses, True), ("major_candidates", candidates, False),
                                 ("minors", minors, False), ("majors", majors or [], True)):
         _check_features(ds, names, "rma." + key, numeric)
-        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
-        if repeated is not None:
-            raise ConfigError("rma.%s repeats the feature '%s'" % (key, repeated))
     ols = setting(cfg, "rma.ols")
     if ols:
         ols_response, ols_covariates, per_label = (

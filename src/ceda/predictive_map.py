@@ -681,12 +681,6 @@ class CategoryTable:
     def total(self):
         return int(sum(cat.total for cat in self.categories))
 
-    def certain_fraction(self):
-        total = self.total()
-        if total == 0:
-            return 0.0
-        return sum(cat.total for cat in self.categories if cat.certain) / total
-
     def singleton_fraction(self):
         total = self.total()
         ones = sum(cat.total for cat in self.categories if len(cat.labels) == 1)

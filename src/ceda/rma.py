@@ -315,10 +315,6 @@ class RmaPredictions:
     cells: np.ndarray      # (n, majors) rectangle codes
     flags: np.ndarray      # (n, len(FLAGS)) bool, one column per flag
 
-    @property
-    def flagged(self):
-        return self.flags.any(axis=1)
-
 
 def rma_predict_rows(X, minors, lattice, table, k_star=20, minor_binnings=None):
     """Predict the response vector of every row of X: one RmaPredictions

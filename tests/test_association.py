@@ -13,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceda.association import (
-    ContingencyTable,
     category_codes,
     contingency_table,
-    directed_conditional_entropy,
+    directed_values,
     mce_matrix,
-    mutual_conditional_entropy,
     rank_features_by_label_association,
     row_entropies,
 )
@@ -84,6 +82,19 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+def pair_table(counts):
+    """Two discrete columns r and c whose cross-tabulation is counts, with
+    its empty rows and columns dropped."""
+    rows, cols = np.indices(counts.shape).reshape(2, -1)
+    return DataTable([Column("r", "discrete", np.repeat(rows, counts.ravel()).astype(float)),
+                      Column("c", "discrete", np.repeat(cols, counts.ravel()).astype(float))])
+
+
+def mce_of(counts):
+    """The mce command's value for the table counts: mce_matrix on its two columns."""
+    return mce_matrix(pair_table(counts)).values[0, 1]
+
+
 def random_table(rng):
     shape = (int(rng.integers(2, 7)), int(rng.integers(2, 7)))
     counts = rng.integers(0, 30, size=shape)
@@ -107,45 +118,46 @@ def test_shannon_entropy_frozen_values():
 
 def test_independent_table_scores_one():
     counts = np.outer([2, 3], [1, 4])
-    t = ContingencyTable("r", "c", ["r0", "r1"], ["c0", "c1"], counts)
-    assert directed_conditional_entropy(t, "row_to_col") == pytest.approx(1.0, abs=1e-12)
-    assert mutual_conditional_entropy(t) == pytest.approx(1.0, abs=1e-12)
+    assert directed_values(counts[None])[0] == pytest.approx(1.0, abs=1e-12)
+    assert mce_of(counts) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonal_table_scores_zero():
-    t = ContingencyTable("r", "c", ["r0", "r1", "r2"], ["c0", "c1", "c2"], np.diag([4, 5, 6]))
-    assert directed_conditional_entropy(t, "row_to_col") == 0.0
-    assert mutual_conditional_entropy(t) == 0.0
+    counts = np.diag([4, 5, 6])
+    assert directed_values(counts[None])[0] == 0.0
+    assert mce_of(counts) == 0.0
 
 
-def test_degenerate_target_raises():
-    t = ContingencyTable("r", "c", ["r0", "r1"], ["c0", "c1"], np.array([[3, 0], [5, 0]]))
-    with pytest.raises(DataError, match="degenerate target 'c'"):
-        directed_conditional_entropy(t, "row_to_col")
+def test_degenerate_target_raises(caplog):
+    counts = np.array([[3, 0], [5, 0]])
+    assert np.isnan(directed_values(counts[None])[0])
     # the other direction is fine
-    assert 0.0 <= directed_conditional_entropy(t, "col_to_row") <= 1.0
+    assert 0.0 <= directed_values(counts.T[None])[0] <= 1.0
+    # the label ranking names the degenerate target, and with no other feature raises
+    ds = LabeledDataset(DataTable([Column("label", "categorical", np.array(list("abab"), dtype=object)),
+                                   Column("c", "continuous", np.zeros(4))]), "label")
+    binnings = {"c": build_histogram(np.arange(10.0), feature="c")}
+    with caplog.at_level("WARNING", logger="ceda"), pytest.raises(DataError, match="no usable features"):
+        rank_features_by_label_association(ds, binnings)
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping feature 'c': degenerate target 'c': zero entropy"]
 
 
 def test_directed_matches_oracle_on_random_tables():
     rng = np.random.default_rng(42)
     for _ in range(200):
         counts = random_table(rng)
-        t = ContingencyTable("r", "c", ["r%d" % i for i in range(counts.shape[0])],
-                             ["c%d" % j for j in range(counts.shape[1])], counts)
         want_fwd = dce_oracle(counts.tolist(), row_to_col=True)
         want_bwd = dce_oracle(counts.tolist(), row_to_col=False)
-        assert directed_conditional_entropy(t, "row_to_col") == pytest.approx(want_fwd, abs=1e-12)
-        assert directed_conditional_entropy(t, "col_to_row") == pytest.approx(want_bwd, abs=1e-12)
-        assert mutual_conditional_entropy(t) == pytest.approx(0.5 * (want_fwd + want_bwd), abs=1e-12)
+        assert directed_values(counts[None])[0] == pytest.approx(want_fwd, abs=1e-12)
+        assert directed_values(counts.T[None])[0] == pytest.approx(want_bwd, abs=1e-12)
+        assert mce_of(counts) == pytest.approx(0.5 * (want_fwd + want_bwd), abs=1e-12)
 
 
 def test_mce_bounds_hold():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        counts = random_table(rng)
-        t = ContingencyTable("r", "c", ["r%d" % i for i in range(counts.shape[0])],
-                             ["c%d" % j for j in range(counts.shape[1])], counts)
-        v = mutual_conditional_entropy(t)
+        v = mce_of(random_table(rng))
         assert 0.0 <= v <= 1.0 + 1e-12
 
 
@@ -188,10 +200,8 @@ def test_directed_matches_the_row_loop_bit_for_bit(shape, seed, sparsity):
     counts = rng.integers(0, 50, size=shape) * (rng.uniform(size=shape) >= sparsity)
     counts[0, 0] += 1
     counts[-1, -1] += 1
-    t = ContingencyTable("r", "c", ["r%d" % i for i in range(shape[0])],
-                         ["c%d" % j for j in range(shape[1])], counts)
-    assert bits([directed_conditional_entropy(t, "row_to_col")]) == bits([loop_directed(counts)])
-    assert bits([directed_conditional_entropy(t, "col_to_row")]) == bits([loop_directed(counts.T)])
+    assert bits(directed_values(counts[None])) == bits([loop_directed(counts)])
+    assert bits(directed_values(counts.T[None])) == bits([loop_directed(counts.T)])
 
 
 # --- contingency construction --------------------------------------------
@@ -206,7 +216,7 @@ def test_contingency_hand_tally():
     assert ct.row_cats == ["a", "b"]
     assert ct.col_cats == ["1", "2"]
     assert ct.counts.tolist() == [[1, 1], [2, 1]]
-    assert ct.n == 5
+    assert (ct.row_var, ct.col_var) == ("r", "c")
 
 
 def test_same_variable_twice_rejected():
@@ -410,8 +420,7 @@ def test_rank_features_match_per_feature_contingency_tables(seed):
     ranked = rank_features_by_label_association(ds)
     tables = {name: contingency_table(ds.table, "label", name) for name in ds.feature_names()}
     want = sorted(
-        ((name, directed_conditional_entropy(t, "row_to_col"), directed_conditional_entropy(t, "col_to_row"))
-         for name, t in tables.items()),
+        ((name, loop_directed(t.counts), loop_directed(t.counts.T)) for name, t in tables.items()),
         key=lambda row: (row[1], row[0]))
     assert [name for name, _, _ in ranked] == [name for name, _, _ in want]
     assert bits([v for _, v, _ in ranked]) == bits([v for _, v, _ in want])

@@ -7,7 +7,6 @@ from ceda.chain import (
     CASES,
     ChainLink,
     ChainResult,
-    DissectionReport,
     FeatureChain,
     chain_categories,
     dissect_external,
@@ -51,9 +50,9 @@ def test_refinement_splits_the_mixed_category():
     assert len(result.tables) == 2
     depth1, depth2 = result.tables
     # the front view cannot separate b from c, so depth 1 has an uncertain category
-    assert depth1.certain_fraction() < 1.0
+    assert not all(c.certain for c in depth1.categories)
     # the back view finishes the job
-    assert depth2.certain_fraction() == 1.0
+    assert all(c.certain for c in depth2.categories)
     # every composite name joins link sets with "-", one key entry per link
     assert all("-" in c.name for c in depth2.categories)
     assert all(len(c.key) == 2 for c in depth2.categories)
@@ -171,25 +170,6 @@ def test_dissect_rejects_labels_outside_the_universe():
     external[6] = "A"
     with pytest.raises(DataError, match=r"'A' \(rows 6\); 'zz' \(rows 1, 4, 9\)"):
         dissect_external(external, result)
-
-
-def test_rate_in_uncertain_hand_records():
-    records = [
-        {"true": "a", "external": "a", "case": "certainty-coherent"},
-        {"true": "a", "external": "b", "case": "uncertainty-incoherent"},
-        {"true": "b", "external": "b", "case": "uncertainty-coherent"},
-        {"true": "a", "external": "b", "case": "certainty-incoherent"},
-        {"true": "c", "external": "b", "case": "uncertainty-incoherent"},
-    ]
-    report = DissectionReport(records=records, totals={})
-    assert report.rate_in_uncertain(correct=True) == pytest.approx(0.5)
-    assert report.rate_in_uncertain(correct=False) == pytest.approx(2.0 / 3.0)
-
-
-def test_rate_in_uncertain_empty_selection_is_nan():
-    records = [{"true": "a", "external": "a", "case": "certainty-coherent"}]
-    report = DissectionReport(records=records, totals={})
-    assert np.isnan(report.rate_in_uncertain(correct=False))
 
 
 def test_dissection_csv_layout():

@@ -718,23 +718,38 @@ def test_out_of_range_config_values_are_config_errors(request, tmp_path, capsys,
 
 @pytest.mark.parametrize("path,value", [
     ("rma.ols.response", "nope"), ("rma.ols.covariates", ["spin_dir", "nope"]), ("mce.k_groups", 9),
-    ("rma.threshold", 0.999), ("rma.bin_subset", {"spin_dir": [99]})])
+    ("rma.threshold", 0.999), ("rma.bin_subset", {"spin_dir": [99]}), ("binning.per_feature", {"f9": 4})])
 def test_config_values_the_data_rules_out_fail_before_any_artifact(request, tmp_path, capsys, monkeypatch,
                                                                    path, value):
     # an ols feature the dataset lacks, more groups than the two usable
     # features of clouds_csv, a threshold that no candidate of magnus_csv
-    # reaches when no majors are pinned, or a bin that spin_dir lacks
+    # reaches when no majors are pinned, a bin that spin_dir lacks, or a
+    # per-feature bin count for a column clouds_csv lacks
     code, *needles = {
         "rma.ols.response": (1, path, "unknown feature 'nope'"),
         "rma.ols.covariates": (1, path, "unknown feature 'nope'"),
         "mce.k_groups": (1, "mce.k_groups must be an integer in [1, 2], the usable feature count, got 9"),
         "rma.threshold": (2, "no candidate reached the major-feature threshold 0.999"),
         "rma.bin_subset": (1, "bin_subset['spin_dir'] holds bin id 99"),
+        "binning.per_feature": (1, "binning.per_feature.f9: unknown feature 'f9'"),
     }[path]
     if path == "rma.threshold":
         monkeypatch.delitem(RMA_SECTION, "majors")
-    assert run_with_config_value(request, tmp_path, path.split(".")[0], path, value) == code
+    command = "mce" if path.startswith("binning.") else path.split(".")[0]
+    assert run_with_config_value(request, tmp_path, command, path, value) == code
     assert_one_error_line(capsys, *needles)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("mce", "features", ["f0", "f0", "f1"]), ("pmap", "feature_sets.a", ["f0", "f0"]),
+    ("let", "feature_sets.a", ["f0", "f1", "f0"]), ("chain", "feature_sets.a", ["f1", "f1"]),
+    ("rma", "rma.ols.covariates", ["spin_dir", "spin_rate", "spin_dir"])])
+def test_a_feature_named_twice_in_one_list_is_a_config_error(request, tmp_path, capsys, command, path, value):
+    # a repeated name would count its feature twice in every distance, or
+    # pair it with itself in the mce matrix
+    assert run_with_config_value(request, tmp_path, command, path, value) == 1
+    assert_one_error_line(capsys, "%s repeats the feature '%s'" % (path, value[0]))
     assert not (tmp_path / "out").exists()
 
 

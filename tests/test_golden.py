@@ -11,14 +11,20 @@ and why, and record the new digest here.
 The same digests must hold on numpy's AVX2 loops where it dispatches
 AVX-512 ones, and a canary pins the numpy Generator calls whose draws
 reach a report, so that a numpy release that changes one is named.
+
+The walkthrough also runs under a profile hook that records the functions
+it calls: every function of the package must be among them, or be listed
+in NOT_REACHED with the reason it stays.
 """
 
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -150,8 +156,21 @@ def run_walkthrough(root):
 
 @pytest.fixture(scope="module")
 def walkthrough(tmp_path_factory):
+    """The walkthrough's root, its digests, and the code objects it called."""
     root = tmp_path_factory.mktemp("golden")
-    return root, run_walkthrough(root)
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        digests = run_walkthrough(root)
+    finally:
+        sys.setprofile(previous)
+    return root, digests, called
 
 
 def test_golden_artifact_set(walkthrough):
@@ -216,6 +235,56 @@ def test_golden_per_row_reports_conserve(walkthrough, out_dir):
     else:
         totals = json.loads((out / summary).read_text())["totals"]
         assert Counter(r["case"] for r in rows) == Counter(totals)
+
+
+# --- every function of the package is one the commands call -------------
+
+# module.qualname -> why the walkthrough does not call it
+NOT_REACHED = {
+    "association.contingency_table": "bench/spans.py wraps it by name; the library's one-table cross-tabulation",
+    "chain.load_external_predictions": "dissect.external, which the walkthrough leaves unset",
+    "cli._Parser.error": "a command line argparse refuses",
+    "dataset._parse_floats": "the loader's float() path, for cells np.loadtxt does not parse",
+    "dataset._default_labels": "synth labels when params name none",
+    "dataset._gauss_clouds": "synth kind gauss-clouds",
+    "dataset._linear_speed": "synth kind linear-speed",
+    "label_tree._draw": "a triple sample on a one-row label, or a tie redraw",
+    "predictive_map._logsumexp_rows": "the exact KDEs, for an open row within the screen's margin",
+    "predictive_map.log_gaussian_kde": "the exact KDEs, for an open row within the screen's margin",
+    "rma.LocalityLattice.adjacent_cells": "a query whose rectangle holds no training row",
+    "rma._collinear_columns": "the error of an OLS fit on collinear covariates",
+}
+
+
+def package_functions():
+    """module.qualname of every function and method defined in the
+    package's source; lambdas, comprehensions and class bodies left out."""
+    found = set()
+
+    def walk(code, module):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
+                    found.add("%s.%s" % (module, const.co_qualname))
+                walk(const, module)
+
+    for path in sorted(Path(ceda.__file__).parent.glob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), path.stem)
+    return found
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11 on")
+def test_the_walkthrough_reaches_every_package_function(walkthrough):
+    package = Path(ceda.__file__).parent
+    called = {"%s.%s" % (Path(code.co_filename).stem, code.co_qualname)
+              for code in walkthrough[2] if Path(code.co_filename).parent == package}
+    defined = package_functions()
+    stale = sorted(set(NOT_REACHED) - defined)
+    assert not stale, "listed but not defined: %s" % ", ".join(stale)
+    unreached = sorted(defined - called - set(NOT_REACHED))
+    assert not unreached, "no command reaches these: %s" % ", ".join(unreached)
+    reached = sorted(called & set(NOT_REACHED))
+    assert not reached, "the walkthrough reaches these listed functions: %s" % ", ".join(reached)
 
 
 # --- the same bytes on other SIMD levels and numpy releases ----------------

@@ -356,7 +356,7 @@ def test_tabulate_proportions_and_csv():
     text = table.to_csv_text()
     assert text.splitlines()[0] == "category,a,b"
     assert table.singleton_fraction() == 1.0
-    assert table.certain_fraction() == 1.0
+    assert all(c.certain for c in table.categories)
 
 
 def test_tabulate_composite_keys_sort_per_link():

@@ -441,7 +441,7 @@ def test_predict_full_cell_mean():
     assert p.values.tolist() == mean_of(table, range(10))
     assert flag_set(p) == {"underfilled"}
     assert p.cells.tolist() == [[0]]
-    assert p.flagged.tolist() == [True]
+    assert p.flags.any(axis=1).tolist() == [True]
 
 
 def test_predict_takes_k_nearest():
@@ -449,7 +449,7 @@ def test_predict_takes_k_nearest():
     p = rma_predict_rows(np.array([[5.2]]), {}, lat, table, k_star=3)
     assert p.values.tolist() == mean_of(table, [5, 6, 4])
     assert flag_set(p) == set()
-    assert p.flagged.tolist() == [False]
+    assert p.flags.any(axis=1).tolist() == [False]
 
 
 def test_predict_distance_tie_prefers_smaller_row():
