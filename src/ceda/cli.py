@@ -274,12 +274,16 @@ def _check_features(ds, names, where, numeric=False):
         raise ConfigError("%s repeats the feature '%s'" % (where, repeated))
 
 
-def _binnings_for(table, features, cfg):
+def _binnings_for(ds, features, cfg):
     target_bins, per_feature = setting(cfg, "binning.target_bins"), setting(cfg, "binning.per_feature")
-    unknown = next((n for n in per_feature if n not in table.names), None)
-    if unknown is not None:
-        raise ConfigError("binning.per_feature.%s: unknown feature '%s'" % (unknown, unknown))
-    return default_binnings(table, features, target_bins, per_feature)
+    for name in per_feature:
+        if name not in ds.table.names:
+            raise ConfigError("binning.per_feature.%s: unknown feature '%s'" % (name, name))
+        kind = "the label column" if name == ds.label_column else ds.table.kind(name)
+        if kind != "continuous":
+            raise ConfigError("binning.per_feature.%s: '%s' is %s; only continuous columns are binned"
+                              % (name, name, kind))
+    return default_binnings(ds.table, features, target_bins, per_feature)
 
 
 def _split(ds, cfg):
@@ -381,7 +385,7 @@ def cmd_mce(args, cfg, run):
     ds = _load_dataset(cfg, "mce")
     features = setting(cfg, "features") or ds.feature_names()
     _check_features(ds, features, "features")
-    binnings = _binnings_for(ds.table, features, cfg)
+    binnings = _binnings_for(ds, features, cfg)
     matrix = mce_matrix(ds.table, binnings=binnings, features=features)
     k = setting(cfg, "mce.k_groups") or min(5, len(matrix.features))
     if k > len(matrix.features):
@@ -557,7 +561,7 @@ def cmd_rma(args, cfg, run):
     spec = ResponseSpec(responses=tuple(responses), covariates=tuple(covariates))
     train, test = _split(ds, cfg)
     needed = list(responses) + covariates
-    binnings = _binnings_for(train.table, needed, cfg)
+    binnings = _binnings_for(train, needed, cfg)
     bins_per_major = setting(cfg, "rma.bins_per_major")
     threshold = setting(cfg, "rma.threshold")
     joint = joint_response_codes(train.table, spec, binnings) if candidates else None

@@ -741,6 +741,22 @@ def test_config_values_the_data_rules_out_fail_before_any_artifact(request, tmp_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name,kind", [
+    ("label", "the label column"), ("count", "discrete"), ("zone", "categorical")])
+def test_per_feature_bins_for_a_column_that_is_never_binned_are_config_errors(tmp_path, capsys, name, kind):
+    # count has three distinct values, so the loader infers it discrete
+    rng = np.random.default_rng(0)
+    rows = ["x,count,zone,label"] + ["%r,%d,%s,%s" % (rng.normal(), i % 3, "pq"[i % 2], "ab"[i % 2])
+                                     for i in range(40)]
+    (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(tmp_path / "d.csv"), label_column="label",
+                    out_dir=str(tmp_path / "out"), binning={"per_feature": {"x": 4, name: 4}})
+    assert run_cli("mce", "--config", cfg) == 1
+    assert_one_error_line(capsys, "binning.per_feature.%s: '%s' is %s; only continuous columns are binned"
+                          % (name, name, kind))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,path,value", [
     ("mce", "features", ["f0", "f0", "f1"]), ("pmap", "feature_sets.a", ["f0", "f0"]),
     ("let", "feature_sets.a", ["f0", "f1", "f0"]), ("chain", "feature_sets.a", ["f1", "f1"]),

@@ -610,6 +610,50 @@ def test_kd_screen_takes_full_rows_only_on_a_tie_at_the_kth_distance():
         assert idx.tolist() == [[2, 0, 1, 3, 4, 5, 6]]
 
 
+def node_rows(n, dim, grid, seed):
+    """n rows of six Gaussian clouds in dim features, as a node of the
+    predictive map holds them; rounded to thirds when grid, so that almost
+    every query ties."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 3.0, size=(6, dim))
+    X = centers[rng.integers(0, 6, n)] + 0.4 * rng.normal(size=(n, dim))
+    return np.round(X * 3.0) / 3.0 if grid else X
+
+
+@pytest.mark.parametrize("k", [1, 2, 20, 21])
+@pytest.mark.parametrize("grid", [False, True], ids=["clouds", "thirds"])
+@pytest.mark.parametrize("n", [500, 5000])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kd_tree_path_at_node_sizes_matches_per_row_reference(dim, n, grid, k):
+    # trees many leaves deep, unlike kernel_problems' at most 60 rows; half
+    # the queries repeat reference rows, so the self distance 0 comes first
+    R = node_rows(n, dim, grid, seed=dim * n)
+    Q = np.concatenate([node_rows(60, dim, grid, seed=dim * n + 1), R[::n // 60][:60]])
+    assert_k_nearest(k_nearest(Q, R, k, tree=kd_tree(R)), ref_k_nearest(Q, R, k))
+
+
+def test_kd_screen_re_sorts_only_rows_with_equal_distances_among_the_first_k():
+    # from x=0 the distances are 3, 5, 8, 1 and 1: the first three hold a
+    # tie, but the 3rd and 4th do not, so the tree's answer is re-sorted to
+    # put row 3 before row 4 (scipy 1.17 gives row 4 first), with no full row
+    R = np.array([3.0, 5.0, 8.0, 1.0, -1.0])[:, None]
+    with mock.patch.object(predictive_map, "distance_rows", wraps=predictive_map.distance_rows) as rows, \
+            mock.patch.object(predictive_map.np, "lexsort", wraps=np.lexsort) as lexsort:
+        dist, idx = k_nearest(np.array([[0.0]]), R, 3, tree=kd_tree(R))
+    assert lexsort.call_count == 1 and rows.call_count == 0
+    assert idx.tolist() == [[3, 4, 0]] and dist.tolist() == [[1.0, 1.0, 3.0]]
+
+
+def test_kd_screen_without_equal_distances_takes_the_tree_order_as_it_is():
+    R, Q = node_rows(2000, 2, False, seed=7), node_rows(300, 2, False, seed=8)
+    want = ref_k_nearest(Q, R, 21)
+    assert np.all(np.diff(want[0], axis=1) > 0)
+    with mock.patch.object(predictive_map.np, "lexsort", wraps=np.lexsort) as lexsort:
+        got = k_nearest(Q, R, 21, tree=kd_tree(R))
+    assert lexsort.call_count == 0
+    assert_k_nearest(got, want)
+
+
 def test_gram_screen_keeps_every_row_at_the_kth_value():
     # every row at the origin: all screen values and the margin are 0, so
     # only rows equal to the k-th value are candidates
