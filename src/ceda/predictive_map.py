@@ -26,11 +26,12 @@ Points descend together, one tree level at a time: each node decides all
 the points that reached it in one competition, with the same decisions a
 point-at-a-time descent makes, and builds the node's rows, left branch and
 KD tree as it runs.  Rules 1 and 2 need only each point's k* nearest rows
-and its nearest distance, which ``k_nearest`` finds: the node's KD tree for
-one or two features, a Gram screen with a proven rounding margin for more,
-both exact to the bit.  A point's k* nearest go down the tree with it, so
-a child searches only the points whose parent's k* do not all lie in it.
-The outlier quantile is exact too: own-label upper
+and its nearest distance, which ``k_nearest`` finds exact to the bit: the
+node's KD tree for one or two features, else one screen (``_screen``):
+exact distances, or Gram values with a proven rounding margin for more,
+and one sort per row of the candidates.  A point's k* nearest go down the
+tree with it, so a child searches only the points whose parent's k* do
+not all lie in it.  The outlier quantile is exact too: own-label upper
 bounds and exact distances for the few rows that can reach it.  Only the
 points rule 3 decides get their distances to every node member
 (``distance_rows``), with the node's left-branch rows first, so each
@@ -157,9 +158,9 @@ def log_gaussian_kde(samples, x):
 # amortise per-call overhead, smaller ones bound memory.
 BLOCK_BYTES = 2 * 1024 * 1024
 
-# float64 cells per (query, reference) pair that ``k_nearest`` holds: the
-# Gram screen's values and their partition copy, or with one or two
-# features the full distance rows and their partition copy
+# float64 cells per (query, reference) pair that ``_screen`` holds: its
+# values (the distances with one or two features, the Gram form with more)
+# and their partition copy; the candidates' padded rows reuse the first
 SCREEN_CELLS = 2
 
 
@@ -270,7 +271,7 @@ def _screened_log_ratio(d, x, n_left, work):
 def kd_tree(X):
     """A ``scipy.spatial.cKDTree`` over the rows of X for ``k_nearest`` when
     X has one or two features; None with more, where it takes the Gram
-    screen.
+    form of ``_screen``.
 
     The tree cuts each node's box at the midpoint of its widest side,
     sliding the cut to the nearest row when one side would be empty, and
@@ -285,32 +286,6 @@ def kd_tree(X):
     from scipy.spatial import cKDTree
 
     return cKDTree(X, balanced_tree=False, compact_nodes=False)
-
-
-def _full_rows(Q, R, k, work):
-    """The first k of each row by (distance, column) from full distance
-    rows (one or two features); the partition copy takes the scratch
-    ``distance_rows`` leaves after them."""
-    dist = distance_rows(Q, R, work)
-    m, n = dist.shape
-    part = work[m * n:2 * m * n].reshape(m, n)
-    np.copyto(part, dist)
-    part.partition(k - 1, axis=1)
-    kth = part[:, k - 1:k]
-    below = dist < kth
-    tied = dist == kth
-    nearest = below | tied
-    # each row holds at least k; more when rows tie at the k-th distance
-    # beyond the room left below it
-    if np.count_nonzero(nearest) > m * k:
-        room = k - np.count_nonzero(below, axis=1)
-        nearest = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    # exactly k per row, in column order (a flat index is several times
-    # faster than a 2-d np.nonzero)
-    cols = (nearest.ravel().nonzero()[0] % n).reshape(m, k)
-    near = np.take_along_axis(dist, cols, axis=1)
-    order = np.argsort(near, axis=1, kind="stable")
-    return np.sort(near, axis=1), np.take_along_axis(cols, order, axis=1)
 
 
 def _pair_distances(Q, R, qi, rj, work):
@@ -331,9 +306,9 @@ def _pair_distances(Q, R, qi, rj, work):
     return np.sqrt(out, out=out)
 
 
-# Rounding margin of the Gram screen, per feature count d: with u = 2^-53
-# and gamma_n = n*u / (1 - n*u), for any summation order the BLAS uses
-# (each product of Q @ R.T a sum of d rounded products, as in every
+# Rounding margin of ``_screen``'s Gram form, per feature count d: with
+# u = 2^-53 and gamma_n = n*u / (1 - n*u), for any summation order the BLAS
+# uses (each product of Q @ R.T a sum of d rounded products, as in every
 # conventional gemm; a Strassen-type gemm is not covered):
 #  - the screen s = fl(fl(qq + rr) - 2*fl(q.r)), with qq and rr rounded sums
 #    of squares, errs from the true D = ||q - r||^2 by at most
@@ -398,31 +373,46 @@ def _kde_margin(n):
     return 16 * (np.finfo(float).eps / 2) * (5000 + 20 * math.log(n) + n)
 
 
-def _gram_screen(Q, R, k, work):
-    """The k nearest by a Gram screen qq + rr - 2 Q @ R.T: every reference
-    row whose screen value lies within the rounding margin of the row's k-th
-    smallest is a candidate, and the candidates' exact distances pick the
-    first k by (distance, row)."""
-    m, n = len(Q), len(R)
-    screen = work[:m * n].reshape(m, n)
+def _screen(Q, R, k, work):
+    """The first k of each row by (distance, column), from a value for every
+    (query, reference) pair: the exact distance with one or two features,
+    the Gram form qq + rr - 2 Q @ R.T with more.  Every column whose value
+    is at most the row's k-th smallest (plus the Gram form's rounding
+    margin) is a candidate, and the candidates' exact distances pick the
+    first k in one stable sort per row."""
+    m, n, n_features = len(Q), len(R), Q.shape[1]
     part = work[m * n:2 * m * n].reshape(m, n)
-    qq = np.einsum("ij,ij->i", Q, Q)
-    rr = np.einsum("ij,ij->i", R, R)
-    np.matmul(Q, R.T, out=part)
-    np.add(qq[:, None], rr, out=screen)
-    part *= 2.0
-    screen -= part
-    np.copyto(part, screen)
+    gram = n_features > 2
+    if gram:
+        values = work[:m * n].reshape(m, n)
+        qq = np.einsum("ij,ij->i", Q, Q)
+        rr = np.einsum("ij,ij->i", R, R)
+        np.matmul(Q, R.T, out=part)
+        np.add(qq[:, None], rr, out=values)
+        part *= 2.0
+        values -= part
+    else:
+        values = distance_rows(Q, R, work)
+    np.copyto(part, values)
     part.partition(k - 1, axis=1)
-    kth = part[:, k - 1]
-    bound = kth + _gram_margin(Q.shape[1]) * (np.abs(kth) + qq + rr.max())
-    # row-major: qi ascends, and every row has at least its k smallest
-    # (a flat index is several times faster than a 2-d np.nonzero)
-    qi, rj = np.divmod((screen <= bound[:, None]).ravel().nonzero()[0], n)
-    dist = _pair_distances(Q, R, qi, rj, work)
-    order = np.lexsort((rj, dist, qi))
+    bound = part[:, k - 1]
+    if gram:
+        bound = bound + _gram_margin(n_features) * (np.abs(bound) + qq + rr.max())
+    # row-major, so qi ascends and rj ascends within it, and every row has
+    # at least its k smallest (a flat index is several times faster than a
+    # 2-d np.nonzero)
+    flat = (values <= bound[:, None]).ravel().nonzero()[0]
+    qi, rj = np.divmod(flat, n)
+    dist = _pair_distances(Q, R, qi, rj, work) if gram else values.take(flat)
+    # each row's candidates, padded with inf in the now free work buffer: a
+    # stable sort keeps the column order among equal distances
     counts = np.bincount(qi, minlength=m)
-    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    start = np.cumsum(counts) - counts
+    width = counts.max()
+    pad = work[:m * width].reshape(m, width)
+    pad.fill(np.inf)
+    pad[qi, np.arange(len(qi)) - start[qi]] = dist
+    take = start[:, None] + np.argsort(pad, axis=1, kind="stable")[:, :k]
     return dist[take], rj[take]
 
 
@@ -450,9 +440,10 @@ def k_nearest(Q, R, k, tree=None):
     first k of ``np.lexsort((arange(len(R)), dist[i]))``: every distance
     below the k-th smallest, then the lowest rows at it.  k above len(R)
     takes every row.  ``tree`` (a ``kd_tree`` over R, so one or two
-    features) answers the query, with full distance rows only for a tie at
-    the k-th distance or when R holds no more than k rows.  Without a tree,
-    three or more features take a Gram screen and one or two full rows.
+    features) answers the query, with ``_screen``'s full rows only for a tie
+    at the k-th distance or when R holds no more than k rows.  Without a
+    tree, every query takes ``_screen``: exact distances for one or two
+    features, the Gram form for more.
 
     The queries are screened in ``row_blocks`` that all reuse one work
     buffer, so any number of rows may be asked at once."""
@@ -460,16 +451,14 @@ def k_nearest(Q, R, k, tree=None):
     k = min(k, n)
     if tree is not None and k < n:
         return _kd_screen(Q, R, k, tree)
-    if n_features > 2:
-        screen = _gram_screen
-    else:
-        screen, R = _full_rows, np.asfortranarray(R)
+    if n_features <= 2:
+        R = np.asfortranarray(R)  # distance_rows reads R by column
     blocks, size = row_blocks(m, n, SCREEN_CELLS)
-    # the Gram screen's exact distances need room for one row of features
+    # the Gram form's exact distances need room for one row of features
     work = np.empty(max(size, n_features))
     dist, cols = np.empty((m, k)), np.empty((m, k), dtype=np.intp)
     for block in blocks:
-        dist[block], cols[block] = screen(Q[block], R, k, work)
+        dist[block], cols[block] = _screen(Q[block], R, k, work)
     return dist, cols
 
 

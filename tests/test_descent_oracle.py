@@ -401,9 +401,9 @@ def outlier_threshold(X, leaf, in_node, q):
        n_labels=st.integers(1, 40), n_single=st.integers(0, 3))
 def test_outlier_threshold_has_the_bits_of_the_exact_quantile(seed, n, dim, n_dup, grid, scale, n_labels, n_single):
     # every feature count, with the node's KD tree (one or two features)
-    # and the Gram screen (more).  Labels are drawn row by row, so a row's
-    # own-label bound is often far above its distance in the node and the
-    # high quantiles ask in several batches; the first n_single rows are
+    # and the screen's Gram form (more).  Labels are drawn row by row, so a
+    # row's own-label bound is often far above its distance in the node and
+    # the high quantiles ask in several batches; the first n_single rows are
     # one-row labels, whose bound is inf
     rng = np.random.default_rng(seed)
     X = scale * rng.normal(size=(n, dim))
@@ -516,8 +516,9 @@ def ref_k_nearest(Q, R, k):
 
 
 def screens(R):
-    """Keyword arguments of k_nearest for each screen form that serves R:
-    the Gram screen always, the KD tree for one or two features."""
+    """Keyword arguments of k_nearest for each path that serves R: the
+    tree-less screen always (exact distances for one or two features, the
+    Gram form for more), the KD tree for one or two features."""
     tree = kd_tree(R)
     return [{}] + ([] if tree is None else [{"tree": tree}])
 
@@ -591,22 +592,22 @@ def test_k_nearest_on_one_work_buffer_matches_fresh_calls(calls, block_bytes):
                 assert_k_nearest(k_nearest(Q, R, k, **screen), ref_k_nearest(Q, R, k))
 
 
-def test_kd_screen_takes_full_rows_only_on_a_tie_at_the_kth_distance():
+def test_kd_screen_searches_every_row_only_on_a_tie_at_the_kth_distance():
     # from x=0 the sorted distances are 1, 2, 2, 2, 2, 10, 10: the 3rd and
-    # 4th tie, so k=3 needs the full row to keep the lowest rows 0 and 1;
-    # from x=1 they are 0, 1, 1, 1, 1, 9, 11, and k=1 has no tie
+    # 4th tie, so k=3 needs the tree-less screen to keep the lowest rows 0
+    # and 1; from x=1 they are 0, 1, 1, 1, 1, 9, 11, and k=1 has no tie
     R = np.array([2.0, 2.0, 1.0, 2.0, 2.0, 10.0, -10.0])[:, None]
     tree = kd_tree(R)
-    with mock.patch.object(predictive_map, "distance_rows", wraps=predictive_map.distance_rows) as rows:
+    with mock.patch.object(predictive_map, "_screen", wraps=predictive_map._screen) as screen:
         dist, idx = k_nearest(np.array([[1.0]]), R, 1, tree=tree)
-        assert rows.call_count == 0
+        assert screen.call_count == 0
         assert idx.tolist() == [[2]] and dist.tolist() == [[0.0]]
         dist, idx = k_nearest(np.array([[0.0], [1.0]]), R, 3, tree=tree)
-        assert rows.call_count == 1
+        assert screen.call_count == 1
         assert idx.tolist() == [[2, 0, 1], [2, 0, 1]] and dist.tolist() == [[1.0, 2.0, 2.0], [0.0, 1.0, 1.0]]
-        # no more reference rows than k: every query takes its full row
+        # no more reference rows than k: every query takes the tree-less screen
         dist, idx = k_nearest(np.array([[0.0]]), R, 9, tree=tree)
-        assert rows.call_count == 2
+        assert screen.call_count == 2
         assert idx.tolist() == [[2, 0, 1, 3, 4, 5, 6]]
 
 
@@ -625,22 +626,27 @@ def node_rows(n, dim, grid, seed):
 @pytest.mark.parametrize("n", [500, 5000])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kd_tree_path_at_node_sizes_matches_per_row_reference(dim, n, grid, k):
-    # trees many leaves deep, unlike kernel_problems' at most 60 rows; half
-    # the queries repeat reference rows, so the self distance 0 comes first
+    # trees many leaves deep, and on thirds tie groups of hundreds of rows,
+    # unlike kernel_problems' at most 60 rows; both paths, the tree-less
+    # screen with every tied row a candidate.  Half the queries repeat
+    # reference rows, so the self distance 0 comes first
     R = node_rows(n, dim, grid, seed=dim * n)
     Q = np.concatenate([node_rows(60, dim, grid, seed=dim * n + 1), R[::n // 60][:60]])
-    assert_k_nearest(k_nearest(Q, R, k, tree=kd_tree(R)), ref_k_nearest(Q, R, k))
+    want = ref_k_nearest(Q, R, k)
+    for screen in screens(R):
+        assert_k_nearest(k_nearest(Q, R, k, **screen), want)
 
 
 def test_kd_screen_re_sorts_only_rows_with_equal_distances_among_the_first_k():
     # from x=0 the distances are 3, 5, 8, 1 and 1: the first three hold a
     # tie, but the 3rd and 4th do not, so the tree's answer is re-sorted to
-    # put row 3 before row 4 (scipy 1.17 gives row 4 first), with no full row
+    # put row 3 before row 4 (scipy 1.17 gives row 4 first), with no
+    # tree-less screen
     R = np.array([3.0, 5.0, 8.0, 1.0, -1.0])[:, None]
-    with mock.patch.object(predictive_map, "distance_rows", wraps=predictive_map.distance_rows) as rows, \
+    with mock.patch.object(predictive_map, "_screen", wraps=predictive_map._screen) as screen, \
             mock.patch.object(predictive_map.np, "lexsort", wraps=np.lexsort) as lexsort:
         dist, idx = k_nearest(np.array([[0.0]]), R, 3, tree=kd_tree(R))
-    assert lexsort.call_count == 1 and rows.call_count == 0
+    assert lexsort.call_count == 1 and screen.call_count == 0
     assert idx.tolist() == [[3, 4, 0]] and dist.tolist() == [[1.0, 1.0, 3.0]]
 
 
@@ -654,12 +660,16 @@ def test_kd_screen_without_equal_distances_takes_the_tree_order_as_it_is():
     assert_k_nearest(got, want)
 
 
-def test_gram_screen_keeps_every_row_at_the_kth_value():
-    # every row at the origin: all screen values and the margin are 0, so
-    # only rows equal to the k-th value are candidates
-    Q, R = np.zeros((2, 3)), np.zeros((5, 3))
-    dist, idx = k_nearest(Q, R, 2)
-    assert idx.tolist() == [[0, 1], [0, 1]] and dist.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+def test_screen_keeps_every_row_at_the_kth_value():
+    # every row at the origin: all values (and the Gram form's margin) are
+    # 0, so every row equals the k-th value and is a candidate, and the
+    # stable sort of the whole padded row keeps the lowest two
+    for dim in (1, 2, 3):
+        Q, R = np.zeros((2, dim)), np.zeros((5, dim))
+        with mock.patch.object(predictive_map.np, "argsort", wraps=np.argsort) as argsort:
+            dist, idx = k_nearest(Q, R, 2)
+        assert argsort.call_args.args[0].shape == (2, 5)
+        assert idx.tolist() == [[0, 1], [0, 1]] and dist.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 # --- the median of the open rows -------------------------------------------
