@@ -76,8 +76,9 @@ class ChainResult:
         return True
 
 
-def _seed_for_link(seed, idx):
-    return int(np.random.SeedSequence([int(seed), int(idx)]).generate_state(1)[0])
+def derived_seed(seed, word):
+    """The seed of a stage or link: the first word of SeedSequence([seed, word])."""
+    return int(np.random.SeedSequence([int(seed), int(word)]).generate_state(1)[0])
 
 
 def chain_categories(test, train, chain, samples_per_triplet=200, seed=0):
@@ -98,7 +99,7 @@ def chain_categories(test, train, chain, samples_per_triplet=200, seed=0):
         tree = tree_from_training(
             train, list(link.features),
             samples_per_triplet=samples_per_triplet,
-            seed=_seed_for_link(seed, depth - 1),
+            seed=derived_seed(seed, depth - 1),
         )
         clf = TreeClassifier(tree, train, list(link.features), link.cfg)
         stop, outlier, _ = clf.classify(feature_matrix(test.table, list(link.features))[active_rows])

@@ -48,6 +48,7 @@ from .chain import (
     ChainLink,
     FeatureChain,
     chain_categories,
+    derived_seed,
     dissect_external,
     knn_baseline_predict,
     load_external_predictions,
@@ -141,7 +142,7 @@ SETTINGS = {
 
 def stage_seed(seed, stage):
     """Derive a per-stage seed from the global one (documented counter scheme)."""
-    return int(np.random.SeedSequence([int(seed), STAGE_OFFSETS[stage]]).generate_state(1)[0])
+    return derived_seed(seed, STAGE_OFFSETS[stage])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -510,15 +511,15 @@ def cmd_chain(args, cfg, run):
     rows += [[row, *cells] for row, cells in enumerate(
         zip(test.label_values, *(table.row_names(test.n_rows) for table in result.tables)))]
     run.write_text("chain_rows.csv", csv_text(rows))
+    conserved = result.verify_conservation()
     run.write_json("chain_summary.json", {
         "depths": len(result.tables),
         "links": [l.name for l in result.chain.links],
-        "conserved": result.verify_conservation(),
+        "conserved": conserved,
         "final_certain_fraction": sum(
             1 for c in result.final_category_per_row if c.certain) / test.n_rows,
     })
-    return "chain: %d depths, conservation %s" % (
-        len(result.tables), "ok" if result.verify_conservation() else "VIOLATED")
+    return "chain: %d depths, conservation %s" % (len(result.tables), "ok" if conserved else "VIOLATED")
 
 
 def cmd_dissect(args, cfg, run):

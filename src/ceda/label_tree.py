@@ -72,7 +72,8 @@ BLOCK_ENTRIES_PER_SAMPLE = 16
 # the screen's mark on a sample whose exact distances must decide it
 UNDECIDED = 3
 
-LEMIRE_CHUNK = 2 ** 15   # round one maps about this many draws at a time: whole triples, or pieces of rows
+# at the 100 000 cap on let.samples_per_triplet, one triple's words and products take about 5 MB
+LEMIRE_CHUNK = 2 ** 15   # round one maps about this many draws at a time: whole triples, at least one
 
 # positions in a triple x < y < z of the labels of its slots 0 (x, y), 1 (x, z) and 2 (y, z)
 SLOT_POSITIONS = np.array([[0, 1], [0, 2], [1, 2]])
@@ -141,16 +142,14 @@ def _round_one(states, sizes, T):
     redraw = (sizes == 1).any(axis=1)   # numpy draws nothing for a one-row label
     # uint32 products wrap to the low 32 bits of u * size
     size32, floor32 = (v.astype(np.uint32)[..., None] for v in (sizes, (2 ** 32 - sizes) % sizes))
-    step, width = max(1, LEMIRE_CHUNK // (3 * T)), LEMIRE_CHUNK // 3
+    step = max(1, LEMIRE_CHUNK // (3 * T))
     for i in range(0, len(sizes), step):
         words = np.stack([np.random.PCG64(_Child(s)).random_raw(-(-3 * T // 2)) for s in states[i:i + step]])
         u = words.astype("<u8", copy=False).view("<u4")[:, :3 * T].reshape(-1, 3, T)
-        for j in range(0, T, width):
-            uj = u[..., j:j + width]
-            redraw[i:i + step] |= (uj * size32[i:i + step] < floor32[i:i + step]).any(axis=(1, 2))
-            m = uj * sizes[i:i + step, :, None]
-            m >>= 32
-            out[i:i + step, :, j:j + width] = m
+        redraw[i:i + step] |= (u * size32[i:i + step] < floor32[i:i + step]).any(axis=(1, 2))
+        m = u * sizes[i:i + step, :, None]
+        m >>= 32
+        out[i:i + step] = m
     for i in np.flatnonzero(redraw).tolist():
         out[i] = _draw(np.random.default_rng(_Child(states[i])), sizes[i].tolist(), T)
     return out

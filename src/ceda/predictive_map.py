@@ -27,11 +27,12 @@ the points that reached it in one competition, with the same decisions a
 point-at-a-time descent makes, and builds the node's rows, left branch and
 KD tree as it runs.  Rules 1 and 2 need only each point's k* nearest rows
 and its nearest distance, which ``k_nearest`` finds exact to the bit: the
-node's KD tree for one or two features, else one screen (``_screen``):
-exact distances, or Gram values with a proven rounding margin for more,
-and one sort per row of the candidates.  A point's k* nearest go down the
-tree with it, so a child searches only the points whose parent's k* do
-not all lie in it.  The outlier quantile is exact too: own-label upper
+node's KD tree for one or two features, and one screen (``_screen``) for
+the rows it leaves tied at the k-th distance and for more features: exact
+distances, or Gram values with a proven rounding margin for more, and one
+sort per row of the candidates.  A point's k* nearest go down the tree
+with it, so a child searches only the points whose parent's k* do not all
+lie in it.  The outlier quantile is exact too: own-label upper
 bounds and exact distances for the few rows that can reach it.  Only the
 points rule 3 decides get their distances to every node member
 (``distance_rows``), with the node's left-branch rows first, so each
@@ -152,10 +153,10 @@ def log_gaussian_kde(samples, x):
 
 
 # Bytes of float temporaries one block of query rows may hold.  ``k_nearest``
-# cuts its queries into blocks by its screen's two float64 cells per (query
-# row, reference row) pair, not per feature; ``distance_rows`` is cut by its
-# own (rows, reference rows, cells) size (``row_cells``).  Larger blocks
-# amortise per-call overhead, smaller ones bound memory.
+# cuts the rows it screens into blocks by the screen's two float64 cells per
+# (query row, reference row) pair, not per feature; ``distance_rows`` is cut
+# by its own (rows, reference rows, cells) size (``row_cells``).  Larger
+# blocks amortise per-call overhead, smaller ones bound memory.
 BLOCK_BYTES = 2 * 1024 * 1024
 
 # float64 cells per (query, reference) pair that ``_screen`` holds: its
@@ -416,22 +417,6 @@ def _screen(Q, R, k, work):
     return dist[take], rj[take]
 
 
-def _kd_screen(Q, R, k, tree):
-    """The k nearest from a KD tree query for k + 1 neighbours.  The rows
-    whose k-th and (k+1)-th distances tie take full distance rows instead."""
-    dist, cols = tree.query(Q, k=k + 1)
-    tie = dist[:, k - 1] == dist[:, k]
-    dist, cols = dist[:, :k], cols[:, :k]
-    # the tree gives each row's hits nearest first, so only equal distances
-    # may be out of row order
-    if np.any(dist[:, 1:] == dist[:, :-1]):
-        order = np.lexsort((cols, dist), axis=1)
-        dist, cols = np.take_along_axis(dist, order, axis=1), np.take_along_axis(cols, order, axis=1)
-    if np.any(tie):
-        dist[tie], cols[tie] = k_nearest(Q[tie], R, k)
-    return dist, cols
-
-
 def k_nearest(Q, R, k, tree=None):
     """Each query row's k nearest reference rows and their distances, as two
     (rows, k) arrays ordered by (distance, reference row).
@@ -440,25 +425,38 @@ def k_nearest(Q, R, k, tree=None):
     first k of ``np.lexsort((arange(len(R)), dist[i]))``: every distance
     below the k-th smallest, then the lowest rows at it.  k above len(R)
     takes every row.  ``tree`` (a ``kd_tree`` over R, so one or two
-    features) answers the query, with ``_screen``'s full rows only for a tie
-    at the k-th distance or when R holds no more than k rows.  Without a
-    tree, every query takes ``_screen``: exact distances for one or two
+    features) answers every row from one query for k + 1 neighbours; only
+    a row whose k-th and (k+1)-th distances tie takes ``_screen``.  With k
+    at len(R) the tree pads the (k+1)-th with inf, so no row ties.  Without
+    a tree, every row takes ``_screen``: exact distances for one or two
     features, the Gram form for more.
 
-    The queries are screened in ``row_blocks`` that all reuse one work
-    buffer, so any number of rows may be asked at once."""
+    The screened rows go in ``row_blocks`` that all reuse one work buffer,
+    so any number of rows may be asked at once."""
     m, n, n_features = len(Q), len(R), Q.shape[1]
     k = min(k, n)
-    if tree is not None and k < n:
-        return _kd_screen(Q, R, k, tree)
-    if n_features <= 2:
-        R = np.asfortranarray(R)  # distance_rows reads R by column
-    blocks, size = row_blocks(m, n, SCREEN_CELLS)
-    # the Gram form's exact distances need room for one row of features
-    work = np.empty(max(size, n_features))
-    dist, cols = np.empty((m, k)), np.empty((m, k), dtype=np.intp)
-    for block in blocks:
-        dist[block], cols[block] = _screen(Q[block], R, k, work)
+    if tree is None:
+        dist, cols = np.empty((m, k)), np.empty((m, k), dtype=np.intp)
+        screened, S = None, Q
+    else:
+        dist, cols = tree.query(Q, k=k + 1)
+        screened = np.flatnonzero(dist[:, k - 1] == dist[:, k])
+        dist, cols = dist[:, :k], cols[:, :k]
+        # the tree gives each row's hits nearest first, so only equal
+        # distances may be out of row order
+        if np.any(dist[:, 1:] == dist[:, :-1]):
+            order = np.lexsort((cols, dist), axis=1)
+            dist, cols = np.take_along_axis(dist, order, axis=1), np.take_along_axis(cols, order, axis=1)
+        S = Q[screened]
+    if len(S):
+        if n_features <= 2:
+            R = np.asfortranarray(R)  # distance_rows reads R by column
+        blocks, size = row_blocks(len(S), n, SCREEN_CELLS)
+        # the Gram form's exact distances need room for one row of features
+        work = np.empty(max(size, n_features))
+        for block in blocks:
+            rows = block if screened is None else screened[block]
+            dist[rows], cols[rows] = _screen(S[block], R, k, work)
     return dist, cols
 
 

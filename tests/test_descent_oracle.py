@@ -384,14 +384,13 @@ def test_batched_knn_matches_per_point_vote(problem, k, block_bytes):
 def outlier_threshold(X, leaf, in_node, q):
     """``TreeClassifier._outlier_threshold`` at the node of training rows
     X[in_node], each row of label leaf[row], with the node rows it asked
-    ``k_nearest`` for their exact distance (not counting the KD screen's
-    own call for rows tied at the k-th distance, which passes no tree)."""
+    ``k_nearest`` for their exact distance."""
     R = X[in_node]
     clf = SimpleNamespace(cfg=CompetitionConfig(outlier_quantile=q), X=X, leaf=leaf,
                           tree=SimpleNamespace(leaf_names=list(range(leaf.max() + 1))), _bound=None)
     with mock.patch.object(predictive_map, "k_nearest", wraps=k_nearest) as calls:
         threshold = TreeClassifier._outlier_threshold(clf, R, in_node, kd_tree(R))
-    asks = [call.args[0] for call in calls.call_args_list if call.args[1] is R and len(call.args) == 4]
+    asks = [call.args[0] for call in calls.call_args_list if call.args[1] is R]
     return threshold, sum(len(Q) for Q in asks)
 
 
@@ -592,10 +591,10 @@ def test_k_nearest_on_one_work_buffer_matches_fresh_calls(calls, block_bytes):
                 assert_k_nearest(k_nearest(Q, R, k, **screen), ref_k_nearest(Q, R, k))
 
 
-def test_kd_screen_searches_every_row_only_on_a_tie_at_the_kth_distance():
+def test_kd_path_searches_every_row_only_on_a_tie_at_the_kth_distance():
     # from x=0 the sorted distances are 1, 2, 2, 2, 2, 10, 10: the 3rd and
-    # 4th tie, so k=3 needs the tree-less screen to keep the lowest rows 0
-    # and 1; from x=1 they are 0, 1, 1, 1, 1, 9, 11, and k=1 has no tie
+    # 4th tie, so k=3 needs the screen of every node row to keep the lowest
+    # rows 0 and 1; from x=1 they are 0, 1, 1, 1, 1, 9, 11, and k=1 has no tie
     R = np.array([2.0, 2.0, 1.0, 2.0, 2.0, 10.0, -10.0])[:, None]
     tree = kd_tree(R)
     with mock.patch.object(predictive_map, "_screen", wraps=predictive_map._screen) as screen:
@@ -605,9 +604,10 @@ def test_kd_screen_searches_every_row_only_on_a_tie_at_the_kth_distance():
         dist, idx = k_nearest(np.array([[0.0], [1.0]]), R, 3, tree=tree)
         assert screen.call_count == 1
         assert idx.tolist() == [[2, 0, 1], [2, 0, 1]] and dist.tolist() == [[1.0, 2.0, 2.0], [0.0, 1.0, 1.0]]
-        # no more reference rows than k: every query takes the tree-less screen
+        # no more reference rows than k: the tree pads the 8th with inf, so
+        # no row ties and the tree answers alone
         dist, idx = k_nearest(np.array([[0.0]]), R, 9, tree=tree)
-        assert screen.call_count == 2
+        assert screen.call_count == 1
         assert idx.tolist() == [[2, 0, 1, 3, 4, 5, 6]]
 
 
@@ -637,11 +637,37 @@ def test_kd_tree_path_at_node_sizes_matches_per_row_reference(dim, n, grid, k):
         assert_k_nearest(k_nearest(Q, R, k, **screen), want)
 
 
-def test_kd_screen_re_sorts_only_rows_with_equal_distances_among_the_first_k():
+@pytest.mark.parametrize("k", [2, 21])
+@pytest.mark.parametrize("grid", [False, True], ids=["clouds", "thirds"])
+@pytest.mark.parametrize("n", [500, 5000])
+@pytest.mark.parametrize("dim", [3, 6])
+def test_gram_path_at_node_sizes_matches_per_row_reference(dim, n, grid, k):
+    # the tree-less Gram form at node sizes, where on thirds the k-th value
+    # ties across many rows, every one of them a candidate
+    R = node_rows(n, dim, grid, seed=dim * n)
+    Q = np.concatenate([node_rows(20, dim, grid, seed=dim * n + 1), R[::n // 20][:20]])
+    assert screens(R) == [{}]
+    assert_k_nearest(k_nearest(Q, R, k), ref_k_nearest(Q, R, k))
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["clouds", "thirds"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kd_path_with_k_above_the_node_rows_takes_every_row_from_the_tree(dim, grid):
+    # a 12-row node at k = 20: the tree pads the missing neighbours with
+    # inf, so no row ties at the k-th distance and none takes the screen
+    R = node_rows(12, dim, grid, seed=dim)
+    Q = np.concatenate([node_rows(30, dim, grid, seed=dim + 1), R])
+    with mock.patch.object(predictive_map, "_screen", wraps=predictive_map._screen) as screen:
+        got = k_nearest(Q, R, 20, tree=kd_tree(R))
+    assert screen.call_count == 0
+    assert_k_nearest(got, ref_k_nearest(Q, R, 20))
+
+
+def test_kd_path_re_sorts_only_rows_with_equal_distances_among_the_first_k():
     # from x=0 the distances are 3, 5, 8, 1 and 1: the first three hold a
     # tie, but the 3rd and 4th do not, so the tree's answer is re-sorted to
     # put row 3 before row 4 (scipy 1.17 gives row 4 first), with no
-    # tree-less screen
+    # screen
     R = np.array([3.0, 5.0, 8.0, 1.0, -1.0])[:, None]
     with mock.patch.object(predictive_map, "_screen", wraps=predictive_map._screen) as screen, \
             mock.patch.object(predictive_map.np, "lexsort", wraps=np.lexsort) as lexsort:
@@ -650,7 +676,7 @@ def test_kd_screen_re_sorts_only_rows_with_equal_distances_among_the_first_k():
     assert idx.tolist() == [[3, 4, 0]] and dist.tolist() == [[1.0, 1.0, 3.0]]
 
 
-def test_kd_screen_without_equal_distances_takes_the_tree_order_as_it_is():
+def test_kd_path_without_equal_distances_takes_the_tree_order_as_it_is():
     R, Q = node_rows(2000, 2, False, seed=7), node_rows(300, 2, False, seed=8)
     want = ref_k_nearest(Q, R, 21)
     assert np.all(np.diff(want[0], axis=1) > 0)
