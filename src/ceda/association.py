@@ -11,10 +11,12 @@ Averaging the two directed values gives a symmetric association measure in
 [0, 1]: 0 means fully associated, values near 1 mean independent.
 
 There is one entropy code path, ``row_entropies``, which scores every row
-of a count array at once with the bits of scoring each row alone.
-``mce_matrix`` and ``rank_features_by_label_association`` code each
-variable once, count each pair's table with one ``bincount``, and score all
-tables of one shape as a single stack.
+of a count array at once with the bits of scoring each row alone, and one
+scorer of coded pairs, ``_directed_both_ways``, which counts each pair's
+table with one ``bincount`` and scores all tables of one shape as a single
+stack, both ways.  ``mce_matrix`` codes each feature once and keeps the
+codes; ``rank_features_by_label_association`` codes only the label and
+scores it against the matrix's features from those codes.
 """
 
 import itertools
@@ -122,11 +124,29 @@ def directed_values(stack):
     return np.divide(acc, h_target, out=np.full(n_tables, np.nan), where=h_target != 0)
 
 
+def _directed_both_ways(pairs):
+    """dce(a -> b) and dce(b -> a) of each pair ((codes, n), (codes, n)) of
+    coded variables, as two arrays in pair order.
+
+    The pairs' tables that share a shape are scored as one stack.
+    """
+    by_shape = defaultdict(list)
+    for p, (a, b) in enumerate(pairs):
+        by_shape[a[1], b[1]].append(p)
+    forward, backward = np.empty(len(pairs)), np.empty(len(pairs))
+    for group in by_shape.values():
+        stack = np.stack([cross_counts(*pairs[p][0], *pairs[p][1]) for p in group])
+        forward[group] = directed_values(stack)
+        backward[group] = directed_values(stack.transpose(0, 2, 1))
+    return forward, backward
+
+
 @dataclass
 class MceMatrix:
     features: list        # in clustered display order
     values: np.ndarray    # symmetric, zero diagonal, same order as features
     dendro: object        # Dendrogram over the features, leaf names in input order
+    coded: dict           # feature name -> (codes, category count), in input order
 
     def groups(self, k):
         """The k feature groups of the clustering, as lists of names: each in
@@ -170,66 +190,35 @@ def mce_matrix(table, binnings=None, features=None):
     if twice is not None:
         raise DataError("row and column variable are the same ('%s')" % twice)
     k = len(usable)
-    # pairs whose tables share a shape are scored as one stack; every usable
-    # feature has two observed categories, so no target is degenerate
-    by_shape = defaultdict(list)
-    for i, j in itertools.combinations(range(k), 2):
-        by_shape[coded[i][1], coded[j][1]].append((i, j))
+    # every usable feature has two observed categories, so no target is degenerate
+    pairs = list(itertools.combinations(range(k), 2))
+    forward, backward = _directed_both_ways([(coded[i], coded[j]) for i, j in pairs])
     values = np.zeros((k, k))
-    for pairs in by_shape.values():
-        stack = np.stack([cross_counts(*coded[i], *coded[j]) for i, j in pairs])
-        mce = 0.5 * (directed_values(stack) + directed_values(stack.transpose(0, 2, 1)))
-        for (i, j), v in zip(pairs, mce):
-            values[i, j] = values[j, i] = v
+    for (i, j), v in zip(pairs, 0.5 * (forward + backward)):
+        values[i, j] = values[j, i] = v
     dendro = hclust.agglomerate(values)
     dendro.leaf_names = usable
     order = dendro.leaf_order()
-    return MceMatrix(features=[usable[i] for i in order], values=values[np.ix_(order, order)], dendro=dendro)
+    return MceMatrix(features=[usable[i] for i in order], values=values[np.ix_(order, order)], dendro=dendro,
+                     coded=dict(zip(usable, coded)))
 
 
-def rank_features_by_label_association(ds, binnings=None):
-    """Per-feature directed conditional entropy against the label column,
-    both ways.
+def rank_features_by_label_association(ds, matrix):
+    """Directed conditional entropy of each feature of an ``MceMatrix``
+    against the label column, both ways.
 
     Returns (feature, label_to_feature, feature_to_label) rows sorted by
     label_to_feature ascending, ties broken by name.  label_to_feature
     conditions on the label (lower = the label tells more about the
-    feature), feature_to_label on the feature.  As in ``mce_matrix``, the
-    label and each feature are coded once and the tables of one shape are
-    scored as one stack, in both directions; unusable features are skipped
-    with one warning each.
+    feature), feature_to_label on the feature.  Only the label is coded
+    here: each feature's codes are the matrix's own, the label column is
+    left out if the matrix holds it, and every feature has the two observed
+    categories ``mce_matrix`` asks of it, so no target is degenerate.
     """
-    label, names = ds.label_column, ds.feature_names()
-    label_codes, label_cats = category_codes(ds.table, label)
-    coded, skipped = {}, {}
-    for name in names:
-        try:
-            codes, cats = category_codes(ds.table, name, binnings)
-        except DataError as exc:
-            skipped[name] = str(exc)
-            continue
-        if len(label_cats) < 2 or len(cats) < 2:
-            skipped[name] = "variable '%s' has a single category after binning" % (
-                label if len(label_cats) < 2 else name)
-            continue
-        coded[name] = codes, len(cats)
-    # (label, feature) tables that share a shape are scored as one stack
-    by_shape = defaultdict(list)
-    for name, (_, n_cats) in coded.items():
-        by_shape[n_cats].append(name)
-    value = {}
-    for group in by_shape.values():
-        stack = np.stack([cross_counts(label_codes, len(label_cats), *coded[name]) for name in group])
-        value.update(zip(group, zip(directed_values(stack), directed_values(stack.transpose(0, 2, 1)))))
-    out = []
-    for name in names:
-        if name in skipped:
-            log.warning("skipping feature '%s': %s", name, skipped[name])
-        elif np.isnan(value[name]).any():
-            target = name if np.isnan(value[name][0]) else label
-            log.warning("skipping feature '%s': degenerate target '%s': zero entropy", name, target)
-        else:
-            out.append((name, *value[name]))
-    if not out:
-        raise DataError("no usable features to rank")
-    return sorted(out, key=lambda row: (row[1], row[0]))
+    label = ds.label_column
+    codes, cats = category_codes(ds.table, label)
+    if len(cats) < 2:
+        raise DataError("no usable features to rank: the label '%s' has a single category" % label)
+    names = [name for name in matrix.coded if name != label]
+    forward, backward = _directed_both_ways([((codes, len(cats)), matrix.coded[name]) for name in names])
+    return sorted(zip(names, forward, backward), key=lambda row: (row[1], row[0]))

@@ -399,10 +399,12 @@ def cmd_mce(args, cfg, run):
     })
     rows = [["feature", "label_to_feature", "feature_to_label"]]
     rows += [[name, "%.10g" % fwd, "%.10g" % bwd]
-             for name, fwd, bwd in rank_features_by_label_association(ds, binnings)]
+             for name, fwd, bwd in rank_features_by_label_association(ds, matrix)]
     run.write_text("feature_rank.csv", csv_text(rows))
-    i, j = np.unravel_index(
-        np.argmin(matrix.values + np.eye(len(matrix.features))), matrix.values.shape)
+    # a feature is never its own closest pair, even when every pair scores 1.0
+    off_diagonal = matrix.values.copy()
+    np.fill_diagonal(off_diagonal, np.inf)
+    i, j = np.unravel_index(np.argmin(off_diagonal), off_diagonal.shape)
     return "mce: %d features; closest pair (%s, %s) at %.4f" % (
         len(matrix.features), matrix.features[i], matrix.features[j], matrix.values[i, j])
 

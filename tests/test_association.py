@@ -133,14 +133,17 @@ def test_degenerate_target_raises(caplog):
     assert np.isnan(directed_values(counts[None])[0])
     # the other direction is fine
     assert 0.0 <= directed_values(counts.T[None])[0] <= 1.0
-    # the label ranking names the degenerate target, and with no other feature raises
+    # a feature with a single observed bin never reaches the label ranking:
+    # mce_matrix skips it with one warning, and the ranking scores the rest
+    # of the matrix's features, never the label column itself
     ds = LabeledDataset(DataTable([Column("label", "categorical", np.array(list("abab"), dtype=object)),
-                                   Column("c", "continuous", np.zeros(4))]), "label")
+                                   Column("c", "continuous", np.zeros(4)),
+                                   Column("g", "discrete", np.array([0.0, 0.0, 1.0, 1.0]))]), "label")
     binnings = {"c": build_histogram(np.arange(10.0), feature="c")}
-    with caplog.at_level("WARNING", logger="ceda"), pytest.raises(DataError, match="no usable features"):
-        rank_features_by_label_association(ds, binnings)
-    assert [r.getMessage() for r in caplog.records] == [
-        "skipping feature 'c': degenerate target 'c': zero entropy"]
+    with caplog.at_level("WARNING", logger="ceda"):
+        matrix = mce_matrix(ds.table, binnings, features=["label", "c", "g"])
+    assert [r.getMessage() for r in caplog.records] == ["skipping degenerate feature 'c'"]
+    assert rank_features_by_label_association(ds, matrix) == [("g", 1.0, 1.0)]
 
 
 def test_directed_matches_oracle_on_random_tables():
@@ -398,7 +401,7 @@ def test_rank_features_prefers_informative_feature():
     )
     # second coordinate carries no label signal
     binnings = default_binnings(ds.table, ds.table.names)
-    ranked = rank_features_by_label_association(ds, binnings)
+    ranked = rank_features_by_label_association(ds, mce_matrix(ds.table, binnings, ds.feature_names()))
     assert ranked[0][0] == "f0"
     assert ranked[0][1] < ranked[1][1]
 
@@ -406,18 +409,21 @@ def test_rank_features_prefers_informative_feature():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_rank_features_match_per_feature_contingency_tables(seed):
-    # discrete features of few shapes, so that stacks hold several tables
+    # discrete features of few shapes, so that stacks hold several tables;
+    # two or more of them, as mce_matrix needs, and in half the draws the
+    # matrix also holds the label column, which the ranking leaves out
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 60))
     label = rng.choice(list("abcd")[:int(rng.integers(2, 5))], n)
     label[:2] = ["a", "b"]
     cols = [Column("label", "categorical", label.astype(object))]
-    for j in range(int(rng.integers(1, 8))):
+    for j in range(int(rng.integers(2, 8))):
         values = rng.integers(0, int(rng.integers(2, 4)), n).astype(float)
         values[:2] = [0.0, 1.0]
         cols.append(Column("f%d" % j, "discrete", values))
     ds = LabeledDataset(DataTable(cols), "label")
-    ranked = rank_features_by_label_association(ds)
+    names = ds.table.names if rng.random() < 0.5 else ds.feature_names()
+    ranked = rank_features_by_label_association(ds, mce_matrix(ds.table, features=names))
     tables = {name: contingency_table(ds.table, "label", name) for name in ds.feature_names()}
     want = sorted(
         ((name, loop_directed(t.counts), loop_directed(t.counts.T)) for name, t in tables.items()),
@@ -440,20 +446,23 @@ def test_rank_features_warns_for_each_skipped_feature(caplog):
     binnings = {"flat": build_histogram(np.arange(10.0), feature="flat")}
     assert binnings["flat"].n_bins >= 2
     with caplog.at_level("WARNING", logger="ceda"):
-        ranked = rank_features_by_label_association(ds, binnings)
-    # both directions come from one call, so each skipped feature warns once
+        matrix = mce_matrix(ds.table, binnings)
+    # the features are coded once, in mce_matrix, so each skipped feature
+    # warns once, and the ranking adds no warning of its own
     assert [r.getMessage() for r in caplog.records] == [
-        "skipping feature 'one': variable 'one' has a single category after binning",
+        "skipping degenerate feature 'one'",
         "skipping feature 'unbinned': continuous variable 'unbinned' needs a binning",
-        "skipping feature 'flat': degenerate target 'flat': zero entropy",
+        "skipping degenerate feature 'flat'",
     ]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="ceda"):
+        ranked = rank_features_by_label_association(ds, matrix)
+    assert caplog.records == []
     # 'good' and the label tell nothing about each other: each value of one
     # meets the values of the other equally often
     assert ranked == [("good", pytest.approx(1.0), pytest.approx(1.0))]
     one_label = LabeledDataset(DataTable([Column("label", "categorical", np.array(["a"] * n, dtype=object)),
-                                          Column("good", "discrete", np.arange(n) % 3.0)]), "label")
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="ceda"), pytest.raises(DataError, match="no usable features"):
-        rank_features_by_label_association(one_label)
-    assert [r.getMessage() for r in caplog.records] == [
-        "skipping feature 'good': variable 'label' has a single category after binning"]
+                                          Column("good", "discrete", np.arange(n) % 3.0),
+                                          Column("half", "discrete", np.arange(n) % 2.0)]), "label")
+    with pytest.raises(DataError, match="no usable features to rank: the label 'label' has a single category"):
+        rank_features_by_label_association(one_label, mce_matrix(one_label.table, features=["good", "half"]))

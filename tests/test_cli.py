@@ -182,6 +182,46 @@ def test_mce_artifacts(tmp_path, clouds_csv):
     assert sorted(f for g in groups["groups"] for f in g) == ["f0", "f1"]
 
 
+def test_mce_summary_never_pairs_a_feature_with_itself(tmp_path, capsys):
+    # f0, f1 and the label are pairwise independent, so every off-diagonal
+    # value is 1.0, the value a diagonal of ones would tie with
+    data = tmp_path / "indep.csv"
+    data.write_text("f0,f1,label\n" + "".join(
+        "%d,%d,%s\n" % (i % 2, (i // 2) % 2, "ab"[(i // 4) % 2]) for i in range(40)))
+    cfg = write_cfg(tmp_path / "c.json", dataset=str(data), label_column="label",
+                    out_dir=str(tmp_path / "out"))
+    capsys.readouterr()
+    assert run_cli("mce", "--config", cfg) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary in ("mce: 2 features; closest pair (f0, f1) at 1.0000",
+                       "mce: 2 features; closest pair (f1, f0) at 1.0000")
+
+
+def test_mce_ranks_only_the_matrix_features(tmp_path, caplog):
+    rng = np.random.default_rng(4)
+    n = 60
+    label = np.array(list("abc"))[np.arange(n) % 3]
+    data = tmp_path / "mixed.csv"
+    data.write_text("f0,f1,f2,d,c,one,label\n" + "".join(
+        "%.4f,%.4f,%.4f,%d,%s,x,%s\n" % (rng.normal(), rng.normal(), rng.normal(), i % 4, "pq"[i % 2], label[i])
+        for i in range(n)))
+    for features, skipped in ((["f0", "f1"], []), (["f0", "one", "f1"], ["one"])):
+        out = tmp_path / ("out-%d" % len(features))
+        cfg = write_cfg(tmp_path / "c.json", dataset=str(data), label_column="label",
+                        out_dir=str(out), features=features)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="ceda"):
+            assert run_cli("mce", "--config", cfg) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        # the ranking reads the matrix's codes: it lists the matrix's
+        # features and nothing else, and a feature the matrix skips warns once
+        ranked = [line.split(",")[0] for line in (out / "feature_rank.csv").read_text().splitlines()[1:]]
+        assert sorted(ranked) == ["f0", "f1"]
+        assert not [w for w in warnings if "needs a binning" in w]
+        assert [w for w in warnings if "'one'" in w] == ["skipping degenerate feature '%s'" % name
+                                                          for name in skipped]
+
+
 def test_let_artifacts(tmp_path, clouds_csv):
     out = tmp_path / "let"
     cfg = write_cfg(tmp_path / "c.json", dataset=str(clouds_csv), label_column="label",

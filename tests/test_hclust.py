@@ -189,7 +189,7 @@ def test_cut_resolves_names():
     d = np.array([[0.0, 1.0, 8.0], [1.0, 0.0, 8.0], [8.0, 8.0, 0.0]])
     dendro = agglomerate(d)
     dendro.leaf_names = ["x", "y", "z"]
-    assert MceMatrix(["x", "y", "z"], d, dendro).groups(2) == [["x", "y"], ["z"]]
+    assert MceMatrix(["x", "y", "z"], d, dendro, coded={}).groups(2) == [["x", "y"], ["z"]]
 
 
 def test_dendrogram_members():
@@ -211,7 +211,7 @@ def test_cut_groups_follow_the_display_order():
     dendro.leaf_names = names
     order = dendro.leaf_order()
     assert order == [4, 2, 3, 0, 1]
-    m = MceMatrix([names[i] for i in order], d[np.ix_(order, order)], dendro)
+    m = MceMatrix([names[i] for i in order], d[np.ix_(order, order)], dendro, coded={})
     assert m.groups(2) == [["e"], ["c", "d", "a", "b"]]
     assert m.groups(3) == [["e"], ["c", "d"], ["a", "b"]]
     assert m.groups(5) == [["e"], ["c"], ["d"], ["a"], ["b"]]
